@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # rebound by perfbench/tracing.py
 
 from . import fem, materials as mats, meshgen, reflection as refl, solvers as sol
 from .config import ConfigError, ExperimentConfig
@@ -208,22 +208,6 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
                        tuple(rows), tuple(meta))
 
 
-def _scalar_residuals(mesh: Mesh, blocks, mat, vals, vecs, n_primary) -> np.ndarray:
-    """Rational residual of scalar-formulation pairs: ||B(lam) v|| in the
-    inverse-H1-Gram sense over ||v||_H1, mirroring the edge-space measure."""
-    G = (blocks["Ks_plus"] + blocks["Ks_minus"]
-         + blocks["Ms_plus"] + blocks["Ms_minus"])
-    lu = spla.splu(G.tocsc())
-    out = np.empty(len(vals))
-    for k, lamk in enumerate(vals):
-        v = vecs[:n_primary, k]
-        B, _ = fem.assemble_scalar_problem(blocks, mat, float(lamk), mesh)
-        r = B @ v
-        out[k] = math.sqrt(max(float(r @ lu.solve(r)), 0.0)
-                           / float(v @ (G @ v)))
-    return out
-
-
 def _regime(windows: mats.CriticalWindows, lam: float) -> str:
     tags = []
     if windows.window_mu is not None:
@@ -270,7 +254,7 @@ def run_spectrum(cfg: ExperimentConfig, count: int = 24):
                                    shift=shift, count=count)
 
         def scalar_task(_):
-            ps = sol.build_scalar_pencil(mesh, bl, mat)
+            ps = sol.build_pencil(mesh, bl, mat, form=fem.SCALAR)
             return sol.pencil_eigenvalues(ps, window=window, shift=shift,
                                           count=count, vectors=True)
 
@@ -281,8 +265,9 @@ def run_spectrum(cfg: ExperimentConfig, count: int = 24):
     dropped = sum(1 for q in pairs if q.residual > RESIDUAL_FILTER)
     pairs = [q for q in pairs if q.residual <= RESIDUAL_FILTER]
     if len(svals):
-        sres = _scalar_residuals(mesh, bl, mat, svals, svecs,
-                                 mesh.num_vertices)
+        evaluate = sol.residual_evaluator(mesh, bl, mat, fem.SCALAR)
+        sres = np.array([evaluate(float(lamk), svecs[:mesh.num_vertices, k])
+                         for k, lamk in enumerate(svals)])
         keep = sres <= RESIDUAL_FILTER
         dropped += int((~keep).sum())
         svals, sres = svals[keep], sres[keep]
@@ -333,7 +318,8 @@ def _largest_below(vals: Sequence[float], threshold: float, what: str) -> float:
 def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
     """Track the largest eigenvalue below the threshold across the ladder;
     errors are relative to the finest level and to the scalar-formulation
-    value on the finest level."""
+    value on the finest level.  Pairs above RESIDUAL_FILTER are dropped and
+    counted, over all levels, in the metadata."""
     if cfg.kind != "eigen-convergence":
         raise ConfigError(
             f"eigenvalue convergence asked to run a {cfg.kind!r} config")
@@ -354,11 +340,11 @@ def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
         tgt = _largest_below([q.lam for q in good], threshold,
                              f"level-{i} vector")
         res = next(q.residual for q in good if q.lam == tgt)
-        return tgt, res
+        return tgt, res, len(pairs) - len(good)
 
     got = _pool_map(task, range(cfg.levels))
 
-    ps = sol.build_scalar_pencil(meshes[-1], blocks[-1], mat)
+    ps = sol.build_pencil(meshes[-1], blocks[-1], mat, form=fem.SCALAR)
     svals = sol.pencil_eigenvalues(ps, window=window, shift=shift, count=8)
     scalar_ref = _largest_below(list(svals), threshold, "scalar")
     ref = got[-1][0]
@@ -366,11 +352,12 @@ def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
     rows = tuple(
         (i, meshes[i].h_max, meshes[i].num_edges, lam_i, res_i,
          abs(lam_i - ref) / abs(ref), abs(lam_i - scalar_ref) / abs(scalar_ref))
-        for i, (lam_i, res_i) in enumerate(got))
+        for i, (lam_i, res_i, _) in enumerate(got))
     meta = _base_metadata(cfg) + [
         ("window", f"{window[0]},{window[1]}"), ("shift", repr(shift)),
         ("target", f"largest eigenvalue below {threshold!r}, lambda-sorted"),
         ("residual_filter", repr(RESIDUAL_FILTER)),
+        ("dropped_by_filter", str(sum(d for _, _, d in got))),
         ("scalar_reference", repr(float(scalar_ref))),
     ]
     return ResultTable(

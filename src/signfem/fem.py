@@ -22,10 +22,10 @@ from .mesh import Mesh
 
 __all__ = [
     "ScalarSpace", "EdgeSpace", "AuxCurlSpace", "FeField", "FemError",
-    "assemble_blocks", "gradient_map", "assemble_A", "assemble_rhs",
-    "assemble_scalar_problem", "helmholtz_project", "field_norms",
-    "scalar_norms", "cross_error", "eval_cellwise", "error_vs_exact",
-    "interpolate_edge", "interpolate_scalar",
+    "Formulation", "EDGE", "SCALAR", "assemble_blocks", "gradient_map",
+    "assemble_A", "assemble_rhs", "assemble_scalar_problem",
+    "helmholtz_project", "field_norms", "scalar_norms", "potential_flux",
+    "cross_error", "eval_cellwise", "error_vs_exact", "interpolate_edge",
     "prolong_edge", "prolong_scalar", "field_write", "field_read",
     "MID_RULE", "STRANG_RULE",
 ]
@@ -51,8 +51,24 @@ class FemError(RuntimeError):
     pass
 
 
+class _FreeDofs:
+    """Restriction to the free dofs of a space, and expansion back."""
+
+    def restrict_matrix(self, A: sp.spmatrix) -> sp.csr_matrix:
+        free = self.free
+        return sp.csr_matrix(A.tocsr()[free][:, free])
+
+    def restrict_vec(self, v: np.ndarray) -> np.ndarray:
+        return v[self.free]
+
+    def expand_vec(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.ndof, dtype=v.dtype)
+        out[self.free] = v
+        return out
+
+
 @dataclass(frozen=True, eq=False)
-class ScalarSpace:
+class ScalarSpace(_FreeDofs):
     """P1 Lagrange space on all mesh vertices (natural boundary condition)."""
 
     mesh: Mesh
@@ -60,6 +76,11 @@ class ScalarSpace:
     @property
     def ndof(self) -> int:
         return self.mesh.num_vertices
+
+    @property
+    def free(self) -> np.ndarray:
+        """Every vertex: the natural boundary condition eliminates no dof."""
+        return np.arange(self.ndof)
 
     @property
     def boundary_vertices(self) -> np.ndarray:
@@ -73,7 +94,7 @@ class ScalarSpace:
 
 
 @dataclass(frozen=True, eq=False)
-class EdgeSpace:
+class EdgeSpace(_FreeDofs):
     """Lowest-order edge-element space; free dofs exclude boundary edges
     (perfectly conducting boundary, tangential trace eliminated).  clamp=False
     keeps every edge: the natural-boundary variant used by manufactured
@@ -97,18 +118,6 @@ class EdgeSpace:
         if not self.clamp:
             return self.mesh.num_edges
         return int((~self.mesh.boundary_edge).sum())
-
-    def restrict_matrix(self, A: sp.spmatrix) -> sp.csr_matrix:
-        free = self.free
-        return sp.csr_matrix(A.tocsr()[free][:, free])
-
-    def restrict_vec(self, v: np.ndarray) -> np.ndarray:
-        return v[self.free]
-
-    def expand_vec(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.ndof, dtype=v.dtype)
-        out[self.free] = v
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +146,7 @@ class FeField:
 
 def _geometry(mesh: Mesh):
     """Per-triangle barycentric gradients (T,3,2) and curls of the local edge
-    functions (T,3), all following the stored orientation signs."""
+    functions (T,3)."""
     v = mesh.vertices[mesh.triangles]
     area = mesh.areas
     grads = np.empty((mesh.num_triangles, 3, 2))
@@ -146,14 +155,18 @@ def _geometry(mesh: Mesh):
         grads[:, j, 0] = -opp[:, 1]
         grads[:, j, 1] = opp[:, 0]
     grads /= (2 * area)[:, None, None]
+    return grads, _curl_weights(mesh)
+
+
+def _curl_weights(mesh: Mesh) -> np.ndarray:
+    """Curls of the local edge functions (T,3), before orientation signs."""
     # 2 grad(lam_j) x grad(lam_{j+1}) = 1/area for every local edge of a
     # positively oriented triangle.  Snap the weight to a multiple of 2^-30:
     # stiffness entries are then short sums of exactly representable +-q and
     # curl-of-gradient cancellation is exact in floating point, while the
     # perturbation (< 2^-31 absolute) sits far below discretization error.
-    q = np.ldexp(np.round(np.ldexp(1.0 / area, 30)), -30)
-    curls = np.repeat(q[:, None], 3, axis=1)
-    return grads, curls
+    q = np.ldexp(np.round(np.ldexp(1.0 / mesh.areas, 30)), -30)
+    return np.repeat(q[:, None], 3, axis=1)
 
 
 def _whitney_at(grads, lam):
@@ -172,11 +185,14 @@ def _scatter(rows, cols, vals, shape):
 
 
 def assemble_blocks(mesh: Mesh) -> Dict[str, sp.csr_matrix]:
-    """Assemble the per-region building blocks.
+    """Assemble the per-region building blocks, keyed by stem and region.
 
-    K/M: edge-element curl-curl and mass, by region.  Ks/Ms: P1 stiffness and
-    mass, by region.  C: <curl u, q> pairing with the minus-region piecewise
-    constants.  MY: their mass (diagonal of minus areas).
+    K_plus/K_minus, M_plus/M_minus: edge-element curl-curl and mass, on every
+    edge.  Ks_plus/Ks_minus, Ms_plus/Ms_minus: P1 stiffness and mass, on every
+    vertex.  C: <curl u, q> pairing of the edge space with the minus-region
+    piecewise constants; MY: their mass (diagonal of minus areas).  Cs: the
+    two components of area * grad v per minus triangle; MYs: their mass.
+    The formulation table (EDGE, SCALAR) names the stems each problem reads.
     """
     grads, curls = _geometry(mesh)
     area = mesh.areas
@@ -226,12 +242,8 @@ def assemble_blocks(mesh: Mesh) -> Dict[str, sp.csr_matrix]:
     blocks["C"] = sp.coo_matrix((vals_c, (rows_c, cols_c)),
                                 shape=(len(tm), E)).tocsr()
     blocks["MY"] = sp.diags(area[tm]).tocsr()
-    # snapped reciprocal mass: Ct @ MYinv @ C reproduces K_minus bit-for-bit,
-    # which the auxiliary-variable elimination in the eigensolver relies on
-    blocks["MYinv"] = sp.diags(curls[tm, 0]).tocsr()
 
-    # scalar analog for the potential-formulation pencil: per minus triangle
-    # the two components of area * grad v; Cs^T MYsinv Cs == Ks_minus
+    # scalar analog: Cs^T MYs^-1 Cs == Ks_minus
     rows_s = np.repeat(2 * np.arange(len(tm)), 3)
     rows_s = np.concatenate([rows_s, rows_s + 1])
     cols_s = np.tile(gv[tm].ravel(), 2)
@@ -240,8 +252,41 @@ def assemble_blocks(mesh: Mesh) -> Dict[str, sp.csr_matrix]:
     blocks["Cs"] = sp.coo_matrix((vals_s, (rows_s, cols_s)),
                                  shape=(2 * len(tm), V)).tocsr()
     blocks["MYs"] = sp.diags(np.repeat(area[tm], 2)).tocsr()
-    blocks["MYsinv"] = sp.diags(np.repeat(curls[tm, 0], 2)).tocsr()
     return blocks
+
+
+@dataclass(frozen=True)
+class Formulation:
+    """One row of the formulation table: the block stems a problem reads, its
+    space (whose free dofs it keeps) and whether mu and eps swap roles.
+
+    A row reads the Drude laws of roles(mat): mu(lam)^-1 weights the
+    stiffness and eps(lam) the mass, and omega_mu is the resonance that the
+    auxiliary block linearizes.
+    """
+
+    kind: str        # "edge" | "scalar"
+    stiffness: str   # curl-curl or gradient-gradient stem
+    mass: str
+    pairing: str     # minus-region coupling to the auxiliary unknowns
+    aux_mass: str
+    space: type
+    swap: bool
+
+    def roles(self, mat: mats.DrudeMaterial) -> mats.DrudeMaterial:
+        """The material as this row reads it."""
+        if not self.swap:
+            return mat
+        return mats.DrudeMaterial(
+            mu_plus=mat.eps_plus, mu_minus=mat.eps_minus, eps_plus=mat.mu_plus,
+            eps_minus=mat.mu_minus, omega_mu_sq=mat.omega_eps_sq,
+            omega_eps_sq=mat.omega_mu_sq)
+
+
+# In 2D the scalar-potential problem is the edge problem with mu and eps
+# exchanged, on P1 functions with natural boundary conditions.
+EDGE = Formulation("edge", "K", "M", "C", "MY", EdgeSpace, swap=False)
+SCALAR = Formulation("scalar", "Ks", "Ms", "Cs", "MYs", ScalarSpace, swap=True)
 
 
 def gradient_map(mesh: Mesh) -> sp.csr_matrix:
@@ -255,36 +300,59 @@ def gradient_map(mesh: Mesh) -> sp.csr_matrix:
                          shape=(E, mesh.num_vertices)).tocsr()
 
 
+def _number(x):
+    return complex(x) if isinstance(x, complex) else float(x)
+
+
 def assemble_A(blocks: Dict[str, sp.csr_matrix], mat: mats.DrudeMaterial,
-               lam, space: EdgeSpace) -> sp.csr_matrix:
-    """A(lam) = mu(lam)^-1-weighted curl-curl minus lam eps(lam)-weighted
-    mass, on the free (interior-edge) dofs."""
-    mu_p = 1.0 / float(mats.mu(mat, lam, "+"))
-    mu_m = complex(mats.mu_inv(mat, lam, "-")) if np.iscomplexobj(np.asarray(lam)) \
-        else float(mats.mu_inv(mat, lam, "-"))
-    eps_p = float(mats.eps(mat, lam, "+"))
-    eps_m = mats.eps(mat, lam, "-")
-    eps_m = complex(eps_m) if isinstance(eps_m, complex) else float(eps_m)
-    A = (mu_p * blocks["K_plus"] + mu_m * blocks["K_minus"]
-         - lam * (eps_p * blocks["M_plus"] + eps_m * blocks["M_minus"]))
+               lam, space, form: Formulation = EDGE) -> sp.csr_matrix:
+    """A(lam) = mu(lam)^-1-weighted stiffness minus lam eps(lam)-weighted
+    mass of the formulation, on the free dofs of space.  For the edge
+    problem that is curl-curl and mass on the interior edges; the scalar row
+    reads the same law with mu and eps swapped."""
+    m = form.roles(mat)
+    k_p = 1.0 / float(mats.mu(m, lam, "+"))
+    k_m = _number(mats.mu_inv(m, lam, "-"))
+    m_p = float(mats.eps(m, lam, "+"))
+    m_m = _number(mats.eps(m, lam, "-"))
+    K, M = form.stiffness, form.mass
+    A = (k_p * blocks[K + "_plus"] + k_m * blocks[K + "_minus"]
+         - lam * (m_p * blocks[M + "_plus"] + m_m * blocks[M + "_minus"]))
     return space.restrict_matrix(A)
+
+
+def _quadrature(mesh: Mesh, rule):
+    """Walk a barycentric rule over every triangle: per point, its weight,
+    the barycentric point and the local edge functions (T, 3, 2)."""
+    grads, _ = _geometry(mesh)
+    for lam, w in zip(*rule):
+        yield w, lam, _whitney_at(grads, lam)
+
+
+def _edge_values(mesh: Mesh, u_full: np.ndarray, rule):
+    """An edge field at the points of a barycentric rule: per point, its
+    weight, the barycentric point and the field values (T, 2)."""
+    coef = u_full[mesh.tri_edges] * mesh.tri_edge_signs.astype(float)
+    for w, lam, W in _quadrature(mesh, rule):
+        yield w, lam, np.einsum("tj,tjd->td", coef, W)
+
+
+def _edge_curls(mesh: Mesh, u_full: np.ndarray) -> np.ndarray:
+    """Elementwise curls (T,) of an edge field."""
+    coef = u_full[mesh.tri_edges] * mesh.tri_edge_signs.astype(float)
+    return np.einsum("tj,tj->t", coef, _curl_weights(mesh))
 
 
 def assemble_rhs(mesh: Mesh, fun: Callable, rule=MID_RULE) -> np.ndarray:
     """Edge-space load vector <f, w> for a vector-valued f(x) -> (…,2)."""
-    grads, _ = _geometry(mesh)
-    signs = mesh.tri_edge_signs.astype(float)
     v = mesh.vertices[mesh.triangles]
-    pts, wts = rule
     out = np.zeros(mesh.num_edges)
     vals = None
-    for lam, w in zip(pts, wts):
-        x = np.einsum("j,tjd->td", lam, v)
-        f = np.asarray(fun(x), dtype=float)
-        W = _whitney_at(grads, lam)
+    for w, lam, W in _quadrature(mesh, rule):
+        f = np.asarray(fun(np.einsum("j,tjd->td", lam, v)), dtype=float)
         contrib = w * np.einsum("td,tjd->tj", f, W)
         vals = contrib if vals is None else vals + contrib
-    vals = vals * mesh.areas[:, None] * signs
+    vals = vals * mesh.areas[:, None] * mesh.tri_edge_signs.astype(float)
     np.add.at(out, mesh.tri_edges.ravel(), vals.ravel())
     return out
 
@@ -298,18 +366,12 @@ def assemble_scalar_problem(blocks: Dict[str, sp.csr_matrix],
     midpoint rule integrates the load exactly."""
     if f0 is None:
         f0 = lambda x: x[..., 0] - x[..., 1]
-    eps_ip = 1.0 / float(mats.eps(mat, lam, "+"))
-    eps_im = mats.eps_inv(mat, lam, "-")
-    mu_p = float(mats.mu(mat, lam, "+"))
-    mu_m = mats.mu(mat, lam, "-")
-    eps_im = complex(eps_im) if isinstance(eps_im, complex) else float(eps_im)
-    mu_m = complex(mu_m) if isinstance(mu_m, complex) else float(mu_m)
-    S = (eps_ip * blocks["Ks_plus"] + eps_im * blocks["Ks_minus"]
-         - lam * (mu_p * blocks["Ms_plus"] + mu_m * blocks["Ms_minus"]))
+    S = assemble_A(blocks, mat, lam, ScalarSpace(mesh), SCALAR)
 
     v = mesh.vertices[mesh.triangles]
     pts, wts = MID_RULE
-    mu_t = np.where(mesh.region == 1, mu_p, mu_m)
+    mu_t = np.where(mesh.region == 1, float(mats.mu(mat, lam, "+")),
+                    _number(mats.mu(mat, lam, "-")))
     vals = None
     for lam_b, w in zip(pts, wts):
         x = np.einsum("j,tjd->td", lam_b, v)
@@ -319,7 +381,7 @@ def assemble_scalar_problem(blocks: Dict[str, sp.csr_matrix],
     vals = vals * (mu_t * mesh.areas)[:, None]
     rhs = np.zeros(mesh.num_vertices, dtype=vals.dtype)
     np.add.at(rhs, mesh.triangles.ravel(), vals.ravel())
-    return sp.csr_matrix(S), rhs
+    return S, rhs
 
 
 @dataclass
@@ -354,17 +416,10 @@ class FieldNorms:
 
 def field_norms(mesh: Mesh, u_full: np.ndarray) -> FieldNorms:
     """L2 norm, curl seminorm, and the graph norm of an edge-element field."""
-    grads, curls = _geometry(mesh)
-    signs = mesh.tri_edge_signs.astype(float)
-    coef = u_full[mesh.tri_edges] * signs
-    pts, wts = MID_RULE
     l2sq = 0.0
-    for lam, w in zip(pts, wts):
-        W = _whitney_at(grads, lam)
-        vals = np.einsum("tj,tjd->td", coef, W)
+    for w, _, vals in _edge_values(mesh, u_full, MID_RULE):
         l2sq += w * np.einsum("td,td->t", vals.conj(), vals).real @ mesh.areas
-    curl_vals = np.einsum("tj,tj->t", coef, curls)
-    curlsq = float((np.abs(curl_vals) ** 2) @ mesh.areas)
+    curlsq = float((np.abs(_edge_curls(mesh, u_full)) ** 2) @ mesh.areas)
     l2sq = float(l2sq)
     return FieldNorms(np.sqrt(l2sq), np.sqrt(curlsq), np.sqrt(l2sq + curlsq))
 
@@ -383,24 +438,26 @@ def scalar_norms(mesh: Mesh, p: np.ndarray) -> FieldNorms:
     return FieldNorms(np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(l2sq + h1sq))
 
 
-def cross_error(mesh: Mesh, mat: mats.DrudeMaterial, lam,
-                u_full: np.ndarray, v_scalar: np.ndarray) -> float:
-    """Relative L2 distance between the edge field u and eps(lam)^-1 Curl v,
-    with Curl v = (d2 v, -d1 v) computed from the P1 field v."""
+def potential_flux(mesh: Mesh, mat: mats.DrudeMaterial, lam,
+                   v: np.ndarray) -> np.ndarray:
+    """eps(lam)^-1 Curl v per triangle, (T, 2), with Curl v = (d2 v, -d1 v)
+    computed from the P1 field v."""
     grads, _ = _geometry(mesh)
-    signs = mesh.tri_edge_signs.astype(float)
-    coef = u_full[mesh.tri_edges] * signs
-    gv = np.einsum("tj,tjd->td", v_scalar[mesh.triangles], grads)
+    gv = np.einsum("tj,tjd->td", v[mesh.triangles], grads)
     curl_v = np.column_stack([gv[:, 1], -gv[:, 0]])
     eps_t = np.where(mesh.region == 1,
                      float(mats.eps(mat, lam, "+")),
                      float(mats.eps(mat, lam, "-")))
-    target = curl_v / eps_t[:, None]
-    pts, wts = MID_RULE
+    return curl_v / eps_t[:, None]
+
+
+def cross_error(mesh: Mesh, mat: mats.DrudeMaterial, lam,
+                u_full: np.ndarray, v_scalar: np.ndarray) -> float:
+    """Relative L2 distance between the edge field u and eps(lam)^-1 Curl v
+    of the P1 field v."""
+    target = potential_flux(mesh, mat, lam, v_scalar)
     err = ref = 0.0
-    for lam_b, w in zip(pts, wts):
-        W = _whitney_at(grads, lam_b)
-        uv = np.einsum("tj,tjd->td", coef, W)
+    for w, _, uv in _edge_values(mesh, u_full, MID_RULE):
         d = uv - target
         err += w * float(np.einsum("td,td->t", d.conj(), d).real @ mesh.areas)
         ref += w * float(np.einsum("td,td->t", target.conj(), target).real @ mesh.areas)
@@ -411,11 +468,9 @@ def cross_error(mesh: Mesh, mat: mats.DrudeMaterial, lam,
 
 def eval_cellwise(mesh: Mesh, u_full: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Barycenter values (T, 2) and elementwise curls (T,) of an edge field."""
-    grads, curls = _geometry(mesh)
-    coef = u_full[mesh.tri_edges] * mesh.tri_edge_signs.astype(float)
-    W = _whitney_at(grads, np.array([1 / 3, 1 / 3, 1 / 3]))
-    vals = np.einsum("tj,tjd->td", coef, W)
-    return vals, np.einsum("tj,tj->t", coef, curls)
+    barycenter = (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.ones(1))
+    (_, _, vals), = _edge_values(mesh, u_full, barycenter)
+    return vals, _edge_curls(mesh, u_full)
 
 
 def error_vs_exact(mesh: Mesh, u_full: np.ndarray, exact: Callable,
@@ -427,16 +482,11 @@ def error_vs_exact(mesh: Mesh, u_full: np.ndarray, exact: Callable,
     would report the superclose O(h^2) distance on uniform meshes and fake a
     convergence order.
     """
-    grads, curls = _geometry(mesh)
-    coef = u_full[mesh.tri_edges] * mesh.tri_edge_signs.astype(float)
     v = mesh.vertices[mesh.triangles]
-    curl_h = np.einsum("tj,tj->t", coef, curls)
-    pts, wts = rule
+    curl_h = _edge_curls(mesh, u_full)
     errsq = refsq = cerrsq = crefsq = 0.0
-    for lam_b, w in zip(pts, wts):
+    for w, lam_b, uh in _edge_values(mesh, u_full, rule):
         x = np.einsum("j,tjd->td", lam_b, v)
-        W = _whitney_at(grads, lam_b)
-        uh = np.einsum("tj,tjd->td", coef, W)
         ue = np.asarray(exact(x), dtype=float)
         ce = np.asarray(exact_curl(x), dtype=float)
         d = uh - ue
@@ -461,10 +511,6 @@ def interpolate_edge(mesh: Mesh, fun: Callable) -> np.ndarray:
         x = a + t * d
         out += w * np.einsum("ed,ed->e", np.asarray(fun(x), dtype=float), d)
     return out
-
-
-def interpolate_scalar(mesh: Mesh, fun: Callable) -> np.ndarray:
-    return np.asarray(fun(mesh.vertices), dtype=float)
 
 
 def _eval_edge_field(mesh: Mesh, grads, coef, tri_ids, points):

@@ -293,7 +293,6 @@ class CutoffProfile:
     half_length: float = 0.0
     r1: float = 0.0
     r2: float = 1.0
-    degree: int = 5
 
     def __post_init__(self):
         if self.kind not in ("corner", "edge"):

@@ -98,18 +98,20 @@ def eps(mat: DrudeMaterial, lam: Number, region: str) -> Number:
     raise MaterialError(f"region must be '+' or '-', got {region!r}")
 
 
-def mu_inv(mat: DrudeMaterial, lam: Number, region: str) -> Number:
-    value = mu(mat, lam, region)
+def _inverse(value: Number, lam: Number) -> Number:
+    # neutral wording: the scalar formulation reads eps through the mu slot
     if value == 0:
-        raise MaterialError(f"mu vanishes at lam = {lam} (resonance pole)")
+        raise MaterialError(f"Drude coefficient vanishes at lam = {lam} "
+                            "(resonance pole)")
     return 1 / value
+
+
+def mu_inv(mat: DrudeMaterial, lam: Number, region: str) -> Number:
+    return _inverse(mu(mat, lam, region), lam)
 
 
 def eps_inv(mat: DrudeMaterial, lam: Number, region: str) -> Number:
-    value = eps(mat, lam, region)
-    if value == 0:
-        raise MaterialError(f"eps vanishes at lam = {lam} (resonance pole)")
-    return 1 / value
+    return _inverse(eps(mat, lam, region), lam)
 
 
 @dataclass(frozen=True)

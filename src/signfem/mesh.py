@@ -94,17 +94,6 @@ class Mesh:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def edge_lengths(self) -> np.ndarray:
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return np.linalg.norm(d, axis=1)
-
-    def patch_label(self, t: int):
-        kind = self.patch_kind[t]
-        if kind == PATCH_NONE:
-            return None
-        return ("corner" if kind == PATCH_CORNER else "edge", int(self.patch_index[t]))
-
     def barycenters(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 

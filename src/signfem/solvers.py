@@ -8,13 +8,19 @@ problem into a symmetric pencil (S, T) with T block-diagonal positive
 definite.  Eliminating v back out of S - lam*T must reproduce the rational
 operator A(lam) exactly; schur_action provides that substitution as an
 independent check on the block algebra.
+
+In 2D the scalar-potential problem is the edge problem with mu and eps
+swapped: eps(lam)^-1 weights the P1 stiffness, mu(lam) the mass, and the
+auxiliary variable is the piecewise-constant gradient on the inclusion.  Every
+routine here that takes a formulation (fem.EDGE or fem.SCALAR) reads its
+blocks and its material roles from that row of the formulation table.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,15 +29,15 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import fem, materials as mats
-from .fem import AuxCurlSpace, EdgeSpace, FeField, ScalarSpace
+from .fem import EDGE, AuxCurlSpace, EdgeSpace, FeField, Formulation, ScalarSpace
 from .mesh import Mesh
 
 __all__ = [
     "SolverError", "SourceSolution", "MatrixPencil", "PencilLayout",
     "EigenPair", "InfSupEstimate", "xnorm_gram", "solve_source",
-    "solve_scalar_potential", "build_pencil", "build_scalar_pencil",
-    "schur_action", "solve_eigen", "pencil_eigenvalues",
-    "count_eigen_window", "rational_residual", "discrete_infsup",
+    "solve_scalar_potential", "build_pencil", "schur_action", "solve_eigen",
+    "pencil_eigenvalues", "count_eigen_window", "residual_evaluator",
+    "rational_residual", "discrete_infsup",
 ]
 
 
@@ -82,10 +88,13 @@ class InfSupEstimate:
     level: int
 
 
-def xnorm_gram(blocks: Dict[str, sp.csr_matrix], space: EdgeSpace) -> sp.csr_matrix:
-    """H(curl) Gram on the free dofs (unweighted: K + M over both regions)."""
-    G = (blocks["K_plus"] + blocks["K_minus"]
-         + blocks["M_plus"] + blocks["M_minus"])
+def xnorm_gram(blocks: Dict[str, sp.csr_matrix], space,
+               form: Formulation = EDGE) -> sp.csr_matrix:
+    """Unweighted Gram on the free dofs: stiffness + mass over both regions,
+    the H(curl) Gram for the edge problem and the H1 Gram for the scalar one."""
+    K, M = form.stiffness, form.mass
+    G = (blocks[K + "_plus"] + blocks[K + "_minus"]
+         + blocks[M + "_plus"] + blocks[M + "_minus"])
     return space.restrict_matrix(G)
 
 
@@ -143,6 +152,21 @@ def _refined_solve(lu, A: sp.spmatrix, b: np.ndarray,
     return u, res
 
 
+def _gated_solve(A: sp.spmatrix, b: np.ndarray,
+                 what: str) -> Tuple[np.ndarray, float, float]:
+    """Factor, refine, and hold the relative residual to the 1e-10 gate.
+    Returns (solution, residual, wall time of factor and refinement)."""
+    t0 = time.perf_counter()
+    lu = _factorize(A, what)
+    u, res = _refined_solve(lu, A, b)
+    wall = time.perf_counter() - t0
+    if not np.isfinite(res) or res > 1e-10:
+        raise SolverError(
+            f"{what} is numerically singular: relative residual {res:.3e} "
+            f"after refinement ({_pivot_report(lu)})")
+    return u, res, wall
+
+
 def solve_source(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
                  mat: mats.DrudeMaterial, lam, f,
                  space: Optional[EdgeSpace] = None) -> SourceSolution:
@@ -158,14 +182,7 @@ def solve_source(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
         space = EdgeSpace(mesh)
     A = fem.assemble_A(blocks, mat, lam, space)
     b = space.restrict_vec(fem.assemble_rhs(mesh, _as_callable(f)))
-    t0 = time.perf_counter()
-    lu = _factorize(A, f"A({lam})")
-    u, res = _refined_solve(lu, A, b)
-    wall = time.perf_counter() - t0
-    if not np.isfinite(res) or res > 1e-10:
-        raise SolverError(
-            f"A({lam}) is numerically singular: relative residual {res:.3e} "
-            f"after refinement ({_pivot_report(lu)})")
+    u, res, wall = _gated_solve(A, b, f"A({lam})")
     field = FeField(space, space.expand_vec(u), lam=lam, description="source solve")
     return SourceSolution(field, lam, res, wall)
 
@@ -180,27 +197,17 @@ def solve_scalar_potential(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     derived vector field is elementwise constant, (T, 2).
     """
     S, rhs = fem.assemble_scalar_problem(blocks, mat, lam, mesh, f0=f0)
-    lu = _factorize(S, f"scalar operator at lam={lam}")
-    v, res = _refined_solve(lu, S, rhs)
-    if not np.isfinite(res) or res > 1e-10:
-        raise SolverError(
-            f"scalar operator at lam={lam} is numerically singular: "
-            f"relative residual {res:.3e} ({_pivot_report(lu)})")
-    grads, _ = fem._geometry(mesh)
-    gv = np.einsum("tj,tjd->td", v[mesh.triangles], grads)
-    curl_v = np.column_stack([gv[:, 1], -gv[:, 0]])
-    eps_t = np.where(mesh.region == 1,
-                     float(mats.eps(mat, lam, "+")),
-                     float(mats.eps(mat, lam, "-")))
-    flux = curl_v / eps_t[:, None]
+    v, _, _ = _gated_solve(S, rhs, f"scalar operator at lam={lam}")
+    flux = fem.potential_flux(mesh, mat, lam, v)
     return FeField(ScalarSpace(mesh), v, lam=lam, description="scalar potential"), flux
 
 
 def build_pencil(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                 mat: mats.DrudeMaterial) -> MatrixPencil:
+                 mat: mats.DrudeMaterial, form: Formulation = EDGE) -> MatrixPencil:
     """Assemble the symmetric linearization of the rational eigenproblem.
 
-    Coupled form (omega_mu > 0), on free edge dofs u and auxiliary constants v:
+    Coupled edge form (omega_mu > 0), on free edge dofs u and auxiliary
+    constants v:
 
         S = [ mu_+^-1 K_+ + mu_-^-1 K_- + w_e^2 eps_- M_-   w_m mu_-^-1/2 C^T ]
             [ w_m mu_-^-1/2 C                               w_m^2 MY          ]
@@ -210,78 +217,37 @@ def build_pencil(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     with w_m^2 = omega_mu^2, w_e^2 = omega_eps^2.  For omega_mu = 0 the
     problem is already linear in lam and the pencil degenerates to the
     one-block form (upper-left corner only).
-    """
-    space = EdgeSpace(mesh)
-    aux = AuxCurlSpace(mesh)
-    free = space.free
-    wmu2 = float(mat.omega_mu_sq)
-    weps2 = float(mat.omega_eps_sq)
-    mu_p, mu_m = float(mat.mu_plus), float(mat.mu_minus)
-    eps_p, eps_m = float(mat.eps_plus), float(mat.eps_minus)
-    if mu_m <= 0:
-        raise SolverError("the linearization requires a positive Drude constant mu_-")
 
-    Auu = (blocks["K_plus"] / mu_p + blocks["K_minus"] / mu_m
-           + (weps2 * eps_m) * blocks["M_minus"])
-    Mass = eps_p * blocks["M_plus"] + eps_m * blocks["M_minus"]
+    form=SCALAR reads Ks/Ms/Cs/MYs on every vertex with mu and eps swapped:
+    the auxiliary variable is the minus-region gradient, the pole is
+    omega_eps^2, and omega_eps = 0 gives the one-block form.
+    """
+    space = form.space(mesh)
+    free = space.free
+    m = form.roles(mat)
+    wmu2 = float(m.omega_mu_sq)
+    weps2 = float(m.omega_eps_sq)
+    mu_p, mu_m = float(m.mu_plus), float(m.mu_minus)
+    eps_p, eps_m = float(m.eps_plus), float(m.eps_minus)
+    K, M = form.stiffness, form.mass
+
+    Auu = (blocks[K + "_plus"] / mu_p + blocks[K + "_minus"] / mu_m
+           + (weps2 * eps_m) * blocks[M + "_minus"])
+    Mass = eps_p * blocks[M + "_plus"] + eps_m * blocks[M + "_minus"]
     Auu = space.restrict_matrix(Auu)
     Mass = space.restrict_matrix(Mass)
+    tm = AuxCurlSpace(mesh).triangles
     if wmu2 == 0.0:
-        layout = PencilLayout("edge", Auu.shape[0], 0, False, 0.0, free,
-                              aux.triangles[:0])
-        return MatrixPencil(Auu.tocsr(), Mass.tocsr(), layout)
+        layout = PencilLayout(form.kind, Auu.shape[0], 0, False, 0.0, free, tm[:0])
+        return MatrixPencil(Auu, Mass, layout)
 
     scale = np.sqrt(wmu2 / mu_m)
-    Cf = blocks["C"].tocsr()[:, free]
-    MY = blocks["MY"]
+    Cf = blocks[form.pairing].tocsr()[:, free]
+    MY = blocks[form.aux_mass]
     S = sp.bmat([[Auu, scale * Cf.T], [scale * Cf, wmu2 * MY]], format="csr")
     T = sp.block_diag([Mass, MY], format="csr")
-    layout = PencilLayout("edge", Auu.shape[0], aux.ndof, True, wmu2, free,
-                          aux.triangles)
-    return MatrixPencil(S, T, layout)
-
-
-def build_scalar_pencil(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                        mat: mats.DrudeMaterial) -> MatrixPencil:
-    """Linearize the potential formulation by the same substitution scheme.
-
-    The rational coefficient now sits in front of the minus-region stiffness,
-    eps_-(lam)^-1 = eps_-^-1 (1 + w_e^2/(lam - w_e^2)), so the auxiliary
-    variable is the piecewise-constant gradient on the inclusion:
-
-        S = [ eps_+^-1 Ks_+ + eps_-^-1 Ks_- + w_m^2 mu_- Ms_-   g Cs^T ]
-            [ g Cs                                              w_e^2 MYs ]
-        T = [ mu_+ Ms_+ + mu_- Ms_-                             0      ]
-            [ 0                                                 MYs    ]
-
-    with g = sqrt(w_e^2/eps_-).  The potential space carries natural boundary
-    conditions, so no dofs are eliminated.  omega_eps = 0 degenerates to the
-    one-block form.
-    """
-    wmu2 = float(mat.omega_mu_sq)
-    weps2 = float(mat.omega_eps_sq)
-    mu_p, mu_m = float(mat.mu_plus), float(mat.mu_minus)
-    eps_p, eps_m = float(mat.eps_plus), float(mat.eps_minus)
-    if eps_m <= 0:
-        raise SolverError("the linearization requires a positive Drude constant eps_-")
-
-    tm = AuxCurlSpace(mesh).triangles
-    allv = np.arange(mesh.num_vertices)
-    Avv = (blocks["Ks_plus"] / eps_p + blocks["Ks_minus"] / eps_m
-           + (wmu2 * mu_m) * blocks["Ms_minus"])
-    Mass = mu_p * blocks["Ms_plus"] + mu_m * blocks["Ms_minus"]
-    if weps2 == 0.0:
-        layout = PencilLayout("scalar", Avv.shape[0], 0, False, 0.0, allv,
-                              tm[:0])
-        return MatrixPencil(Avv.tocsr(), Mass.tocsr(), layout)
-
-    scale = np.sqrt(weps2 / eps_m)
-    Cs = blocks["Cs"].tocsr()
-    MYs = blocks["MYs"]
-    S = sp.bmat([[Avv, scale * Cs.T], [scale * Cs, weps2 * MYs]], format="csr")
-    T = sp.block_diag([Mass, MYs], format="csr")
-    layout = PencilLayout("scalar", Avv.shape[0], Cs.shape[0], True, weps2,
-                          allv, tm)
+    layout = PencilLayout(form.kind, Auu.shape[0], Cf.shape[0], True, wmu2,
+                          free, tm)
     return MatrixPencil(S, T, layout)
 
 
@@ -305,10 +271,6 @@ def schur_action(pencil: MatrixPencil, lam: float, u: np.ndarray) -> np.ndarray:
     return S11 @ u - lam * (T11 @ u) - S12 @ v
 
 
-def _dense_pairs(pencil: MatrixPencil) -> Tuple[np.ndarray, np.ndarray]:
-    return eigh(pencil.S.toarray(), pencil.T.toarray())
-
-
 def _shift_invert(pencil: MatrixPencil, sigma: float, k: int,
                   vectors: bool):
     n = pencil.S.shape[0]
@@ -328,22 +290,57 @@ def _shift_invert(pencil: MatrixPencil, sigma: float, k: int,
     raise SolverError(f"shift-invert at sigma={sigma} failed: {last}")
 
 
-def _residual_evaluator(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                        mat: mats.DrudeMaterial):
-    """Shared Gram factorization for repeated rational-residual queries."""
-    space = EdgeSpace(mesh)
-    G = xnorm_gram(blocks, space)
-    luG = _factorize(G, "H(curl) Gram")
-    wmu2 = float(mat.omega_mu_sq)
+def _window(window: Tuple[float, float]) -> Tuple[float, float]:
+    a, b = float(window[0]), float(window[1])
+    if not a < b:
+        raise SolverError(f"empty window {window}")
+    return a, b
+
+
+def _nearest_in_window(pencil: MatrixPencil, window: Tuple[float, float],
+                       shift: float, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Up to count eigenpairs of S x = lam T x nearest the shift and inside
+    the window, sorted by lam: dense reduction below 3000 dofs, shift-invert
+    Lanczos above."""
+    a, b = _window(window)
+    if not (a <= shift <= b):
+        raise SolverError(f"shift {shift} outside window [{a}, {b}]")
+    if pencil.S.shape[0] <= 3000:
+        vals, vecs = eigh(pencil.S.toarray(), pencil.T.toarray())
+    else:
+        vals, vecs = _shift_invert(pencil, shift, count, vectors=True)
+    sel = np.flatnonzero((vals >= a) & (vals <= b))
+    sel = sel[np.argsort(np.abs(vals[sel] - shift))][:count]
+    sel = sel[np.argsort(vals[sel])]
+    return vals[sel], vecs[:, sel]
+
+
+def residual_evaluator(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
+                       mat: mats.DrudeMaterial, form: Formulation = EDGE
+                       ) -> Callable[[float, np.ndarray], float]:
+    """Rational residual of a formulation, with the Gram factored once.
+
+    The returned evaluate(lam, u_full) is ||A(lam) u|| in the inverse-Gram
+    sense over ||u||, with A(lam) and the Gram of the formulation (H(curl)
+    for the edge problem, H1 for the scalar one) and u_full a vector on all
+    of its space's dofs.  Zero for exact discrete eigenpairs at admissible
+    lam; O(1) for generic vectors.  Guarded at the poles lam = 0 and the
+    resonance the pencil linearizes (omega_mu^2 for the edge problem,
+    omega_eps^2 for the scalar one).
+    """
+    space = form.space(mesh)
+    G = xnorm_gram(blocks, space, form)
+    luG = _factorize(G, f"{form.kind} Gram")
+    pole = float(form.roles(mat).omega_mu_sq)
 
     def evaluate(lam: float, u_full: np.ndarray) -> float:
-        if lam == 0 or (wmu2 > 0 and abs(lam - wmu2) < 1e-12):
+        if lam == 0 or (pole > 0 and abs(lam - pole) < 1e-12):
             raise SolverError(f"rational residual undefined at lam={lam} (pole)")
         u = space.restrict_vec(u_full)
         den = float(u @ (G @ u))
         if den <= 0:
             raise SolverError("rational residual undefined for u = 0")
-        A = fem.assemble_A(blocks, mat, lam, space)
+        A = fem.assemble_A(blocks, mat, lam, space, form)
         r = A @ u
         num = float(r @ luG.solve(r))
         return float(np.sqrt(max(num, 0.0) / den))
@@ -354,54 +351,37 @@ def _residual_evaluator(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
 def rational_residual(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
                       mat: mats.DrudeMaterial, lam: float,
                       u_full: np.ndarray) -> float:
-    """||A(lam) u|| in the inverse-Gram sense, over ||u||_X.
-
-    Zero for exact discrete eigenpairs at admissible lam; O(1) for generic
-    vectors.  Guarded at the poles lam in {0, omega_mu^2}.
-    """
-    return _residual_evaluator(mesh, blocks, mat)(lam, u_full)
+    """||A(lam) u|| in the inverse-Gram sense, over ||u||_X, for one edge
+    field; residual_evaluator serves repeated queries."""
+    return residual_evaluator(mesh, blocks, mat)(lam, u_full)
 
 
 def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
                 mat: mats.DrudeMaterial, pencil: MatrixPencil,
                 window: Tuple[float, float], shift: float,
                 count: int = 8) -> List[EigenPair]:
-    """Eigenpairs of S x = lam T x nearest the shift, kept inside the window.
+    """Eigenpairs of the edge pencil nearest the shift, kept inside the window.
 
-    Dense reduction below 3000 dofs, shift-invert Lanczos above.  Every pair
-    carries the rational-residual value and a Helmholtz classification of its
-    edge part (curl energy fraction <= 1e-8 means gradient-dominated; those
-    populate the accumulation window of the permittivity contrast).
+    Every pair carries the rational-residual value and a Helmholtz
+    classification of its edge part (curl energy fraction <= 1e-8 means
+    gradient-dominated; those populate the accumulation window of the
+    permittivity contrast).
     """
-    a, b = float(window[0]), float(window[1])
-    if not a < b:
-        raise SolverError(f"empty window {window}")
-    if not (a <= shift <= b):
-        raise SolverError(f"shift {shift} outside window [{a}, {b}]")
     lay = pencil.layout
-    if lay.kind != "edge":
+    if lay.kind != EDGE.kind:
         raise SolverError("solve_eigen expects the edge-formulation pencil; "
                           "use pencil_eigenvalues for the scalar one")
     if lay.coupled and abs(shift - lay.pole) < 0.05:
         raise SolverError(
             f"shift {shift} within the guard band of the resonance pole "
             f"{lay.pole}")
-
-    n = pencil.S.shape[0]
-    if n <= 3000:
-        vals, vecs = _dense_pairs(pencil)
-    else:
-        vals, vecs = _shift_invert(pencil, shift, count, vectors=True)
-    sel = np.flatnonzero((vals >= a) & (vals <= b))
-    sel = sel[np.argsort(np.abs(vals[sel] - shift))][:count]
-    sel = sel[np.argsort(vals[sel])]
+    vals, vecs = _nearest_in_window(pencil, window, shift, count)
 
     space = EdgeSpace(mesh)
-    evaluate = _residual_evaluator(mesh, blocks, mat)
+    evaluate = residual_evaluator(mesh, blocks, mat)
     pairs: List[EigenPair] = []
-    for i in sel:
-        lam = float(vals[i])
-        x = vecs[:, i]
+    for lam, x in zip(vals, vecs.T):
+        lam = float(lam)
         u = space.expand_vec(x[:lay.n_primary])
         v = x[lay.n_primary:].copy()
         norms = fem.field_norms(mesh, u)
@@ -425,21 +405,10 @@ def pencil_eigenvalues(pencil: MatrixPencil, window: Tuple[float, float],
     no residual filtering or classification is attempted.  With vectors=True
     the matching eigenvector columns come back alongside.
     """
-    a, b = float(window[0]), float(window[1])
-    if not a < b:
-        raise SolverError(f"empty window {window}")
-    if not (a <= shift <= b):
-        raise SolverError(f"shift {shift} outside window [{a}, {b}]")
-    if pencil.S.shape[0] <= 3000:
-        vals, vecs = eigh(pencil.S.toarray(), pencil.T.toarray())
-    else:
-        vals, vecs = _shift_invert(pencil, shift, count, vectors=True)
-    sel = np.flatnonzero((vals >= a) & (vals <= b))
-    sel = sel[np.argsort(np.abs(vals[sel] - shift))][:count]
-    sel = sel[np.argsort(vals[sel])]
+    vals, vecs = _nearest_in_window(pencil, window, shift, count)
     if vectors:
-        return vals[sel], vecs[:, sel]
-    return vals[sel]
+        return vals, vecs
+    return vals
 
 
 def count_eigen_window(pencil: MatrixPencil, window: Tuple[float, float],
@@ -453,9 +422,7 @@ def count_eigen_window(pencil: MatrixPencil, window: Tuple[float, float],
     everything strictly closer), and sigma walks right until the window is
     covered; a failed advance bisects back toward the covered edge.
     """
-    a, b = float(window[0]), float(window[1])
-    if not a < b:
-        raise SolverError(f"empty window {window}")
+    a, b = _window(window)
     if pencil.S.shape[0] <= dense_below:
         vals = eigh(pencil.S.toarray(), pencil.T.toarray(), eigvals_only=True)
         return vals[(vals >= a) & (vals <= b)]

@@ -1,8 +1,12 @@
 """Verb wiring, exit codes, and output files of the command-line runner."""
 
+import dataclasses
+
 import pytest
 
+from signfem import solvers as sol
 from signfem.cli import main
+from signfem.experiments import RESIDUAL_FILTER
 
 CFG_51 = """
 [domain]
@@ -94,13 +98,29 @@ def test_solve_scalar_writes_flux(cfg51, tmp_path):
     assert header[0] == "triangle,x1,x2,f1,f2"
 
 
-def test_eigen_converge(cfg52, tmp_path, capsys):
+def test_eigen_converge(cfg52, tmp_path, capsys, monkeypatch):
+    # every level's solve also returns one pair above the residual filter;
+    # the filter drops it and the metadata counts it with the real drops
+    solve_eigen, returned = sol.solve_eigen, []
+
+    def with_bad_pair(*args, **kwargs):
+        pairs = solve_eigen(*args, **kwargs)
+        bad = dataclasses.replace(pairs[0], lam=1.25, residual=1.0)
+        returned.extend(pairs + [bad])
+        return pairs + [bad]
+
+    monkeypatch.setattr(sol, "solve_eigen", with_bad_pair)
     out = tmp_path / "o"
     assert main(["eigen", "converge", "--config", cfg52, "--levels", "2",
                  "--window", "1.2,4/3", "--shift", "1.27",
                  "--out", str(out)]) == 0
     assert (out / "eigen.csv").is_file()
     assert "err_vs_finest" in capsys.readouterr().out
+    meta = [line for line in (out / "eigen.csv").read_text().splitlines()
+            if line.startswith("# dropped_by_filter = ")]
+    dropped = sum(q.residual > RESIDUAL_FILTER for q in returned)
+    assert dropped >= 2
+    assert meta == [f"# dropped_by_filter = {dropped}"]
 
 
 def test_eigen_converge_without_window(cfg52, tmp_path):

@@ -147,7 +147,7 @@ def test_schur_substitution_scalar_formulation(mesh_seq, blocks_seq):
     rng = np.random.default_rng(8)
     m, bl = mesh_seq[0], blocks_seq[0]
     for mat in (CONTRAST_TEN, REFERENCE):
-        p = sol.build_scalar_pencil(m, bl, mat)
+        p = sol.build_pencil(m, bl, mat, form=fem.SCALAR)
         assert p.layout.kind == "scalar"
         assert p.layout.n_aux == 2 * np.count_nonzero(m.region == -1)
         for lam in ADMISSIBLE_LAMS:
@@ -226,7 +226,7 @@ def test_eigen_input_validation(mesh_seq, blocks_seq):
         sol.solve_eigen(m, bl, REFERENCE, p, window=(1.0, 2.0), shift=5.0)
     with pytest.raises(sol.SolverError, match="guard"):
         sol.solve_eigen(m, bl, REFERENCE, p, window=(3.8, 4.3), shift=3.98)
-    ps = sol.build_scalar_pencil(m, bl, REFERENCE)
+    ps = sol.build_pencil(m, bl, REFERENCE, form=fem.SCALAR)
     with pytest.raises(sol.SolverError, match="scalar"):
         sol.solve_eigen(m, bl, REFERENCE, ps, window=(1.0, 2.0), shift=1.5)
 
@@ -246,7 +246,7 @@ def test_vector_and_scalar_spectra_agree(mesh_seq, blocks_seq):
     # the two formulations discretize the same eigenvalue from opposite sides
     m, bl = mesh_seq[2], blocks_seq[2]
     pv = sol.build_pencil(m, bl, REFERENCE)
-    ps = sol.build_scalar_pencil(m, bl, REFERENCE)
+    ps = sol.build_pencil(m, bl, REFERENCE, form=fem.SCALAR)
     lv = sol.pencil_eigenvalues(pv, (1.2, 4 / 3), shift=1.27, count=4)
     ls = sol.pencil_eigenvalues(ps, (1.2, 4 / 3), shift=1.27, count=4)
     assert lv.size and ls.size
@@ -280,6 +280,25 @@ def test_rational_residual_contract(mesh_seq, blocks_seq):
         sol.rational_residual(m, bl, REFERENCE, 4.0, u)
     with pytest.raises(sol.SolverError, match="u = 0"):
         sol.rational_residual(m, bl, REFERENCE, 1.1, np.zeros(m.num_edges))
+
+
+def test_scalar_residual_contract(mesh_seq, blocks_seq):
+    # the scalar row of the shared evaluator: H1 Gram, scalar operator, and
+    # the pole at omega_eps^2
+    m, bl = mesh_seq[1], blocks_seq[1]
+    ps = sol.build_pencil(m, bl, REFERENCE, form=fem.SCALAR)
+    vals, vecs = sol.pencil_eigenvalues(ps, (1.2, 4 / 3), shift=1.27,
+                                        count=4, vectors=True)
+    assert vals.size
+    evaluate = sol.residual_evaluator(m, bl, REFERENCE, fem.SCALAR)
+    k = int(np.argmax(vals))
+    assert evaluate(float(vals[k]), vecs[:m.num_vertices, k]) <= 1e-8
+
+    v = np.random.default_rng(4).standard_normal(m.num_vertices)
+    assert evaluate(1.1, v) >= 1e-3
+
+    with pytest.raises(sol.SolverError, match="pole"):
+        evaluate(float(REFERENCE.omega_eps_sq), v)
 
 
 def test_infsup_coercive_value_is_unit(mesh_seq, blocks_seq):
