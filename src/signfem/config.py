@@ -39,6 +39,11 @@ class ExperimentConfig:
     the cross-cutting invariant -- any referenced real lam must be admissible
     for the configured material unless allow_critical declares the run a
     negative control -- is enforced here at construction.
+
+    h_coarse is the target edge length of the coarse mesh's leftover
+    regions, not its h_max: the corner-patch triangles have sides of length
+    patch_radius, so the coarse h_max never drops below patch_radius (it is
+    0.3 for the defaults, and for every h_coarse below 0.3).
     """
 
     kind: str = "source"

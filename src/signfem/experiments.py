@@ -46,8 +46,9 @@ RESIDUAL_FILTER = 1e-8
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    # NumPy 2 reprs its scalars as "np.float64(x)"; float() keeps the value
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 

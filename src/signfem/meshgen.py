@@ -8,10 +8,21 @@ hexagon chord midpoints (legs coincide with hexagon chord halves, so no
 hanging nodes).  The leftover regions are ear-clipped, split to the target
 size by longest-edge bisection (patch-boundary edges frozen), and smoothed
 with Delaunay edge flips.
+
+The leftover-region passes share one edge-to-triangle adjacency builder,
+``_edge_triangles``.  Splitting updates that adjacency in place after each
+bisection (Shewchuk's *Triangle* bookkeeping) instead of rebuilding it; the
+Lawson flips and the smoothing evaluate their in-circle, orientation and
+angle tests batched.  Each pass still makes the same decisions in the same
+order as the plain scalar loops (edges in order of first occurrence, the
+smoothing's Gauss-Seidel vertex order), and the batched tests reproduce the
+scalar arithmetic bit for bit, so the mesh is a pure function of (domain,
+h_target); ``tests/test_mesh.py`` pins it by hash.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Dict, List, Tuple
 
@@ -139,55 +150,132 @@ def _cut_hole(pool: _VertexPool, outer: List[int], hole_cw: List[int]) -> List[i
     return outer[:s + 1] + [bridge] + hole + [hole[0], bridge] + outer[s + 1:]
 
 
+def _edge_triangles(tris):
+    """Edge-to-triangle adjacency of the triangle list TRIS.
+
+    Returns (edges, first, second): the edges as sorted vertex pairs (n, 2) in
+    order of first occurrence, scanning the triangles in order and each
+    triangle (a, b, c) by its edges (a, b), (b, c), (c, a); and per edge the
+    slot 3 t + j of that first occurrence and of the second one (-1 for a
+    boundary edge).  Triangle t of slot s is s // 3.
+    """
+    flat = np.asarray(tris, dtype=np.int64).ravel()
+    nxt = flat.reshape(-1, 3)[:, [1, 2, 0]].ravel()
+    lo, hi = np.minimum(flat, nxt), np.maximum(flat, nxt)
+    key = (lo << 32) | hi
+    order = np.argsort(key, kind="stable")
+    sk = key[order]
+    head = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
+    pair = np.r_[sk[1:] == sk[:-1], False][head]
+    first = order[head]
+    second = np.where(pair, order[np.minimum(head + 1, len(sk) - 1)], -1)
+    by_first = np.argsort(first)
+    first, second = first[by_first], second[by_first]
+    return np.column_stack([lo[first], hi[first]]), first, second
+
+
+def _dot(a, b):
+    """Row-wise dot product of the 2-vectors in A and B (same shape (..., 2)).
+
+    Batched matmul of 1x2 by 2x1 runs the same BLAS dot as a scalar np.dot
+    (and np.linalg.norm), so it reproduces those bits; (a * b).sum(-1) does not.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _cross_rows(o, a, b):
+    """_cross over rows of (n, 2) arrays."""
+    return ((a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1])
+            - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0]))
+
+
+def _edge(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def _slot(tri, u, v):
+    """Position j of the edge {u, v} in TRI, whose edge j is tri[j] -> tri[j+1]."""
+    k = 0 if tri[0] != u and tri[0] != v else 1 if tri[1] != u and tri[1] != v else 2
+    return (k + 1) % 3
+
+
 def _split_to_size(pool, tris, region, pkind, pidx, frozen, h):
     """Longest-edge bisection of every unfrozen edge above the target length.
 
     Always splits the globally longest oversized edge, so it is the longest
     edge of each adjacent triangle and shape quality stays bounded; both
     neighbors split through the shared midpoint, keeping the mesh conforming.
+    Ties go to the edge that occurs first in the triangle list (slot 3 t + j
+    of its lowest triangle).  The adjacency is updated in place after each
+    split, and a heap keyed by (-length, slot) picks the next edge: a split
+    only ever moves an old edge to a later slot, so a popped entry whose slot
+    is stale is pushed back with the current one.
     """
-    while True:
-        adj: Dict[Tuple[int, int], List[int]] = {}
-        for t, (a, b, c) in enumerate(tris):
-            for u, v in ((a, b), (b, c), (c, a)):
-                adj.setdefault((u, v) if u < v else (v, u), []).append(t)
-        best, best_len = None, h
-        for e in adj:
-            if e in frozen:
-                continue
-            L = float(np.linalg.norm(pool.pts[e[0]] - pool.pts[e[1]]))
-            if L > best_len:
-                best_len, best = L, e
-        if best is None:
+    edges, first, second = _edge_triangles(tris)
+    adj: Dict[Tuple[int, int], List[int]] = {
+        e: [s1 // 3] if s2 < 0 else [s1 // 3, s2 // 3]
+        for e, s1, s2 in zip(map(tuple, edges.tolist()), first.tolist(), second.tolist())}
+    heap: List[Tuple[float, int, Tuple[int, int]]] = []
+
+    def push(e, slot):
+        if e in frozen:
             return
+        L = float(np.linalg.norm(pool.pts[e[0]] - pool.pts[e[1]]))
+        if L > h:
+            heapq.heappush(heap, (-L, slot, e))
+
+    def slot_of(e):
+        return min(3 * t + _slot(tris[t], *e) for t in adj[e])
+
+    for e, s1 in zip(adj, first.tolist()):
+        push(e, s1)
+    while heap:
+        negL, slot, best = heapq.heappop(heap)
+        if best not in adj:
+            continue  # already split
+        now = slot_of(best)
+        if now != slot:
+            heapq.heappush(heap, (negL, now, best))
+            continue
         u, v = best
         mid = pool.add(0.5 * (pool.pts[u] + pool.pts[v]))
-        for t in sorted(adj[best], reverse=True):
-            a, b, c = tris[t]
-            ring = (a, b, c, a)
-            for j in range(3):
-                if {ring[j], ring[j + 1]} == {u, v}:
-                    w = ring[(j + 2) % 3]
-                    x, y = ring[j], ring[j + 1]
-                    tris[t] = [x, mid, w]
-                    tris.append([mid, y, w])
-                    for arr in (region, pkind, pidx):
-                        arr.append(arr[t])
-                    break
+        created = [_edge(u, mid), _edge(mid, v)]
+        for t in sorted(adj.pop(best), reverse=True):
+            j = _slot(tris[t], u, v)
+            x, y, w = (tris[t][(j + k) % 3] for k in range(3))
+            n = len(tris)
+            tris[t] = [x, mid, w]
+            tris.append([mid, y, w])
+            for arr in (region, pkind, pidx):
+                arr.append(arr[t])
+            # (y, w) moves from t to n; the halves and the spoke (mid, w) are new
+            ts = adj[_edge(y, w)]
+            ts[ts.index(t)] = n
+            adj.setdefault(_edge(x, mid), []).append(t)
+            adj.setdefault(_edge(mid, y), []).append(n)
+            adj.setdefault(_edge(mid, w), []).extend((t, n))
+            created.append(_edge(mid, w))
+        for e in created:
+            push(e, slot_of(e))
 
 
-def _min_angle(pool, tri):
-    p = [pool.pts[i] for i in tri]
-    best = np.pi
-    for j in range(3):
-        u1 = p[(j + 1) % 3] - p[j]
-        u2 = p[(j + 2) % 3] - p[j]
-        cos = np.dot(u1, u2) / (np.linalg.norm(u1) * np.linalg.norm(u2))
-        best = min(best, math.acos(max(-1.0, min(1.0, cos))))
-    return best
+def _corner_cos(X):
+    """Cosine of every interior angle of the triangles X (m, 3, 2): (m, 3)."""
+    u1 = X[:, [1, 2, 0]] - X
+    u2 = X[:, [2, 0, 1]] - X
+    return _dot(u1, u2) / (np.sqrt(_dot(u1, u1)) * np.sqrt(_dot(u2, u2)))
 
 
-def _smooth(pool, tris, region, pkind, pidx, frozen, rect, rounds=8):
+def _min_angle(cos):
+    """Smallest angle of a set of corner cosines, clipped to [-1, 1].
+
+    acos is monotone, so acos(max cos) is the smallest acos; fmin maps a NaN
+    cosine (a zero-length side) to 1, i.e. to a zero angle.
+    """
+    return math.acos(max(-1.0, float(np.fmin(cos, 1.0).max())))
+
+
+def _smooth(P, tris, region, pkind, frozen, rect, rounds=8):
     """Guarded Laplacian smoothing of leftover-region vertices, with Delaunay
     flips after each round.
 
@@ -195,102 +283,116 @@ def _smooth(pool, tris, region, pkind, pidx, frozen, rect, rounds=8):
     there); outer-boundary vertices slide along their rectangle side; interior
     vertices move toward their neighbor centroid.  A move is kept only when
     the smallest incident angle does not get worse, so the pass is monotone.
+    Vertices go in order of first appearance in the triangle list, each move
+    seeing the earlier ones (Gauss-Seidel); that order, and the order in which
+    each vertex's neighbor set was filled, fix the result bit for bit.
     """
     (x0, y0), (x1, y1) = rect
     for _ in range(rounds):
-        pinned = set()
-        nbrs: Dict[int, set] = {}
-        incident: Dict[int, List[int]] = {}
-        count: Dict[Tuple[int, int], int] = {}
-        for t, (a, b, c) in enumerate(tris):
-            if pkind[t] != PATCH_NONE:
-                pinned.update((a, b, c))
-            for u, v in ((a, b), (b, c), (c, a)):
-                nbrs.setdefault(u, set()).add(v)
-                nbrs.setdefault(v, set()).add(u)
-                count[(u, v) if u < v else (v, u)] = count.get((u, v) if u < v else (v, u), 0) + 1
-            for i in (a, b, c):
-                incident.setdefault(i, []).append(t)
+        T = np.array(tris, dtype=np.int64)
+        flat = T.ravel()
+        pinned = np.zeros(len(P), dtype=bool)
+        pinned[T[np.asarray(pkind) != PATCH_NONE].ravel()] = True
+        # slots grouped by vertex, ascending within each group (so by triangle)
+        by_vertex = np.argsort(flat, kind="stable")
+        starts = np.searchsorted(flat[by_vertex], np.arange(len(P) + 1))
+        # a triangle (a, b, c) adds neighbors b, c to a; a, c to b; b, a to c
+        base = 3 * (by_vertex // 3)
+        pos = by_vertex % 3
+        nb = np.column_stack([flat[base + np.array([1, 0, 1])[pos]],
+                              flat[base + np.array([2, 2, 0])[pos]]])
+        edges, _, second = _edge_triangles(T)
         bnd_nbrs: Dict[int, List[int]] = {}
-        for (u, v), k in count.items():
-            if k == 1:
-                bnd_nbrs.setdefault(u, []).append(v)
-                bnd_nbrs.setdefault(v, []).append(u)
+        for u, v in edges[second < 0].tolist():
+            bnd_nbrs.setdefault(u, []).append(v)
+            bnd_nbrs.setdefault(v, []).append(u)
+        verts, seen = np.unique(flat, return_index=True)
         moved = 0
-        for i, around in nbrs.items():
-            if i in pinned:
+        for i in verts[np.argsort(seen)].tolist():
+            if pinned[i]:
                 continue
-            p = pool.pts[i]
+            p = P[i].copy()
             on_x = abs(p[0] - x0) < 1e-12 or abs(p[0] - x1) < 1e-12
             on_y = abs(p[1] - y0) < 1e-12 or abs(p[1] - y1) < 1e-12
             if on_x and on_y:
                 continue  # rectangle corner
+            lo, hi = starts[i], starts[i + 1]
             if on_x or on_y:
                 two = bnd_nbrs.get(i, [])
                 if len(two) != 2:
                     continue
-                target = 0.5 * (pool.pts[two[0]] + pool.pts[two[1]])
+                target = 0.5 * (P[two[0]] + P[two[1]])
                 if on_x:
                     target[0] = p[0]
                 else:
                     target[1] = p[1]
             else:
-                target = np.mean([pool.pts[j] for j in around], axis=0)
+                around = set(nb[lo:hi].ravel().tolist())
+                target = P[list(around)].mean(axis=0)
             new = p + 0.7 * (target - p)
-            before = min(_min_angle(pool, tris[t]) for t in incident[i])
-            pool.pts[i] = new
-            after = min(_min_angle(pool, tris[t]) for t in incident[i])
-            areas_ok = all(_cross(*(pool.pts[v] for v in tris[t])) > 0 for t in incident[i])
-            if after >= before and areas_ok:
+            corners = T[by_vertex[lo:hi] // 3]
+            X = P[corners]
+            Y = X.copy()
+            Y[corners == i] = new
+            cos = _corner_cos(np.concatenate((X, Y)))
+            m = len(corners)
+            before, after = _min_angle(cos[:m]), _min_angle(cos[m:])
+            if after >= before and (_cross_rows(Y[:, 0], Y[:, 1], Y[:, 2]) > 0).all():
+                P[i] = new
                 moved += 1
-            else:
-                pool.pts[i] = p
-        _lawson_flips(pool, tris, region, pkind, pidx, frozen)
+        _lawson_flips(P, tris, region, pkind, frozen)
         if not moved:
             return
 
 
-def _lawson_flips(pool, tris, region, pkind, pidx, frozen):
+def _lawson_flips(P, tris, region, pkind, frozen):
     """Delaunay edge flips restricted to unfrozen interior edges between
-    same-region, patch-free triangles."""
+    same-region, patch-free triangles.
+
+    Each pass tests the edges in order of first occurrence and flips a pair
+    only if neither triangle was flipped earlier in the pass.  An untouched
+    triangle still has its pass-start vertices, so the in-circle and
+    orientation tests of every candidate are evaluated up front, batched.
+    """
+    region, pkind = np.asarray(region), np.asarray(pkind)
+    frozen_keys = np.array([(u << 32) | v for u, v in frozen], dtype=np.int64)
     for _ in range(100):
-        adj: Dict[Tuple[int, int], List[int]] = {}
-        for t, (a, b, c) in enumerate(tris):
-            for u, v in ((a, b), (b, c), (c, a)):
-                adj.setdefault((u, v) if u < v else (v, u), []).append(t)
+        T = np.array(tris, dtype=np.int64)
+        edges, first, second = _edge_triangles(T)
+        t1, t2 = first // 3, np.maximum(second, 0) // 3
+        ok = ((second >= 0) & (region[t1] == region[t2])
+              & (pkind[t1] == PATCH_NONE) & (pkind[t2] == PATCH_NONE)
+              & ~np.isin((edges[:, 0] << 32) | edges[:, 1], frozen_keys))
+        first, second, t1, t2 = first[ok], second[ok], t1[ok], t2[ok]
+        # t1 holds the directed edge u -> v; w1, w2 are the opposite vertices
+        flat = T.ravel()
+        u = flat[first]
+        v = flat[3 * t1 + (first + 1) % 3]
+        w1 = flat[3 * t1 + (first + 2) % 3]
+        w2 = flat[3 * t2 + (second + 2) % 3]
+        pu, pv, p1, p2 = P[u], P[v], P[w1], P[w2]
+        # in-circle test: flip when w2 is strictly inside circumcircle(u,v,w1)
+        rows = np.stack([pu, pv, p1], axis=1)
+        mat = np.empty((len(u), 3, 3))
+        mat[:, :, :2] = rows - p2[:, None, :]
+        mat[:, :, 2] = _dot(rows, rows) - _dot(p2, p2)[:, None]
+        det = np.linalg.det(mat)
+        scale = np.maximum(np.sqrt(_dot(pu - pv, pu - pv)), np.sqrt(_dot(p1 - p2, p1 - p2)))
+        # the flipped pair must stay positively oriented (convex quad)
+        convex = (_cross_rows(pu, p2, p1) > 0) & (_cross_rows(pv, p1, p2) > 0)
         dirty = set()
         flips = 0
-        for e, ts in adj.items():
-            if len(ts) != 2 or e in frozen:
+        for a, b, ua, va, wa, wb, d, s, c in zip(
+                t1.tolist(), t2.tolist(), u.tolist(), v.tolist(), w1.tolist(),
+                w2.tolist(), det.tolist(), scale.tolist(), convex.tolist()):
+            if a in dirty or b in dirty:
                 continue
-            t1, t2 = ts
-            if t1 in dirty or t2 in dirty:
+            # scalar power: numpy's array power may differ in the last bit
+            if d <= 1e-10 * s**4 or not c:
                 continue
-            if region[t1] != region[t2] or pkind[t1] != PATCH_NONE or pkind[t2] != PATCH_NONE:
-                continue
-            u, v = e
-            w1 = next(x for x in tris[t1] if x not in e)
-            w2 = next(x for x in tris[t2] if x not in e)
-            # orient so t1 holds the directed edge u->v
-            ring = tris[t1] + tris[t1][:1]
-            if not any(ring[j] == u and ring[j + 1] == v for j in range(3)):
-                u, v = v, u
-            pu, pv, p1, p2 = (pool.pts[i] for i in (u, v, w1, w2))
-            # in-circle test: flip when w2 is strictly inside circumcircle(u,v,w1)
-            mat = np.array([
-                [pu[0] - p2[0], pu[1] - p2[1], np.dot(pu, pu) - np.dot(p2, p2)],
-                [pv[0] - p2[0], pv[1] - p2[1], np.dot(pv, pv) - np.dot(p2, p2)],
-                [p1[0] - p2[0], p1[1] - p2[1], np.dot(p1, p1) - np.dot(p2, p2)],
-            ])
-            scale = max(np.linalg.norm(pu - pv), np.linalg.norm(p1 - p2))
-            if np.linalg.det(mat) <= 1e-10 * scale**4:
-                continue
-            # the flipped pair must stay positively oriented (convex quad)
-            if _cross(pu, p2, p1) <= 0 or _cross(pv, p1, p2) <= 0:
-                continue
-            tris[t1] = [u, w2, w1]
-            tris[t2] = [v, w1, w2]
-            dirty.update(ts)
+            tris[a] = [ua, wb, wa]
+            tris[b] = [va, wa, wb]
+            dirty.update((a, b))
             flips += 1
         if not flips:
             return
@@ -299,8 +401,13 @@ def _lawson_flips(pool, tris, region, pkind, pidx, frozen):
 def build_r_conform_coarse(domain: geo.DomainSpec, h_target: float) -> Mesh:
     """Build the coarse reflection-conforming mesh for DOMAIN.
 
-    Patch triangulations are geometry-imposed; leftover-region elements are
-    sized to at most h_target, so diameters obey max(h_target, patch sizes).
+    Patch triangulations are geometry-imposed: every corner-patch triangle
+    has a side on a sector ray of length patch_radius_corner, so h_max is at
+    least that radius whatever h_target is (0.3 on the reference domain at
+    h_target = 0.2; h_target then only sizes the edge strips and the leftover
+    regions).  Splitting brings every leftover edge to at most h_target; the
+    flips and smoothing after it may lengthen some (up to 1.5 h_target on
+    the reference domain at h_target = 0.1).
     """
     if not h_target > 0:
         raise MeshError("h_target must be positive")
@@ -392,10 +499,11 @@ def build_r_conform_coarse(domain: geo.DomainSpec, h_target: float) -> Mesh:
     _add_clipped(pool, merged, tris, region, pkind, pidx, 1)
 
     _split_to_size(pool, tris, region, pkind, pidx, frozen, h_target)
-    _lawson_flips(pool, tris, region, pkind, pidx, frozen)
-    _smooth(pool, tris, region, pkind, pidx, frozen, domain.outer_rect)
+    P = pool.array()
+    _lawson_flips(P, tris, region, pkind, frozen)
+    _smooth(P, tris, region, pkind, frozen, domain.outer_rect)
 
-    mesh = Mesh(pool.array(), np.array(tris, dtype=np.int32),
+    mesh = Mesh(P, np.array(tris, dtype=np.int32),
                 np.array(region, dtype=np.int8), np.array(pkind, dtype=np.int8),
                 np.array(pidx, dtype=np.int32))
     area = (x1 - x0) * (y1 - y0)

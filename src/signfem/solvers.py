@@ -466,9 +466,11 @@ def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     beta_n^2 is the smallest eigenvalue of A G^-1 A x = beta^2 G x; its
     inverse is the largest eigenvalue of the G-self-adjoint operator
     G A^-1 G A^-1 G, computed by Lanczos iteration on the factorizations of A
-    and G.  A singular factorization reports beta_n = 0; a Lanczos iteration
-    that does not converge raises SolverError, since a partial Ritz value
-    underestimates the largest eigenvalue and so overstates beta_n.
+    and G.  Every failure raises SolverError naming lam and the cause: a
+    factorization of A(lam) that fails (A(lam) singular to working precision),
+    a Lanczos iteration that does not converge (a partial Ritz value
+    underestimates the largest eigenvalue and so overstates beta_n), and a
+    largest eigenvalue that is not finite and positive.
 
     For symmetric A(lam), beta_n is the smallest |mu| of A x = mu G x: how far
     A(lam) is from singular in the Gram norm, so it is set by the discrete
@@ -482,8 +484,9 @@ def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     G = (gram if gram is not None else xnorm_gram(blocks, space)).tocsr()
     try:
         luA = spla.splu(A.tocsc())
-    except RuntimeError:
-        return InfSupEstimate(lam, 0.0, level)
+    except RuntimeError as exc:
+        raise SolverError(
+            f"inf-sup factorization of A(lam) failed at lam={lam}: {exc}") from exc
 
     n = A.shape[0]
 
@@ -500,5 +503,7 @@ def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
             f"inf-sup iteration did not converge at lam={lam}; "
             f"{len(exc.eigenvalues)} partial Ritz values discarded") from exc
     if not np.isfinite(theta) or theta <= 0:
-        return InfSupEstimate(lam, 0.0, level)
+        raise SolverError(
+            f"inf-sup iteration at lam={lam} returned the largest eigenvalue "
+            f"{theta}, which is not finite and positive")
     return InfSupEstimate(lam, float(1.0 / np.sqrt(theta)), level)

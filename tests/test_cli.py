@@ -123,6 +123,21 @@ def test_eigen_converge(cfg52, tmp_path, capsys, monkeypatch):
     assert meta == [f"# dropped_by_filter = {dropped}"]
 
 
+def test_eigen_csv_cells_are_plain_floats(cfg52, tmp_path):
+    # NumPy scalars must not leak their repr ("np.float64(...)") into a cell
+    assert main(["eigen", "converge", "--config", cfg52, "--levels", "2",
+                 "--window", "1.2,4/3", "--shift", "1.27",
+                 "--out", str(tmp_path)]) == 0
+    lines = [line for line in (tmp_path / "eigen.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    assert "err_vs_scalar_finest" in header and len(rows) == 2
+    for row in rows:
+        assert len(row) == len(header)
+        for cell in row:
+            float(cell)
+
+
 def test_eigen_converge_without_window(cfg52, tmp_path):
     assert main(["eigen", "converge", "--config", cfg52, "--levels", "2",
                  "--out", str(tmp_path)]) == 2

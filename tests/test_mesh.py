@@ -1,5 +1,7 @@
 """Mesh construction, refinement, conformity checking, and file format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from signfem import geometry as geo
 from signfem.mesh import (Mesh, MeshError, PATCH_CORNER, PATCH_EDGE, PATCH_NONE,
                           check_r_conformity, mesh_read, mesh_write, refine_red)
+from signfem import meshgen
 from signfem.meshgen import build_r_conform_coarse, ear_clip, square_mesh
 
 
@@ -55,7 +58,70 @@ def test_coarse_builder_structure(domain, coarse):
     on_side = (np.isclose(bpts[:, 0], x0) | np.isclose(bpts[:, 0], x1)
                | np.isclose(bpts[:, 1], y0) | np.isclose(bpts[:, 1], y1))
     assert on_side.all()
-    assert np.degrees(min_angles(m).min()) > 10.0
+    assert np.degrees(min_angles(m).min()) >= 15.8
+
+
+def test_coarse_builder_quality_fine(domain):
+    m = build_r_conform_coarse(domain, 0.1)
+    assert np.degrees(min_angles(m).min()) >= 10.5
+
+
+def test_batched_geometry_matches_scalar_loops(coarse):
+    # the mesher's batched adjacency and angle tests against the plain loops
+    # they replace: same edge order, same triangles, same bits
+    tris = coarse.triangles.tolist()
+    adj = {}
+    for t, (a, b, c) in enumerate(tris):
+        for u, v in ((a, b), (b, c), (c, a)):
+            adj.setdefault((min(u, v), max(u, v)), []).append(t)
+    edges, first, second = meshgen._edge_triangles(tris)
+    assert list(map(tuple, edges.tolist())) == list(adj)
+    assert [[s // 3] + ([r // 3] if r >= 0 else []) for s, r in zip(first, second)] \
+        == list(adj.values())
+    X = coarse.vertices[coarse.triangles]
+    ref = [[np.dot(p[(j + 1) % 3] - p[j], p[(j + 2) % 3] - p[j])
+            / (np.linalg.norm(p[(j + 1) % 3] - p[j]) * np.linalg.norm(p[(j + 2) % 3] - p[j]))
+            for j in range(3)] for p in X]
+    assert np.array_equal(meshgen._corner_cos(X), np.array(ref))
+
+
+SQUARE = geo.DomainSpec(((-1.0, -1.0), (2.0, 2.0)),
+                        ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), 0.3)
+
+# The coarse mesher's output, pinned: every split, flip and smoothing move
+# must come out the same.  sha256 of each label array as little-endian int64.
+GOLDEN = {
+    "reference r=0.3": (geo.make_reference_domain(0.3), 401, 740, {
+        "triangles": "b3a39fe38106b05294b3ed010c145dfe04e25e8e22c5f188ad5ee5df438e229b",
+        "region": "3b78e26c06f66b672367b29781f9ef1e4ec7591fe6eccbf47bab5c9b35d47793",
+        "patch_kind": "7053b5abfd3d7645d0d333149ec16df1cf34d7d733edea19aacec964df107812",
+        "patch_index": "bd2f3c877720b10a3b66a1b3cd37fdc0419aec45002ea352959254137fb62ecf",
+    }, 0.2, 366.6757468378231, 483.55114041989066),
+    "reference r=0.05": (geo.make_reference_domain(0.05), 601, 1140, {
+        "triangles": "580c97c6cea76907469d317ba4d7ad4d84431a281fb0edc45d90c853f8dee95e",
+        "region": "96c721709572d857e342f71896c31fe0e7888ea2a07c5622fc6bb59f60000b46",
+        "patch_kind": "9951edb5d24a54abcb55dbb2450037202f36f41e3b635d9df27de5d22302e229",
+        "patch_index": "d80fdde929cf340a06741e824dfee13b7a7c8ff3c26e049854e8147202ffed26",
+    }, 0.2, 478.94721195006, 545.8438088724428),
+    "square": (SQUARE, 569, 1076, {
+        "triangles": "89c0548a63649f7066d819012f1952a18e1f444ad625bdaa703a013711b34d53",
+        "region": "69b84e6fb7c3bc653f05e9dde31101633a9b3eab7d4a83a5c3c936fc51fc06da",
+        "patch_kind": "bc1e767e00bb937ddee750ba7741972f6cf199d8c78aadd49bd6f921d293171b",
+        "patch_index": "ebad14c679ff8290de48b86d21d3e5450040feb7738793329568c87de356200f",
+    }, 0.25, 565.1660785412627, 1264.3287355277134),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_coarse_builder_golden(case):
+    domain, nv, nt, digests, h, vsum, vsq = GOLDEN[case]
+    m = build_r_conform_coarse(domain, h)
+    assert (m.num_vertices, m.num_triangles) == (nv, nt)
+    for name, digest in digests.items():
+        data = np.ascontiguousarray(getattr(m, name), dtype="<i8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+    assert m.vertices.sum() == pytest.approx(vsum, rel=1e-12)
+    assert (m.vertices ** 2).sum() == pytest.approx(vsq, rel=1e-12)
 
 
 def test_region_purity(domain, coarse):
@@ -236,8 +302,7 @@ def test_ear_clip_star_polygons(gaps_radii):
 
 
 def test_square_domain_mesh():
-    sq = geo.DomainSpec(((-1.0, -1.0), (2.0, 2.0)),
-                        ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), 0.3)
+    sq = SQUARE
     m = build_r_conform_coarse(sq, 0.25)
     assert m.num_vertices - m.num_edges + m.num_triangles == 1
     assert m.areas.sum() == pytest.approx(9.0, rel=1e-12)

@@ -358,3 +358,20 @@ def test_infsup_rejects_partial_arpack_result(mesh_seq, blocks_seq,
     monkeypatch.setattr(sol.spla, "eigsh", no_convergence)
     with pytest.raises(sol.SolverError, match="did not converge"):
         sol.discrete_infsup(mesh_seq[0], blocks_seq[0], CONTRAST_TEN, 2.2)
+
+
+def test_infsup_rejects_failed_factorization(mesh_seq, blocks_seq, monkeypatch):
+    # a failed factorization of A(lam) is an error, not beta_n = 0
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(sol.spla, "splu", singular)
+    with pytest.raises(sol.SolverError, match="lam=2.2: Factor is exactly singular"):
+        sol.discrete_infsup(mesh_seq[0], blocks_seq[0], CONTRAST_TEN, 2.2)
+
+
+def test_infsup_rejects_nonpositive_eigenvalue(mesh_seq, blocks_seq, monkeypatch):
+    # a largest eigenvalue <= 0 has no inverse square root to report
+    monkeypatch.setattr(sol.spla, "eigsh", lambda *args, **kwargs: np.array([0.0]))
+    with pytest.raises(sol.SolverError, match="lam=2.2 .*not finite and positive"):
+        sol.discrete_infsup(mesh_seq[0], blocks_seq[0], CONTRAST_TEN, 2.2)
