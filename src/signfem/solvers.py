@@ -14,6 +14,19 @@ swapped: eps(lam)^-1 weights the P1 stiffness, mu(lam) the mass, and the
 auxiliary variable is the piecewise-constant gradient on the inclusion.  Every
 routine here that takes a formulation (fem.EDGE or fem.SCALAR) reads its
 blocks and its material roles from that row of the formulation table.
+
+Every sparse factorization goes through _factorize, with one policy: a
+reverse Cuthill-McKee pre-order, then SuperLU in SymmetricMode with ordering
+MMD_AT_PLUS_A and diag_pivot_thresh=0.  Each matrix factored here (A(lam), the
+Grams, S - sigma*T) is symmetric, and with the pivots on the diagonal
+(perm_r == perm_c) diag(U) is the D of LDL^T, whose signs certify window
+counts.  Fill at L4: A(1) 32.6 M with COLAMD, 11.8 M now; the P1 scalar
+operator 11.9 M and 8.8 M.  MMD breaks ties in input order, and on the mesh's
+own numbering it fills those two to 15.2 M and 19.0 M, hence the pre-order.
+The threshold must be 0: at 0.01 SuperLU pivots off the diagonal on the L1
+and L2 pencils and the inertia comes out wrong; with partial pivoting the
+ordering did not finish at L4 in 10 min.  ARPACK gets these factors through
+OPinv and Minv and builds none of its own.
 """
 
 from __future__ import annotations
@@ -26,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import fem, materials as mats
@@ -107,20 +121,37 @@ def _as_callable(f) -> Callable:
     return lambda x: np.broadcast_to(c, x.shape)
 
 
-def _factorize(A: sp.spmatrix, what: str):
+@dataclass(frozen=True)
+class _Factor:
+    lu: spla.SuperLU          # factor of A[order][:, order]
+    order: np.ndarray         # the pre-order
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = self.lu.solve(b[self.order])
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+    def inverse(self) -> spla.LinearOperator:
+        return spla.LinearOperator(self.lu.shape, matvec=self.solve, dtype=float)
+
+
+def _factorize(A: sp.spmatrix, what: str) -> _Factor:
+    """The one sparse factorization (policy in the module docstring)."""
+    A = A.tocsr()
+    order = reverse_cuthill_mckee(A, symmetric_mode=True)
     try:
-        return spla.splu(A.tocsc())
+        lu = spla.splu(A[order][:, order].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
-        raise SolverError(f"factorization of {what} failed: {exc}") from exc
+        raise SolverError(f"factorization failed for {what}: {exc}") from exc
+    return _Factor(lu, order)
 
 
-def _pivot_report(lu) -> str:
-    d = np.abs(lu.U.diagonal())
-    return f"min|U_ii|/max|U_ii| = {d.min() / d.max():.3e}"
+_REFINE_STEPS = 6
 
 
-def _refined_solve(lu, A: sp.spmatrix, b: np.ndarray,
-                   max_steps: int = 6) -> Tuple[np.ndarray, float]:
+def _refined_solve(lu, A: sp.spmatrix, b: np.ndarray) -> Tuple[np.ndarray, float]:
     """LU solve plus iterative refinement with extended-precision carry.
 
     Refinement that stores u in float64 stalls at eps*|| |A||u| ||/||b||, and
@@ -141,7 +172,7 @@ def _refined_solve(lu, A: sp.spmatrix, b: np.ndarray,
 
     u = lu.solve(b).astype(np.longdouble)
     res = rel(u)
-    for _ in range(max_steps):
+    for _ in range(_REFINE_STEPS):
         if not np.isfinite(res) or res <= 1e-12:
             break
         cand = u + lu.solve(np.asarray(bx - Ax @ u, dtype=np.float64))
@@ -161,9 +192,10 @@ def _gated_solve(A: sp.spmatrix, b: np.ndarray,
     u, res = _refined_solve(lu, A, b)
     wall = time.perf_counter() - t0
     if not np.isfinite(res) or res > 1e-10:
+        d = np.abs(lu.lu.U.diagonal())
         raise SolverError(
             f"{what} is numerically singular: relative residual {res:.3e} "
-            f"after refinement ({_pivot_report(lu)})")
+            f"after refinement (min|U_ii|/max|U_ii| = {d.min() / d.max():.3e})")
     return u, res, wall
 
 
@@ -273,21 +305,17 @@ def schur_action(pencil: MatrixPencil, lam: float, u: np.ndarray) -> np.ndarray:
 
 def _shift_invert(pencil: MatrixPencil, sigma: float, k: int,
                   vectors: bool):
+    """The k eigenpairs nearest sigma.  A sigma on an eigenvalue fails the
+    factorization of S - sigma*T and raises; it is never moved."""
     n = pencil.S.shape[0]
-    k = min(k, n - 2)
-    v0 = np.ones(n) / np.sqrt(n)
-    last = None
-    for attempt in range(4):
-        try:
-            return spla.eigsh(pencil.S, k=k, M=pencil.T, sigma=sigma,
-                              v0=v0, return_eigenvectors=vectors)
-        except ArpackNoConvergence as exc:
-            last = exc
-            break  # partial results are not trustworthy for counting
-        except RuntimeError as exc:  # singular factorization: sigma hit an eigenvalue
-            last = exc
-            sigma = sigma * (1 + 1e-4) + 1e-6
-    raise SolverError(f"shift-invert at sigma={sigma} failed: {last}")
+    lu = _factorize(pencil.S - sigma * pencil.T, f"S - sigma*T at sigma={sigma}")
+    try:
+        return spla.eigsh(pencil.S, k=min(k, n - 2), M=pencil.T, sigma=sigma,
+                          OPinv=lu.inverse(), v0=np.ones(n) / np.sqrt(n),
+                          return_eigenvectors=vectors)
+    except ArpackNoConvergence as exc:  # partial results are not trustworthy
+        raise SolverError(f"shift-invert at sigma={sigma} did not converge: "
+                          f"{exc}") from exc
 
 
 def _window(window: Tuple[float, float]) -> Tuple[float, float]:
@@ -411,55 +439,45 @@ def pencil_eigenvalues(pencil: MatrixPencil, window: Tuple[float, float],
     return vals
 
 
-def count_eigen_window(pencil: MatrixPencil, window: Tuple[float, float],
-                       k: int = 40, dense_below: int = 3000,
-                       max_steps: int = 60) -> np.ndarray:
-    """All pencil eigenvalues inside the window, sorted.
+def _negative_count(pencil: MatrixPencil, sigma: float) -> int:
+    """nu_-(S - sigma*T), the number of eigenvalues below sigma, from the signs
+    of diag(U).  Only an LDL^T factor (perm_r == perm_c) that passes a
+    backward-error probe is accepted; anything else raises."""
+    what = f"S - sigma*T at sigma={sigma}"
+    A = pencil.S - sigma * pencil.T
+    lu = _factorize(A, what)
+    if not np.array_equal(lu.lu.perm_r, lu.lu.perm_c):
+        raise SolverError(f"{what} pivoted off the diagonal: no inertia")
+    y = np.random.default_rng(0).standard_normal(A.shape[0])
+    err = float(np.linalg.norm(A @ lu.solve(y) - y) / np.linalg.norm(y))
+    if not err <= 1e-10:
+        raise SolverError(f"{what}: backward error {err:.1e} > 1e-10, no inertia")
+    return int(np.count_nonzero(lu.lu.U.diagonal() < 0))
 
-    Small problems are enumerated densely.  Larger ones are swept with
-    shift-invert: each solve at sigma certifies the open ball around sigma out
-    to its farthest converged Ritz value (the k nearest eigenvalues contain
-    everything strictly closer), and sigma walks right until the window is
-    covered; a failed advance bisects back toward the covered edge.
+
+def count_eigen_window(pencil: MatrixPencil,
+                       window: Tuple[float, float]) -> np.ndarray:
+    """All pencil eigenvalues inside the window, sorted, with a certified count.
+
+    T is SPD, so by Sylvester's law of inertia the window [a, b] holds
+    n = nu_-(S - bT) - nu_-(S - aT) eigenvalues.  They are the n nearest the
+    midpoint, found by one shift-invert Lanczos solve there.  The certificate:
+    the inertia count equals the Lanczos count, or SolverError is raised.
     """
     a, b = _window(window)
-    if pencil.S.shape[0] <= dense_below:
-        vals = eigh(pencil.S.toarray(), pencil.T.toarray(), eigvals_only=True)
-        return vals[(vals >= a) & (vals <= b)]
-
-    found: List[float] = []
-    covered = a
-    step = (b - a) / 10
-    for _ in range(max_steps):
-        sigma = min(covered + step, b)
-        vals = np.sort(_shift_invert(pencil, sigma, k, vectors=False))
-        r = float(np.abs(vals - sigma).max())
-        if sigma - r > covered:
-            step *= 0.5  # ball misses the covered edge: pull sigma back
-            continue
-        found.extend(vals.tolist())
-        covered = sigma + r
-        step = max(r, 1e-12)
-        if covered >= b:
-            break
-    else:
-        raise SolverError(
-            f"window sweep did not cover [{a}, {b}] in {max_steps} solves "
-            "(accumulation too dense; raise k)")
-
-    vals = np.sort(np.array(found))
-    keep = [v for v in vals[(vals >= a) & (vals <= b)]
-            if not np.isnan(v)]
-    out: List[float] = []
-    for v in keep:  # merge duplicates found from adjacent shifts
-        if not out or v - out[-1] > 1e-9 * max(1.0, abs(v)):
-            out.append(v)
-    return np.array(out)
+    n = _negative_count(pencil, b) - _negative_count(pencil, a)
+    if n == 0:
+        return np.zeros(0)
+    vals = np.sort(_shift_invert(pencil, 0.5 * (a + b), n + 2, vectors=False))
+    vals = vals[(vals >= a) & (vals <= b)]
+    if vals.size != n:
+        raise SolverError(f"window [{a}, {b}]: inertia counts {n} eigenvalues, "
+                          f"shift-invert Lanczos found {vals.size}")
+    return vals
 
 
 def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
                     mat: mats.DrudeMaterial, lam: float,
-                    gram: Optional[sp.spmatrix] = None,
                     level: int = 0) -> InfSupEstimate:
     """Smallest generalized singular value of A(lam) in the H(curl) Gram.
 
@@ -467,7 +485,7 @@ def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     inverse is the largest eigenvalue of the G-self-adjoint operator
     G A^-1 G A^-1 G, computed by Lanczos iteration on the factorizations of A
     and G.  Every failure raises SolverError naming lam and the cause: a
-    factorization of A(lam) that fails (A(lam) singular to working precision),
+    factorization that fails (A(lam) singular to working precision),
     a Lanczos iteration that does not converge (a partial Ritz value
     underestimates the largest eigenvalue and so overstates beta_n), and a
     largest eigenvalue that is not finite and positive.
@@ -481,23 +499,24 @@ def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     """
     space = EdgeSpace(mesh)
     A = fem.assemble_A(blocks, mat, lam, space)
-    G = (gram if gram is not None else xnorm_gram(blocks, space)).tocsr()
-    try:
-        luA = spla.splu(A.tocsc())
-    except RuntimeError as exc:
-        raise SolverError(
-            f"inf-sup factorization of A(lam) failed at lam={lam}: {exc}") from exc
+    G = xnorm_gram(blocks, space)
+    luA = _factorize(A, f"inf-sup A(lam) at lam={lam}")
+    luG = _factorize(G, f"inf-sup Gram at lam={lam}")
 
     n = A.shape[0]
 
+    def solve(b):  # one refinement step: A(lam) is indefinite, its LDL^T unpivoted
+        x = luA.solve(b)
+        return x + luA.solve(b - A @ x)
+
     def action(x):
-        return G @ luA.solve(G @ luA.solve(G @ x))
+        return G @ solve(G @ solve(G @ x))
 
     op = spla.LinearOperator((n, n), matvec=action, dtype=float)
     v0 = np.ones(n) / np.sqrt(n)
     try:
-        theta = spla.eigsh(op, k=1, M=G, which="LA", v0=v0, tol=1e-10,
-                           return_eigenvectors=False)[0]
+        theta = spla.eigsh(op, k=1, M=G, Minv=luG.inverse(), which="LA",
+                           v0=v0, tol=1e-10, return_eigenvectors=False)[0]
     except ArpackNoConvergence as exc:
         raise SolverError(
             f"inf-sup iteration did not converge at lam={lam}; "

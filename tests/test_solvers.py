@@ -253,14 +253,78 @@ def test_vector_and_scalar_spectra_agree(mesh_seq, blocks_seq):
     assert abs(lv.max() - ls.max()) <= 1e-2 * lv.max()
 
 
-def test_count_window_sweep_matches_dense(mesh_seq, blocks_seq):
+SPECTRUM_WINDOW = (4 / 3, 100 / 51)
+
+
+def test_count_window_matches_dense(mesh_seq, blocks_seq):
+    from scipy.linalg import eigh
     m, bl = mesh_seq[0], blocks_seq[0]
     p = sol.build_pencil(m, bl, REFERENCE)
-    window = (4 / 3, 100 / 51)
-    dense = sol.count_eigen_window(p, window)                  # dense path
-    swept = sol.count_eigen_window(p, window, dense_below=0)   # forced sweep
-    assert len(dense) == len(swept)
-    assert np.allclose(dense, swept, rtol=1e-8, atol=1e-9)
+    a, b = SPECTRUM_WINDOW
+    vals = eigh(p.S.toarray(), p.T.toarray(), eigvals_only=True)
+    dense = vals[(vals >= a) & (vals <= b)]
+    got = sol.count_eigen_window(p, SPECTRUM_WINDOW)
+    assert len(got) == len(dense)
+    assert np.allclose(got, dense, rtol=1e-8, atol=1e-9)
+
+
+def test_count_window_doubles_under_refinement(mesh_seq, blocks_seq):
+    # the discrete eigenvalues accumulate in the critical window: each red
+    # refinement doubles their number
+    counts = [len(sol.count_eigen_window(sol.build_pencil(m, bl, REFERENCE),
+                                         SPECTRUM_WINDOW))
+              for m, bl in zip(mesh_seq, blocks_seq)]
+    assert counts == [15, 30, 60]
+
+
+def test_count_window_empty(mesh_seq, blocks_seq):
+    # S is positive semidefinite, so no eigenvalue lies below zero
+    p = sol.build_pencil(mesh_seq[0], blocks_seq[0], REFERENCE)
+    assert sol.count_eigen_window(p, (-2.0, -1.0)).shape == (0,)
+
+
+def test_count_window_rejects_off_diagonal_pivots(mesh_seq, blocks_seq,
+                                                  monkeypatch):
+    # with perm_r != perm_c, diag(U) is not the D of LDL^T and its signs say
+    # nothing about the inertia
+    real_splu = sol.spla.splu
+
+    class Pivoted:
+        def __init__(self, lu):
+            self._lu = lu
+            self.perm_r = np.roll(lu.perm_r, 1)
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+    monkeypatch.setattr(sol.spla, "splu",
+                        lambda *args, **kwargs: Pivoted(real_splu(*args, **kwargs)))
+    p = sol.build_pencil(mesh_seq[0], blocks_seq[0], REFERENCE)
+    with pytest.raises(sol.SolverError, match="pivoted off the diagonal"):
+        sol.count_eigen_window(p, SPECTRUM_WINDOW)
+
+
+def test_shift_invert_failure_names_sigma(mesh_seq, blocks_seq, monkeypatch):
+    # a shift on an eigenvalue makes S - sigma*T singular: the solve must
+    # fail naming the shift it was given, not move it and retry
+    p = sol.build_pencil(mesh_seq[1], blocks_seq[1], REFERENCE)
+    assert p.S.shape[0] > 3000   # the shift-invert branch, not the dense one
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    calls = []
+    real_eigsh = sol.spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        calls.append(kwargs)
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(sol.spla, "splu", singular)
+    monkeypatch.setattr(sol.spla, "eigsh", eigsh)
+    with pytest.raises(sol.SolverError, match=r"sigma=1\.27: Factor is exactly singular"):
+        sol.pencil_eigenvalues(p, (1.2, 4 / 3), shift=1.27)
+    assert calls == []
 
 
 def test_rational_residual_contract(mesh_seq, blocks_seq):
