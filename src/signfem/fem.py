@@ -15,7 +15,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import materials as mats
 from .mesh import Mesh
@@ -24,9 +23,9 @@ __all__ = [
     "ScalarSpace", "EdgeSpace", "AuxCurlSpace", "FeField", "FemError",
     "Formulation", "EDGE", "SCALAR", "assemble_blocks", "gradient_map",
     "assemble_A", "assemble_rhs", "assemble_scalar_problem",
-    "helmholtz_project", "field_norms", "scalar_norms", "potential_flux",
+    "field_norms", "scalar_norms", "potential_flux",
     "cross_error", "eval_cellwise", "error_vs_exact", "interpolate_edge",
-    "prolong_edge", "prolong_scalar", "field_write", "field_read",
+    "edge_prolongation", "scalar_prolongation", "field_write", "field_read",
     "MID_RULE", "STRANG_RULE",
 ]
 
@@ -385,29 +384,6 @@ def assemble_scalar_problem(blocks: Dict[str, sp.csr_matrix],
 
 
 @dataclass
-class HelmholtzSplit:
-    potential: np.ndarray  # P1 coefficients, zero on the boundary
-    gradient: np.ndarray   # edge coefficients of grad(potential)
-    remainder: np.ndarray  # edge coefficients of u - grad(potential)
-
-
-def helmholtz_project(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                      u_full: np.ndarray) -> HelmholtzSplit:
-    """L2-orthogonal splitting u = grad p + r against gradients of P1
-    functions vanishing on the boundary."""
-    G = gradient_map(mesh)
-    M = blocks["M_plus"] + blocks["M_minus"]
-    Ks = blocks["Ks_plus"] + blocks["Ks_minus"]
-    interior = ScalarSpace(mesh).interior_vertices
-    rhs = (G.T @ (M @ u_full))[interior]
-    Kii = Ks.tocsr()[interior][:, interior]
-    p = np.zeros(mesh.num_vertices, dtype=u_full.dtype)
-    p[interior] = spla.spsolve(Kii.tocsc(), rhs)
-    grad = G @ p
-    return HelmholtzSplit(p, grad, u_full - grad)
-
-
-@dataclass
 class FieldNorms:
     l2: float
     curl: float
@@ -513,57 +489,69 @@ def interpolate_edge(mesh: Mesh, fun: Callable) -> np.ndarray:
     return out
 
 
-def _eval_edge_field(mesh: Mesh, grads, coef, tri_ids, points):
-    """Evaluate an edge field at physical points lying in given triangles."""
-    v0 = mesh.vertices[mesh.triangles[tri_ids, 0]]
-    d1 = mesh.vertices[mesh.triangles[tri_ids, 1]] - v0
-    d2 = mesh.vertices[mesh.triangles[tri_ids, 2]] - v0
-    rel = points - v0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    l1 = (rel[:, 0] * d2[:, 1] - rel[:, 1] * d2[:, 0]) / det
-    l2 = (d1[:, 0] * rel[:, 1] - d1[:, 1] * rel[:, 0]) / det
-    lam = np.stack([1 - l1 - l2, l1, l2], axis=1)
-    g = grads[tri_ids]
-    out = np.zeros((len(tri_ids), 2))
-    for j in range(3):
-        k = (j + 1) % 3
-        wj = lam[:, j, None] * g[:, k] - lam[:, k, None] * g[:, j]
-        out += coef[tri_ids, j, None] * wj
-    return out
+# Barycentric coordinates, in the parent triangle (a, b, c), of the vertices
+# of the four children that refine_red writes: (a, mab, mca), (b, mbc, mab),
+# (c, mca, mbc), (mab, mbc, mca).
+_CHILD_BARY = np.array([
+    [[1, 0, 0], [.5, .5, 0], [.5, 0, .5]],
+    [[0, 1, 0], [0, .5, .5], [.5, .5, 0]],
+    [[0, 0, 1], [.5, 0, .5], [0, .5, .5]],
+    [[.5, .5, 0], [0, .5, .5], [.5, 0, .5]],
+])
 
 
-def prolong_edge(coarse: Mesh, fine: Mesh, u_coarse_full: np.ndarray) -> np.ndarray:
-    """Exact transfer of a coarse edge field onto a red-refined mesh (the
-    spaces are nested; fine dofs are tangential moments of the coarse field)."""
-    if fine.parent_tri is None:
-        raise FemError("fine mesh lacks parent metadata (not from refine_red)")
-    grads, _ = _geometry(coarse)
-    signs = coarse.tri_edge_signs.astype(float)
-    coef = u_coarse_full[coarse.tri_edges] * signs
-
-    # any adjacent fine triangle for each fine edge, then its parent
-    owner = np.full(fine.num_edges, -1, dtype=np.int64)
-    owner[fine.tri_edges.ravel()] = np.repeat(np.arange(fine.num_triangles), 3)
-    parent = fine.parent_tri[owner]
-    a = fine.vertices[fine.edges[:, 0]]
-    b = fine.vertices[fine.edges[:, 1]]
-    d = b - a
-    out = np.zeros(fine.num_edges)
-    for t, w in zip(_EDGE_T, _EDGE_W):
-        x = a + t * d
-        vals = _eval_edge_field(coarse, grads, coef, parent, x)
-        out += w * np.einsum("ed,ed->e", vals, d)
-    return out
+def _child_moments() -> np.ndarray:
+    """(4, 3, 3) table: tangential moment of the parent's local edge function
+    i along local edge j (vertex j to j+1) of child c.  The function is
+    linear, so the moment is its midpoint value times the edge vector, and
+    grad(lam_i) . (q - p) is the barycentric difference:
+    lam_i(m) D_k - lam_k(m) D_i with k = i+1.  Entries are 0, +-1/4, +-1/2."""
+    p, q = _CHILD_BARY, np.roll(_CHILD_BARY, -1, axis=1)
+    m, d = 0.5 * (p + q), q - p
+    k = [1, 2, 0]
+    return m * d[:, :, k] - m[:, :, k] * d
 
 
-def prolong_scalar(coarse: Mesh, fine: Mesh, p_coarse: np.ndarray) -> np.ndarray:
-    """Exact transfer of a P1 field onto a red-refined mesh: new vertices are
-    coarse edge midpoints, so their values are endpoint averages."""
-    V = coarse.num_vertices
-    out = np.empty(fine.num_vertices, dtype=p_coarse.dtype)
-    out[:V] = p_coarse
-    out[V:] = 0.5 * (p_coarse[coarse.edges[:, 0]] + p_coarse[coarse.edges[:, 1]])
-    return out
+def _check_nested(coarse: Mesh, fine: Mesh) -> None:
+    T = coarse.num_triangles
+    if (fine.parent_tri is None
+            or fine.num_vertices != coarse.num_vertices + coarse.num_edges
+            or not np.array_equal(fine.parent_tri, np.repeat(np.arange(T), 4))):
+        raise FemError("fine mesh lacks parent metadata (not refine_red of coarse)")
+
+
+def edge_prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
+    """Exact transfer (E_fine, E_coarse) of edge fields onto refine_red(coarse).
+
+    The spaces are nested, so a fine dof is the tangential moment of the
+    coarse field along the fine edge: a fixed local pattern per child, with
+    at most three entries per row, each +-1/4 or +-1/2.  Built from
+    parent_tri and the child numbering alone, without quadrature."""
+    _check_nested(coarse, fine)
+    # any adjacent fine triangle for each fine edge, and its local edge index
+    slot = np.empty(fine.num_edges, dtype=np.int64)
+    slot[fine.tri_edges.ravel()] = np.arange(3 * fine.num_triangles)
+    t, j = np.divmod(slot, 3)
+    parent = fine.parent_tri[t]
+    vals = _child_moments()[t % 4, j]                      # (E_fine, 3)
+    vals *= fine.tri_edge_signs[t, j, None] * coarse.tri_edge_signs[parent]
+    P = sp.csr_matrix((vals.ravel(), (np.repeat(np.arange(fine.num_edges), 3),
+                                      coarse.tri_edges[parent].ravel())),
+                      shape=(fine.num_edges, coarse.num_edges))
+    P.eliminate_zeros()
+    return P
+
+
+def scalar_prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
+    """Exact transfer (V_fine, V_coarse) of P1 fields onto refine_red(coarse):
+    coarse vertices keep their values (entry 1), and each new vertex, an edge
+    midpoint, takes the mean of the edge's endpoints (entries 1/2)."""
+    _check_nested(coarse, fine)
+    V, E = coarse.num_vertices, coarse.num_edges
+    rows = np.concatenate([np.arange(V), np.repeat(V + np.arange(E), 2)])
+    cols = np.concatenate([np.arange(V), coarse.edges.ravel()])
+    vals = np.concatenate([np.ones(V), np.full(2 * E, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(fine.num_vertices, V))
 
 
 _SPACE_TAGS = {ScalarSpace: "scalar", EdgeSpace: "edge", AuxCurlSpace: "aux"}

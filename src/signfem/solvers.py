@@ -393,7 +393,8 @@ def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     Every pair carries the rational-residual value and a Helmholtz
     classification of its edge part (curl energy fraction <= 1e-8 means
     gradient-dominated; those populate the accumulation window of the
-    permittivity contrast).
+    permittivity contrast).  A residual that cannot be evaluated raises
+    SolverError naming lam and the cause; no pair is dropped silently.
     """
     lay = pencil.layout
     if lay.kind != EDGE.kind:
@@ -419,8 +420,9 @@ def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
         cls = "gradient-dominated" if frac <= 1e-8 else "curl-carrying"
         try:
             res = evaluate(lam, u)
-        except SolverError:
-            res = np.inf
+        except SolverError as exc:
+            raise SolverError(f"rational residual of the eigenpair at lam={lam} "
+                              f"failed: {exc}") from exc
         pairs.append(EigenPair(lam, u, v, res, cls, float(frac)))
     return pairs
 
@@ -461,14 +463,16 @@ def count_eigen_window(pencil: MatrixPencil,
 
     T is SPD, so by Sylvester's law of inertia the window [a, b] holds
     n = nu_-(S - bT) - nu_-(S - aT) eigenvalues.  They are the n nearest the
-    midpoint, found by one shift-invert Lanczos solve there.  The certificate:
+    midpoint, found by one shift-invert Lanczos solve there for exactly n
+    values: more would pull in neighbouring, possibly highly multiple
+    clusters, where the iteration can stall.  The certificate:
     the inertia count equals the Lanczos count, or SolverError is raised.
     """
     a, b = _window(window)
     n = _negative_count(pencil, b) - _negative_count(pencil, a)
     if n == 0:
         return np.zeros(0)
-    vals = np.sort(_shift_invert(pencil, 0.5 * (a + b), n + 2, vectors=False))
+    vals = np.sort(_shift_invert(pencil, 0.5 * (a + b), n, vectors=False))
     vals = vals[(vals >= a) & (vals <= b)]
     if vals.size != n:
         raise SolverError(f"window [{a}, {b}]: inertia counts {n} eigenvalues, "

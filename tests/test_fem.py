@@ -1,8 +1,11 @@
 """Edge/P1 assembly, discrete exactness, splittings, and transfer operators."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -151,23 +154,38 @@ def test_scalar_problem_shape_and_kernel(coarse, blocks):
     assert np.isfinite(rhs).all()
 
 
+def helmholtz_project(mesh, blocks, u_full):
+    """L2-orthogonal splitting u = grad p + r against gradients of P1
+    functions vanishing on the boundary: (p, grad p, r)."""
+    G = fem.gradient_map(mesh)
+    M = blocks["M_plus"] + blocks["M_minus"]
+    Ks = blocks["Ks_plus"] + blocks["Ks_minus"]
+    interior = fem.ScalarSpace(mesh).interior_vertices
+    rhs = (G.T @ (M @ u_full))[interior]
+    Kii = Ks.tocsr()[interior][:, interior]
+    p = np.zeros(mesh.num_vertices, dtype=u_full.dtype)
+    p[interior] = spla.spsolve(Kii.tocsc(), rhs)
+    grad = G @ p
+    return SimpleNamespace(potential=p, gradient=grad, remainder=u_full - grad)
+
+
 def test_helmholtz_projection(coarse, blocks):
     rng = np.random.default_rng(3)
     u = rng.standard_normal(coarse.num_edges)
-    split = fem.helmholtz_project(coarse, blocks, u)
+    split = helmholtz_project(coarse, blocks, u)
     M = blocks["M_plus"] + blocks["M_minus"]
     unorm2 = u @ (M @ u)
     assert abs(split.remainder @ (M @ split.gradient)) <= 1e-10 * unorm2
     assert np.abs(split.gradient + split.remainder - u).max() <= 1e-14
 
-    again = fem.helmholtz_project(coarse, blocks, split.remainder)
+    again = helmholtz_project(coarse, blocks, split.remainder)
     assert np.abs(again.gradient).max() <= 1e-12
 
     # a discrete gradient is reproduced with zero remainder
     G = fem.gradient_map(coarse)
     p0 = rng.standard_normal(coarse.num_vertices)
     p0[fem.ScalarSpace(coarse).boundary_vertices] = 0.0
-    gsplit = fem.helmholtz_project(coarse, blocks, G @ p0)
+    gsplit = helmholtz_project(coarse, blocks, G @ p0)
     assert np.abs(gsplit.remainder).max() <= 1e-12
 
 
@@ -192,7 +210,7 @@ def test_prolongation_is_exact(coarse):
     fine = refine_red(coarse)
     rng = np.random.default_rng(11)
     uc = rng.standard_normal(coarse.num_edges)
-    uf = fem.prolong_edge(coarse, fine, uc)
+    uf = fem.edge_prolongation(coarse, fine) @ uc
     # same function in the nested space: identical norms
     nc = fem.field_norms(coarse, uc)
     nf = fem.field_norms(fine, uf)
@@ -200,14 +218,47 @@ def test_prolongation_is_exact(coarse):
     assert nf.curl == pytest.approx(nc.curl, rel=1e-10)
 
     pc = rng.standard_normal(coarse.num_vertices)
-    pf = fem.prolong_scalar(coarse, fine, pc)
+    pf = fem.scalar_prolongation(coarse, fine) @ pc
     sc = fem.scalar_norms(coarse, pc)
     sf = fem.scalar_norms(fine, pf)
     assert sf.l2 == pytest.approx(sc.l2, rel=1e-12)
     assert sf.curl == pytest.approx(sc.curl, rel=1e-12)
 
-    with pytest.raises(fem.FemError, match="parent"):
-        fem.prolong_edge(coarse, coarse, uc)
+    for build in (fem.edge_prolongation, fem.scalar_prolongation):
+        with pytest.raises(fem.FemError, match="parent"):
+            build(coarse, coarse)
+
+
+def test_edge_prolongation_entries(coarse):
+    fine = refine_red(coarse)
+    P = fem.edge_prolongation(coarse, fine)
+    assert P.shape == (fine.num_edges, coarse.num_edges)
+    assert set(np.abs(P.data)) == {0.25, 0.5}
+    assert np.diff(P.indptr).max() == 3
+    Q = fem.scalar_prolongation(coarse, fine)
+    assert Q.shape == (fine.num_vertices, coarse.num_vertices)
+    assert set(Q.data) == {0.5, 1.0}
+
+
+def test_prolongations_commute_with_gradient(coarse):
+    # Hiptmair's commuting diagram for nested spaces, exact in floating point
+    # because every entry is a short sum of +-1/4, +-1/2 and +-1
+    meshes = [coarse, refine_red(coarse)]
+    meshes.append(refine_red(meshes[-1]))
+    for c, f in zip(meshes, meshes[1:]):
+        lhs = fem.gradient_map(f) @ fem.scalar_prolongation(c, f)
+        rhs = fem.edge_prolongation(c, f) @ fem.gradient_map(c)
+        assert abs(lhs - rhs).max() == 0.0
+
+
+def test_mass_gram_gives_l2_norm(coarse, blocks):
+    # the midpoint rule is exact for products of two edge functions, so the
+    # quadratic form of the mass blocks is field_norms' L2 norm
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(coarse.num_edges)
+    M = blocks["M_plus"] + blocks["M_minus"]
+    assert np.sqrt(u @ (M @ u)) == pytest.approx(fem.field_norms(coarse, u).l2,
+                                                 rel=1e-13)
 
 
 @settings(max_examples=25, deadline=None)

@@ -283,6 +283,17 @@ def test_count_window_empty(mesh_seq, blocks_seq):
     assert sol.count_eigen_window(p, (-2.0, -1.0)).shape == (0,)
 
 
+def test_count_window_mu_critical_single_value(mesh_seq, blocks_seq):
+    # the permeability-critical window holds one eigenvalue; Lanczos asks for
+    # exactly that one, not for extras from the clusters beside the window
+    windows = mats.critical_lambda_windows(REFERENCE, 5)
+    assert np.allclose(windows.window_mu, (8 / 3, 200 / 51), rtol=1e-15, atol=0)
+    p = sol.build_pencil(mesh_seq[0], blocks_seq[0], REFERENCE)
+    got = sol.count_eigen_window(p, windows.window_mu)
+    assert got.shape == (1,)
+    assert abs(got[0] - 2.93178) <= 1e-5
+
+
 def test_count_window_rejects_off_diagonal_pivots(mesh_seq, blocks_seq,
                                                   monkeypatch):
     # with perm_r != perm_c, diag(U) is not the D of LDL^T and its signs say
@@ -325,6 +336,21 @@ def test_shift_invert_failure_names_sigma(mesh_seq, blocks_seq, monkeypatch):
     with pytest.raises(sol.SolverError, match=r"sigma=1\.27: Factor is exactly singular"):
         sol.pencil_eigenvalues(p, (1.2, 4 / 3), shift=1.27)
     assert calls == []
+
+
+def test_eigen_residual_failure_raises(mesh_seq, blocks_seq, monkeypatch):
+    # a residual that cannot be evaluated must not turn into inf and let the
+    # filter drop the pair as if it were inaccurate
+    def evaluator(*args, **kwargs):
+        def evaluate(lam, u):
+            raise sol.SolverError("evaluator broke")
+        return evaluate
+
+    m, bl = mesh_seq[0], blocks_seq[0]
+    p = sol.build_pencil(m, bl, REFERENCE)
+    monkeypatch.setattr(sol, "residual_evaluator", evaluator)
+    with pytest.raises(sol.SolverError, match=r"lam=1\.2.*evaluator broke"):
+        sol.solve_eigen(m, bl, REFERENCE, p, window=(1.2, 4 / 3), shift=1.27)
 
 
 def test_rational_residual_contract(mesh_seq, blocks_seq):
