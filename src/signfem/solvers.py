@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
+from scipy.linalg import eigh  # rebound by perfbench/tracing.py
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -303,19 +303,19 @@ def schur_action(pencil: MatrixPencil, lam: float, u: np.ndarray) -> np.ndarray:
     return S11 @ u - lam * (T11 @ u) - S12 @ v
 
 
-def _shift_invert(pencil: MatrixPencil, sigma: float, k: int,
-                  vectors: bool):
-    """The k eigenpairs nearest sigma.  A sigma on an eigenvalue fails the
-    factorization of S - sigma*T and raises; it is never moved."""
+def _shift_invert(pencil: MatrixPencil, sigma: float, k: int, vectors: bool):
+    """The k eigenpairs nearest sigma, as (values, vectors or None).  A sigma on
+    an eigenvalue fails the factor of S - sigma*T and raises; it is never moved."""
     n = pencil.S.shape[0]
     lu = _factorize(pencil.S - sigma * pencil.T, f"S - sigma*T at sigma={sigma}")
     try:
-        return spla.eigsh(pencil.S, k=min(k, n - 2), M=pencil.T, sigma=sigma,
-                          OPinv=lu.inverse(), v0=np.ones(n) / np.sqrt(n),
-                          return_eigenvectors=vectors)
+        out = spla.eigsh(pencil.S, k=min(k, n - 2), M=pencil.T, sigma=sigma,
+                         OPinv=lu.inverse(), v0=np.ones(n) / np.sqrt(n),
+                         return_eigenvectors=vectors)
     except ArpackNoConvergence as exc:  # partial results are not trustworthy
         raise SolverError(f"shift-invert at sigma={sigma} did not converge: "
                           f"{exc}") from exc
+    return out if vectors else (out, None)
 
 
 def _window(window: Tuple[float, float]) -> Tuple[float, float]:
@@ -325,22 +325,45 @@ def _window(window: Tuple[float, float]) -> Tuple[float, float]:
     return a, b
 
 
-def _nearest_in_window(pencil: MatrixPencil, window: Tuple[float, float],
-                       shift: float, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Up to count eigenpairs of S x = lam T x nearest the shift and inside
-    the window, sorted by lam: dense reduction below 3000 dofs, shift-invert
-    Lanczos above."""
+def _eigen_window(pencil: MatrixPencil, window: Tuple[float, float],
+                  shift: float, count: float, vectors: bool):
+    """The one eigen path: up to count eigenvalues of S x = lam T x in the
+    window, those nearest the shift, sorted, as (values, vectors or None).
+
+    T is SPD, so by Sylvester's law of inertia [a, b] holds n = nu_-(S - bT)
+    - nu_-(S - aT) eigenvalues.  If n <= count, one shift-invert Lanczos solve
+    at the midpoint asks for exactly n (more can stall in the clusters beside
+    the window), and all n must land in [a, b].  Else one solve at the shift
+    asks for count + 1; with r halfway between the count-th and (count+1)-th
+    distance, inertia must count the count values found in [shift - r,
+    shift + r].  Anything else, such as a skipped eigenvalue, raises
+    SolverError, as does an edge-pencil window strictly containing lam = 0,
+    where the plus-region gradient kernel (315 eigenvalues at L0) stalls ARPACK.
+    """
     a, b = _window(window)
     if not (a <= shift <= b):
         raise SolverError(f"shift {shift} outside window [{a}, {b}]")
-    if pencil.S.shape[0] <= 3000:
-        vals, vecs = eigh(pencil.S.toarray(), pencil.T.toarray())
-    else:
-        vals, vecs = _shift_invert(pencil, shift, count, vectors=True)
-    sel = np.flatnonzero((vals >= a) & (vals <= b))
-    sel = sel[np.argsort(np.abs(vals[sel] - shift))][:count]
+    if pencil.layout.kind == EDGE.kind and a < 0.0 < b:
+        raise SolverError(f"window [{a}, {b}] contains lam = 0, the edge "
+                          f"pencil's plus-region gradient kernel")
+    lo, hi = a, b
+    n = _negative_count(pencil, hi) - _negative_count(pencil, lo)
+    if n == 0:
+        return np.zeros(0), np.zeros((pencil.S.shape[0], 0)) if vectors else None
+    sigma, k = (0.5 * (a + b), n) if n <= count else (shift, count + 1)
+    vals, vecs = _shift_invert(pencil, sigma, k, vectors)
+    if n > count:
+        d = np.sort(np.abs(vals - sigma))
+        r = 0.5 * (d[count - 1] + d[count])
+        lo, hi = sigma - r, sigma + r
+        n = _negative_count(pencil, hi) - _negative_count(pencil, lo)
+    hit = (vals >= lo) & (vals <= hi)
+    if np.count_nonzero(hit) != n:
+        raise SolverError(f"[{lo}, {hi}]: inertia counts {n} eigenvalues, "
+                          f"shift-invert Lanczos found {np.count_nonzero(hit)}")
+    sel = np.flatnonzero(hit & (vals >= a) & (vals <= b))
     sel = sel[np.argsort(vals[sel])]
-    return vals[sel], vecs[:, sel]
+    return vals[sel], (vecs[:, sel] if vectors else None)
 
 
 def residual_evaluator(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
@@ -388,7 +411,8 @@ def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
                 mat: mats.DrudeMaterial, pencil: MatrixPencil,
                 window: Tuple[float, float], shift: float,
                 count: int = 8) -> List[EigenPair]:
-    """Eigenpairs of the edge pencil nearest the shift, kept inside the window.
+    """Up to count eigenpairs of the edge pencil in the window, those nearest
+    the shift, sorted by lam and certified by inertia (see _eigen_window).
 
     Every pair carries the rational-residual value and a Helmholtz
     classification of its edge part (curl energy fraction <= 1e-8 means
@@ -404,7 +428,7 @@ def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
         raise SolverError(
             f"shift {shift} within the guard band of the resonance pole "
             f"{lay.pole}")
-    vals, vecs = _nearest_in_window(pencil, window, shift, count)
+    vals, vecs = _eigen_window(pencil, window, shift, count, vectors=True)
 
     space = EdgeSpace(mesh)
     evaluate = residual_evaluator(mesh, blocks, mat)
@@ -429,16 +453,15 @@ def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
 
 def pencil_eigenvalues(pencil: MatrixPencil, window: Tuple[float, float],
                        shift: float, count: int = 8, vectors: bool = False):
-    """Eigenvalues nearest the shift and inside the window, sorted.
+    """Up to count eigenvalues in the window, those nearest the shift, sorted
+    and certified by inertia (see _eigen_window).
 
     Formulation-agnostic (works for both the edge and the scalar pencil);
     no residual filtering or classification is attempted.  With vectors=True
     the matching eigenvector columns come back alongside.
     """
-    vals, vecs = _nearest_in_window(pencil, window, shift, count)
-    if vectors:
-        return vals, vecs
-    return vals
+    vals, vecs = _eigen_window(pencil, window, shift, count, vectors)
+    return (vals, vecs) if vectors else vals
 
 
 def _negative_count(pencil: MatrixPencil, sigma: float) -> int:
@@ -459,25 +482,9 @@ def _negative_count(pencil: MatrixPencil, sigma: float) -> int:
 
 def count_eigen_window(pencil: MatrixPencil,
                        window: Tuple[float, float]) -> np.ndarray:
-    """All pencil eigenvalues inside the window, sorted, with a certified count.
-
-    T is SPD, so by Sylvester's law of inertia the window [a, b] holds
-    n = nu_-(S - bT) - nu_-(S - aT) eigenvalues.  They are the n nearest the
-    midpoint, found by one shift-invert Lanczos solve there for exactly n
-    values: more would pull in neighbouring, possibly highly multiple
-    clusters, where the iteration can stall.  The certificate:
-    the inertia count equals the Lanczos count, or SolverError is raised.
-    """
-    a, b = _window(window)
-    n = _negative_count(pencil, b) - _negative_count(pencil, a)
-    if n == 0:
-        return np.zeros(0)
-    vals = np.sort(_shift_invert(pencil, 0.5 * (a + b), n, vectors=False))
-    vals = vals[(vals >= a) & (vals <= b)]
-    if vals.size != n:
-        raise SolverError(f"window [{a}, {b}]: inertia counts {n} eigenvalues, "
-                          f"shift-invert Lanczos found {vals.size}")
-    return vals
+    """All pencil eigenvalues inside the window, sorted: _eigen_window with no
+    cap, so Lanczos at the midpoint must find the inertia count of the window."""
+    return _eigen_window(pencil, window, float(window[0]), np.inf, False)[0]
 
 
 def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],

@@ -1,6 +1,7 @@
 """Direct solves, the linearization pencil, eigenpairs, and inf-sup estimates."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -268,13 +269,26 @@ def test_count_window_matches_dense(mesh_seq, blocks_seq):
     assert np.allclose(got, dense, rtol=1e-8, atol=1e-9)
 
 
-def test_count_window_doubles_under_refinement(mesh_seq, blocks_seq):
-    # the discrete eigenvalues accumulate in the critical window: each red
-    # refinement doubles their number
-    counts = [len(sol.count_eigen_window(sol.build_pencil(m, bl, REFERENCE),
-                                         SPECTRUM_WINDOW))
-              for m, bl in zip(mesh_seq, blocks_seq)]
-    assert counts == [15, 30, 60]
+MU_WINDOW = (8 / 3, 200 / 51)
+
+
+@pytest.mark.parametrize("form, window, counts", [
+    (fem.EDGE, SPECTRUM_WINDOW, [15, 30, 60]),
+    (fem.SCALAR, SPECTRUM_WINDOW, [14, 29, 59]),
+    (fem.EDGE, MU_WINDOW, [1, 1, 1]),
+    (fem.SCALAR, MU_WINDOW, [1, 1, 1]),
+    (fem.EDGE, (2.1, 3.0), [2, 2, 2]),
+    (fem.SCALAR, (2.1, 3.0), [2, 2, 2]),
+], ids=["edge-eps", "scalar-eps", "edge-mu", "scalar-mu", "edge-gap", "scalar-gap"])
+def test_count_window_exact_under_refinement(mesh_seq, blocks_seq, form, window,
+                                             counts):
+    # the discrete eigenvalues accumulate in the permittivity-critical window,
+    # where each red refinement doubles their number; the permeability-critical
+    # window and the admissible gap hold the same few at every level
+    got = [len(sol.count_eigen_window(sol.build_pencil(m, bl, REFERENCE, form=form),
+                                      window))
+           for m, bl in zip(mesh_seq, blocks_seq)]
+    assert got == counts
 
 
 def test_count_window_empty(mesh_seq, blocks_seq):
@@ -287,7 +301,7 @@ def test_count_window_mu_critical_single_value(mesh_seq, blocks_seq):
     # the permeability-critical window holds one eigenvalue; Lanczos asks for
     # exactly that one, not for extras from the clusters beside the window
     windows = mats.critical_lambda_windows(REFERENCE, 5)
-    assert np.allclose(windows.window_mu, (8 / 3, 200 / 51), rtol=1e-15, atol=0)
+    assert np.allclose(windows.window_mu, MU_WINDOW, rtol=1e-15, atol=0)
     p = sol.build_pencil(mesh_seq[0], blocks_seq[0], REFERENCE)
     got = sol.count_eigen_window(p, windows.window_mu)
     assert got.shape == (1,)
@@ -317,9 +331,9 @@ def test_count_window_rejects_off_diagonal_pivots(mesh_seq, blocks_seq,
 
 def test_shift_invert_failure_names_sigma(mesh_seq, blocks_seq, monkeypatch):
     # a shift on an eigenvalue makes S - sigma*T singular: the solve must
-    # fail naming the shift it was given, not move it and retry
-    p = sol.build_pencil(mesh_seq[1], blocks_seq[1], REFERENCE)
-    assert p.S.shape[0] > 3000   # the shift-invert branch, not the dense one
+    # fail naming the shift it was given, not move it and retry.  The first
+    # factor is the inertia factor at the window's upper edge.
+    p = sol.build_pencil(mesh_seq[0], blocks_seq[0], REFERENCE)
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
@@ -333,9 +347,47 @@ def test_shift_invert_failure_names_sigma(mesh_seq, blocks_seq, monkeypatch):
 
     monkeypatch.setattr(sol.spla, "splu", singular)
     monkeypatch.setattr(sol.spla, "eigsh", eigsh)
-    with pytest.raises(sol.SolverError, match=r"sigma=1\.27: Factor is exactly singular"):
+    with pytest.raises(sol.SolverError,
+                       match=r"sigma=1\.3333333333333333: Factor is exactly singular"):
         sol.pencil_eigenvalues(p, (1.2, 4 / 3), shift=1.27)
     assert calls == []
+
+
+@pytest.mark.parametrize("level, window, shift, count", [
+    (0, (1.2, 4 / 3), 1.27, 8),       # 2 in the window: solve at the midpoint
+    (1, SPECTRUM_WINDOW, 1.6, 24),    # 30 in the window: solve at the shift
+], ids=["L0-midpoint", "L1-shift"])
+def test_certificate_catches_skipped_eigenvalue(mesh_seq, blocks_seq, monkeypatch,
+                                                level, window, shift, count):
+    # a Lanczos run that skips the eigenvalue nearest its shift: ARPACK is
+    # asked for one value more and that one is dropped, so the right number
+    # comes back with a hole in it; only the inertia certificate sees it
+    real_eigsh = sol.spla.eigsh
+
+    def skipping(A, k, sigma, return_eigenvectors, **kwargs):
+        out = real_eigsh(A, k=k + 1, sigma=sigma,
+                         return_eigenvectors=return_eigenvectors, **kwargs)
+        vals = out[0] if return_eigenvectors else out
+        keep = np.arange(vals.size) != np.argmin(np.abs(vals - sigma))
+        return (vals[keep], out[1][:, keep]) if return_eigenvectors else vals[keep]
+
+    p = sol.build_pencil(mesh_seq[level], blocks_seq[level], REFERENCE)
+    monkeypatch.setattr(sol.spla, "eigsh", skipping)
+    with pytest.raises(sol.SolverError, match="inertia counts"):
+        sol.pencil_eigenvalues(p, window, shift=shift, count=count)
+
+
+def test_edge_window_around_zero_fails_at_once(mesh_seq, blocks_seq):
+    # lam = 0 carries the plus-region gradient kernel of the edge pencil (315
+    # eigenvalues at L0), where shift-invert Lanczos stalls for thousands of
+    # iterations; such a window must raise before any factor or solve
+    p = sol.build_pencil(mesh_seq[0], blocks_seq[0], REFERENCE)
+    t0 = time.perf_counter()
+    with pytest.raises(sol.SolverError, match="plus-region gradient kernel"):
+        sol.pencil_eigenvalues(p, (-0.1, 0.3), shift=0.1)
+    with pytest.raises(sol.SolverError, match="plus-region gradient kernel"):
+        sol.count_eigen_window(p, (-0.1, 0.3))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_eigen_residual_failure_raises(mesh_seq, blocks_seq, monkeypatch):
