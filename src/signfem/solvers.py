@@ -17,16 +17,17 @@ blocks and its material roles from that row of the formulation table.
 
 Every sparse factorization goes through _factorize, with one policy: a
 reverse Cuthill-McKee pre-order, then SuperLU in SymmetricMode with ordering
-MMD_AT_PLUS_A and diag_pivot_thresh=0.  Each matrix factored here (A(lam), the
-Grams, S - sigma*T) is symmetric, and with the pivots on the diagonal
-(perm_r == perm_c) diag(U) is the D of LDL^T, whose signs certify window
-counts.  Fill at L4: A(1) 32.6 M with COLAMD, 11.8 M now; the P1 scalar
-operator 11.9 M and 8.8 M.  MMD breaks ties in input order, and on the mesh's
-own numbering it fills those two to 15.2 M and 19.0 M, hence the pre-order.
-The threshold must be 0: at 0.01 SuperLU pivots off the diagonal on the L1
-and L2 pencils and the inertia comes out wrong; with partial pivoting the
-ordering did not finish at L4 in 10 min.  ARPACK gets these factors through
-OPinv and Minv and builds none of its own.
+MMD_AT_PLUS_A and diag_pivot_thresh=0.  Each matrix factored here (A(lam),
+S - sigma*T, and the Gram of residual_evaluator, the only Gram factored) is
+symmetric, and with the pivots on the diagonal (perm_r == perm_c) diag(U) is
+the D of LDL^T, whose signs certify window counts.  Fill at L4: A(1) 32.6 M
+with COLAMD, 11.8 M now; the P1 scalar operator 11.9 M and 8.8 M.  MMD breaks
+ties in input order, and on the mesh's own numbering it fills those two to
+15.2 M and 19.0 M, hence the pre-order.  The threshold must be 0: at 0.01
+SuperLU pivots off the diagonal on the L1 and L2 pencils and the inertia
+comes out wrong; with partial pivoting the ordering did not finish at L4 in
+10 min.  ARPACK gets these factors through OPinv and builds none of its own;
+its M is only ever multiplied.
 """
 
 from __future__ import annotations
@@ -490,50 +491,43 @@ def count_eigen_window(pencil: MatrixPencil,
 def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
                     mat: mats.DrudeMaterial, lam: float,
                     level: int = 0) -> InfSupEstimate:
-    """Smallest generalized singular value of A(lam) in the H(curl) Gram.
+    """Smallest generalized singular value of A(lam) in the H(curl) Gram G.
 
-    beta_n^2 is the smallest eigenvalue of A G^-1 A x = beta^2 G x; its
-    inverse is the largest eigenvalue of the G-self-adjoint operator
-    G A^-1 G A^-1 G, computed by Lanczos iteration on the factorizations of A
-    and G.  Every failure raises SolverError naming lam and the cause: a
-    factorization that fails (A(lam) singular to working precision),
-    a Lanczos iteration that does not converge (a partial Ritz value
-    underestimates the largest eigenvalue and so overstates beta_n), and a
-    largest eigenvalue that is not finite and positive.
+    For symmetric A(lam), beta_n is the smallest |mu| of A x = mu G x, set by
+    the discrete eigenvalue nearest lam.  One shift-invert Lanczos solve at
+    sigma = 0 finds its vector x, each step one solve with the factor of
+    A(lam) and one product with G, which is never factored.  beta_n is the
+    Rayleigh quotient |x^T A x| / (x^T G x) with both products in longdouble,
+    not the Ritz value: its error is quadratic in that of x, and it uses the
+    exact A, not the unpivoted LDL^T of an indefinite A(lam).
 
-    For symmetric A(lam), beta_n is the smallest |mu| of A x = mu G x: how far
-    A(lam) is from singular in the Gram norm, so it is set by the discrete
-    eigenvalue nearest lam.  At an admissible lam it stays bounded below under
-    refinement.  At a critical contrast (kappa = -1) discrete eigenvalues
-    accumulate at lam, so beta_n tends to zero with h, but not monotonically:
-    one refinement can move the nearest eigenvalue away and raise beta_n.
+    Every failure raises SolverError naming lam and the cause: a failed
+    factorization (A(lam) singular to working precision), an unconverged
+    Lanczos iteration, or a quotient that is not finite and positive.
+
+    At an admissible lam beta_n stays bounded below under refinement.  At a
+    critical contrast (kappa = -1) discrete eigenvalues accumulate at lam, so
+    beta_n tends to zero with h, but not monotonically: one refinement can
+    move the nearest eigenvalue away and raise beta_n.
     """
     space = EdgeSpace(mesh)
     A = fem.assemble_A(blocks, mat, lam, space)
     G = xnorm_gram(blocks, space)
     luA = _factorize(A, f"inf-sup A(lam) at lam={lam}")
-    luG = _factorize(G, f"inf-sup Gram at lam={lam}")
-
     n = A.shape[0]
-
-    def solve(b):  # one refinement step: A(lam) is indefinite, its LDL^T unpivoted
-        x = luA.solve(b)
-        return x + luA.solve(b - A @ x)
-
-    def action(x):
-        return G @ solve(G @ solve(G @ x))
-
-    op = spla.LinearOperator((n, n), matvec=action, dtype=float)
-    v0 = np.ones(n) / np.sqrt(n)
     try:
-        theta = spla.eigsh(op, k=1, M=G, Minv=luG.inverse(), which="LA",
-                           v0=v0, tol=1e-10, return_eigenvectors=False)[0]
+        _, vecs = spla.eigsh(A, k=1, M=G, sigma=0.0, OPinv=luA.inverse(),
+                             v0=np.ones(n) / np.sqrt(n))
     except ArpackNoConvergence as exc:
         raise SolverError(
             f"inf-sup iteration did not converge at lam={lam}; "
             f"{len(exc.eigenvalues)} partial Ritz values discarded") from exc
-    if not np.isfinite(theta) or theta <= 0:
+    x = vecs[:, 0].astype(np.longdouble)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        beta = float(abs(x @ (A.astype(np.longdouble) @ x))
+                     / (x @ (G.astype(np.longdouble) @ x)))
+    if not np.isfinite(beta) or beta <= 0:
         raise SolverError(
-            f"inf-sup iteration at lam={lam} returned the largest eigenvalue "
-            f"{theta}, which is not finite and positive")
-    return InfSupEstimate(lam, float(1.0 / np.sqrt(theta)), level)
+            f"inf-sup iteration at lam={lam} returned beta_n = {beta}, "
+            f"which is not finite and positive")
+    return InfSupEstimate(lam, beta, level)

@@ -208,6 +208,38 @@ def test_refine_red(coarse):
     assert min_angles(r).min() == pytest.approx(min_angles(m).min(), rel=1e-9)
 
 
+def _edge_reference(mesh):
+    """Edge numbering by np.unique over the sorted (lo, hi) rows."""
+    pairs = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)],
+                     axis=2).reshape(-1, 2)
+    edges, inverse = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
+    tri_edges = inverse.reshape(-1, 3)
+    signs = np.where(pairs[:, 0] < pairs[:, 1], 1, -1).reshape(-1, 3)
+    boundary = np.bincount(tri_edges.ravel(), minlength=len(edges)) == 1
+    return edges, tri_edges, signs, boundary
+
+
+def _renumbered(mesh, seed):
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.num_vertices)      # old vertex id -> new id
+    order = rng.permutation(mesh.num_triangles)
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    return Mesh(verts, perm[mesh.triangles[order]], mesh.region[order],
+                mesh.patch_kind[order], mesh.patch_index[order])
+
+
+def test_edge_numbering_matches_row_unique(coarse):
+    meshes = [coarse, refine_red(coarse), refine_red(refine_red(coarse))]
+    for m in meshes + [_renumbered(meshes[1], seed=3)]:
+        edges, tri_edges, signs, boundary = _edge_reference(m)
+        assert m.edges.dtype == m.tri_edges.dtype == np.int32
+        assert np.array_equal(m.edges, edges)
+        assert np.array_equal(m.tri_edges, tri_edges)
+        assert np.array_equal(m.tri_edge_signs, signs)
+        assert np.array_equal(m.boundary_edge, boundary)
+
+
 def test_mesh_io_roundtrip(coarse, tmp_path):
     path = tmp_path / "coarse.mesh"
     mesh_write(coarse, path)

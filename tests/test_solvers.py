@@ -451,7 +451,7 @@ def test_infsup_coercive_value_is_unit(mesh_seq, blocks_seq):
         est = sol.discrete_infsup(mesh_seq[lvl], blocks_seq[lvl],
                                   CONTRAST_TEN, -1.0, level=lvl)
         assert est.level == lvl
-        assert abs(est.beta_n - 1.0) <= 1e-8
+        assert abs(est.beta_n - 1.0) <= 1e-13
 
 
 def test_infsup_critical_contrast_decays(mesh_seq, blocks_seq):
@@ -513,7 +513,67 @@ def test_infsup_rejects_failed_factorization(mesh_seq, blocks_seq, monkeypatch):
 
 
 def test_infsup_rejects_nonpositive_eigenvalue(mesh_seq, blocks_seq, monkeypatch):
-    # a largest eigenvalue <= 0 has no inverse square root to report
-    monkeypatch.setattr(sol.spla, "eigsh", lambda *args, **kwargs: np.array([0.0]))
+    # a zero vector has the Rayleigh quotient 0/0: no beta_n to report
+    monkeypatch.setattr(sol.spla, "eigsh", lambda A, *args, **kwargs:
+                        (np.array([0.0]), np.zeros((A.shape[0], 1))))
     with pytest.raises(sol.SolverError, match="lam=2.2 .*not finite and positive"):
         sol.discrete_infsup(mesh_seq[0], blocks_seq[0], CONTRAST_TEN, 2.2)
+
+
+def _refined_infsup(m, bl, mat, lam):
+    """Reference beta_n: the longdouble Rayleigh quotient |x^T A x| / x^T G x,
+    smallest over the 3 eigenvectors of A x = mu G x nearest 0, from a
+    shift-invert solve to full ARPACK precision whose every A-solve takes three
+    refinement steps with a longdouble residual."""
+    space = EdgeSpace(m)
+    A = fem.assemble_A(bl, mat, lam, space)
+    G = sol.xnorm_gram(bl, space)
+    lu = sol._factorize(A, "reference A(lam)")
+    Ax, Gx = A.astype(np.longdouble), G.astype(np.longdouble)
+
+    def solve(b):
+        bx = b.astype(np.longdouble)
+        x = lu.solve(b).astype(np.longdouble)
+        for _ in range(3):
+            x = x + lu.solve(np.asarray(bx - Ax @ x, dtype=np.float64))
+        return np.asarray(x, dtype=np.float64)
+
+    n = A.shape[0]
+    op = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    _, vecs = spla.eigsh(A, k=3, M=G, sigma=0.0, OPinv=op, v0=v0, tol=0)
+    xs = vecs.T.astype(np.longdouble)
+    return min(float(abs(x @ (Ax @ x)) / (x @ (Gx @ x))) for x in xs)
+
+
+@pytest.mark.parametrize("lam, levels, tol", [
+    (1.0, (0, 1), 1e-13), (2.2, (0, 1), 1e-13),
+    (20 / 11, (1,), 1e-9),     # critical: A(lam) is nearly singular
+])
+def test_infsup_is_the_rayleigh_quotient(mesh_seq, blocks_seq, lam, levels, tol):
+    for lvl in levels:
+        m, bl = mesh_seq[lvl], blocks_seq[lvl]
+        ref = _refined_infsup(m, bl, CONTRAST_TEN, lam)
+        est = sol.discrete_infsup(m, bl, CONTRAST_TEN, lam, level=lvl)
+        assert abs(est.beta_n - ref) <= tol * ref
+
+
+def test_infsup_factors_once(mesh_seq, blocks_seq, monkeypatch):
+    # one factor of A(lam); the Gram is only multiplied, never factored
+    splu_calls, eigsh_kwargs = [], []
+    real_splu, real_eigsh = spla.splu, spla.eigsh
+
+    def splu(*args, **kwargs):
+        splu_calls.append(args)
+        return real_splu(*args, **kwargs)
+
+    def eigsh(*args, **kwargs):
+        eigsh_kwargs.append(kwargs)
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(sol.spla, "splu", splu)
+    monkeypatch.setattr(sol.spla, "eigsh", eigsh)
+    est = sol.discrete_infsup(mesh_seq[0], blocks_seq[0], CONTRAST_TEN, 2.2)
+    assert est.beta_n > 0
+    assert len(splu_calls) == 1
+    assert eigsh_kwargs and all("Minv" not in kw for kw in eigsh_kwargs)
