@@ -67,10 +67,11 @@ class Mesh:
         # local edge j = (v_j, v_{j+1}); sign +1 when stored low->high
         pairs = np.stack([tri, np.roll(tri, -1, axis=1)], axis=2).reshape(-1, 2)
         signs = np.where(pairs[:, 0] < pairs[:, 1], 1, -1).astype(np.int8)
-        # key lo*V + hi sorts like the rows (lo, hi); int64, as V^2 > 2^31 at L4
-        nv = np.int64(len(ver))
-        key, inverse = np.unique(pairs.min(axis=1) * nv + pairs.max(axis=1),
-                                 return_inverse=True)
+        # key lo*V + hi sorts like the rows (lo, hi); int64 before the product,
+        # as V^2 > 2^31 at L4 (NumPy 1.x keeps int32 * int64 scalar in int32)
+        nv = len(ver)
+        lo, hi = np.sort(pairs, axis=1).astype(np.int64).T
+        key, inverse = np.unique(lo * nv + hi, return_inverse=True)
         edges = np.stack([key // nv, key % nv], axis=1)
         put("edges", edges.astype(np.int32))
         put("tri_edges", inverse.reshape(-1, 3).astype(np.int32))

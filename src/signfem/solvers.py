@@ -517,7 +517,7 @@ def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     n = A.shape[0]
     try:
         _, vecs = spla.eigsh(A, k=1, M=G, sigma=0.0, OPinv=luA.inverse(),
-                             v0=np.ones(n) / np.sqrt(n))
+                             v0=np.ones(n) / np.sqrt(n), tol=1e-10)
     except ArpackNoConvergence as exc:
         raise SolverError(
             f"inf-sup iteration did not converge at lam={lam}; "

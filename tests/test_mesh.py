@@ -240,6 +240,25 @@ def test_edge_numbering_matches_row_unique(coarse):
         assert np.array_equal(m.boundary_edge, boundary)
 
 
+def test_edge_numbering_past_int32_key():
+    # a 2 x 25,000 vertex strip: lo*V + hi exceeds 2^31 on its last edges
+    n = 25_000
+    x = np.arange(n, dtype=float)
+    verts = np.concatenate([np.stack([x, np.zeros(n)], axis=1),
+                            np.stack([x, np.ones(n)], axis=1)])
+    i = np.arange(n - 1)
+    tris = np.concatenate([np.stack([i, i + 1, n + i + 1], axis=1),
+                           np.stack([i, n + i + 1, n + i], axis=1)])
+    m = Mesh(verts, tris, np.zeros(len(tris)), np.zeros(len(tris)),
+             np.zeros(len(tris)))
+    assert int(m.edges[:, 0].max()) * m.num_vertices > 2**31
+    edges, tri_edges, signs, boundary = _edge_reference(m)
+    assert np.array_equal(m.edges, edges)
+    assert np.array_equal(m.tri_edges, tri_edges)
+    assert np.array_equal(m.tri_edge_signs, signs)
+    assert np.array_equal(m.boundary_edge, boundary)
+
+
 def test_mesh_io_roundtrip(coarse, tmp_path):
     path = tmp_path / "coarse.mesh"
     mesh_write(coarse, path)
