@@ -66,7 +66,6 @@ class ExperimentConfig:
     threshold: Number = Fraction(4, 3)
     source: Tuple[float, float] = (1.0, 1.0)
     fixture: str = "none"
-    seed: int = 0
     allow_critical: bool = False
     # output
     out_dir: str = "out"
@@ -171,7 +170,6 @@ _SCHEMA = {
     ("experiment", "threshold"): ("threshold", _coerce_number),
     ("experiment", "source"): ("source", lambda s: tuple(map(float, _coerce_pair(s)))),
     ("experiment", "fixture"): ("fixture", str.strip),
-    ("experiment", "seed"): ("seed", lambda s: int(s.strip())),
     ("experiment", "allow_critical"): ("allow_critical", _coerce_bool),
     ("output", "dir"): ("out_dir", str.strip),
 }

@@ -3,7 +3,7 @@ eigenvalue convergence, and the stability/reflection diagnostics.
 
 Every runner takes an ExperimentConfig, fans the per-level (or per-
 formulation) solves out to a thread pool, and assembles the output table
-serially afterwards, so CSV bytes depend only on config + seed.  Tables all
+serially afterwards, so CSV bytes depend only on the config.  Tables all
 carry (level, h_max, dofs, ...) rows; h_max halves exactly per level because
 refinement is red.
 
@@ -116,7 +116,7 @@ def _pool_map(task: Callable, items: Sequence) -> list:
 
 def _base_metadata(cfg: ExperimentConfig) -> List[Tuple[str, str]]:
     return [("kind", cfg.kind), ("domain", cfg.domain),
-            ("levels", str(cfg.levels)), ("seed", str(cfg.seed))]
+            ("levels", str(cfg.levels))]
 
 
 def manufactured_solution(lam: float):
@@ -463,7 +463,7 @@ def export_field(field: FeField, path, format: str = "csv") -> Path:
         f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.num_vertices} double\n")
         for x, y in mesh.vertices:
-            f.write(f"{x!r} {y!r} 0.0\n")
+            f.write(f"{_fmt(x)} {_fmt(y)} 0.0\n")
         T = mesh.num_triangles
         f.write(f"CELLS {T} {4 * T}\n")
         for a, b, c in mesh.triangles:
@@ -473,8 +473,8 @@ def export_field(field: FeField, path, format: str = "csv") -> Path:
         f.write(f"CELL_DATA {T}\n")
         f.write("VECTORS field double\n")
         for t in range(T):
-            f.write(f"{vals[t, 0]!r} {vals[t, 1]!r} 0.0\n")
+            f.write(f"{_fmt(vals[t, 0])} {_fmt(vals[t, 1])} 0.0\n")
         f.write("SCALARS curl double 1\nLOOKUP_TABLE default\n")
         for t in range(T):
-            f.write(f"{curls[t]!r}\n")
+            f.write(f"{_fmt(curls[t])}\n")
     return path

@@ -20,12 +20,12 @@ from . import materials as mats
 from .mesh import Mesh
 
 __all__ = [
-    "ScalarSpace", "EdgeSpace", "AuxCurlSpace", "FeField", "FemError",
+    "ScalarSpace", "EdgeSpace", "FeField", "FemError",
     "Formulation", "EDGE", "SCALAR", "assemble_blocks", "gradient_map",
     "assemble_A", "assemble_rhs", "assemble_scalar_problem",
     "field_norms", "scalar_norms", "potential_flux",
     "cross_error", "eval_cellwise", "error_vs_exact", "interpolate_edge",
-    "edge_prolongation", "scalar_prolongation", "field_write", "field_read",
+    "edge_prolongation", "scalar_prolongation",
     "MID_RULE", "STRANG_RULE",
 ]
 
@@ -117,22 +117,6 @@ class EdgeSpace(_FreeDofs):
         if not self.clamp:
             return self.mesh.num_edges
         return int((~self.mesh.boundary_edge).sum())
-
-
-@dataclass(frozen=True, eq=False)
-class AuxCurlSpace:
-    """Piecewise constants on the minus-region triangles (= curls of the edge
-    space restricted there)."""
-
-    mesh: Mesh
-
-    @property
-    def triangles(self) -> np.ndarray:
-        return np.flatnonzero(self.mesh.region == -1)
-
-    @property
-    def ndof(self) -> int:
-        return len(self.triangles)
 
 
 @dataclass
@@ -232,8 +216,7 @@ def assemble_blocks(mesh: Mesh) -> Dict[str, sp.csr_matrix]:
         blocks[f"Ks_{name}"] = _scatter(rows_v[sel], cols_v[sel], Ksel[sel], (V, V))
         blocks[f"Ms_{name}"] = _scatter(rows_v[sel], cols_v[sel], Msel[sel], (V, V))
 
-    aux = AuxCurlSpace(mesh)
-    tm = aux.triangles
+    tm = np.flatnonzero(mesh.region == -1)
     rows_c = np.repeat(np.arange(len(tm)), 3)
     cols_c = ge[tm].ravel()
     # int_T curl w_e = area * (1/area): exactly the orientation sign
@@ -552,63 +535,3 @@ def scalar_prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     cols = np.concatenate([np.arange(V), coarse.edges.ravel()])
     vals = np.concatenate([np.ones(V), np.full(2 * E, 0.5)])
     return sp.csr_matrix((vals, (rows, cols)), shape=(fine.num_vertices, V))
-
-
-_SPACE_TAGS = {ScalarSpace: "scalar", EdgeSpace: "edge", AuxCurlSpace: "aux"}
-
-
-def field_write(path, field: FeField) -> None:
-    """Plain-text field file: space tag, dof count, then one `i re im` row
-    per coefficient."""
-    coeffs = np.asarray(field.coeffs)
-    if isinstance(field.space, str):
-        tag = field.space if field.space in _SPACE_TAGS.values() else None
-    else:
-        tag = _SPACE_TAGS.get(type(field.space))
-    if tag is None:
-        raise FemError(f"unknown field space {field.space!r}")
-    with open(path, "w") as f:
-        f.write("signfem-field v1\n")
-        f.write(f"space {tag}\n")
-        f.write("lam " + ("none" if field.lam is None else repr(float(field.lam))) + "\n")
-        f.write(f"description {field.description}\n")
-        f.write(f"dofs {len(coeffs)}\n")
-        for i, c in enumerate(coeffs):
-            c = complex(c)
-            f.write(f"{i} {c.real!r} {c.imag!r}\n")
-
-
-def field_read(path) -> FeField:
-    """Read a field file back; the space slot holds the bare tag string (the
-    caller re-binds it to a space on the right mesh)."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-
-    def fail(lineno, msg):
-        raise FemError(f"{path}, line {lineno + 1}: {msg}")
-
-    if not lines or lines[0].strip() != "signfem-field v1":
-        fail(0, "expected header 'signfem-field v1'")
-    head = {}
-    ln = 1
-    for key in ("space", "lam", "description", "dofs"):
-        if ln >= len(lines) or not lines[ln].startswith(key + " "):
-            fail(ln, f"expected '{key} ...'")
-        head[key] = lines[ln][len(key) + 1:]
-        ln += 1
-    if head["space"] not in _SPACE_TAGS.values():
-        fail(1, f"unknown space tag {head['space']!r}")
-    lam = None if head["lam"] == "none" else float(head["lam"])
-    try:
-        n = int(head["dofs"])
-    except ValueError:
-        fail(4, f"bad dof count {head['dofs']!r}")
-    coeffs = np.zeros(n, dtype=complex)
-    for row in range(n):
-        parts = lines[ln + row].split() if ln + row < len(lines) else []
-        if len(parts) != 3 or int(parts[0]) != row:
-            fail(ln + row, "expected 'index re im'")
-        coeffs[row] = float(parts[1]) + 1j * float(parts[2])
-    if not np.any(coeffs.imag):
-        coeffs = coeffs.real
-    return FeField(head["space"], coeffs, lam, head["description"])

@@ -85,13 +85,15 @@ class CornerPattern:
         a = self.ray_angle(j)
         return np.array(self.corner) + radius * np.array([math.cos(a), math.sin(a)])
 
-    def local_angle(self, point) -> float:
+    def local_angle(self, point):
+        """Local angle of one point (2,) or many (N,2)."""
         d = np.asarray(point, dtype=float) - np.asarray(self.corner)
-        return (math.atan2(d[1], d[0]) - self.frame_angle) % TWO_PI
+        return (np.arctan2(d[..., 1], d[..., 0]) - self.frame_angle) % TWO_PI
 
-    def sector_of(self, point) -> int:
-        """Sector index of a point (by its local angle; corner itself maps to 0)."""
-        return min(int(self.local_angle(point) / self.beta), self.p - 1)
+    def sector_of(self, point):
+        """Sector index of one point (2,) or many (N,2), by local angle; the
+        corner itself maps to 0."""
+        return np.minimum((self.local_angle(point) / self.beta).astype(int), self.p - 1)
 
     def is_minus_sector(self, j: int) -> bool:
         return j >= self.p_plus
@@ -446,11 +448,6 @@ class DomainSpec:
         poly = self.interface_polygon
         return tuple((poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly)))
 
-    @property
-    def rect_bounds(self) -> tuple[float, float, float, float]:
-        (x0, y0), (x1, y1) = self.outer_rect
-        return x0, y0, x1, y1
-
 
 def make_reference_domain(patch_radius: float = 0.3,
                           patch_halfwidth: float | None = None) -> DomainSpec:
@@ -461,47 +458,3 @@ def make_reference_domain(patch_radius: float = 0.3,
     return DomainSpec(outer_rect=((-0.5, -0.5), (1.5, 1.3)), interface_polygon=tri,
                       patch_radius_corner=patch_radius,
                       patch_halfwidth_edge=patch_halfwidth)
-
-
-def write_domain(spec: DomainSpec, path) -> None:
-    """Plain-text domain file: one item per line, full float precision."""
-    lines = ["signfem-domain v1"]
-    for tag, (px, py) in (("rect-lo", spec.outer_rect[0]), ("rect-hi", spec.outer_rect[1])):
-        lines.append(f"{tag} {px!r} {py!r}")
-    for px, py in spec.interface_polygon:
-        lines.append(f"corner {px!r} {py!r}")
-    lines.append(f"patch-radius-corner {spec.patch_radius_corner!r}")
-    lines.append(f"patch-halfwidth-edge {spec.patch_halfwidth_edge!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_domain(path) -> DomainSpec:
-    rect_lo = rect_hi = None
-    corners: list[tuple[float, float]] = []
-    radius = halfwidth = None
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "signfem-domain v1":
-            raise GeometryError(f"not a domain file (header {header!r})")
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            tag, vals = parts[0], [float(v) for v in parts[1:]]
-            if tag == "rect-lo":
-                rect_lo = (vals[0], vals[1])
-            elif tag == "rect-hi":
-                rect_hi = (vals[0], vals[1])
-            elif tag == "corner":
-                corners.append((vals[0], vals[1]))
-            elif tag == "patch-radius-corner":
-                radius = vals[0]
-            elif tag == "patch-halfwidth-edge":
-                halfwidth = vals[0]
-            else:
-                raise GeometryError(f"unknown domain file tag {tag!r}")
-    if rect_lo is None or rect_hi is None or radius is None or not corners:
-        raise GeometryError("incomplete domain file")
-    return DomainSpec(outer_rect=(rect_lo, rect_hi), interface_polygon=tuple(corners),
-                      patch_radius_corner=radius, patch_halfwidth_edge=halfwidth)

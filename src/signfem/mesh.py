@@ -1,10 +1,14 @@
-"""Triangle mesh structure, red refinement, reflection-conformity checking,
-and the plain-text mesh format.
+"""Triangle mesh structure, red refinement, fold images and the
+reflection-conformity check, and the plain-text mesh format.
 
 Triangles carry a region label (+1/-1) and a patch membership (none, corner n,
 edge n); every triangle must lie entirely inside one region.  Edges are
 deduplicated with global low->high orientation, which the edge-element
-assembly relies on.
+assembly relies on, and sorted by the key lo*V + hi.
+
+fold_images is the one place where the images of patch triangles under the
+corner fold maps and edge mirrors are matched to mesh vertices: the
+conformity check and the reflection operators both read it.
 """
 
 from __future__ import annotations
@@ -127,6 +131,87 @@ def refine_red(mesh: Mesh) -> Mesh:
 
 
 # ---------------------------------------------------------------------------
+# fold images
+
+
+_PATCH_KINDS = {"corner": PATCH_CORNER, "edge": PATCH_EDGE}
+
+
+def _patch_sides(mesh: Mesh, pattern: Tuple[str, int],
+                 direction: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Triangle ids of one patch: (defined side, other side).  Direction "+"
+    defines the minus side from plus-side data, "-" the reverse."""
+    kind, n = pattern
+    if kind not in _PATCH_KINDS:
+        raise MeshError(f"unknown pattern kind {kind!r}")
+    if direction not in ("+", "-"):
+        raise MeshError(f"direction must be '+' or '-', got {direction!r}")
+    in_patch = (mesh.patch_kind == _PATCH_KINDS[kind]) & (mesh.patch_index == n)
+    side = -1 if direction == "+" else 1
+    return (np.flatnonzero(in_patch & (mesh.region == side)),
+            np.flatnonzero(in_patch & (mesh.region == -side)))
+
+
+@dataclass(frozen=True, eq=False)
+class FoldImages:
+    """Where the defined-side triangles of one patch land under their maps.
+
+    One row per (triangle, map of the triangle's sector), ordered by triangle
+    and then map: vertex[r, j] is the other-side patch vertex nearest the
+    image of vertex j of triangle tri[r] under maps[map[r]], dist[r, j] the
+    distance between them.  other_vertices holds the sorted ids of all
+    other-side patch vertices, the candidates of that search.
+    """
+
+    maps: Tuple[geo.SectorMap, ...]
+    defined: np.ndarray
+    other: np.ndarray
+    other_vertices: np.ndarray
+    tri: np.ndarray
+    map: np.ndarray
+    vertex: np.ndarray
+    dist: np.ndarray
+
+
+def fold_images(mesh: Mesh, domain: geo.DomainSpec, pattern: Tuple[str, int],
+                direction: str) -> FoldImages:
+    """Fold images of the patch pattern ("corner", n) or ("edge", n).
+
+    Corner patterns use the fold maps of geo.fold_maps ("+" plus-to-minus,
+    "-" minus-to-plus), each applied to the defined-side triangles of its
+    source sector; edge patterns use the one mirror for every triangle.  An
+    empty patch gives no maps; a patch with one side empty gives no rows.
+    Raises geo.GeometryError for a corner whose sector counts are both even.
+    """
+    defined, other = _patch_sides(mesh, pattern, direction)
+    kind, n = pattern
+    if not (len(defined) or len(other)):
+        maps = ()
+    elif kind == "corner":
+        corner = domain.patterns[n]
+        maps = geo.fold_maps(corner, "plus-to-minus" if direction == "+"
+                             else "minus-to-plus")
+        sector = corner.sector_of(mesh.barycenters()[defined])
+    else:
+        maps = (geo.edge_reflection(*domain.edges[n]),)
+        sector = np.full(len(defined), -1)
+    other_vertices = np.unique(mesh.triangles[other])
+    rows = [(np.empty(0, int), np.empty(0, int), np.empty((0, 3), int), np.empty((0, 3)))]
+    if len(other):
+        tree = cKDTree(mesh.vertices[other_vertices])
+        for k, m in enumerate(maps):
+            t = defined[sector == m.source_sector]
+            image = m(mesh.vertices[mesh.triangles[t]])
+            ids = other_vertices[tree.query(image)[1]]
+            rows.append((t, np.full(len(t), k), ids,
+                         np.linalg.norm(mesh.vertices[ids] - image, axis=-1)))
+    tri, map_of, vertex, dist = (np.concatenate(c) for c in zip(*rows))
+    order = np.lexsort((map_of, tri))
+    return FoldImages(tuple(maps), defined, other, other_vertices, tri[order],
+                      map_of[order], vertex[order], dist[order])
+
+
+# ---------------------------------------------------------------------------
 # reflection conformity (Definition-3 style checking)
 
 
@@ -140,92 +225,46 @@ class ConformityReport:
         return self.passed
 
 
-def _match_set(image: np.ndarray, cand: np.ndarray, tol: float) -> float:
-    """Greatest vertex distance when matching the image triangle onto cand."""
-    worst = 0.0
-    for pt in image:
-        d = np.min(np.linalg.norm(cand - pt, axis=1))
-        if d > tol:
-            return np.inf
-        worst = max(worst, d)
-    return worst
-
-
-def _check_map_set(mesh, src_ids, maps_by_sector, tgt_ids, pattern, label, tol,
-                   violations):
-    """Map every source-patch triangle through its sector's maps and demand an
-    exact triangle match among the target-patch triangles."""
-    worst = 0.0
-    if not len(tgt_ids):
-        for t in src_ids:
-            violations.append((int(t), label, "no target-side triangles in patch"))
-        return worst
-    centers = mesh.barycenters()[tgt_ids]
-    tree = cKDTree(centers)
-    for t in src_ids:
-        pts = mesh.vertices[mesh.triangles[t]]
-        sector = pattern.sector_of(pts.mean(axis=0)) if pattern is not None else -1
-        for k, m in maps_by_sector.get(sector, ()):
-            image = m(pts)
-            _, j = tree.query(image.mean(axis=0))
-            cand = mesh.vertices[mesh.triangles[tgt_ids[j]]]
-            miss = _match_set(image, cand, tol)
-            if not np.isfinite(miss):
-                violations.append(
-                    (int(t), f"{label}[{k}]",
-                     f"image near {np.round(image.mean(axis=0), 6).tolist()} unmatched"))
-            else:
-                worst = max(worst, miss)
-    return worst
-
-
 def check_r_conformity(mesh: Mesh, domain: geo.DomainSpec) -> ConformityReport:
     """Check that every patch triangle maps exactly onto a patch triangle of
     the other region under the corner fold maps / edge mirrors.
 
-    Corners whose pattern admits no fold maps (p_+ and p_- both even) are
-    checked through the edge mirrors only.  Vertex tolerance is 1e-10 * h_max.
+    Reads fold_images: an image passes when its three nearest vertices form
+    a triangle of the other side, each within 1e-10 * h_max.  Corners whose
+    pattern admits no fold maps (p_+ and p_- both even) are checked through
+    the edge mirrors only.
     """
     tol = 1e-10 * mesh.h_max
     violations: List[Tuple[int, str, str]] = []
     worst = 0.0
-    ids = np.arange(mesh.num_triangles)
-    for i, pattern in enumerate(domain.patterns):
-        in_patch = (mesh.patch_kind == PATCH_CORNER) & (mesh.patch_index == i)
-        minus_ids = ids[in_patch & (mesh.region == -1)]
-        plus_ids = ids[in_patch & (mesh.region == 1)]
-        if not (len(minus_ids) or len(plus_ids)):
-            continue
-        try:
-            p2m = geo.fold_maps(pattern, "plus-to-minus")
-            m2p = geo.fold_maps(pattern, "minus-to-plus")
-        except geo.GeometryError:
-            continue  # no fold maps exist for this pattern
-        group = lambda maps: _group_by_sector(maps)
-        worst = max(worst, _check_map_set(mesh, minus_ids, group(p2m), plus_ids,
-                                          pattern, f"corner{i}:p2m", tol, violations))
-        worst = max(worst, _check_map_set(mesh, plus_ids, group(m2p), minus_ids,
-                                          pattern, f"corner{i}:m2p", tol, violations))
-    for n, (a, b) in enumerate(domain.edges):
-        in_patch = (mesh.patch_kind == PATCH_EDGE) & (mesh.patch_index == n)
-        minus_ids = ids[in_patch & (mesh.region == -1)]
-        plus_ids = ids[in_patch & (mesh.region == 1)]
-        if not (len(minus_ids) or len(plus_ids)):
-            continue
-        mirror = {-1: [(0, geo.edge_reflection(a, b))]}
-        worst = max(worst, _check_map_set(mesh, minus_ids, mirror, plus_ids,
-                                          None, f"edge{n}:mirror", tol, violations))
-        worst = max(worst, _check_map_set(mesh, plus_ids, mirror, minus_ids,
-                                          None, f"edge{n}:mirror", tol, violations))
-    return ConformityReport(not violations, violations,
-                            worst if np.isfinite(worst) else np.inf)
-
-
-def _group_by_sector(maps):
-    by = {}
-    for k, m in enumerate(maps):
-        by.setdefault(m.source_sector, []).append((k, m))
-    return by
+    labels = [(("corner", i), f"corner{i}:p2m", f"corner{i}:m2p")
+              for i in range(len(domain.patterns))]
+    labels += [(("edge", n), f"edge{n}:mirror", f"edge{n}:mirror")
+               for n in range(len(domain.edges))]
+    for pattern, *names in labels:
+        for direction, label in zip("+-", names):
+            try:
+                img = fold_images(mesh, domain, pattern, direction)
+            except geo.GeometryError:
+                break  # no fold maps exist for this pattern
+            if not len(img.other):
+                violations += [(int(t), label, "no target-side triangles in patch")
+                               for t in img.defined]
+                continue
+            # a vertex triple as one integer: its sorted positions in
+            # other_vertices, raveled (raises rather than wraps if too large)
+            dims = (len(img.other_vertices),) * 3
+            key = lambda v: np.ravel_multi_index(
+                np.searchsorted(img.other_vertices, np.sort(v, axis=1)).T, dims)
+            ok = (np.isin(key(img.vertex), key(mesh.triangles[img.other]))
+                  & (img.dist <= tol).all(axis=1))
+            worst = max(worst, float(img.dist[ok].max(initial=0.0)))
+            for r in np.flatnonzero(~ok):
+                image = img.maps[img.map[r]](mesh.vertices[mesh.triangles[img.tri[r]]])
+                violations.append(
+                    (int(img.tri[r]), f"{label}[{img.map[r]}]",
+                     f"image near {np.round(image.mean(axis=0), 6).tolist()} unmatched"))
+    return ConformityReport(not violations, violations, worst)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 The operators are sparse transfer tables: on an R-conform mesh every patch
 triangle maps onto a mesh triangle under the fold isometries, so reflecting
 an FE coefficient vector is a matrix product with no interpolation anywhere.
-Scalar tables move vertex values along the inverse compositions with the
-alternating fold signs; vector tables move tangential edge moments, picking
-up the extra orientation sign of the image edge.  Outside the patch the
-reflected field is extended by zero — every consumer weights with the patch
-cut-off, so nothing beyond the patch is ever read.
+The tables read their vertex images from mesh.fold_images, the one place
+where fold images are matched to the mesh (check_r_conformity reads the same
+map).  Scalar tables move vertex values along the inverse compositions with
+the alternating fold signs; vector tables move tangential edge moments,
+picking up the extra orientation sign of the image edge, which is found by
+its key in the sorted mesh edges.  Outside the patch the reflected field is
+extended by zero — every consumer weights with the patch cut-off, so nothing
+beyond the patch is ever read.
 
 Operator norms are estimated from the generalized eigenproblem of the
 cut-off-weighted seminorm Grams (gradient seminorm for scalar, curl for
@@ -17,16 +20,14 @@ vector), restricted away from the seminorm's null directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from . import geometry as geo
 from .fem import STRANG_RULE, _geometry
-from .mesh import Mesh, PATCH_CORNER, PATCH_EDGE
+from .mesh import Mesh, MeshError, _patch_sides, fold_images
 
 __all__ = [
     "ReflectionError", "DiscreteReflection", "NormEstimate",
@@ -48,17 +49,6 @@ class DiscreteReflection:
     source_dofs: np.ndarray
     interface_dofs: np.ndarray
 
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        return self.matrix @ w
-
-    def table(self) -> Dict[int, List[Tuple[int, float]]]:
-        """Per-target-dof list of (source dof, weight) pairs."""
-        m = self.matrix
-        return {int(i): [(int(j), float(v))
-                         for j, v in zip(m.indices[m.indptr[i]:m.indptr[i + 1]],
-                                         m.data[m.indptr[i]:m.indptr[i + 1]])]
-                for i in self.target_dofs}
-
 
 @dataclass(frozen=True)
 class NormEstimate:
@@ -71,31 +61,6 @@ class NormEstimate:
     level_sups: Tuple[float, ...] = ()
 
 
-def _patch_mask(mesh: Mesh, pattern: Tuple[str, int]) -> np.ndarray:
-    kind, n = pattern
-    pk = {"corner": PATCH_CORNER, "edge": PATCH_EDGE}.get(kind)
-    if pk is None:
-        raise ReflectionError(f"unknown pattern kind {kind!r}")
-    return (mesh.patch_kind == pk) & (mesh.patch_index == n)
-
-
-def _composition_maps(domain: geo.DomainSpec, pattern: Tuple[str, int],
-                      direction: str):
-    """Maps grouped by the sector where the reflected field is being defined;
-    edge patterns use the single mirror for either direction (key None)."""
-    if direction not in ("+", "-"):
-        raise ReflectionError(f"direction must be '+' or '-', got {direction!r}")
-    kind, n = pattern
-    if kind == "corner":
-        key = "plus-to-minus" if direction == "+" else "minus-to-plus"
-        by: Dict = {}
-        for m in geo.fold_maps(domain.patterns[n], key):
-            by.setdefault(m.source_sector, []).append(m)
-        return by, domain.patterns[n]
-    a, b = domain.edges[n]
-    return {None: [geo.edge_reflection(a, b)]}, None
-
-
 def build_reflection(mesh: Mesh, domain: geo.DomainSpec,
                      pattern: Tuple[str, int], kind: str,
                      direction: str) -> DiscreteReflection:
@@ -103,98 +68,74 @@ def build_reflection(mesh: Mesh, domain: geo.DomainSpec,
 
     direction "+" defines the field on the minus side from plus-side data,
     "-" the reverse.  Raises ReflectionError when an image vertex or edge has
-    no mesh counterpart (non-conform mesh).
+    no mesh counterpart (non-conform mesh).  A dof shared by two sectors is
+    defined by the maps of the lower one.
     """
     if kind not in ("scalar", "vector"):
         raise ReflectionError(f"kind must be 'scalar' or 'vector', got {kind!r}")
-    in_patch = _patch_mask(mesh, pattern)
-    tgt_region = -1 if direction == "+" else 1
-    tgt_sel = in_patch & (mesh.region == tgt_region)
-    src_sel = in_patch & (mesh.region == -tgt_region)
-    if not (tgt_sel.any() and src_sel.any()):
+    try:
+        img = fold_images(mesh, domain, pattern, direction)
+    except MeshError as exc:  # unknown pattern kind or direction
+        raise ReflectionError(str(exc)) from exc
+    if not (len(img.defined) and len(img.other)):
         raise ReflectionError(f"pattern {pattern} has no triangles on both sides")
-    maps_by, corner_pat = _composition_maps(domain, pattern, direction)
-
-    src_vts = np.unique(mesh.triangles[src_sel])
-    tree = cKDTree(mesh.vertices[src_vts])
     tol = 1e-9 * mesh.h_max  # one order looser than the conformity gate
-    edge_ids = {(int(a), int(b)): i for i, (a, b) in enumerate(mesh.edges)}
+    sector = np.array([m.source_sector for m in img.maps])[img.map]
+    sign = np.array([m.sign for m in img.maps], dtype=float)[img.map]
 
-    tgt_tris = np.flatnonzero(tgt_sel)
-    if corner_pat is not None:
-        bary = mesh.vertices[mesh.triangles[tgt_tris]].mean(axis=1)
-        sectors = np.array([corner_pat.sector_of(b) for b in bary])
+    # dof j of row r is vertex j (scalar) or local edge j, which joins
+    # vertices j and j+1 (vector) of triangle tri[r]; each dof takes the maps
+    # of its lowest sector, one row per map
+    if kind == "scalar":
+        ndof, dof, ends = mesh.num_vertices, mesh.triangles[img.tri], [0]
     else:
-        sectors = np.zeros(len(tgt_tris), dtype=int)
+        ndof, dof, ends = mesh.num_edges, mesh.tri_edges[img.tri], [0, 1]
+    owner = np.full(ndof, np.iinfo(np.int64).max)
+    np.minimum.at(owner, dof.ravel(), np.repeat(sector, 3))
+    r, j = np.nonzero(sector[:, None] == owner[dof])
+    _, first = np.unique(dof[r, j].astype(np.int64) * len(img.maps) + img.map[r],
+                         return_index=True)
+    r, j = r[first], j[first]
+    local = (j[:, None] + ends) % 3  # triangle-local vertices of each dof
+    image = img.vertex[r[:, None], local]
+    dist = img.dist[r[:, None], local]
+    if np.any(dist > tol):
+        a, b = np.unravel_index(np.argmax(dist), dist.shape)
+        vertex = mesh.triangles[img.tri[r[a]], local[a, b]]
+        point = img.maps[img.map[r[a]]](mesh.vertices[vertex])
+        what = "vertex" if kind == "scalar" else "edge endpoint"
+        raise ReflectionError(
+            f"non-conform mesh: image {what} near "
+            f"{np.round(point, 6).tolist()} has no counterpart")
 
-    def locate(points, what):
-        d, idx = tree.query(points)
-        if np.any(d > tol):
-            worst = points[np.argmax(d)]
+    rows, vals = dof[r, j], sign[r]
+    if kind == "scalar":
+        cols = image[:, 0]
+    else:
+        # image edges by the key lo*V + hi, by which mesh.edges is sorted
+        nv = mesh.num_vertices
+        lo, hi = np.sort(image, axis=1).astype(np.int64).T
+        keys = mesh.edges[:, 0].astype(np.int64) * nv + mesh.edges[:, 1]
+        cols = np.minimum(np.searchsorted(keys, lo * nv + hi), len(keys) - 1)
+        missing = keys[cols] != lo * nv + hi
+        if missing.any():
             raise ReflectionError(
-                f"non-conform mesh: image {what} near "
-                f"{np.round(worst, 6).tolist()} has no counterpart")
-        return src_vts[idx]
-
-    rows: Dict[int, Dict[int, float]] = {}
-    owned: set = set()
-    for sector in np.unique(sectors):
-        maps = maps_by[sector if corner_pat is not None else None]
-        tris = mesh.triangles[tgt_tris[sectors == sector]]
-        if kind == "scalar":
-            dofs = [v for v in np.unique(tris) if v not in owned]
-            pts = mesh.vertices[dofs]
-            for m in maps:
-                img = locate(m(pts), "vertex")
-                for v, s in zip(dofs, img):
-                    rows.setdefault(int(v), {})
-                    rows[int(v)][int(s)] = rows[int(v)].get(int(s), 0.0) + m.sign
-        else:
-            te = np.unique(mesh.tri_edges[tgt_tris[sectors == sector]])
-            dofs = [e for e in te if e not in owned]
-            ea = mesh.vertices[mesh.edges[dofs, 0]]
-            eb = mesh.vertices[mesh.edges[dofs, 1]]
-            for m in maps:
-                va = locate(m(ea), "edge endpoint")
-                vb = locate(m(eb), "edge endpoint")
-                for e, sa, sb in zip(dofs, va, vb):
-                    lo, hi = (sa, sb) if sa < sb else (sb, sa)
-                    se = edge_ids.get((int(lo), int(hi)))
-                    if se is None:
-                        raise ReflectionError(
-                            f"non-conform mesh: image of edge {int(e)} under a "
-                            "fold map is not a mesh edge")
-                    w = m.sign * (1.0 if sa < sb else -1.0)
-                    rows.setdefault(int(e), {})
-                    rows[int(e)][se] = rows[int(e)].get(se, 0.0) + w
-        owned.update(dofs)
-
-    ndof = mesh.num_vertices if kind == "scalar" else mesh.num_edges
-    ii, jj, vv = [], [], []
-    for i, entries in rows.items():
-        for j, w in entries.items():
-            ii.append(i)
-            jj.append(j)
-            vv.append(w)
-    matrix = sp.coo_matrix((vv, (ii, jj)), shape=(ndof, ndof)).tocsr()
+                f"non-conform mesh: image of edge {int(rows[np.argmax(missing)])} "
+                "under a fold map is not a mesh edge")
+        # the image edge's orientation against the mesh edge's, seen along
+        # the local edge direction j -> j+1
+        vals = (vals * mesh.tri_edge_signs[img.tri[r], j]
+                * np.where(image[:, 0] < image[:, 1], 1.0, -1.0))
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
 
     # interface dofs: edges shared by patch triangles of both regions
-    patch_tris = np.flatnonzero(in_patch)
-    reg_of = {}
-    for t in patch_tris:
-        for e in mesh.tri_edges[t]:
-            reg_of.setdefault(int(e), set()).add(int(mesh.region[t]))
-    iface_edges = np.array(sorted(e for e, r in reg_of.items() if len(r) == 2),
-                           dtype=int)
+    iface = np.intersect1d(mesh.tri_edges[img.defined], mesh.tri_edges[img.other])
     if kind == "scalar":
-        iface = np.unique(mesh.edges[iface_edges]) if len(iface_edges) else \
-            np.array([], dtype=int)
-        src_dofs = src_vts
+        iface, src_dofs = np.unique(mesh.edges[iface]), img.other_vertices
     else:
-        iface = iface_edges
-        src_dofs = np.unique(mesh.tri_edges[src_sel])
+        src_dofs = np.unique(mesh.tri_edges[img.other])
     return DiscreteReflection(kind, direction, pattern, matrix,
-                              np.array(sorted(rows)), src_dofs, iface)
+                              np.unique(rows), src_dofs, iface)
 
 
 def verify_trace_matching(mesh: Mesh, refl: DiscreteReflection,
@@ -269,10 +210,7 @@ def estimate_norm(meshes: Sequence[Mesh], domain: geo.DomainSpec,
     sups = []
     for mesh in meshes:
         refl = build_reflection(mesh, domain, pattern, kind, direction)
-        in_patch = _patch_mask(mesh, pattern)
-        tgt_region = -1 if direction == "+" else 1
-        tgt_ids = np.flatnonzero(in_patch & (mesh.region == tgt_region))
-        src_ids = np.flatnonzero(in_patch & (mesh.region == -tgt_region))
+        tgt_ids, src_ids = _patch_sides(mesh, pattern, direction)
         S = refl.source_dofs
         T = refl.target_dofs
         Bs = _weighted_gram(mesh, src_ids, cutoff, kind, S)

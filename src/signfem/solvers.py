@@ -44,7 +44,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import fem, materials as mats
-from .fem import EDGE, AuxCurlSpace, EdgeSpace, FeField, Formulation, ScalarSpace
+from .fem import EDGE, EdgeSpace, FeField, Formulation, ScalarSpace
 from .mesh import Mesh
 
 __all__ = [
@@ -75,8 +75,6 @@ class PencilLayout:
     n_aux: int                # auxiliary minus-region dofs (second block)
     coupled: bool             # False when the resonance is absent (one block)
     pole: float               # omega_mu^2 (edge) / omega_eps^2 (scalar)
-    primary_dofs: np.ndarray
-    aux_triangles: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -269,9 +267,8 @@ def build_pencil(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     Mass = eps_p * blocks[M + "_plus"] + eps_m * blocks[M + "_minus"]
     Auu = space.restrict_matrix(Auu)
     Mass = space.restrict_matrix(Mass)
-    tm = AuxCurlSpace(mesh).triangles
     if wmu2 == 0.0:
-        layout = PencilLayout(form.kind, Auu.shape[0], 0, False, 0.0, free, tm[:0])
+        layout = PencilLayout(form.kind, Auu.shape[0], 0, False, 0.0)
         return MatrixPencil(Auu, Mass, layout)
 
     scale = np.sqrt(wmu2 / mu_m)
@@ -279,8 +276,7 @@ def build_pencil(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     MY = blocks[form.aux_mass]
     S = sp.bmat([[Auu, scale * Cf.T], [scale * Cf, wmu2 * MY]], format="csr")
     T = sp.block_diag([Mass, MY], format="csr")
-    layout = PencilLayout(form.kind, Auu.shape[0], Cf.shape[0], True, wmu2,
-                          free, tm)
+    layout = PencilLayout(form.kind, Auu.shape[0], Cf.shape[0], True, wmu2)
     return MatrixPencil(S, T, layout)
 
 

@@ -182,8 +182,15 @@ def test_export_field_csv_and_vtk(cfg51, tmp_path):
     assert (out / "field.csv").is_file()
     assert main(["export", "field", "--config", cfg51, "--levels", "1",
                  "--out", str(out), "--format", "vtk"]) == 0
-    head = (out / "field.vtk").read_text().splitlines()[0]
-    assert head.startswith("# vtk DataFile")
+    lines = (out / "field.vtk").read_text().splitlines()
+    assert lines[0].startswith("# vtk DataFile")
+    # past the four header lines, every line is a keyword line (POINTS,
+    # CELLS, ...) or plain numbers a VTK reader can parse
+    data = [ln.split() for ln in lines[4:] if not ln.split()[0].isupper()]
+    assert len(data) > 4
+    for tokens in data:
+        for tok in tokens:
+            float(tok)
 
 
 def test_critical_lambda_gate(cfg51, tmp_path):

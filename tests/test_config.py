@@ -28,7 +28,6 @@ kind = source
 lam = 1
 levels = 4
 source = 1,1
-seed = 7
 
 [output]
 dir = results
@@ -44,7 +43,6 @@ def test_full_roundtrip():
     assert cfg.lam == 1
     assert cfg.levels == 4
     assert cfg.source == (1.0, 1.0)
-    assert cfg.seed == 7
     assert cfg.out_dir == "results"
     assert cfg.material().mu_minus == F(1, 10)
 

@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from signfem import fem
 from signfem.geometry import make_reference_domain
@@ -190,10 +187,10 @@ def test_helmholtz_projection(coarse, blocks):
 
 
 def test_aux_space_spans_minus_curls(coarse, blocks):
-    aux = fem.AuxCurlSpace(coarse)
-    assert aux.ndof == int((coarse.region == -1).sum())
+    n_minus = int((coarse.region == -1).sum())
+    assert blocks["C"].shape[0] == n_minus
     # C maps the edge space onto all of the piecewise-constant space
-    assert np.linalg.matrix_rank(blocks["C"].toarray()) == aux.ndof
+    assert np.linalg.matrix_rank(blocks["C"].toarray()) == n_minus
 
 
 def test_cross_check_consistency(coarse):
@@ -259,38 +256,3 @@ def test_mass_gram_gives_l2_norm(coarse, blocks):
     M = blocks["M_plus"] + blocks["M_minus"]
     assert np.sqrt(u @ (M @ u)) == pytest.approx(fem.field_norms(coarse, u).l2,
                                                  rel=1e-13)
-
-
-@settings(max_examples=25, deadline=None)
-@given(hnp.arrays(np.float64, st.integers(1, 40),
-                  elements=st.floats(-1e6, 1e6, allow_nan=False)),
-       st.one_of(st.none(), st.floats(-10, 10, allow_nan=False)))
-def test_field_io_roundtrip(tmp_path_factory, coeffs, lam):
-    path = tmp_path_factory.mktemp("fields") / "f.field"
-    fem.field_write(path, fem.FeField("scalar", coeffs, lam, "roundtrip probe"))
-    back = fem.field_read(path)
-    assert back.space == "scalar"
-    assert back.description == "roundtrip probe"
-    assert (back.lam is None) == (lam is None)
-    if lam is not None:
-        assert back.lam == lam
-    assert np.array_equal(np.asarray(back.coeffs, dtype=float), coeffs)
-
-
-def test_field_io_complex_and_malformed(tmp_path, coarse):
-    space = fem.EdgeSpace(coarse)
-    coeffs = np.arange(4) + 1j * np.array([0.5, -2.0, 0.0, 1e-8])
-    fem.field_write(tmp_path / "c.field", fem.FeField(space, coeffs, 1.5, "x"))
-    back = fem.field_read(tmp_path / "c.field")
-    assert back.space == "edge"
-    assert np.array_equal(back.coeffs, coeffs)
-
-    text = (tmp_path / "c.field").read_text().splitlines()
-    text[3 + 2] = "1 broken"
-    (tmp_path / "bad.field").write_text("\n".join(text) + "\n")
-    with pytest.raises(fem.FemError, match="line"):
-        fem.field_read(tmp_path / "bad.field")
-    (tmp_path / "tag.field").write_text(
-        "signfem-field v1\nspace weird\nlam none\ndescription \ndofs 0\n")
-    with pytest.raises(fem.FemError, match="space"):
-        fem.field_read(tmp_path / "tag.field")

@@ -337,14 +337,3 @@ def test_domain_validation_errors():
                        ((0, 0), (1, 0), (math.cos(0.7), math.sin(0.7))), 0.05)
     with pytest.raises(geo.GeometryError):  # halfwidth above the anchored bound
         geo.make_reference_domain(patch_halfwidth=0.15)
-
-
-def test_domain_roundtrip(tmp_path):
-    dom = geo.make_reference_domain()
-    path = tmp_path / "dom.txt"
-    geo.write_domain(dom, path)
-    back = geo.read_domain(path)
-    assert back == dom
-    with pytest.raises(geo.GeometryError):
-        (tmp_path / "bad.txt").write_text("not-a-domain\n")
-        geo.read_domain(tmp_path / "bad.txt")

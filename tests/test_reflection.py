@@ -1,6 +1,7 @@
 """Reflection transfer tables: trace matching, transform identities, norms."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,10 +9,30 @@ from scipy.spatial import cKDTree
 
 from signfem import fem, geometry as geo, reflection as refl
 from signfem.geometry import make_reference_domain
-from signfem.mesh import Mesh, refine_red
+from signfem.mesh import (PATCH_CORNER, PATCH_EDGE, Mesh, MeshError,
+                          check_r_conformity, refine_red)
 from signfem.meshgen import build_r_conform_coarse
 
 PATTERNS = [("corner", i) for i in range(3)] + [("edge", i) for i in range(3)]
+
+
+def _maps_and_targets(mesh, dom, pattern, direction):
+    """Fold maps keyed by the sector of the triangle being defined (the edge
+    mirror serves both directions, key None), the corner pattern (None for
+    edges), and the ids of the patch triangles on the defined side."""
+    kind, n = pattern
+    if kind == "corner":
+        by = {}
+        key = "plus-to-minus" if direction == "+" else "minus-to-plus"
+        for m in geo.fold_maps(dom.patterns[n], key):
+            by.setdefault(m.source_sector, []).append(m)
+        cp, pk = dom.patterns[n], PATCH_CORNER
+    else:
+        by, cp, pk = {None: [geo.edge_reflection(*dom.edges[n])]}, None, PATCH_EDGE
+    tgt_reg = -1 if direction == "+" else 1
+    tgt = np.flatnonzero((mesh.patch_kind == pk) & (mesh.patch_index == n)
+                         & (mesh.region == tgt_reg))
+    return by, cp, tgt
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +98,7 @@ def test_pointwise_exactness(coarse, dom, pattern, direction):
     w = rng.standard_normal(coarse.num_vertices)
     r = refl.build_reflection(coarse, dom, pattern, "scalar", direction)
     rw = r.matrix @ w
-    maps_by, cp = refl._composition_maps(dom, pattern, direction)
-    in_patch = refl._patch_mask(coarse, pattern)
-    tgt_reg = -1 if direction == "+" else 1
-    tgt = np.flatnonzero(in_patch & (coarse.region == tgt_reg))
+    maps_by, cp, tgt = _maps_and_targets(coarse, dom, pattern, direction)
     bary = coarse.vertices[coarse.triangles].mean(axis=1)
     tree = cKDTree(bary)
     lamq = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [1 / 3, 1 / 3, 1 / 3]])
@@ -142,10 +160,8 @@ def test_curl_transform_identity(coarse, dom):
         for direction in ("+", "-"):
             rv = refl.build_reflection(coarse, dom, pattern, "vector", direction)
             cru = tri_curl(rv.matrix @ u)
-            maps_by, cp = refl._composition_maps(dom, pattern, direction)
-            in_patch = refl._patch_mask(coarse, pattern)
-            tgt_reg = -1 if direction == "+" else 1
-            for t in np.flatnonzero(in_patch & (coarse.region == tgt_reg)):
+            maps_by, cp, tgt = _maps_and_targets(coarse, dom, pattern, direction)
+            for t in tgt:
                 sector = cp.sector_of(bary[t]) if cp is not None else None
                 want = 0.0
                 for m in maps_by[sector]:
@@ -213,12 +229,96 @@ def test_build_rejects_nonconform_mesh(coarse, dom):
                patch_kind=coarse.patch_kind, patch_index=coarse.patch_index)
     with pytest.raises(refl.ReflectionError, match="non-conform"):
         refl.build_reflection(bad, dom, ("corner", 0), "scalar", "+")
+    with pytest.raises(refl.ReflectionError, match="non-conform.*edge endpoint"):
+        refl.build_reflection(bad, dom, ("corner", 0), "vector", "+")
+
+
+def test_flipped_patch_edge_detected(coarse, dom):
+    """Flipping the diagonal of two plus-side patch triangles keeps every
+    vertex in place: vertex images still land, but some image triangles and
+    edges are no longer in the mesh."""
+    sel = np.flatnonzero((coarse.patch_kind == PATCH_CORNER)
+                         & (coarse.patch_index == 0) & (coarse.region == 1))
+    for e in np.unique(coarse.tri_edges[sel]):
+        pair = sel[np.any(coarse.tri_edges[sel] == e, axis=1)]
+        if len(pair) < 2:
+            continue
+        t1, t2 = pair
+        j1 = list(coarse.tri_edges[t1]).index(e)
+        j2 = list(coarse.tri_edges[t2]).index(e)
+        a, b, c = np.roll(coarse.triangles[t1], -j1)
+        d = np.roll(coarse.triangles[t2], -j2)[2]
+        tris = coarse.triangles.copy()
+        tris[t1], tris[t2] = (c, a, d), (d, b, c)
+        try:
+            bad = Mesh(coarse.vertices, tris, coarse.region, coarse.patch_kind,
+                       coarse.patch_index)
+        except MeshError:  # the quadrilateral is not convex
+            continue
+        break
+    rep = check_r_conformity(bad, dom)
+    assert not rep.passed
+    assert {label.split("[")[0] for _, label, _ in rep.violations} == {
+        "corner0:p2m", "corner0:m2p"}
+    refl.build_reflection(bad, dom, ("corner", 0), "scalar", "+")
+    with pytest.raises(refl.ReflectionError, match="not a mesh edge"):
+        refl.build_reflection(bad, dom, ("corner", 0), "vector", "+")
 
 
 def test_transfer_table_shape(coarse, dom):
     r = refl.build_reflection(coarse, dom, ("corner", 0), "vector", "+")
-    table = r.table()
-    assert sorted(table) == sorted(int(i) for i in r.target_dofs)
+    m = r.matrix.tocsr()
+    rows = np.flatnonzero(np.diff(m.indptr))
+    assert sorted(rows) == sorted(int(i) for i in r.target_dofs)
     src = set(int(s) for s in r.source_dofs)
-    for entries in table.values():
-        assert entries and all(j in src for j, _ in entries)
+    for i in rows:
+        entries = m.indices[m.indptr[i]:m.indptr[i + 1]]
+        assert len(entries) and all(j in src for j in entries)
+
+
+# sha256 (first 16 hex digits) of shape, indptr, indices, target_dofs,
+# source_dofs, interface_dofs (as int64) and data (float64) of every operator
+# on L0 and L1 of the reference ladder (r = 0.3, h = 0.2)
+GOLDEN = {
+    (('corner', 0), "scalar", "+"): ('92d9e78ea18b9217', 'a23fe0f9a3da4ad3'),
+    (('corner', 0), "scalar", "-"): ('d09a1be9f3263210', '375efa384bc3a0b3'),
+    (('corner', 0), "vector", "+"): ('54ead0cc3d3284aa', 'bb087763b2fb4d24'),
+    (('corner', 0), "vector", "-"): ('6919e3a3e663ec6b', '7d8050ef447edddb'),
+    (('corner', 1), "scalar", "+"): ('b7653540d14a97fb', '475792eb77a2b41e'),
+    (('corner', 1), "scalar", "-"): ('bdbe7da9a60a89c9', '05cb06dcc6004d09'),
+    (('corner', 1), "vector", "+"): ('2296b8282d407ef3', '36b1ee6e23f035e7'),
+    (('corner', 1), "vector", "-"): ('d1a0f4a2a070e32d', '51ba63e0d15018dd'),
+    (('corner', 2), "scalar", "+"): ('aac88d82f9e9eff8', '033bf20a212f6729'),
+    (('corner', 2), "scalar", "-"): ('616c150a0f718931', '7368df802fe0f5fb'),
+    (('corner', 2), "vector", "+"): ('c2a3ae68e437dcf7', '38aef1f1c6fafb81'),
+    (('corner', 2), "vector", "-"): ('4b155f6cd853d362', 'c625120daeb6b313'),
+    (('edge', 0), "scalar", "+"): ('4c236db046aec2ae', '7afd151ab5dff942'),
+    (('edge', 0), "scalar", "-"): ('122915c4f40d2fa9', 'fb628bb9d900b1fc'),
+    (('edge', 0), "vector", "+"): ('1a39cd6084113c3f', '02edffc49349e31c'),
+    (('edge', 0), "vector", "-"): ('ad50260dc6fea85e', '4cd935f249c16788'),
+    (('edge', 1), "scalar", "+"): ('67715534a0f47eb6', '68e98834ef3e9a96'),
+    (('edge', 1), "scalar", "-"): ('012e963c74de5c1e', '6ce0dfaf6b37c2ee'),
+    (('edge', 1), "vector", "+"): ('86c0499c0f851d35', '339a2649cc8a70bf'),
+    (('edge', 1), "vector", "-"): ('a555596c4cda92b3', '8a4a882b64a650df'),
+    (('edge', 2), "scalar", "+"): ('70992b784bbfaae5', '66c25528883a72de'),
+    (('edge', 2), "scalar", "-"): ('5b5965a6afec2a9d', 'a3944dc71d3146cf'),
+    (('edge', 2), "vector", "+"): ('5fc356bedc9c344e', '8619dcee3b238c20'),
+    (('edge', 2), "vector", "-"): ('a55e6321effbd7bf', '0e380dbd556dc89b'),
+}
+
+
+def _digest(r):
+    h = hashlib.sha256()
+    m = r.matrix.tocsr()
+    h.update(np.asarray(m.shape, dtype=np.int64).tobytes())
+    for a in (m.indptr, m.indices, r.target_dofs, r.source_dofs, r.interface_dofs):
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(m.data, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_operators_golden(mesh_seq, dom):
+    """All 24 operators are pinned bit for bit on L0 and L1."""
+    got = {key: tuple(_digest(refl.build_reflection(m, dom, *key)) for m in mesh_seq[:2])
+           for key in GOLDEN}
+    assert got == GOLDEN
