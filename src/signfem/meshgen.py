@@ -12,12 +12,18 @@ with Delaunay edge flips.
 The leftover-region passes share one edge-to-triangle adjacency builder,
 ``_edge_triangles``.  Splitting updates that adjacency in place after each
 bisection (Shewchuk's *Triangle* bookkeeping) instead of rebuilding it; the
-Lawson flips and the smoothing evaluate their in-circle, orientation and
-angle tests batched.  Each pass still makes the same decisions in the same
-order as the plain scalar loops (edges in order of first occurrence, the
-smoothing's Gauss-Seidel vertex order), and the batched tests reproduce the
-scalar arithmetic bit for bit, so the mesh is a pure function of (domain,
-h_target); ``tests/test_mesh.py`` pins it by hash.
+ear clipper tests every ear against every remaining vertex in one batch; the
+Lawson flips evaluate their in-circle and orientation tests batched.  The
+smoothing's Gauss-Seidel sweep runs as a level schedule (Anderson and Saad,
+1989): a vertex's level is one more than the highest level among its
+earlier-ordered movable neighbors, so no two vertices of a level are
+adjacent, and moving the levels in turn, each as one batch, reads exactly the
+positions the one-vertex-at-a-time sweep reads.  Each pass still makes the
+same decisions in the same order as the plain scalar loops (edges in order
+of first occurrence, the sweep's vertex order), and the batched tests
+reproduce the scalar arithmetic bit for bit, so the mesh is a pure function
+of (domain, h_target); ``tests/test_mesh.py`` pins it by hash and checks the
+ear clipper and the smoothing against the plain loops.
 """
 
 from __future__ import annotations
@@ -59,15 +65,19 @@ class _VertexPool:
 
 
 def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    """Orientation of the points (or the rows of the (..., 2) arrays) o, a, b."""
+    return ((a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1])
+            - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0]))
 
 
 def ear_clip(points: np.ndarray) -> List[Tuple[int, int, int]]:
     """Triangulate a counterclockwise (weakly) simple polygon by ear clipping.
 
     Accepts repeated vertices from hole-bridge cuts.  Each step clips the
-    fattest available ear; a vertex on or inside a candidate ear blocks it,
-    so collinear boundary chains never produce hanging nodes.
+    fattest available ear (the first one on a tie); a vertex on or inside a
+    candidate ear blocks it, so collinear boundary chains never produce
+    hanging nodes.  Each step tests every ear against every remaining vertex
+    in one batch, with the arithmetic of the scalar tests.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -75,40 +85,32 @@ def ear_clip(points: np.ndarray) -> List[Tuple[int, int, int]]:
         raise MeshError("polygon with fewer than 3 vertices")
     scale = float(np.ptp(pts, axis=0).max())
     eps2 = 1e-12 * scale * scale
+    tol = 1e-12 * scale
     idx = list(range(n))
     tris: List[Tuple[int, int, int]] = []
 
-    def blocked(a, b, c):
-        for j in idx:
-            v = pts[j]
-            if any(abs(v[0] - w[0]) < 1e-12 * scale and abs(v[1] - w[1]) < 1e-12 * scale
-                   for w in (a, b, c)):
-                continue
-            if (_cross(a, b, v) >= -eps2 and _cross(b, c, v) >= -eps2
-                    and _cross(c, a, v) >= -eps2):
-                return True
-        return False
-
     while len(idx) > 3:
         m = len(idx)
-        best, best_q = None, 0.0
-        for pos in range(m):
-            i0, i1, i2 = idx[pos - 1], idx[pos], idx[(pos + 1) % m]
-            a, b, c = pts[i0], pts[i1], pts[i2]
-            cr = _cross(a, b, c)
-            if cr <= eps2:
-                continue
-            if blocked(a, b, c):
-                continue
-            perim2 = (np.dot(b - a, b - a) + np.dot(c - b, c - b)
-                      + np.dot(a - c, a - c))
-            q = cr / perim2  # fat-ear preference
-            if q > best_q:
-                best_q, best = q, pos
-        if best is None:
+        b = pts[idx]
+        a, c = np.roll(b, 1, axis=0), np.roll(b, -1, axis=0)
+        cr = _cross(a, b, c)
+        ear = np.flatnonzero(cr > eps2)
+        # ear (a, b, c) against vertex v: blocked when v is on or inside it
+        # and not within tol of a corner
+        v = b[None]
+        ea, eb, ec = a[ear, None], b[ear, None], c[ear, None]
+        corner = ((np.abs(v - ea) < tol).all(-1) | (np.abs(v - eb) < tol).all(-1)
+                  | (np.abs(v - ec) < tol).all(-1))
+        inside = ((_cross(ea, eb, v) >= -eps2) & (_cross(eb, ec, v) >= -eps2)
+                  & (_cross(ec, ea, v) >= -eps2))
+        ear = ear[~(inside & ~corner).any(axis=1)]
+        a, b, c = a[ear], b[ear], c[ear]
+        q = np.zeros(m)
+        q[ear] = cr[ear] / (_dot(b - a, b - a) + _dot(c - b, c - b) + _dot(a - c, a - c))
+        pos = int(np.argmax(q))  # fat-ear preference
+        if not q[pos] > 0.0:
             raise MeshError("ear clipping failed; polygon is not simple")
-        pos = best
-        tris.append((idx[pos - 1], idx[pos], idx[(pos + 1) % len(idx)]))
+        tris.append((idx[pos - 1], idx[pos], idx[(pos + 1) % m]))
         del idx[pos]
     a, b, c = (pts[i] for i in idx)
     if _cross(a, b, c) <= eps2:
@@ -181,12 +183,6 @@ def _dot(a, b):
     (and np.linalg.norm), so it reproduces those bits; (a * b).sum(-1) does not.
     """
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def _cross_rows(o, a, b):
-    """_cross over rows of (n, 2) arrays."""
-    return ((a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1])
-            - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0]))
 
 
 def _edge(a, b):
@@ -266,83 +262,146 @@ def _corner_cos(X):
     return _dot(u1, u2) / (np.sqrt(_dot(u1, u1)) * np.sqrt(_dot(u2, u2)))
 
 
-def _min_angle(cos):
-    """Smallest angle of a set of corner cosines, clipped to [-1, 1].
-
-    acos is monotone, so acos(max cos) is the smallest acos; fmin maps a NaN
-    cosine (a zero-length side) to 1, i.e. to a zero angle.
-    """
-    return math.acos(max(-1.0, float(np.fmin(cos, 1.0).max())))
-
-
 def _smooth(P, tris, region, pkind, frozen, rect, rounds=8):
     """Guarded Laplacian smoothing of leftover-region vertices, with Delaunay
     flips after each round.
 
     Vertices of patch triangles never move (the reflection symmetry lives
-    there); outer-boundary vertices slide along their rectangle side; interior
-    vertices move toward their neighbor centroid.  A move is kept only when
-    the smallest incident angle does not get worse, so the pass is monotone.
-    Vertices go in order of first appearance in the triangle list, each move
-    seeing the earlier ones (Gauss-Seidel); that order, and the order in which
-    each vertex's neighbor set was filled, fix the result bit for bit.
+    there); outer-boundary vertices slide along their rectangle side toward
+    the midpoint of their two boundary neighbors; interior vertices move
+    toward their neighbor centroid.  A move is kept only when the smallest
+    incident angle does not get worse, so the pass is monotone.  Vertices go
+    in order of first appearance in the triangle list, each move seeing the
+    earlier ones (Gauss-Seidel); that order, and the order in which each
+    vertex's neighbor set was filled, fix the result bit for bit.
+
+    Each round runs as a level schedule of that sweep.  A vertex's move
+    reads only its own position and its neighbors', so it gets level 1 + the
+    largest level of its earlier-ordered movable neighbors (0 if none).  No
+    two vertices of one level share an edge, every earlier neighbor sits in a
+    lower level and every later one in a higher level, so moving the levels
+    in turn, each as one batch, reads exactly the positions the sequential
+    sweep reads.  The batched arithmetic is elementwise, the centroid is
+    summed column by column in neighbor-set order as ``mean(axis=0)`` sums
+    it, and the angle guard still compares ``math.acos`` values, so every
+    move and every decision is the sweep's.
     """
-    (x0, y0), (x1, y1) = rect
     for _ in range(rounds):
-        T = np.array(tris, dtype=np.int64)
-        flat = T.ravel()
-        pinned = np.zeros(len(P), dtype=bool)
-        pinned[T[np.asarray(pkind) != PATCH_NONE].ravel()] = True
-        # slots grouped by vertex, ascending within each group (so by triangle)
-        by_vertex = np.argsort(flat, kind="stable")
-        starts = np.searchsorted(flat[by_vertex], np.arange(len(P) + 1))
-        # a triangle (a, b, c) adds neighbors b, c to a; a, c to b; b, a to c
-        base = 3 * (by_vertex // 3)
-        pos = by_vertex % 3
-        nb = np.column_stack([flat[base + np.array([1, 0, 1])[pos]],
-                              flat[base + np.array([2, 2, 0])[pos]]])
-        edges, _, second = _edge_triangles(T)
-        bnd_nbrs: Dict[int, List[int]] = {}
-        for u, v in edges[second < 0].tolist():
-            bnd_nbrs.setdefault(u, []).append(v)
-            bnd_nbrs.setdefault(v, []).append(u)
-        verts, seen = np.unique(flat, return_index=True)
+        sched = _smooth_schedule(P, tris, pkind, rect)
         moved = 0
-        for i in verts[np.argsort(seen)].tolist():
-            if pinned[i]:
-                continue
-            p = P[i].copy()
-            on_x = abs(p[0] - x0) < 1e-12 or abs(p[0] - x1) < 1e-12
-            on_y = abs(p[1] - y0) < 1e-12 or abs(p[1] - y1) < 1e-12
-            if on_x and on_y:
-                continue  # rectangle corner
-            lo, hi = starts[i], starts[i + 1]
-            if on_x or on_y:
-                two = bnd_nbrs.get(i, [])
-                if len(two) != 2:
-                    continue
-                target = 0.5 * (P[two[0]] + P[two[1]])
-                if on_x:
-                    target[0] = p[0]
-                else:
-                    target[1] = p[1]
-            else:
-                around = set(nb[lo:hi].ravel().tolist())
-                target = P[list(around)].mean(axis=0)
+        for v, nbr, has, count, fix_x, fix_y, T, owner, seg in sched:
+            p = P[v]
+            target = P[nbr[:, 0]]
+            for k in range(1, nbr.shape[1]):
+                np.add(target, P[nbr[:, k]], out=target, where=has[:, k, None])
+            target /= count[:, None]
+            target[fix_x, 0] = p[fix_x, 0]
+            target[fix_y, 1] = p[fix_y, 1]
             new = p + 0.7 * (target - p)
-            corners = T[by_vertex[lo:hi] // 3]
-            X = P[corners]
+            X = P[T]
             Y = X.copy()
-            Y[corners == i] = new
-            cos = _corner_cos(np.concatenate((X, Y)))
-            m = len(corners)
-            before, after = _min_angle(cos[:m]), _min_angle(cos[m:])
-            if after >= before and (_cross_rows(Y[:, 0], Y[:, 1], Y[:, 2]) > 0).all():
-                P[i] = new
-                moved += 1
+            Y[T == v[owner, None]] = new[owner]
+            # smallest angle per vertex, before and after: acos of the largest
+            # cosine, where fmin maps a NaN cosine (zero-length side) to 1
+            cos = np.fmin(_corner_cos(np.concatenate((X, Y))), 1.0).max(axis=1)
+            m = len(T)
+            worst = np.maximum(-1.0, np.concatenate((np.maximum.reduceat(cos[:m], seg),
+                                                     np.maximum.reduceat(cos[m:], seg))))
+            angle = [math.acos(c) for c in worst.tolist()]
+            n = len(v)
+            ok = np.array(angle[n:]) >= np.array(angle[:n])
+            ok &= np.logical_and.reduceat(_cross(Y[:, 0], Y[:, 1], Y[:, 2]) > 0, seg)
+            P[v[ok]] = new[ok]
+            moved += int(ok.sum())
         _lawson_flips(P, tris, region, pkind, frozen)
         if not moved:
             return
+
+
+def _smooth_schedule(P, tris, pkind, rect):
+    """One ``_smooth`` round's movable vertices, batched by level.
+
+    Returns per level (in level order) the vertex ids V; their neighbors
+    NBR in the order the sweep sums them, padded, with the mask HAS and the
+    COUNT; the masks FIX_X, FIX_Y of boundary vertices whose x or y stays;
+    their incident triangles T (vertex ids, grouped by vertex in triangle
+    order), the index OWNER into V of each row of T and the start SEG of
+    each vertex's group.  Everything but the positions of the movable
+    vertices is fixed within a round, so it is computed once, up front.
+    """
+    T = np.array(tris, dtype=np.int64)
+    flat = T.ravel()
+    nv = len(P)
+    movable = np.ones(nv, dtype=bool)
+    movable[T[np.asarray(pkind) != PATCH_NONE].ravel()] = False
+    (x0, y0), (x1, y1) = rect
+    on_x = (np.abs(P[:, 0] - x0) < 1e-12) | (np.abs(P[:, 0] - x1) < 1e-12)
+    on_y = (np.abs(P[:, 1] - y0) < 1e-12) | (np.abs(P[:, 1] - y1) < 1e-12)
+    movable &= ~(on_x & on_y)  # rectangle corners
+    # a boundary vertex moves toward its two boundary-edge neighbors: rows
+    # (vertex, neighbor), per vertex in boundary-edge order
+    edges, _, second = _edge_triangles(T)
+    bnd = edges[second < 0]
+    ends = np.column_stack([bnd.ravel(), bnd[:, ::-1].ravel()])
+    ends = ends[np.argsort(ends[:, 0], kind="stable")]
+    ends_at = np.searchsorted(ends[:, 0], np.arange(nv + 1))
+    side = on_x | on_y
+    movable &= ~side | (np.diff(ends_at) == 2)
+    # slots grouped by vertex, ascending within each group (so by triangle);
+    # a triangle (a, b, c) adds neighbors b, c to a; a, c to b; b, a to c
+    by_vertex = np.argsort(flat, kind="stable")
+    starts = np.searchsorted(flat[by_vertex], np.arange(nv + 1))
+    base = 3 * (by_vertex // 3)
+    pos = by_vertex % 3
+    nb = np.column_stack([flat[base + np.array([1, 0, 1])[pos]],
+                          flat[base + np.array([2, 2, 0])[pos]]]).ravel().tolist()
+    verts, seen = np.unique(flat, return_index=True)
+    order = verts[np.argsort(seen)]
+    order = order[movable[order]]
+    if not len(order):
+        return []
+    rank = np.full(nv, -1)
+    rank[order] = np.arange(len(order))
+
+    # level = longest chain of earlier-ordered movable neighbors
+    inner = edges[movable[edges].all(axis=1)]
+    swap = rank[inner[:, 0]] > rank[inner[:, 1]]
+    inner[swap] = inner[swap, ::-1]
+    src, dst = inner.T
+    level = np.zeros(nv, dtype=np.int64)
+    while True:
+        lift = np.zeros(nv, dtype=np.int64)
+        np.maximum.at(lift, dst, level[src] + 1)
+        if (lift <= level).all():
+            break
+        level = np.maximum(level, lift)
+
+    order = order[np.argsort(level[order], kind="stable")]
+    lists = [ends[ends_at[i]:ends_at[i + 1], 1].tolist() if side[i]
+             else list(set(nb[2 * starts[i]:2 * starts[i + 1]]))
+             for i in order.tolist()]
+    width = max(map(len, lists))
+    count = np.array([len(a) for a in lists], dtype=float)
+    nbr = np.zeros((len(order), width), dtype=np.int64)
+    has = np.arange(width) < count[:, None]
+    nbr[has] = np.concatenate(lists)
+    # incident triangles of each vertex, concatenated in schedule order
+    deg = starts[order + 1] - starts[order]
+    owner = np.repeat(np.arange(len(order)), deg)
+    first_row = np.cumsum(deg) - deg
+    slots = by_vertex[starts[order][owner] + np.arange(len(owner)) - first_row[owner]]
+    corners = T[slots // 3]
+
+    cuts = np.flatnonzero(np.diff(level[order])) + 1
+    bounds = np.r_[0, cuts, len(order)]
+    row_bounds = np.r_[first_row, len(owner)][bounds]
+    sched = []
+    for a, b, ra, rb in zip(bounds[:-1], bounds[1:], row_bounds[:-1], row_bounds[1:]):
+        v = order[a:b]
+        sched.append((v, nbr[a:b], has[a:b], count[a:b],
+                      on_x[v], on_y[v] & ~on_x[v], corners[ra:rb], owner[ra:rb] - a,
+                      first_row[a:b] - first_row[a]))
+    return sched
 
 
 def _lawson_flips(P, tris, region, pkind, frozen):
@@ -379,16 +438,19 @@ def _lawson_flips(P, tris, region, pkind, frozen):
         det = np.linalg.det(mat)
         scale = np.maximum(np.sqrt(_dot(pu - pv, pu - pv)), np.sqrt(_dot(p1 - p2, p1 - p2)))
         # the flipped pair must stay positively oriented (convex quad)
-        convex = (_cross_rows(pu, p2, p1) > 0) & (_cross_rows(pv, p1, p2) > 0)
+        convex = (_cross(pu, p2, p1) > 0) & (_cross(pv, p1, p2) > 0)
+        # a flip needs det > 1e-10 s^4 >= 0: only those edges enter the loop
+        want = (det > 0) & convex
         dirty = set()
         flips = 0
-        for a, b, ua, va, wa, wb, d, s, c in zip(
-                t1.tolist(), t2.tolist(), u.tolist(), v.tolist(), w1.tolist(),
-                w2.tolist(), det.tolist(), scale.tolist(), convex.tolist()):
+        for a, b, ua, va, wa, wb, d, s in zip(
+                t1[want].tolist(), t2[want].tolist(), u[want].tolist(), v[want].tolist(),
+                w1[want].tolist(), w2[want].tolist(), det[want].tolist(),
+                scale[want].tolist()):
             if a in dirty or b in dirty:
                 continue
             # scalar power: numpy's array power may differ in the last bit
-            if d <= 1e-10 * s**4 or not c:
+            if d <= 1e-10 * s**4:
                 continue
             tris[a] = [ua, wb, wa]
             tris[b] = [va, wa, wb]

@@ -154,12 +154,14 @@ def verify_trace_matching(mesh: Mesh, refl: DiscreteReflection,
     return float(np.abs(rows).max()) if rows.nnz else 0.0
 
 
-def _weighted_gram(mesh: Mesh, tri_ids: np.ndarray, chi: geo.CutoffProfile,
-                   kind: str, dofs: np.ndarray) -> np.ndarray:
+def _weighted_gram(mesh: Mesh, geometry, tri_ids: np.ndarray,
+                   chi: geo.CutoffProfile, kind: str, dofs: np.ndarray) -> np.ndarray:
     """Dense chi-weighted seminorm Gram on the given dofs: grad.grad for
     scalar, curl.curl for vector, integrated with the degree-5 rule (the
-    cut-off is smooth but not polynomial)."""
-    grads, curls = _geometry(mesh)
+    cut-off is smooth but not polynomial).  GEOMETRY is fem._geometry(mesh);
+    DOFS are sorted and hold every dof of the triangles TRI_IDS.
+    """
+    grads, curls = geometry
     pts, wts = STRANG_RULE
     v = mesh.vertices[mesh.triangles[tri_ids]]
     w_chi = np.zeros(len(tri_ids))
@@ -168,8 +170,6 @@ def _weighted_gram(mesh: Mesh, tri_ids: np.ndarray, chi: geo.CutoffProfile,
         w_chi += w * geo.cutoff_eval(chi, x)
     w_chi *= mesh.areas[tri_ids]
 
-    pos = {int(d): k for k, d in enumerate(dofs)}
-    B = np.zeros((len(dofs), len(dofs)))
     if kind == "scalar":
         conn = mesh.triangles[tri_ids]
         local = grads[tri_ids]
@@ -178,9 +178,10 @@ def _weighted_gram(mesh: Mesh, tri_ids: np.ndarray, chi: geo.CutoffProfile,
         conn = mesh.tri_edges[tri_ids]
         sq = mesh.tri_edge_signs[tri_ids] * curls[tri_ids]
         elem = np.einsum("tj,tk->tjk", sq, sq) * w_chi[:, None, None]
-    for t in range(len(tri_ids)):
-        idx = [pos[int(d)] for d in conn[t]]
-        B[np.ix_(idx, idx)] += elem[t]
+    idx = np.searchsorted(dofs, conn)
+    B = np.zeros((len(dofs), len(dofs)))
+    # unbuffered and triangle-major: every entry sums its terms in triangle order
+    np.add.at(B, (idx[:, :, None], idx[:, None, :]), elem)
     return B
 
 
@@ -213,8 +214,9 @@ def estimate_norm(meshes: Sequence[Mesh], domain: geo.DomainSpec,
         tgt_ids, src_ids = _patch_sides(mesh, pattern, direction)
         S = refl.source_dofs
         T = refl.target_dofs
-        Bs = _weighted_gram(mesh, src_ids, cutoff, kind, S)
-        Bt = _weighted_gram(mesh, tgt_ids, cutoff, kind, T)
+        geometry = _geometry(mesh)
+        Bs = _weighted_gram(mesh, geometry, src_ids, cutoff, kind, S)
+        Bt = _weighted_gram(mesh, geometry, tgt_ids, cutoff, kind, T)
         Rt = refl.matrix.tocsr()[T][:, S].toarray()
         N = Rt.T @ Bt @ Rt
 

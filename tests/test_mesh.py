@@ -1,6 +1,7 @@
 """Mesh construction, refinement, conformity checking, and file format."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -89,25 +90,36 @@ SQUARE = geo.DomainSpec(((-1.0, -1.0), (2.0, 2.0)),
                         ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), 0.3)
 
 # The coarse mesher's output, pinned: every split, flip and smoothing move
-# must come out the same.  sha256 of each label array as little-endian int64.
+# must come out the same.  sha256 of each label array as little-endian int64
+# and of the vertex coordinates as little-endian float64.
 GOLDEN = {
     "reference r=0.3": (geo.make_reference_domain(0.3), 401, 740, {
         "triangles": "b3a39fe38106b05294b3ed010c145dfe04e25e8e22c5f188ad5ee5df438e229b",
         "region": "3b78e26c06f66b672367b29781f9ef1e4ec7591fe6eccbf47bab5c9b35d47793",
         "patch_kind": "7053b5abfd3d7645d0d333149ec16df1cf34d7d733edea19aacec964df107812",
         "patch_index": "bd2f3c877720b10a3b66a1b3cd37fdc0419aec45002ea352959254137fb62ecf",
+        "vertices": "7e47eba4a737a061a14e33cb0b0bda8843cab8bdc00355ca9a2fe7351ad81b72",
     }, 0.2, 366.6757468378231, 483.55114041989066),
+    "reference r=0.3, h=0.1": (geo.make_reference_domain(0.3), 1267, 2412, {
+        "triangles": "b6993254612ccfc77a03b9322fab6eeb34fb72143f606d58beb397739d8d60e1",
+        "region": "6ef16c6c8226be2ed25827c0fb1043fc31d07300bbfd12edd0f2d2f50a59c36c",
+        "patch_kind": "5d96491d984be0e7f9c4ca3a7b25e69f5ba13aafda17dddeba29af87a2060972",
+        "patch_index": "989a05ada5fb675982d10c5e8a452ae6a6f3c5e0ac7771647b8cf2cb5051242c",
+        "vertices": "b754d6c27623a16c27460e110d800647788a8ed2722065b0661f3ab4d6f92489",
+    }, 0.1, 1174.967970125675, 1519.4003214328468),
     "reference r=0.05": (geo.make_reference_domain(0.05), 601, 1140, {
         "triangles": "580c97c6cea76907469d317ba4d7ad4d84431a281fb0edc45d90c853f8dee95e",
         "region": "96c721709572d857e342f71896c31fe0e7888ea2a07c5622fc6bb59f60000b46",
         "patch_kind": "9951edb5d24a54abcb55dbb2450037202f36f41e3b635d9df27de5d22302e229",
         "patch_index": "d80fdde929cf340a06741e824dfee13b7a7c8ff3c26e049854e8147202ffed26",
+        "vertices": "b717226dbd9cc58f78b42d238f05280238f8d7ab2145fde9710122a4d43ea9ea",
     }, 0.2, 478.94721195006, 545.8438088724428),
     "square": (SQUARE, 569, 1076, {
         "triangles": "89c0548a63649f7066d819012f1952a18e1f444ad625bdaa703a013711b34d53",
         "region": "69b84e6fb7c3bc653f05e9dde31101633a9b3eab7d4a83a5c3c936fc51fc06da",
         "patch_kind": "bc1e767e00bb937ddee750ba7741972f6cf199d8c78aadd49bd6f921d293171b",
         "patch_index": "ebad14c679ff8290de48b86d21d3e5450040feb7738793329568c87de356200f",
+        "vertices": "ebadf6fe15f828aea1200e8cbe8a7eb46a206c7c1ff655ad763db3ecdd9571db",
     }, 0.25, 565.1660785412627, 1264.3287355277134),
 }
 
@@ -118,10 +130,153 @@ def test_coarse_builder_golden(case):
     m = build_r_conform_coarse(domain, h)
     assert (m.num_vertices, m.num_triangles) == (nv, nt)
     for name, digest in digests.items():
-        data = np.ascontiguousarray(getattr(m, name), dtype="<i8").tobytes()
+        dtype = "<f8" if name == "vertices" else "<i8"
+        data = np.ascontiguousarray(getattr(m, name), dtype=dtype).tobytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
     assert m.vertices.sum() == pytest.approx(vsum, rel=1e-12)
     assert (m.vertices ** 2).sum() == pytest.approx(vsq, rel=1e-12)
+
+
+def _smooth_reference(P, tris, region, pkind, frozen, rect, rounds=8):
+    """The plain Gauss-Seidel sweep that meshgen._smooth runs as a level
+    schedule: one vertex at a time, in order of first appearance."""
+    def min_angle(cos):
+        return math.acos(max(-1.0, float(np.fmin(cos, 1.0).max())))
+
+    (x0, y0), (x1, y1) = rect
+    for _ in range(rounds):
+        T = np.array(tris, dtype=np.int64)
+        flat = T.ravel()
+        pinned = np.zeros(len(P), dtype=bool)
+        pinned[T[np.asarray(pkind) != PATCH_NONE].ravel()] = True
+        by_vertex = np.argsort(flat, kind="stable")
+        starts = np.searchsorted(flat[by_vertex], np.arange(len(P) + 1))
+        base = 3 * (by_vertex // 3)
+        pos = by_vertex % 3
+        nb = np.column_stack([flat[base + np.array([1, 0, 1])[pos]],
+                              flat[base + np.array([2, 2, 0])[pos]]])
+        edges, _, second = meshgen._edge_triangles(T)
+        bnd_nbrs = {}
+        for u, v in edges[second < 0].tolist():
+            bnd_nbrs.setdefault(u, []).append(v)
+            bnd_nbrs.setdefault(v, []).append(u)
+        verts, seen = np.unique(flat, return_index=True)
+        moved = 0
+        for i in verts[np.argsort(seen)].tolist():
+            if pinned[i]:
+                continue
+            p = P[i].copy()
+            on_x = abs(p[0] - x0) < 1e-12 or abs(p[0] - x1) < 1e-12
+            on_y = abs(p[1] - y0) < 1e-12 or abs(p[1] - y1) < 1e-12
+            if on_x and on_y:
+                continue
+            lo, hi = starts[i], starts[i + 1]
+            if on_x or on_y:
+                two = bnd_nbrs.get(i, [])
+                if len(two) != 2:
+                    continue
+                target = 0.5 * (P[two[0]] + P[two[1]])
+                if on_x:
+                    target[0] = p[0]
+                else:
+                    target[1] = p[1]
+            else:
+                around = set(nb[lo:hi].ravel().tolist())
+                target = P[list(around)].mean(axis=0)
+            new = p + 0.7 * (target - p)
+            corners = T[by_vertex[lo:hi] // 3]
+            X = P[corners]
+            Y = X.copy()
+            Y[corners == i] = new
+            cos = meshgen._corner_cos(np.concatenate((X, Y)))
+            m = len(corners)
+            if (min_angle(cos[m:]) >= min_angle(cos[:m])
+                    and (meshgen._cross(Y[:, 0], Y[:, 1], Y[:, 2]) > 0).all()):
+                P[i] = new
+                moved += 1
+        meshgen._lawson_flips(P, tris, region, pkind, frozen)
+        if not moved:
+            return
+
+
+def _ear_clip_reference(points):
+    """meshgen.ear_clip with every ear tested on its own, vertex by vertex."""
+    pts = np.asarray(points, dtype=float)
+    scale = float(np.ptp(pts, axis=0).max())
+    eps2 = 1e-12 * scale * scale
+    cross = meshgen._cross
+    idx = list(range(len(pts)))
+    tris = []
+
+    def blocked(a, b, c):
+        for j in idx:
+            v = pts[j]
+            if any(abs(v[0] - w[0]) < 1e-12 * scale and abs(v[1] - w[1]) < 1e-12 * scale
+                   for w in (a, b, c)):
+                continue
+            if cross(a, b, v) >= -eps2 and cross(b, c, v) >= -eps2 and cross(c, a, v) >= -eps2:
+                return True
+        return False
+
+    while len(idx) > 3:
+        m = len(idx)
+        best, best_q = None, 0.0
+        for pos in range(m):
+            a, b, c = pts[idx[pos - 1]], pts[idx[pos]], pts[idx[(pos + 1) % m]]
+            cr = cross(a, b, c)
+            if cr <= eps2 or blocked(a, b, c):
+                continue
+            q = cr / (np.dot(b - a, b - a) + np.dot(c - b, c - b) + np.dot(a - c, a - c))
+            if q > best_q:
+                best_q, best = q, pos
+        assert best is not None
+        tris.append((idx[best - 1], idx[best], idx[(best + 1) % m]))
+        del idx[best]
+    tris.append(tuple(idx))
+    return tris
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_batched_passes_match_plain_loops(case, monkeypatch):
+    # the level-scheduled smoothing and the batched ear test against the
+    # plain loops they replace, on the golden builds' own inputs and on
+    # seeded jitters of their leftover vertices: same P, same tris, same ears
+    domain, _, _, _, h, _, _ = GOLDEN[case]
+    smooth_inputs, polygons = [], []
+    smooth, clip = meshgen._smooth, meshgen.ear_clip
+
+    def record_smooth(P, tris, region, pkind, frozen, rect, rounds=8):
+        smooth_inputs.append((P.copy(), [t[:] for t in tris], region, pkind, frozen, rect))
+        smooth(P, tris, region, pkind, frozen, rect, rounds)
+
+    def record_clip(points):
+        polygons.append(np.array(points))
+        return clip(points)
+
+    monkeypatch.setattr(meshgen, "_smooth", record_smooth)
+    monkeypatch.setattr(meshgen, "ear_clip", record_clip)
+    build_r_conform_coarse(domain, h)
+    (P0, tris0, region, pkind, frozen, rect), = smooth_inputs
+    assert len(polygons) == 2
+    for pts in polygons:
+        assert clip(pts) == _ear_clip_reference(pts)
+
+    T = np.array(tris0)
+    leftover = np.ones(len(P0), dtype=bool)
+    leftover[T[np.asarray(pkind) != PATCH_NONE].ravel()] = False
+    (x0, y0), (x1, y1) = rect
+    leftover &= ((P0[:, 0] > x0) & (P0[:, 0] < x1) & (P0[:, 1] > y0) & (P0[:, 1] < y1))
+    for seed in (None, 1):
+        P = P0.copy()
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            P[leftover] += rng.uniform(-0.1 * h, 0.1 * h, (leftover.sum(), 2))
+        P_ref, tris_ref = P.copy(), [t[:] for t in tris0]
+        _smooth_reference(P_ref, tris_ref, region, pkind, frozen, rect)
+        tris = [t[:] for t in tris0]
+        smooth(P, tris, region, pkind, frozen, rect)
+        assert P.tobytes() == P_ref.tobytes(), seed
+        assert tris == tris_ref, seed
 
 
 def test_region_purity(domain, coarse):
@@ -337,6 +492,7 @@ def test_ear_clip_star_polygons(gaps_radii):
     theta = 2 * np.pi * np.cumsum(gaps) / gaps.sum()
     pts = np.column_stack([radii * np.cos(theta), radii * np.sin(theta)])
     tris = ear_clip(pts)
+    assert tris == _ear_clip_reference(pts)
     assert len(tris) == len(pts) - 2
     shoelace = 0.5 * np.sum(pts[:, 0] * np.roll(pts[:, 1], -1)
                             - pts[:, 1] * np.roll(pts[:, 0], -1))
