@@ -130,7 +130,7 @@ def _cmd_solve(args) -> int:
         raise ConfigError("scalar solve needs lam")
     meshes = exp.mesh_ladder(cfg)
     m = meshes[-1]
-    blocks = fem.assemble_blocks(m)
+    blocks = fem.assemble_blocks(m, (fem.SCALAR,))
     lam = float(cfg.lam)
     f0 = exp._constant_f0(cfg.source)
     v, flux = sol.solve_scalar_potential(m, blocks, cfg.material(), lam, f0=f0)
@@ -194,7 +194,7 @@ def _cmd_export(args) -> int:
         raise ConfigError("field export needs lam")
     meshes = exp.mesh_ladder(cfg)
     m = meshes[-1]
-    blocks = fem.assemble_blocks(m)
+    blocks = fem.assemble_blocks(m, (fem.EDGE,))
     s = sol.solve_source(m, blocks, cfg.material(), float(cfg.lam), cfg.source)
     path = exp.export_field(s.field, Path(cfg.out_dir) / f"field.{args.format}",
                             format=args.format)

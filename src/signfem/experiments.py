@@ -7,6 +7,15 @@ serially afterwards, so CSV bytes depend only on the config.  Tables all
 carry (level, h_max, dofs, ...) rows; h_max halves exactly per level because
 refinement is red.
 
+The source study splits each level into an edge and a scalar job and lists
+them largest first (longest-job-first list scheduling, Graham 1969).  A
+level has four times the unknowns of the one below, so the finest level's
+two solves set the wall time; listed first, they start together while the
+coarse levels fill in behind them.  Each job assembles only its own
+formulation's blocks, inside its worker thread.  Temporaries freed in the
+main thread stay in its glibc arena, where the workers' factorizations
+cannot reuse them, so assembling in the worker keeps the peak memory down.
+
 Error protocol for the source study: the finest level is the reference, and
 coarser solutions are carried up to it by the exact nested prolongation
 matrices before norms are taken.  Absolute numbers therefore depend on the
@@ -107,7 +116,10 @@ def mesh_ladder(cfg: ExperimentConfig) -> List[Mesh]:
 
 
 def _pool_map(task: Callable, items: Sequence) -> list:
-    """Dispatch per-level/per-shift work; results return in submission order."""
+    """Dispatch per-level/per-formulation work; results return in submission
+    order.  Workers take the items in list order, so the largest jobs go
+    first, and a job allocates its own large arrays in its worker thread
+    (module docstring)."""
     if len(items) <= 1:
         return [task(it) for it in items]
     with ThreadPoolExecutor(max_workers=min(len(items), os.cpu_count() or 1)) as ex:
@@ -162,56 +174,67 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
     lam = float(cfg.lam)
     mat = cfg.material()
     meshes = mesh_ladder(cfg)
-    blocks = [fem.assemble_blocks(m) for m in meshes]
     meta = _base_metadata(cfg) + [("lam", repr(lam)),
                                   ("reference", "finest level" if cfg.fixture == "none"
                                    else "manufactured solution")]
+    # finest level first: its jobs are the longest (module docstring)
+    finest = cfg.levels - 1
+    levels = range(finest, -1, -1)
 
     if cfg.fixture == "manufactured":
         exact, exact_curl, load = manufactured_solution(lam)
 
-        def task(i):
-            space = EdgeSpace(meshes[i], clamp=False)
-            s = sol.solve_source(meshes[i], blocks[i], mat, lam, load, space=space)
-            l2, x = fem.error_vs_exact(meshes[i], s.field.coeffs, exact, exact_curl)
+        def task(job):
+            m = meshes[job[0]]
+            space = EdgeSpace(m, clamp=False)
+            blocks = fem.assemble_blocks(m, (fem.EDGE,))
+            s = sol.solve_source(m, blocks, mat, lam, load, space=space)
+            l2, x = fem.error_vs_exact(m, s.field.coeffs, exact, exact_curl)
             return (x, l2)
 
-        errs = _pool_map(task, range(cfg.levels))
-        rows = tuple((i, meshes[i].h_max, meshes[i].num_edges, x, l2)
-                     for i, (x, l2) in enumerate(errs))
+        jobs = [(i, "edge") for i in levels]
+        errs = dict(zip(jobs, _pool_map(task, jobs)))
+        rows = tuple((i, meshes[i].h_max, meshes[i].num_edges) + errs[i, "edge"]
+                     for i in range(cfg.levels))
         return ResultTable(("level", "h_max", "dofs", "x_err", "l2_err"),
                            rows, tuple(meta))
 
-    def task(i):
-        s = sol.solve_source(meshes[i], blocks[i], mat, lam, cfg.source)
-        v, _ = sol.solve_scalar_potential(meshes[i], blocks[i], mat, lam,
+    def task(job):
+        i, kind = job
+        if kind == "edge":
+            blocks = fem.assemble_blocks(meshes[i], (fem.EDGE,))
+            s = sol.solve_source(meshes[i], blocks, mat, lam, cfg.source)
+            return s.field.coeffs, (blocks if i == finest else None)
+        blocks = fem.assemble_blocks(meshes[i], (fem.SCALAR,))
+        v, _ = sol.solve_scalar_potential(meshes[i], blocks, mat, lam,
                                           f0=_constant_f0(cfg.source))
-        cross = fem.cross_error(meshes[i], mat, lam, s.field.coeffs, v.coeffs)
-        return (s.field.coeffs, cross)
+        return v.coeffs
 
-    solved = _pool_map(task, range(cfg.levels))
+    jobs = [(i, kind) for i in levels for kind in ("edge", "scalar")]
+    solved = dict(zip(jobs, _pool_map(task, jobs)))
+    uref, blocks_f = solved[finest, "edge"]
 
     space_f = EdgeSpace(meshes[-1])
-    gram = sol.xnorm_gram(blocks[-1], space_f)
-    mass = blocks[-1]["M_plus"] + blocks[-1]["M_minus"]
+    gram = sol.xnorm_gram(blocks_f, space_f)
+    mass = blocks_f["M_plus"] + blocks_f["M_minus"]
 
     def norm(G, d):  # float64 is enough for a norm; the solve's carry is not
         d = np.asarray(d, dtype=float)
         return math.sqrt(max(float(d @ (G @ d)), 0.0))
 
     prolong = [fem.edge_prolongation(c, f) for c, f in zip(meshes, meshes[1:])]
-    uref = solved[-1][0]
     ref_x = norm(gram, space_f.restrict_vec(uref))
     ref_l2 = norm(mass, uref)
 
     rows = []
-    for i, (u, cross) in enumerate(solved):
-        w = u
+    for i in range(cfg.levels):
+        u = w = solved[i, "edge"][0]
         for P in prolong[i:]:
             w = P @ w
         d = w - uref
         x_err = norm(gram, space_f.restrict_vec(d)) / ref_x
         l2_err = norm(mass, d) / ref_l2
+        cross = fem.cross_error(meshes[i], mat, lam, u, solved[i, "scalar"])
         rows.append((i, meshes[i].h_max, meshes[i].num_edges, x_err, l2_err, cross))
     return ResultTable(("level", "h_max", "dofs", "x_err", "l2_err", "cross_err"),
                        tuple(rows), tuple(meta))
@@ -339,7 +362,8 @@ def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
     threshold = float(cfg.threshold)
     mat = cfg.material()
     meshes = mesh_ladder(cfg)
-    blocks = [fem.assemble_blocks(m) for m in meshes]
+    blocks = [fem.assemble_blocks(m, (fem.EDGE,)) for m in meshes]
+    scalar_blocks = fem.assemble_blocks(meshes[-1], (fem.SCALAR,))
 
     def task(i):
         p = sol.build_pencil(meshes[i], blocks[i], mat)
@@ -353,7 +377,7 @@ def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
 
     got = _pool_map(task, range(cfg.levels))
 
-    ps = sol.build_pencil(meshes[-1], blocks[-1], mat, form=fem.SCALAR)
+    ps = sol.build_pencil(meshes[-1], scalar_blocks, mat, form=fem.SCALAR)
     svals = sol.pencil_eigenvalues(ps, window=window, shift=shift, count=8)
     scalar_ref = _largest_below(list(svals), threshold, "scalar")
     ref = got[-1][0]
@@ -383,7 +407,7 @@ def run_infsup_diagnostic(cfg: ExperimentConfig) -> ResultTable:
     lam = float(cfg.lam)
     mat = cfg.material()
     meshes = mesh_ladder(cfg)
-    blocks = [fem.assemble_blocks(m) for m in meshes]
+    blocks = [fem.assemble_blocks(m, (fem.EDGE,)) for m in meshes]
 
     def task(i):
         return sol.discrete_infsup(meshes[i], blocks[i], mat, lam, level=i)

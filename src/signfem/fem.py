@@ -167,76 +167,6 @@ def _scatter(rows, cols, vals, shape):
                          shape=shape).tocsr()
 
 
-def assemble_blocks(mesh: Mesh) -> Dict[str, sp.csr_matrix]:
-    """Assemble the per-region building blocks, keyed by stem and region.
-
-    K_plus/K_minus, M_plus/M_minus: edge-element curl-curl and mass, on every
-    edge.  Ks_plus/Ks_minus, Ms_plus/Ms_minus: P1 stiffness and mass, on every
-    vertex.  C: <curl u, q> pairing of the edge space with the minus-region
-    piecewise constants; MY: their mass (diagonal of minus areas).  Cs: the
-    two components of area * grad v per minus triangle; MYs: their mass.
-    The formulation table (EDGE, SCALAR) names the stems each problem reads.
-    """
-    grads, curls = _geometry(mesh)
-    area = mesh.areas
-    E, V, T = mesh.num_edges, mesh.num_vertices, mesh.num_triangles
-    signs = mesh.tri_edge_signs.astype(float)
-    ge = mesh.tri_edges
-
-    # edge-space element matrices (midpoint rule; exact at this degree)
-    pts, wts = MID_RULE
-    Mel = np.zeros((T, 3, 3))
-    for lam, w in zip(pts, wts):
-        W = _whitney_at(grads, lam)
-        Mel += w * np.einsum("tjd,tkd->tjk", W, W)
-    Mel *= area[:, None, None]
-    Mel *= signs[:, :, None] * signs[:, None, :]
-    # int_T (curl w_j)(curl w_k) = area * (1/area)^2; keep the snapped weight
-    # as a single factor so element entries stay exactly +-q
-    Kel = (signs[:, :, None] * signs[:, None, :]) * curls[:, :1, None]
-
-    # P1 element matrices
-    Ksel = np.einsum("tjd,tkd->tjk", grads, grads) * area[:, None, None]
-    Msel = np.zeros((T, 3, 3))
-    for lam, w in zip(pts, wts):
-        Msel += w * np.einsum("j,k->jk", lam, lam)[None, :, :]
-    Msel = Msel * area[:, None, None]
-
-    rows_e = np.repeat(ge, 3, axis=1)
-    cols_e = np.tile(ge, (1, 3))
-    gv = mesh.triangles
-    rows_v = np.repeat(gv, 3, axis=1)
-    cols_v = np.tile(gv, (1, 3))
-
-    blocks = {}
-    for name, sign in (("plus", 1), ("minus", -1)):
-        sel = mesh.region == sign
-        blocks[f"K_{name}"] = _scatter(rows_e[sel], cols_e[sel], Kel[sel], (E, E))
-        blocks[f"M_{name}"] = _scatter(rows_e[sel], cols_e[sel], Mel[sel], (E, E))
-        blocks[f"Ks_{name}"] = _scatter(rows_v[sel], cols_v[sel], Ksel[sel], (V, V))
-        blocks[f"Ms_{name}"] = _scatter(rows_v[sel], cols_v[sel], Msel[sel], (V, V))
-
-    tm = np.flatnonzero(mesh.region == -1)
-    rows_c = np.repeat(np.arange(len(tm)), 3)
-    cols_c = ge[tm].ravel()
-    # int_T curl w_e = area * (1/area): exactly the orientation sign
-    vals_c = signs[tm].ravel()
-    blocks["C"] = sp.coo_matrix((vals_c, (rows_c, cols_c)),
-                                shape=(len(tm), E)).tocsr()
-    blocks["MY"] = sp.diags(area[tm]).tocsr()
-
-    # scalar analog: Cs^T MYs^-1 Cs == Ks_minus
-    rows_s = np.repeat(2 * np.arange(len(tm)), 3)
-    rows_s = np.concatenate([rows_s, rows_s + 1])
-    cols_s = np.tile(gv[tm].ravel(), 2)
-    agrad = grads[tm] * area[tm, None, None]
-    vals_s = np.concatenate([agrad[:, :, 0].ravel(), agrad[:, :, 1].ravel()])
-    blocks["Cs"] = sp.coo_matrix((vals_s, (rows_s, cols_s)),
-                                 shape=(2 * len(tm), V)).tocsr()
-    blocks["MYs"] = sp.diags(np.repeat(area[tm], 2)).tocsr()
-    return blocks
-
-
 @dataclass(frozen=True)
 class Formulation:
     """One row of the formulation table: the block stems a problem reads, its
@@ -271,6 +201,89 @@ EDGE = Formulation("edge", "K", "M", "C", "MY", EdgeSpace, swap=False)
 SCALAR = Formulation("scalar", "Ks", "Ms", "Cs", "MYs", ScalarSpace, swap=True)
 
 
+def _edge_elements(mesh: Mesh, grads, curls, tm):
+    """The edge row's dofs per triangle, its element matrices (T,3,3),
+    stiffness and mass (midpoint rule; exact at this degree), and its pairing
+    and aux-mass blocks."""
+    signs = mesh.tri_edge_signs.astype(float)
+    pts, wts = MID_RULE
+    Mel = np.zeros((mesh.num_triangles, 3, 3))
+    for lam, w in zip(pts, wts):
+        W = _whitney_at(grads, lam)
+        Mel += w * np.einsum("tjd,tkd->tjk", W, W)
+    Mel *= mesh.areas[:, None, None]
+    Mel *= signs[:, :, None] * signs[:, None, :]
+    # int_T (curl w_j)(curl w_k) = area * (1/area)^2; keep the snapped weight
+    # as a single factor so element entries stay exactly +-q
+    Kel = (signs[:, :, None] * signs[:, None, :]) * curls[:, :1, None]
+
+    rows_c = np.repeat(np.arange(len(tm)), 3)
+    cols_c = mesh.tri_edges[tm].ravel()
+    # int_T curl w_e = area * (1/area): exactly the orientation sign
+    vals_c = signs[tm].ravel()
+    C = sp.coo_matrix((vals_c, (rows_c, cols_c)),
+                      shape=(len(tm), mesh.num_edges)).tocsr()
+    MY = sp.diags(mesh.areas[tm]).tocsr()
+    return mesh.tri_edges, Kel, Mel, C, MY
+
+
+def _scalar_elements(mesh: Mesh, grads, curls, tm):
+    """The scalar row's dofs per triangle, its P1 element matrices (T,3,3),
+    stiffness and mass, and its pairing and aux-mass blocks; Cs^T MYs^-1 Cs
+    == Ks_minus."""
+    area = mesh.areas
+    Ksel = np.einsum("tjd,tkd->tjk", grads, grads) * area[:, None, None]
+    pts, wts = MID_RULE
+    Msel = np.zeros((mesh.num_triangles, 3, 3))
+    for lam, w in zip(pts, wts):
+        Msel += w * np.einsum("j,k->jk", lam, lam)[None, :, :]
+    Msel = Msel * area[:, None, None]
+
+    rows_s = np.repeat(2 * np.arange(len(tm)), 3)
+    rows_s = np.concatenate([rows_s, rows_s + 1])
+    cols_s = np.tile(mesh.triangles[tm].ravel(), 2)
+    agrad = grads[tm] * area[tm, None, None]
+    vals_s = np.concatenate([agrad[:, :, 0].ravel(), agrad[:, :, 1].ravel()])
+    Cs = sp.coo_matrix((vals_s, (rows_s, cols_s)),
+                       shape=(2 * len(tm), mesh.num_vertices)).tocsr()
+    MYs = sp.diags(np.repeat(area[tm], 2)).tocsr()
+    return mesh.triangles, Ksel, Msel, Cs, MYs
+
+
+_ELEMENTS = {"edge": _edge_elements, "scalar": _scalar_elements}
+
+
+def assemble_blocks(mesh: Mesh, forms: Tuple[Formulation, ...] = (EDGE, SCALAR)
+                    ) -> Dict[str, sp.csr_matrix]:
+    """Assemble the per-region building blocks of the given formulation rows,
+    keyed by stem and region.  Each row builds the four stems it names, and
+    only its own element matrices are computed.
+
+    EDGE: K_plus/K_minus, M_plus/M_minus, edge-element curl-curl and mass on
+    every edge; C, the <curl u, q> pairing of the edge space with the
+    minus-region piecewise constants, and MY, their mass (diagonal of minus
+    areas).  SCALAR: Ks_plus/Ks_minus, Ms_plus/Ms_minus, P1 stiffness and mass
+    on every vertex; Cs, the two components of area * grad v per minus
+    triangle, and MYs, their mass.  The default builds both rows (12 blocks).
+    """
+    grads, curls = _geometry(mesh)
+    tm = np.flatnonzero(mesh.region == -1)
+    blocks = {}
+    for form in forms:
+        dofs, Sel, Mel, pairing, aux_mass = _ELEMENTS[form.kind](
+            mesh, grads, curls, tm)
+        n = form.space(mesh).ndof
+        rows, cols = np.repeat(dofs, 3, axis=1), np.tile(dofs, (1, 3))
+        for name, sign in (("plus", 1), ("minus", -1)):
+            sel = mesh.region == sign
+            for stem, el in ((form.stiffness, Sel), (form.mass, Mel)):
+                blocks[f"{stem}_{name}"] = _scatter(rows[sel], cols[sel], el[sel],
+                                                    (n, n))
+        blocks[form.pairing] = pairing
+        blocks[form.aux_mass] = aux_mass
+    return blocks
+
+
 def gradient_map(mesh: Mesh) -> sp.csr_matrix:
     """Coefficient map from P1 functions into the edge space: the tangential
     moment of a gradient along edge (a,b), a<b, is p(b) - p(a)."""
@@ -303,19 +316,21 @@ def assemble_A(blocks: Dict[str, sp.csr_matrix], mat: mats.DrudeMaterial,
     return space.restrict_matrix(A)
 
 
-def _quadrature(mesh: Mesh, rule):
+def _quadrature(grads, rule):
     """Walk a barycentric rule over every triangle: per point, its weight,
     the barycentric point and the local edge functions (T, 3, 2)."""
-    grads, _ = _geometry(mesh)
     for lam, w in zip(*rule):
         yield w, lam, _whitney_at(grads, lam)
 
 
-def _edge_values(mesh: Mesh, u_full: np.ndarray, rule):
+def _edge_values(mesh: Mesh, u_full: np.ndarray, rule, grads=None):
     """An edge field at the points of a barycentric rule: per point, its
-    weight, the barycentric point and the field values (T, 2)."""
+    weight, the barycentric point and the field values (T, 2).  grads are
+    the mesh's barycentric gradients, if the caller already has them."""
+    if grads is None:
+        grads, _ = _geometry(mesh)
     coef = u_full[mesh.tri_edges] * mesh.tri_edge_signs.astype(float)
-    for w, lam, W in _quadrature(mesh, rule):
+    for w, lam, W in _quadrature(grads, rule):
         yield w, lam, np.einsum("tj,tjd->td", coef, W)
 
 
@@ -330,7 +345,7 @@ def assemble_rhs(mesh: Mesh, fun: Callable, rule=MID_RULE) -> np.ndarray:
     v = mesh.vertices[mesh.triangles]
     out = np.zeros(mesh.num_edges)
     vals = None
-    for w, lam, W in _quadrature(mesh, rule):
+    for w, lam, W in _quadrature(_geometry(mesh)[0], rule):
         f = np.asarray(fun(np.einsum("j,tjd->td", lam, v)), dtype=float)
         contrib = w * np.einsum("td,tjd->tj", f, W)
         vals = contrib if vals is None else vals + contrib
@@ -398,10 +413,11 @@ def scalar_norms(mesh: Mesh, p: np.ndarray) -> FieldNorms:
 
 
 def potential_flux(mesh: Mesh, mat: mats.DrudeMaterial, lam,
-                   v: np.ndarray) -> np.ndarray:
+                   v: np.ndarray, grads=None) -> np.ndarray:
     """eps(lam)^-1 Curl v per triangle, (T, 2), with Curl v = (d2 v, -d1 v)
-    computed from the P1 field v."""
-    grads, _ = _geometry(mesh)
+    computed from the P1 field v.  grads as in _edge_values."""
+    if grads is None:
+        grads, _ = _geometry(mesh)
     gv = np.einsum("tj,tjd->td", v[mesh.triangles], grads)
     curl_v = np.column_stack([gv[:, 1], -gv[:, 0]])
     eps_t = np.where(mesh.region == 1,
@@ -414,12 +430,16 @@ def cross_error(mesh: Mesh, mat: mats.DrudeMaterial, lam,
                 u_full: np.ndarray, v_scalar: np.ndarray) -> float:
     """Relative L2 distance between the edge field u and eps(lam)^-1 Curl v
     of the P1 field v."""
-    target = potential_flux(mesh, mat, lam, v_scalar)
+    grads, _ = _geometry(mesh)
+    target = potential_flux(mesh, mat, lam, v_scalar, grads)
+    # the target is constant per triangle, so every quadrature point sees the
+    # same norm R; w * R per point rounds exactly as a per-point sum would
+    R = float(np.einsum("td,td->t", target.conj(), target).real @ mesh.areas)
     err = ref = 0.0
-    for w, _, uv in _edge_values(mesh, u_full, MID_RULE):
+    for w, _, uv in _edge_values(mesh, u_full, MID_RULE, grads):
         d = uv - target
         err += w * float(np.einsum("td,td->t", d.conj(), d).real @ mesh.areas)
-        ref += w * float(np.einsum("td,td->t", target.conj(), target).real @ mesh.areas)
+        ref += w * R
     if ref == 0:
         raise FemError("reference field vanishes; relative error undefined")
     return float(np.sqrt(err / ref))

@@ -40,6 +40,23 @@ def test_block_keys_and_exact_symmetry(blocks):
         assert abs(B - B.T).max() <= 1e-14
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_blocks_of_one_form_match_the_default(coarse, level):
+    mesh = refine_red(coarse) if level else coarse
+    both = fem.assemble_blocks(mesh)
+    edge = fem.assemble_blocks(mesh, (fem.EDGE,))
+    scalar = fem.assemble_blocks(mesh, (fem.SCALAR,))
+    assert set(edge) == {"K_plus", "K_minus", "M_plus", "M_minus", "C", "MY"}
+    assert set(scalar) == {"Ks_plus", "Ks_minus", "Ms_plus", "Ms_minus", "Cs", "MYs"}
+    assert len(both) == 12 and set(both) == set(edge) | set(scalar)
+    for part in (edge, scalar):
+        for key, B in part.items():
+            ref = both[key]
+            assert B.shape == ref.shape and B.dtype == ref.dtype
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(B, attr).tobytes() == getattr(ref, attr).tobytes(), key
+
+
 def test_mass_blocks_positive_definite_per_region(coarse, blocks):
     for name, sign in (("plus", 1), ("minus", -1)):
         sel = np.unique(coarse.tri_edges[coarse.region == sign])
