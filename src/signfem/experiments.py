@@ -16,6 +16,12 @@ formulation's blocks, inside its worker thread.  Temporaries freed in the
 main thread stay in its glibc arena, where the workers' factorizations
 cannot reuse them, so assembling in the worker keeps the peak memory down.
 
+Both eigen studies go through _gated_eigenpairs: one solvers.solve_eigen
+call per (level, formulation) job, the edge and the scalar pencil alike.
+Every pair a study emits must meet the RESIDUAL_FILTER gate on its rational
+residual; one that misses it raises SolverError naming the job, lam and the
+residual, so no pair is ever dropped.
+
 Error protocol for the source study: the finest level is the reference, and
 coarser solutions are carried up to it by the exact nested prolongation
 matrices before norms are taken.  Absolute numbers therefore depend on the
@@ -50,8 +56,9 @@ __all__ = [
     "RESIDUAL_FILTER",
 ]
 
-# eigenpairs above this rational residual are dropped from emitted tables;
-# recorded in every eigen CSV's metadata so the selection rule is documented
+# the gate on every emitted eigenpair's rational residual: a pair above it
+# raises; recorded in every eigen CSV's metadata (the benchmark tracer
+# imports the name)
 RESIDUAL_FILTER = 1e-8
 
 
@@ -253,15 +260,37 @@ def _regime(windows: mats.CriticalWindows, lam: float) -> str:
     return "|".join(tags)
 
 
+def _gated_eigenpairs(meshes: Sequence[Mesh], blocks, mat: mats.DrudeMaterial,
+                      jobs: Sequence[Tuple[int, fem.Formulation]],
+                      window: Tuple[float, float], shift: float,
+                      count: int) -> Dict[Tuple[int, fem.Formulation], list]:
+    """solve_eigen on each (level, formulation) job's pencil through the pool,
+    by job; blocks[level] holds the blocks of every row that level's jobs
+    name.  A pair whose rational residual misses RESIDUAL_FILTER raises."""
+    def task(job):
+        i, form = job
+        p = sol.build_pencil(meshes[i], blocks[i], mat, form=form)
+        pairs = sol.solve_eigen(meshes[i], blocks[i], mat, p, window=window,
+                                shift=shift, count=count)
+        for q in pairs:
+            if not q.residual <= RESIDUAL_FILTER:
+                raise sol.SolverError(
+                    f"level {i} {form.kind} eigenpair at lam={q.lam} has rational "
+                    f"residual {q.residual:.3e} > {RESIDUAL_FILTER!r}")
+        return pairs
+
+    return dict(zip(jobs, _pool_map(task, jobs)))
+
+
 def run_spectrum(cfg: ExperimentConfig, count: int = 24):
     """Eigenvalues of both formulations on the finest level, annotated.
 
-    Returns (rows, csv_path).  Vector rows carry residual, classification and
-    curl-energy fraction; each one outside the permittivity accumulation
-    window is matched to its nearest scalar-formulation partner (inside it,
-    eigenvalues accumulate and pairing is meaningless, so the match columns
-    stay empty).  Pairs above RESIDUAL_FILTER are dropped and counted in the
-    metadata.
+    Returns (rows, csv_path).  The two formulations are two jobs of
+    _gated_eigenpairs, so every row has passed the RESIDUAL_FILTER gate.
+    Vector rows carry residual, classification and curl-energy fraction; each
+    one outside the permittivity accumulation window is matched to its
+    nearest scalar-formulation partner (inside it, eigenvalues accumulate and
+    pairing is meaningless, so the match columns stay empty).
     """
     if cfg.kind != "spectrum":
         raise ConfigError(f"spectrum scan asked to run a {cfg.kind!r} config")
@@ -272,42 +301,19 @@ def run_spectrum(cfg: ExperimentConfig, count: int = 24):
     mat = cfg.material()
     windows = cfg.windows()
     meshes = mesh_ladder(cfg)
-    mesh = meshes[-1]
     level = cfg.levels - 1
-    bl = fem.assemble_blocks(mesh)
+    blocks = {level: fem.assemble_blocks(meshes[level])}
 
-    coercive = window[1] <= 0  # A(lam) is definite for lam < 0: no spectrum
-    if coercive:
-        pairs, svals, svecs = [], np.empty(0), np.empty((0, 0))
-    else:
-        def vector_task(_):
-            p = sol.build_pencil(mesh, bl, mat)
-            return sol.solve_eigen(mesh, bl, mat, p, window=window,
-                                   shift=shift, count=count)
-
-        def scalar_task(_):
-            ps = sol.build_pencil(mesh, bl, mat, form=fem.SCALAR)
-            return sol.pencil_eigenvalues(ps, window=window, shift=shift,
-                                          count=count, vectors=True)
-
-        (pairs, (svals, svecs)) = _pool_map(
-            lambda which: vector_task(0) if which == "vector" else scalar_task(0),
-            ["vector", "scalar"])
-
-    dropped = sum(1 for q in pairs if q.residual > RESIDUAL_FILTER)
-    pairs = [q for q in pairs if q.residual <= RESIDUAL_FILTER]
-    if len(svals):
-        evaluate = sol.residual_evaluator(mesh, bl, mat, fem.SCALAR)
-        sres = np.array([evaluate(float(lamk), svecs[:mesh.num_vertices, k])
-                         for k, lamk in enumerate(svals)])
-        keep = sres <= RESIDUAL_FILTER
-        dropped += int((~keep).sum())
-        svals, sres = svals[keep], sres[keep]
-    else:
-        sres = np.empty(0)
+    # A(lam) is definite for lam < 0: no spectrum
+    forms = (fem.EDGE, fem.SCALAR) if window[1] > 0 else ()
+    got = _gated_eigenpairs(meshes, blocks, mat, [(level, f) for f in forms],
+                            window, shift, count)
+    pairs = got.get((level, fem.EDGE), [])
+    scalar = got.get((level, fem.SCALAR), [])
+    svals = np.array([q.lam for q in scalar])
 
     rows = []
-    for q in sorted(pairs, key=lambda q: q.lam):
+    for q in pairs:
         reg = _regime(windows, q.lam)
         match = match_rel = ""
         if "eps-critical" not in reg and len(svals):
@@ -316,14 +322,13 @@ def run_spectrum(cfg: ExperimentConfig, count: int = 24):
             match_rel = float(abs(svals[j] - q.lam) / abs(q.lam))
         rows.append((level, "vector", q.lam, q.residual, q.classification,
                      q.curl_fraction, reg, match, match_rel))
-    for lamk, resk in zip(svals, sres):
-        rows.append((level, "scalar", float(lamk), float(resk), "", "",
-                     _regime(windows, float(lamk)), "", ""))
+    for q in scalar:
+        rows.append((level, "scalar", q.lam, q.residual, "", "",
+                     _regime(windows, q.lam), "", ""))
 
     meta = _base_metadata(cfg) + [
         ("window", f"{window[0]},{window[1]}"), ("shift", repr(shift)),
         ("residual_filter", repr(RESIDUAL_FILTER)),
-        ("dropped_by_filter", str(dropped)),
         ("eps_window", _win_str(windows.window_eps)),
         ("mu_window", _win_str(windows.window_mu)),
     ]
@@ -339,19 +344,24 @@ def _win_str(window) -> str:
     return f"{float(window[0])!r},{float(window[1])!r}"
 
 
-def _largest_below(vals: Sequence[float], threshold: float, what: str) -> float:
-    below = [v for v in vals if v < threshold]
+def _largest_below(pairs: Sequence[sol.EigenPair], threshold: float,
+                   what: str) -> sol.EigenPair:
+    below = [q for q in pairs if q.lam < threshold]
     if not below:
         raise sol.SolverError(
             f"target not found: no {what} eigenvalue below {threshold}")
-    return max(below)
+    return max(below, key=lambda q: q.lam)
 
 
 def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
     """Track the largest eigenvalue below the threshold across the ladder;
     errors are relative to the finest level and to the scalar-formulation
-    value on the finest level.  Pairs above RESIDUAL_FILTER are dropped and
-    counted, over all levels, in the metadata."""
+    value on the finest level.
+
+    The per-level edge jobs share the pool.  The scalar reference runs as one
+    job after it, so its factors are never held beside the finest edge job's.
+    Every pair of either formulation must pass the RESIDUAL_FILTER gate
+    (_gated_eigenpairs)."""
     if cfg.kind != "eigen-convergence":
         raise ConfigError(
             f"eigenvalue convergence asked to run a {cfg.kind!r} config")
@@ -362,35 +372,30 @@ def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
     threshold = float(cfg.threshold)
     mat = cfg.material()
     meshes = mesh_ladder(cfg)
+    finest = cfg.levels - 1
     blocks = [fem.assemble_blocks(m, (fem.EDGE,)) for m in meshes]
-    scalar_blocks = fem.assemble_blocks(meshes[-1], (fem.SCALAR,))
+    blocks[finest] = {**blocks[finest],
+                      **fem.assemble_blocks(meshes[finest], (fem.SCALAR,))}
 
-    def task(i):
-        p = sol.build_pencil(meshes[i], blocks[i], mat)
-        pairs = sol.solve_eigen(meshes[i], blocks[i], mat, p, window=window,
-                                shift=shift, count=8)
-        good = [q for q in pairs if q.residual <= RESIDUAL_FILTER]
-        tgt = _largest_below([q.lam for q in good], threshold,
-                             f"level-{i} vector")
-        res = next(q.residual for q in good if q.lam == tgt)
-        return tgt, res, len(pairs) - len(good)
-
-    got = _pool_map(task, range(cfg.levels))
-
-    ps = sol.build_pencil(meshes[-1], scalar_blocks, mat, form=fem.SCALAR)
-    svals = sol.pencil_eigenvalues(ps, window=window, shift=shift, count=8)
-    scalar_ref = _largest_below(list(svals), threshold, "scalar")
-    ref = got[-1][0]
+    edge = _gated_eigenpairs(meshes, blocks, mat,
+                             [(i, fem.EDGE) for i in range(cfg.levels)],
+                             window, shift, count=8)
+    got = [_largest_below(edge[i, fem.EDGE], threshold, f"level-{i} vector")
+           for i in range(cfg.levels)]
+    scalar = _gated_eigenpairs(meshes, blocks, mat, [(finest, fem.SCALAR)],
+                               window, shift, count=8)
+    scalar_ref = _largest_below(scalar[finest, fem.SCALAR], threshold,
+                                "scalar").lam
+    ref = got[-1].lam
 
     rows = tuple(
-        (i, meshes[i].h_max, meshes[i].num_edges, lam_i, res_i,
-         abs(lam_i - ref) / abs(ref), abs(lam_i - scalar_ref) / abs(scalar_ref))
-        for i, (lam_i, res_i, _) in enumerate(got))
+        (i, meshes[i].h_max, meshes[i].num_edges, q.lam, q.residual,
+         abs(q.lam - ref) / abs(ref), abs(q.lam - scalar_ref) / abs(scalar_ref))
+        for i, q in enumerate(got))
     meta = _base_metadata(cfg) + [
         ("window", f"{window[0]},{window[1]}"), ("shift", repr(shift)),
         ("target", f"largest eigenvalue below {threshold!r}, lambda-sorted"),
         ("residual_filter", repr(RESIDUAL_FILTER)),
-        ("dropped_by_filter", str(sum(d for _, _, d in got))),
         ("scalar_reference", repr(float(scalar_ref))),
     ]
     return ResultTable(

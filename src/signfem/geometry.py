@@ -72,11 +72,6 @@ class CornerPattern:
     def beta(self) -> float:
         return TWO_PI / self.p
 
-    @property
-    def alpha(self) -> float:
-        """Plus-cone aperture 2*pi*q (float)."""
-        return TWO_PI * self.q.numerator / self.q.denominator
-
     def ray_angle(self, j: int) -> float:
         """Global direction of sector ray j (ray j bounds sectors j-1 | j)."""
         return self.frame_angle + j * self.beta

@@ -40,14 +40,6 @@ class DrudeMaterial:
         if self.omega_mu_sq < 0 or self.omega_eps_sq < 0:
             raise MaterialError("resonance frequencies must be non-negative")
 
-    @property
-    def omega_mu(self) -> float:
-        return float(self.omega_mu_sq) ** 0.5
-
-    @property
-    def omega_eps(self) -> float:
-        return float(self.omega_eps_sq) ** 0.5
-
 
 def drude_material(mu_plus=1, mu_minus=1, eps_plus=1, eps_minus=1,
                    omega_mu=None, omega_eps=None,

@@ -13,7 +13,9 @@ In 2D the scalar-potential problem is the edge problem with mu and eps
 swapped: eps(lam)^-1 weights the P1 stiffness, mu(lam) the mass, and the
 auxiliary variable is the piecewise-constant gradient on the inclusion.  Every
 routine here that takes a formulation (fem.EDGE or fem.SCALAR) reads its
-blocks and its material roles from that row of the formulation table.
+blocks and its material roles from that row of the formulation table;
+solve_eigen finds the row from its pencil's layout kind, so one eigen path
+serves both formulations.
 
 Every sparse factorization goes through _factorize, with one policy: a
 reverse Cuthill-McKee pre-order, then SuperLU in SymmetricMode with ordering
@@ -44,15 +46,14 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import fem, materials as mats
-from .fem import EDGE, EdgeSpace, FeField, Formulation, ScalarSpace
+from .fem import EDGE, SCALAR, EdgeSpace, FeField, Formulation, ScalarSpace
 from .mesh import Mesh
 
 __all__ = [
     "SolverError", "SourceSolution", "MatrixPencil", "PencilLayout",
     "EigenPair", "InfSupEstimate", "xnorm_gram", "solve_source",
     "solve_scalar_potential", "build_pencil", "schur_action", "solve_eigen",
-    "pencil_eigenvalues", "count_eigen_window", "residual_evaluator",
-    "rational_residual", "discrete_infsup",
+    "count_eigen_window", "residual_evaluator", "discrete_infsup",
 ]
 
 
@@ -87,11 +88,12 @@ class MatrixPencil:
 @dataclass(frozen=True)
 class EigenPair:
     lam: float
-    u: np.ndarray             # full edge coefficients
+    u: np.ndarray             # full coefficients on the formulation's space
     v: np.ndarray             # auxiliary part (empty for one-block pencils)
     residual: float           # rational residual ||A(lam)u|| / ||u||_X
-    classification: str       # "gradient-dominated" | "curl-carrying"
-    curl_fraction: float      # curl energy over total H(curl) energy
+    # edge pairs only (None for scalar pairs):
+    classification: Optional[str]    # "gradient-dominated" | "curl-carrying"
+    curl_fraction: Optional[float]   # curl energy over total H(curl) energy
 
 
 @dataclass(frozen=True)
@@ -396,69 +398,51 @@ def residual_evaluator(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     return evaluate
 
 
-def rational_residual(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                      mat: mats.DrudeMaterial, lam: float,
-                      u_full: np.ndarray) -> float:
-    """||A(lam) u|| in the inverse-Gram sense, over ||u||_X, for one edge
-    field; residual_evaluator serves repeated queries."""
-    return residual_evaluator(mesh, blocks, mat)(lam, u_full)
+_FORMS = {form.kind: form for form in (EDGE, SCALAR)}
 
 
 def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
                 mat: mats.DrudeMaterial, pencil: MatrixPencil,
                 window: Tuple[float, float], shift: float,
                 count: int = 8) -> List[EigenPair]:
-    """Up to count eigenpairs of the edge pencil in the window, those nearest
-    the shift, sorted by lam and certified by inertia (see _eigen_window).
+    """Up to count eigenpairs of the pencil in the window, those nearest the
+    shift, sorted by lam and certified by inertia (see _eigen_window).
 
-    Every pair carries the rational-residual value and a Helmholtz
-    classification of its edge part (curl energy fraction <= 1e-8 means
+    Either formulation's pencil is served: pencil.layout.kind names the row
+    whose space and rational residual (residual_evaluator) the pairs use.
+    Every pair carries its residual value; edge pairs also carry a Helmholtz
+    classification of their edge part (curl energy fraction <= 1e-8 means
     gradient-dominated; those populate the accumulation window of the
-    permittivity contrast).  A residual that cannot be evaluated raises
-    SolverError naming lam and the cause; no pair is dropped silently.
+    permittivity contrast).  A shift within 0.05 of the pencil's resonance
+    pole, or a residual that cannot be evaluated, raises SolverError.
     """
     lay = pencil.layout
-    if lay.kind != EDGE.kind:
-        raise SolverError("solve_eigen expects the edge-formulation pencil; "
-                          "use pencil_eigenvalues for the scalar one")
+    form = _FORMS[lay.kind]
     if lay.coupled and abs(shift - lay.pole) < 0.05:
         raise SolverError(
             f"shift {shift} within the guard band of the resonance pole "
             f"{lay.pole}")
     vals, vecs = _eigen_window(pencil, window, shift, count, vectors=True)
 
-    space = EdgeSpace(mesh)
-    evaluate = residual_evaluator(mesh, blocks, mat)
+    space = form.space(mesh)
+    evaluate = residual_evaluator(mesh, blocks, mat, form)
     pairs: List[EigenPair] = []
     for lam, x in zip(vals, vecs.T):
         lam = float(lam)
         u = space.expand_vec(x[:lay.n_primary])
         v = x[lay.n_primary:].copy()
-        norms = fem.field_norms(mesh, u)
-        if norms.hcurl == 0:
-            continue
-        frac = (norms.curl / norms.hcurl) ** 2
-        cls = "gradient-dominated" if frac <= 1e-8 else "curl-carrying"
+        cls = frac = None
+        if form is EDGE:
+            norms = fem.field_norms(mesh, u)
+            frac = float((norms.curl / norms.hcurl) ** 2)
+            cls = "gradient-dominated" if frac <= 1e-8 else "curl-carrying"
         try:
             res = evaluate(lam, u)
         except SolverError as exc:
             raise SolverError(f"rational residual of the eigenpair at lam={lam} "
                               f"failed: {exc}") from exc
-        pairs.append(EigenPair(lam, u, v, res, cls, float(frac)))
+        pairs.append(EigenPair(lam, u, v, res, cls, frac))
     return pairs
-
-
-def pencil_eigenvalues(pencil: MatrixPencil, window: Tuple[float, float],
-                       shift: float, count: int = 8, vectors: bool = False):
-    """Up to count eigenvalues in the window, those nearest the shift, sorted
-    and certified by inertia (see _eigen_window).
-
-    Formulation-agnostic (works for both the edge and the scalar pencil);
-    no residual filtering or classification is attempted.  With vectors=True
-    the matching eigenvector columns come back alongside.
-    """
-    vals, vecs = _eigen_window(pencil, window, shift, count, vectors)
-    return (vals, vecs) if vectors else vals
 
 
 def _negative_count(pencil: MatrixPencil, sigma: float) -> int:

@@ -6,7 +6,6 @@ import pytest
 
 from signfem import solvers as sol
 from signfem.cli import main
-from signfem.experiments import RESIDUAL_FILTER
 
 CFG_51 = """
 [domain]
@@ -98,29 +97,34 @@ def test_solve_scalar_writes_flux(cfg51, tmp_path):
     assert header[0] == "triangle,x1,x2,f1,f2"
 
 
-def test_eigen_converge(cfg52, tmp_path, capsys, monkeypatch):
-    # every level's solve also returns one pair above the residual filter;
-    # the filter drops it and the metadata counts it with the real drops
-    solve_eigen, returned = sol.solve_eigen, []
+def _with_bad_pair(monkeypatch, kind):
+    # every solve of a `kind` pencil also returns one pair above the residual
+    # gate, which the study must refuse rather than drop
+    solve_eigen = sol.solve_eigen
 
-    def with_bad_pair(*args, **kwargs):
-        pairs = solve_eigen(*args, **kwargs)
-        bad = dataclasses.replace(pairs[0], lam=1.25, residual=1.0)
-        returned.extend(pairs + [bad])
-        return pairs + [bad]
+    def with_bad_pair(mesh, blocks, mat, pencil, **kwargs):
+        pairs = solve_eigen(mesh, blocks, mat, pencil, **kwargs)
+        if pencil.layout.kind != kind:
+            return pairs
+        return pairs + [dataclasses.replace(pairs[0], lam=1.25, residual=1.0)]
 
     monkeypatch.setattr(sol, "solve_eigen", with_bad_pair)
+
+
+def test_eigen_converge(cfg52, tmp_path, capsys, monkeypatch):
+    args = ["eigen", "converge", "--config", cfg52, "--levels", "2",
+            "--window", "1.2,4/3", "--shift", "1.27"]
     out = tmp_path / "o"
-    assert main(["eigen", "converge", "--config", cfg52, "--levels", "2",
-                 "--window", "1.2,4/3", "--shift", "1.27",
-                 "--out", str(out)]) == 0
+    assert main(args + ["--out", str(out)]) == 0
     assert (out / "eigen.csv").is_file()
     assert "err_vs_finest" in capsys.readouterr().out
-    meta = [line for line in (out / "eigen.csv").read_text().splitlines()
-            if line.startswith("# dropped_by_filter = ")]
-    dropped = sum(q.residual > RESIDUAL_FILTER for q in returned)
-    assert dropped >= 2
-    assert meta == [f"# dropped_by_filter = {dropped}"]
+    assert "dropped_by_filter" not in (out / "eigen.csv").read_text()
+
+    _with_bad_pair(monkeypatch, "edge")
+    assert main(args + ["--out", str(tmp_path / "bad")]) == 3
+    err = capsys.readouterr().err
+    assert "edge eigenpair at lam=1.25" in err and "1.000e+00" in err
+    assert not (tmp_path / "bad" / "eigen.csv").exists()
 
 
 def test_eigen_csv_cells_are_plain_floats(cfg52, tmp_path):
@@ -150,6 +154,17 @@ def test_eigen_spectrum(cfg52, tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert (out / "spectrum.csv").is_file()
     assert "eigenvalues in window" in capsys.readouterr().out
+
+
+def test_eigen_spectrum_bad_scalar_pair_fails(cfg52, tmp_path, capsys,
+                                              monkeypatch):
+    _with_bad_pair(monkeypatch, "scalar")
+    assert main(["eigen", "spectrum", "--config", cfg52, "--levels", "2",
+                 "--window", "1.2,4/3", "--shift", "1.27",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "level 1 scalar eigenpair at lam=1.25" in err and "1.000e+00" in err
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 def test_eigen_target_missing_is_solver_failure(cfg51, tmp_path):

@@ -227,20 +227,34 @@ def test_eigen_input_validation(mesh_seq, blocks_seq):
         sol.solve_eigen(m, bl, REFERENCE, p, window=(1.0, 2.0), shift=5.0)
     with pytest.raises(sol.SolverError, match="guard"):
         sol.solve_eigen(m, bl, REFERENCE, p, window=(3.8, 4.3), shift=3.98)
+
+
+def test_scalar_eigen_guard_band_at_omega_eps_sq(mesh_seq, blocks_seq):
+    # the scalar pencil linearizes the resonance at omega_eps^2 = 2, not at
+    # omega_mu^2 = 4: a shift within 0.05 of 2 raises before any factor
+    m, bl = mesh_seq[0], blocks_seq[0]
     ps = sol.build_pencil(m, bl, REFERENCE, form=fem.SCALAR)
-    with pytest.raises(sol.SolverError, match="scalar"):
-        sol.solve_eigen(m, bl, REFERENCE, ps, window=(1.0, 2.0), shift=1.5)
+    assert ps.layout.pole == float(REFERENCE.omega_eps_sq)
+    with pytest.raises(sol.SolverError, match="guard band.*pole 2.0"):
+        sol.solve_eigen(m, bl, REFERENCE, ps, window=(1.9, 2.1), shift=2.04)
 
 
-def test_pencil_eigenvalues_matches_dense(mesh_seq, blocks_seq):
+@pytest.mark.parametrize("form, window, shift", [
+    (fem.EDGE, (1.2, 4 / 3), 1.27),
+    (fem.SCALAR, (2.1, 3.0), 2.5),    # L0 has no scalar value below 4/3
+], ids=["edge", "scalar"])
+def test_solve_eigen_matches_dense(mesh_seq, blocks_seq, form, window, shift):
     from scipy.linalg import eigh
     m, bl = mesh_seq[0], blocks_seq[0]
-    p = sol.build_pencil(m, bl, REFERENCE)
+    p = sol.build_pencil(m, bl, REFERENCE, form=form)
     vals = eigh(p.S.toarray(), p.T.toarray(), eigvals_only=True)
-    want = np.sort(vals[(vals >= 1.2) & (vals <= 4 / 3)])
-    got = sol.pencil_eigenvalues(p, (1.2, 4 / 3), shift=1.27, count=64)
-    assert got.shape == want.shape
+    want = np.sort(vals[(vals >= window[0]) & (vals <= window[1])])
+    pairs = sol.solve_eigen(m, bl, REFERENCE, p, window=window, shift=shift,
+                            count=64)
+    got = np.array([q.lam for q in pairs])
+    assert want.size and got.shape == want.shape
     assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+    assert all(q.u.shape == (form.space(m).ndof,) for q in pairs)
 
 
 def test_vector_and_scalar_spectra_agree(mesh_seq, blocks_seq):
@@ -248,10 +262,12 @@ def test_vector_and_scalar_spectra_agree(mesh_seq, blocks_seq):
     m, bl = mesh_seq[2], blocks_seq[2]
     pv = sol.build_pencil(m, bl, REFERENCE)
     ps = sol.build_pencil(m, bl, REFERENCE, form=fem.SCALAR)
-    lv = sol.pencil_eigenvalues(pv, (1.2, 4 / 3), shift=1.27, count=4)
-    ls = sol.pencil_eigenvalues(ps, (1.2, 4 / 3), shift=1.27, count=4)
-    assert lv.size and ls.size
-    assert abs(lv.max() - ls.max()) <= 1e-2 * lv.max()
+    lv = [q.lam for q in sol.solve_eigen(m, bl, REFERENCE, pv, window=(1.2, 4 / 3),
+                                         shift=1.27, count=4)]
+    ls = [q.lam for q in sol.solve_eigen(m, bl, REFERENCE, ps, window=(1.2, 4 / 3),
+                                         shift=1.27, count=4)]
+    assert lv and ls
+    assert abs(max(lv) - max(ls)) <= 1e-2 * max(lv)
 
 
 SPECTRUM_WINDOW = (4 / 3, 100 / 51)
@@ -349,7 +365,7 @@ def test_shift_invert_failure_names_sigma(mesh_seq, blocks_seq, monkeypatch):
     monkeypatch.setattr(sol.spla, "eigsh", eigsh)
     with pytest.raises(sol.SolverError,
                        match=r"sigma=1\.3333333333333333: Factor is exactly singular"):
-        sol.pencil_eigenvalues(p, (1.2, 4 / 3), shift=1.27)
+        sol.count_eigen_window(p, (1.2, 4 / 3))
     assert calls == []
 
 
@@ -371,28 +387,31 @@ def test_certificate_catches_skipped_eigenvalue(mesh_seq, blocks_seq, monkeypatc
         keep = np.arange(vals.size) != np.argmin(np.abs(vals - sigma))
         return (vals[keep], out[1][:, keep]) if return_eigenvectors else vals[keep]
 
-    p = sol.build_pencil(mesh_seq[level], blocks_seq[level], REFERENCE)
+    m, bl = mesh_seq[level], blocks_seq[level]
+    p = sol.build_pencil(m, bl, REFERENCE)
     monkeypatch.setattr(sol.spla, "eigsh", skipping)
     with pytest.raises(sol.SolverError, match="inertia counts"):
-        sol.pencil_eigenvalues(p, window, shift=shift, count=count)
+        sol.solve_eigen(m, bl, REFERENCE, p, window=window, shift=shift,
+                        count=count)
 
 
 def test_edge_window_around_zero_fails_at_once(mesh_seq, blocks_seq):
     # lam = 0 carries the plus-region gradient kernel of the edge pencil (315
     # eigenvalues at L0), where shift-invert Lanczos stalls for thousands of
     # iterations; such a window must raise before any factor or solve
-    p = sol.build_pencil(mesh_seq[0], blocks_seq[0], REFERENCE)
+    m, bl = mesh_seq[0], blocks_seq[0]
+    p = sol.build_pencil(m, bl, REFERENCE)
     t0 = time.perf_counter()
     with pytest.raises(sol.SolverError, match="plus-region gradient kernel"):
-        sol.pencil_eigenvalues(p, (-0.1, 0.3), shift=0.1)
+        sol.solve_eigen(m, bl, REFERENCE, p, window=(-0.1, 0.3), shift=0.1)
     with pytest.raises(sol.SolverError, match="plus-region gradient kernel"):
         sol.count_eigen_window(p, (-0.1, 0.3))
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_eigen_residual_failure_raises(mesh_seq, blocks_seq, monkeypatch):
-    # a residual that cannot be evaluated must not turn into inf and let the
-    # filter drop the pair as if it were inaccurate
+    # a residual that cannot be evaluated must raise naming the pair, not
+    # turn into inf and reach the studies' gate as if it were inaccurate
     def evaluator(*args, **kwargs):
         def evaluate(lam, u):
             raise sol.SolverError("evaluator broke")
@@ -410,31 +429,38 @@ def test_rational_residual_contract(mesh_seq, blocks_seq):
     p = sol.build_pencil(m, bl, REFERENCE)
     pairs = sol.solve_eigen(m, bl, REFERENCE, p, window=(1.2, 4 / 3), shift=1.27)
     q = max(pairs, key=lambda r: r.lam)
-    assert sol.rational_residual(m, bl, REFERENCE, q.lam, q.u) <= 1e-8
+    evaluate = sol.residual_evaluator(m, bl, REFERENCE)
+    assert evaluate(q.lam, q.u) <= 1e-8
 
     rng = np.random.default_rng(3)
     u = EdgeSpace(m).expand_vec(rng.standard_normal(EdgeSpace(m).nfree))
-    assert sol.rational_residual(m, bl, REFERENCE, 1.1, u) >= 1e-3
+    assert evaluate(1.1, u) >= 1e-3
 
     with pytest.raises(sol.SolverError, match="pole"):
-        sol.rational_residual(m, bl, REFERENCE, 0.0, u)
+        evaluate(0.0, u)
     with pytest.raises(sol.SolverError, match="pole"):
-        sol.rational_residual(m, bl, REFERENCE, 4.0, u)
+        evaluate(4.0, u)
     with pytest.raises(sol.SolverError, match="u = 0"):
-        sol.rational_residual(m, bl, REFERENCE, 1.1, np.zeros(m.num_edges))
+        evaluate(1.1, np.zeros(m.num_edges))
 
 
 def test_scalar_residual_contract(mesh_seq, blocks_seq):
     # the scalar row of the shared evaluator: H1 Gram, scalar operator, and
-    # the pole at omega_eps^2
+    # the pole at omega_eps^2; each scalar pair of solve_eigen carries exactly
+    # that residual of its own vector, and no edge classification
     m, bl = mesh_seq[1], blocks_seq[1]
     ps = sol.build_pencil(m, bl, REFERENCE, form=fem.SCALAR)
-    vals, vecs = sol.pencil_eigenvalues(ps, (1.2, 4 / 3), shift=1.27,
-                                        count=4, vectors=True)
-    assert vals.size
+    pairs = sol.solve_eigen(m, bl, REFERENCE, ps, window=(1.2, 4 / 3),
+                            shift=1.27, count=4)
+    assert pairs
     evaluate = sol.residual_evaluator(m, bl, REFERENCE, fem.SCALAR)
-    k = int(np.argmax(vals))
-    assert evaluate(float(vals[k]), vecs[:m.num_vertices, k]) <= 1e-8
+    for q in pairs:
+        assert q.u.shape == (m.num_vertices,)
+        assert q.v.shape == (ps.layout.n_aux,)
+        assert q.residual == evaluate(q.lam, q.u)
+        assert q.classification is None and q.curl_fraction is None
+    q = max(pairs, key=lambda r: r.lam)
+    assert evaluate(q.lam, q.u) <= 1e-8
 
     v = np.random.default_rng(4).standard_normal(m.num_vertices)
     assert evaluate(1.1, v) >= 1e-3
