@@ -3,18 +3,34 @@ eigenvalue convergence, and the stability/reflection diagnostics.
 
 Every runner takes an ExperimentConfig, fans the per-level (or per-
 formulation) solves out to a thread pool, and assembles the output table
-serially afterwards, so CSV bytes depend only on the config.  Tables all
-carry (level, h_max, dofs, ...) rows; h_max halves exactly per level because
-refinement is red.
+serially afterwards, so CSV bytes depend only on the config, not on the
+number of cores or of BLAS threads.  Tables all carry (level, h_max, dofs,
+...) rows; h_max halves exactly per level because refinement is red.
 
-The source study splits each level into an edge and a scalar job and lists
-them largest first (longest-job-first list scheduling, Graham 1969).  A
-level has four times the unknowns of the one below, so the finest level's
-two solves set the wall time; listed first, they start together while the
-coarse levels fill in behind them.  Each job assembles only its own
-formulation's blocks, inside its worker thread.  Temporaries freed in the
-main thread stay in its glibc arena, where the workers' factorizations
-cannot reuse them, so assembling in the worker keeps the peak memory down.
+Every pooled study lists its per-level jobs finest level first
+(longest-job-first list scheduling, Graham 1969).  A level has four times the
+unknowns of the one below, so the finest level's solves set the wall time;
+listed first, they start at once while the coarse levels fill in behind them.
+Each job assembles only its own formulation row's blocks, inside its worker
+thread.  Temporaries freed in the main thread stay in its glibc arena, where
+the workers' factorizations cannot reuse them, so assembling in the worker
+keeps the peak memory down.
+
+Every pool job runs with one BLAS thread (_one_blas_thread).  Otherwise
+each worker's SuperLU and ARPACK calls also start OpenBLAS's own threads, so
+on two cores two workers ran four threads.  Measured on two cores, one
+eigen-convergence study on the benchmark's spectral config burned 5.2-5.5 s
+of CPU for 3.1-3.9 s of wall time without the pin, and 3.0-3.7 s of CPU for
+2.6-3.3 s with it.  Two L3 factorizations of the section 5.2 pencil
+(73,168 dofs) took 0.37-0.74 s in two workers without the pin, in some runs
+as slow as in sequence, and 0.38-0.46 s with it.  In sequence nothing is
+lost (0.57-0.82 s either way): SuperLU's supernodal kernels are level-2
+BLAS and gain nothing from BLAS threads.  The pin also makes the bytes
+independent of the core count.  A threaded reduction (ddot, LAPACK's
+blocked eigh) splits its sums by the thread count, and without the pin the
+last digits of the inf-sup, eigen-convergence, source and reflection tables
+moved with it.  The error norms the source study takes after its pool run
+under the same pin.
 
 Both eigen studies go through _gated_eigenpairs: one solvers.solve_eigen
 call per (level, formulation) job, the edge and the scalar pencil alike.
@@ -33,7 +49,10 @@ is checkable.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +61,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy
 import scipy.sparse.linalg as spla  # rebound by perfbench/tracing.py
 
 from . import fem, materials as mats, meshgen, reflection as refl, solvers as sol
@@ -122,15 +142,74 @@ def mesh_ladder(cfg: ExperimentConfig) -> List[Mesh]:
     return meshes
 
 
+# (get, set) names of OpenBLAS's thread control, in lookup order
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_control(pkg) -> Optional[Tuple[Callable, Callable]]:
+    """(get, set) thread control of the OpenBLAS that the wheel of pkg (numpy
+    or scipy) bundles under <pkg>.libs/; None where there is none (a build
+    against another BLAS)."""
+    libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_controls() -> Tuple[Tuple[Callable, Callable], ...]:
+    """The found thread controls of numpy's and scipy's OpenBLAS.  Looked up
+    on the first pool call, not at import."""
+    return tuple(c for c in map(_openblas_control, (np, scipy)) if c is not None)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with one BLAS thread in every bundled OpenBLAS, then give
+    each back the count it had (module docstring).  A no-op where none was
+    found; outside it, OPENBLAS_NUM_THREADS still rules.  The count is
+    process-wide: nesting is fine, but two studies run at once from two
+    threads are not pinned reliably."""
+    controls = _blas_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)
+
+
 def _pool_map(task: Callable, items: Sequence) -> list:
     """Dispatch per-level/per-formulation work; results return in submission
     order.  Workers take the items in list order, so the largest jobs go
-    first, and a job allocates its own large arrays in its worker thread
-    (module docstring)."""
-    if len(items) <= 1:
-        return [task(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(len(items), os.cpu_count() or 1)) as ex:
-        return list(ex.map(task, items))
+    first, and a job allocates its own large arrays in its worker thread.
+    Every job, the lone job of a one-item list too, runs with one BLAS
+    thread, so two workers really run on two cores (module docstring)."""
+    with _one_blas_thread():
+        if len(items) <= 1:
+            return [task(it) for it in items]
+        # the CPUs this process may run on, so that a CPU-restricted
+        # container is not oversubscribed
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=min(len(items), cpus)) as ex:
+            return list(ex.map(task, items))
 
 
 def _base_metadata(cfg: ExperimentConfig) -> List[Tuple[str, str]]:
@@ -230,19 +309,22 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
         return math.sqrt(max(float(d @ (G @ d)), 0.0))
 
     prolong = [fem.edge_prolongation(c, f) for c, f in zip(meshes, meshes[1:])]
-    ref_x = norm(gram, space_f.restrict_vec(uref))
-    ref_l2 = norm(mass, uref)
-
     rows = []
-    for i in range(cfg.levels):
-        u = w = solved[i, "edge"][0]
-        for P in prolong[i:]:
-            w = P @ w
-        d = w - uref
-        x_err = norm(gram, space_f.restrict_vec(d)) / ref_x
-        l2_err = norm(mass, d) / ref_l2
-        cross = fem.cross_error(meshes[i], mat, lam, u, solved[i, "scalar"])
-        rows.append((i, meshes[i].h_max, meshes[i].num_edges, x_err, l2_err, cross))
+    # pinned like the pool's jobs: a threaded ddot splits its sum by the
+    # thread count (module docstring)
+    with _one_blas_thread():
+        ref_x = norm(gram, space_f.restrict_vec(uref))
+        ref_l2 = norm(mass, uref)
+        for i in range(cfg.levels):
+            u = w = solved[i, "edge"][0]
+            for P in prolong[i:]:
+                w = P @ w
+            d = w - uref
+            x_err = norm(gram, space_f.restrict_vec(d)) / ref_x
+            l2_err = norm(mass, d) / ref_l2
+            cross = fem.cross_error(meshes[i], mat, lam, u, solved[i, "scalar"])
+            rows.append((i, meshes[i].h_max, meshes[i].num_edges, x_err, l2_err,
+                         cross))
     return ResultTable(("level", "h_max", "dofs", "x_err", "l2_err", "cross_err"),
                        tuple(rows), tuple(meta))
 
@@ -260,17 +342,18 @@ def _regime(windows: mats.CriticalWindows, lam: float) -> str:
     return "|".join(tags)
 
 
-def _gated_eigenpairs(meshes: Sequence[Mesh], blocks, mat: mats.DrudeMaterial,
+def _gated_eigenpairs(meshes: Sequence[Mesh], mat: mats.DrudeMaterial,
                       jobs: Sequence[Tuple[int, fem.Formulation]],
                       window: Tuple[float, float], shift: float,
                       count: int) -> Dict[Tuple[int, fem.Formulation], list]:
     """solve_eigen on each (level, formulation) job's pencil through the pool,
-    by job; blocks[level] holds the blocks of every row that level's jobs
-    name.  A pair whose rational residual misses RESIDUAL_FILTER raises."""
+    by job; each job assembles its own row's blocks in its worker.  A pair
+    whose rational residual misses RESIDUAL_FILTER raises."""
     def task(job):
         i, form = job
-        p = sol.build_pencil(meshes[i], blocks[i], mat, form=form)
-        pairs = sol.solve_eigen(meshes[i], blocks[i], mat, p, window=window,
+        blocks = fem.assemble_blocks(meshes[i], (form,))
+        p = sol.build_pencil(meshes[i], blocks, mat, form=form)
+        pairs = sol.solve_eigen(meshes[i], blocks, mat, p, window=window,
                                 shift=shift, count=count)
         for q in pairs:
             if not q.residual <= RESIDUAL_FILTER:
@@ -302,11 +385,10 @@ def run_spectrum(cfg: ExperimentConfig, count: int = 24):
     windows = cfg.windows()
     meshes = mesh_ladder(cfg)
     level = cfg.levels - 1
-    blocks = {level: fem.assemble_blocks(meshes[level])}
 
     # A(lam) is definite for lam < 0: no spectrum
     forms = (fem.EDGE, fem.SCALAR) if window[1] > 0 else ()
-    got = _gated_eigenpairs(meshes, blocks, mat, [(level, f) for f in forms],
+    got = _gated_eigenpairs(meshes, mat, [(level, f) for f in forms],
                             window, shift, count)
     pairs = got.get((level, fem.EDGE), [])
     scalar = got.get((level, fem.SCALAR), [])
@@ -358,8 +440,11 @@ def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
     errors are relative to the finest level and to the scalar-formulation
     value on the finest level.
 
-    The per-level edge jobs share the pool.  The scalar reference runs as one
-    job after it, so its factors are never held beside the finest edge job's.
+    The per-level edge jobs share the pool, finest first.  The scalar
+    reference runs as one job after it, so its factors are never held beside
+    the finest edge job's: pooled with them on the benchmark's spectral
+    config, it cut the study from 2.9-3.3 s to 2.2-2.4 s but raised its peak
+    RSS from 208-217 to 228-237 MB.
     Every pair of either formulation must pass the RESIDUAL_FILTER gate
     (_gated_eigenpairs)."""
     if cfg.kind != "eigen-convergence":
@@ -373,16 +458,13 @@ def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
     mat = cfg.material()
     meshes = mesh_ladder(cfg)
     finest = cfg.levels - 1
-    blocks = [fem.assemble_blocks(m, (fem.EDGE,)) for m in meshes]
-    blocks[finest] = {**blocks[finest],
-                      **fem.assemble_blocks(meshes[finest], (fem.SCALAR,))}
 
-    edge = _gated_eigenpairs(meshes, blocks, mat,
-                             [(i, fem.EDGE) for i in range(cfg.levels)],
+    edge = _gated_eigenpairs(meshes, mat,
+                             [(i, fem.EDGE) for i in range(finest, -1, -1)],
                              window, shift, count=8)
     got = [_largest_below(edge[i, fem.EDGE], threshold, f"level-{i} vector")
            for i in range(cfg.levels)]
-    scalar = _gated_eigenpairs(meshes, blocks, mat, [(finest, fem.SCALAR)],
+    scalar = _gated_eigenpairs(meshes, mat, [(finest, fem.SCALAR)],
                                window, shift, count=8)
     scalar_ref = _largest_below(scalar[finest, fem.SCALAR], threshold,
                                 "scalar").lam
@@ -412,14 +494,16 @@ def run_infsup_diagnostic(cfg: ExperimentConfig) -> ResultTable:
     lam = float(cfg.lam)
     mat = cfg.material()
     meshes = mesh_ladder(cfg)
-    blocks = [fem.assemble_blocks(m, (fem.EDGE,)) for m in meshes]
 
     def task(i):
-        return sol.discrete_infsup(meshes[i], blocks[i], mat, lam, level=i)
+        blocks = fem.assemble_blocks(meshes[i], (fem.EDGE,))
+        return sol.discrete_infsup(meshes[i], blocks, mat, lam, level=i)
 
-    ests = _pool_map(task, range(cfg.levels))
-    rows = tuple((i, meshes[i].h_max, meshes[i].num_edges, lam, e.beta_n)
-                 for i, e in enumerate(ests))
+    # finest level first, each job assembling its own blocks (module docstring)
+    levels = range(cfg.levels - 1, -1, -1)
+    ests = dict(zip(levels, _pool_map(task, levels)))
+    rows = tuple((i, meshes[i].h_max, meshes[i].num_edges, lam, ests[i].beta_n)
+                 for i in range(cfg.levels))
     meta = _base_metadata(cfg) + [("lam", repr(lam)),
                                   ("negative_control", str(cfg.allow_critical).lower())]
     return ResultTable(("level", "h_max", "dofs", "lam", "beta_n"),

@@ -29,7 +29,9 @@ ties in input order, and on the mesh's own numbering it fills those two to
 SuperLU pivots off the diagonal on the L1 and L2 pencils and the inertia
 comes out wrong; with partial pivoting the ordering did not finish at L4 in
 10 min.  ARPACK gets these factors through OPinv and builds none of its own;
-its M is only ever multiplied.
+its M is only ever multiplied.  SuperLU's supernodal kernels are level-2 BLAS
+(Demmel et al., SIAM J. Matrix Anal. Appl. 1999), so a factorization gains
+nothing from BLAS threads, and the experiments pool runs each job on one.
 """
 
 from __future__ import annotations

@@ -1,9 +1,14 @@
 """Verb wiring, exit codes, and output files of the command-line runner."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import signfem
 from signfem import solvers as sol
 from signfem.cli import main
 
@@ -81,6 +86,28 @@ def test_solve_source_writes_table(cfg51, tmp_path, capsys):
     text = (out / "source.csv").read_text()
     assert "level,h_max,dofs,x_err,l2_err,cross_err" in text
     assert "# lam = 1" in text
+
+
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the source table (its norms run after the pool) and the inf-sup table
+    # (its Lanczos solves run in the pool), once with one BLAS thread and
+    # once with OpenBLAS's default of one per core; on a one-core machine
+    # the two agree trivially
+    cfg = tmp_path / "exp51.cfg"
+    cfg.write_text(CFG_51.replace("patch_radius = 0.05", "patch_radius = 0.3"))
+    src = str(Path(signfem.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    tables = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"o{len(tables)}"
+        for verb in (["solve", "source"], ["diagnose", "infsup"]):
+            subprocess.run([sys.executable, "-m", "signfem", *verb,
+                            "--config", str(cfg), "--out", str(out)],
+                           env={**env, **threads}, check=True, capture_output=True)
+        tables.append([(out / name).read_bytes()
+                       for name in ("source.csv", "infsup.csv")])
+    assert tables[0] == tables[1]
 
 
 def test_solve_source_levels_guard(cfg51, tmp_path):
