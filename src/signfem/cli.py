@@ -19,7 +19,7 @@ from pathlib import Path
 from . import experiments as exp
 from . import fem
 from . import solvers as sol
-from .config import ConfigError, ExperimentConfig, load_config, _coerce_number
+from .config import ConfigError, ExperimentConfig, load_config, _coerce_pair
 from .fem import FemError
 from .geometry import GeometryError
 from .materials import MaterialError
@@ -35,13 +35,6 @@ EXIT_SOLVER = 3
 EXIT_CONFORMITY = 4
 
 
-def _parse_window(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--window wants A,B, got {text!r}")
-    return (_coerce_number(parts[0]), _coerce_number(parts[1]))
-
-
 def _load(args, kind=None) -> ExperimentConfig:
     overrides = {}
     if kind is not None:
@@ -51,7 +44,7 @@ def _load(args, kind=None) -> ExperimentConfig:
     if args.out is not None:
         overrides["out_dir"] = args.out
     if args.window is not None:
-        overrides["window"] = _parse_window(args.window)
+        overrides["window"] = _coerce_pair(args.window)
     if args.shift is not None:
         overrides["shift"] = args.shift
     if args.allow_critical:

@@ -365,8 +365,9 @@ def _gated_eigenpairs(meshes: Sequence[Mesh], mat: mats.DrudeMaterial,
     return dict(zip(jobs, _pool_map(task, jobs)))
 
 
-def run_spectrum(cfg: ExperimentConfig, count: int = 24):
-    """Eigenvalues of both formulations on the finest level, annotated.
+def run_spectrum(cfg: ExperimentConfig):
+    """Eigenvalues of both formulations on the finest level, annotated: up to
+    24 per formulation, those nearest the shift.
 
     Returns (rows, csv_path).  The two formulations are two jobs of
     _gated_eigenpairs, so every row has passed the RESIDUAL_FILTER gate.
@@ -389,7 +390,7 @@ def run_spectrum(cfg: ExperimentConfig, count: int = 24):
     # A(lam) is definite for lam < 0: no spectrum
     forms = (fem.EDGE, fem.SCALAR) if window[1] > 0 else ()
     got = _gated_eigenpairs(meshes, mat, [(level, f) for f in forms],
-                            window, shift, count)
+                            window, shift, count=24)
     pairs = got.get((level, fem.EDGE), [])
     scalar = got.get((level, fem.SCALAR), [])
     svals = np.array([q.lam for q in scalar])
@@ -497,12 +498,12 @@ def run_infsup_diagnostic(cfg: ExperimentConfig) -> ResultTable:
 
     def task(i):
         blocks = fem.assemble_blocks(meshes[i], (fem.EDGE,))
-        return sol.discrete_infsup(meshes[i], blocks, mat, lam, level=i)
+        return sol.discrete_infsup(meshes[i], blocks, mat, lam)
 
     # finest level first, each job assembling its own blocks (module docstring)
     levels = range(cfg.levels - 1, -1, -1)
-    ests = dict(zip(levels, _pool_map(task, levels)))
-    rows = tuple((i, meshes[i].h_max, meshes[i].num_edges, lam, ests[i].beta_n)
+    betas = dict(zip(levels, _pool_map(task, levels)))
+    rows = tuple((i, meshes[i].h_max, meshes[i].num_edges, lam, betas[i])
                  for i in range(cfg.levels))
     meta = _base_metadata(cfg) + [("lam", repr(lam)),
                                   ("negative_control", str(cfg.allow_critical).lower())]
@@ -557,8 +558,8 @@ def export_field(field: FeField, path, format: str = "csv") -> Path:
     if not isinstance(space, EdgeSpace):
         raise fem.FemError("export_field needs a field bound to an EdgeSpace")
     mesh = space.mesh
-    vals, curls = fem.eval_cellwise(mesh, np.real(field.coeffs))
-    bary = mesh.vertices[mesh.triangles].mean(axis=1)
+    vals, curls = fem.eval_cellwise(mesh, field.coeffs)
+    bary = mesh.barycenters()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
 

@@ -81,16 +81,6 @@ class ScalarSpace(_FreeDofs):
         """Every vertex: the natural boundary condition eliminates no dof."""
         return np.arange(self.ndof)
 
-    @property
-    def boundary_vertices(self) -> np.ndarray:
-        return np.unique(self.mesh.edges[self.mesh.boundary_edge])
-
-    @property
-    def interior_vertices(self) -> np.ndarray:
-        mask = np.ones(self.mesh.num_vertices, dtype=bool)
-        mask[self.boundary_vertices] = False
-        return np.flatnonzero(mask)
-
 
 @dataclass(frozen=True, eq=False)
 class EdgeSpace(_FreeDofs):
@@ -295,10 +285,6 @@ def gradient_map(mesh: Mesh) -> sp.csr_matrix:
                          shape=(E, mesh.num_vertices)).tocsr()
 
 
-def _number(x):
-    return complex(x) if isinstance(x, complex) else float(x)
-
-
 def assemble_A(blocks: Dict[str, sp.csr_matrix], mat: mats.DrudeMaterial,
                lam, space, form: Formulation = EDGE) -> sp.csr_matrix:
     """A(lam) = mu(lam)^-1-weighted stiffness minus lam eps(lam)-weighted
@@ -307,9 +293,9 @@ def assemble_A(blocks: Dict[str, sp.csr_matrix], mat: mats.DrudeMaterial,
     reads the same law with mu and eps swapped."""
     m = form.roles(mat)
     k_p = 1.0 / float(mats.mu(m, lam, "+"))
-    k_m = _number(mats.mu_inv(m, lam, "-"))
+    k_m = float(mats.mu_inv(m, lam, "-"))
     m_p = float(mats.eps(m, lam, "+"))
-    m_m = _number(mats.eps(m, lam, "-"))
+    m_m = float(mats.eps(m, lam, "-"))
     K, M = form.stiffness, form.mass
     A = (k_p * blocks[K + "_plus"] + k_m * blocks[K + "_minus"]
          - lam * (m_p * blocks[M + "_plus"] + m_m * blocks[M + "_minus"]))
@@ -340,12 +326,13 @@ def _edge_curls(mesh: Mesh, u_full: np.ndarray) -> np.ndarray:
     return np.einsum("tj,tj->t", coef, _curl_weights(mesh))
 
 
-def assemble_rhs(mesh: Mesh, fun: Callable, rule=MID_RULE) -> np.ndarray:
-    """Edge-space load vector <f, w> for a vector-valued f(x) -> (…,2)."""
+def assemble_rhs(mesh: Mesh, fun: Callable) -> np.ndarray:
+    """Edge-space load vector <f, w> for a vector-valued f(x) -> (…,2), by the
+    midpoint rule."""
     v = mesh.vertices[mesh.triangles]
     out = np.zeros(mesh.num_edges)
     vals = None
-    for w, lam, W in _quadrature(_geometry(mesh)[0], rule):
+    for w, lam, W in _quadrature(_geometry(mesh)[0], MID_RULE):
         f = np.asarray(fun(np.einsum("j,tjd->td", lam, v)), dtype=float)
         contrib = w * np.einsum("td,tjd->tj", f, W)
         vals = contrib if vals is None else vals + contrib
@@ -356,19 +343,17 @@ def assemble_rhs(mesh: Mesh, fun: Callable, rule=MID_RULE) -> np.ndarray:
 
 def assemble_scalar_problem(blocks: Dict[str, sp.csr_matrix],
                             mat: mats.DrudeMaterial, lam, mesh: Mesh,
-                            f0: Callable = None) -> Tuple[sp.csr_matrix, np.ndarray]:
+                            f0: Callable) -> Tuple[sp.csr_matrix, np.ndarray]:
     """Scalar analog on the P1 space with natural boundary conditions:
     eps(lam)^-1-weighted stiffness minus lam mu(lam)-weighted mass, loaded
-    with <mu(lam) f0, w>.  The default f0(x) = x1 - x2 is affine, so the
-    midpoint rule integrates the load exactly."""
-    if f0 is None:
-        f0 = lambda x: x[..., 0] - x[..., 1]
+    with <mu(lam) f0, w> by the midpoint rule, which is exact for the affine
+    f0 of a constant vector source."""
     S = assemble_A(blocks, mat, lam, ScalarSpace(mesh), SCALAR)
 
     v = mesh.vertices[mesh.triangles]
     pts, wts = MID_RULE
     mu_t = np.where(mesh.region == 1, float(mats.mu(mat, lam, "+")),
-                    _number(mats.mu(mat, lam, "-")))
+                    float(mats.mu(mat, lam, "-")))
     vals = None
     for lam_b, w in zip(pts, wts):
         x = np.einsum("j,tjd->td", lam_b, v)
@@ -392,8 +377,8 @@ def field_norms(mesh: Mesh, u_full: np.ndarray) -> FieldNorms:
     """L2 norm, curl seminorm, and the graph norm of an edge-element field."""
     l2sq = 0.0
     for w, _, vals in _edge_values(mesh, u_full, MID_RULE):
-        l2sq += w * np.einsum("td,td->t", vals.conj(), vals).real @ mesh.areas
-    curlsq = float((np.abs(_edge_curls(mesh, u_full)) ** 2) @ mesh.areas)
+        l2sq += w * np.einsum("td,td->t", vals, vals) @ mesh.areas
+    curlsq = float((_edge_curls(mesh, u_full) ** 2) @ mesh.areas)
     l2sq = float(l2sq)
     return FieldNorms(np.sqrt(l2sq), np.sqrt(curlsq), np.sqrt(l2sq + curlsq))
 
@@ -406,9 +391,9 @@ def scalar_norms(mesh: Mesh, p: np.ndarray) -> FieldNorms:
     l2sq = 0.0
     for lam, w in zip(pts, wts):
         at = vals @ lam
-        l2sq += w * float((np.abs(at) ** 2) @ mesh.areas)
+        l2sq += w * float((at ** 2) @ mesh.areas)
     gvals = np.einsum("tj,tjd->td", vals, grads)
-    h1sq = float(np.einsum("td,td->t", gvals.conj(), gvals).real @ mesh.areas)
+    h1sq = float(np.einsum("td,td->t", gvals, gvals) @ mesh.areas)
     return FieldNorms(np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(l2sq + h1sq))
 
 
@@ -434,11 +419,11 @@ def cross_error(mesh: Mesh, mat: mats.DrudeMaterial, lam,
     target = potential_flux(mesh, mat, lam, v_scalar, grads)
     # the target is constant per triangle, so every quadrature point sees the
     # same norm R; w * R per point rounds exactly as a per-point sum would
-    R = float(np.einsum("td,td->t", target.conj(), target).real @ mesh.areas)
+    R = float(np.einsum("td,td->t", target, target) @ mesh.areas)
     err = ref = 0.0
     for w, _, uv in _edge_values(mesh, u_full, MID_RULE, grads):
         d = uv - target
-        err += w * float(np.einsum("td,td->t", d.conj(), d).real @ mesh.areas)
+        err += w * float(np.einsum("td,td->t", d, d) @ mesh.areas)
         ref += w * R
     if ref == 0:
         raise FemError("reference field vanishes; relative error undefined")
@@ -453,9 +438,9 @@ def eval_cellwise(mesh: Mesh, u_full: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 
 
 def error_vs_exact(mesh: Mesh, u_full: np.ndarray, exact: Callable,
-                   exact_curl: Callable, rule=STRANG_RULE) -> Tuple[float, float]:
+                   exact_curl: Callable) -> Tuple[float, float]:
     """Relative L2 and H(curl) errors of an edge field against a smooth exact
-    field (values (..., 2)) with known scalar curl.
+    field (values (..., 2)) with known scalar curl, by the degree-5 rule.
 
     Quadrature-based on purpose: comparing to the edge interpolant instead
     would report the superclose O(h^2) distance on uniform meshes and fake a
@@ -464,7 +449,7 @@ def error_vs_exact(mesh: Mesh, u_full: np.ndarray, exact: Callable,
     v = mesh.vertices[mesh.triangles]
     curl_h = _edge_curls(mesh, u_full)
     errsq = refsq = cerrsq = crefsq = 0.0
-    for w, lam_b, uh in _edge_values(mesh, u_full, rule):
+    for w, lam_b, uh in _edge_values(mesh, u_full, STRANG_RULE):
         x = np.einsum("j,tjd->td", lam_b, v)
         ue = np.asarray(exact(x), dtype=float)
         ce = np.asarray(exact_curl(x), dtype=float)

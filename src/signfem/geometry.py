@@ -90,9 +90,6 @@ class CornerPattern:
         corner itself maps to 0."""
         return np.minimum((self.local_angle(point) / self.beta).astype(int), self.p - 1)
 
-    def is_minus_sector(self, j: int) -> bool:
-        return j >= self.p_plus
-
 
 def corner_pattern(q, corner=(0.0, 0.0), frame_angle=0.0) -> CornerPattern:
     """Minimal even-sum sector pattern for a plus-cone aperture alpha = 2*pi*q."""
@@ -229,8 +226,7 @@ def fold_maps(pattern: CornerPattern, direction: str) -> tuple[SectorMap, ...]:
     even admit no such alternating fold (the trace condition on the second
     interface ray pins an unpaired coefficient to zero), so they are rejected.
     """
-    key = direction.replace("_", "-")
-    if key not in ("plus-to-minus", "minus-to-plus"):
+    if direction not in ("plus-to-minus", "minus-to-plus"):
         raise GeometryError(f"unknown fold direction {direction!r}")
     if pattern.p_plus % 2 == 0 and pattern.p_minus % 2 == 0:
         raise GeometryError(
@@ -238,7 +234,7 @@ def fold_maps(pattern: CornerPattern, direction: str) -> tuple[SectorMap, ...]:
         )
     p = pattern.p
     out = []
-    if key == "plus-to-minus":
+    if direction == "plus-to-minus":
         for k, row in enumerate(_fold_core(pattern.p_plus, pattern.p_minus)):
             for ang, z, src in row:
                 out.append(_synth(pattern, ang, z, pattern.p_plus + k, src))
@@ -336,12 +332,12 @@ def cutoff_eval(profile: CutoffProfile, point):
 # domain specification
 
 
-def _angle_fraction(theta: float, max_den: int = 192) -> Fraction:
-    q = Fraction(theta / TWO_PI).limit_denominator(max_den)
+def _angle_fraction(theta: float) -> Fraction:
+    q = Fraction(theta / TWO_PI).limit_denominator(192)
     if abs(float(q) * TWO_PI - theta) > 1e-9:
         raise GeometryError(
             f"corner angle {theta:.12g} is not a rational multiple of 2*pi "
-            f"(denominator <= {max_den}, tolerance 1e-9)"
+            "(denominator <= 192, tolerance 1e-9)"
         )
     return q
 
@@ -412,9 +408,7 @@ class DomainSpec:
             a_next = math.atan2(d_next[1], d_next[0])
             theta_int = (a_prev - a_next) % TWO_PI  # interior (minus) wedge
             q = 1 - _angle_fraction(theta_int)  # plus-cone aperture fraction
-            pp, pm = reduce_sector_counts(q)
-            pats.append(CornerPattern(corner=c, q=q, p_plus=pp, p_minus=pm,
-                                      frame_angle=a_prev))
+            pats.append(corner_pattern(q, corner=c, frame_angle=a_prev))
             # patch disks must stay strictly inside the rectangle
             if min(c[0] - x0, x1 - c[0], c[1] - y0, y1 - c[1]) <= R:
                 raise GeometryError(f"corner patch at {c} leaves the rectangle")
@@ -444,12 +438,10 @@ class DomainSpec:
         return tuple((poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly)))
 
 
-def make_reference_domain(patch_radius: float = 0.3,
-                          patch_halfwidth: float | None = None) -> DomainSpec:
+def make_reference_domain(patch_radius: float = 0.3) -> DomainSpec:
     """The experiment domain: rectangle (-0.5,1.5)x(-0.5,1.3) around the
     equilateral triangle (0,0), (1,0), (cos pi/3, sin pi/3); every corner has
     plus-cone aperture 5*pi/3, i.e. pattern (5,1)."""
     tri = ((0.0, 0.0), (1.0, 0.0), (math.cos(math.pi / 3), math.sin(math.pi / 3)))
     return DomainSpec(outer_rect=((-0.5, -0.5), (1.5, 1.3)), interface_polygon=tri,
-                      patch_radius_corner=patch_radius,
-                      patch_halfwidth_edge=patch_halfwidth)
+                      patch_radius_corner=patch_radius)

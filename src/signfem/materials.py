@@ -5,21 +5,27 @@ Coefficients follow mu(lam)|_- = mu_-*(1 - omega_mu^2/lam) with lam = omega^2
 decide coercivity.  All formulas stay exact when fed Fractions: the critical
 lambda-windows for the reference data come out as [8/3, 200/51] and
 [4/3, 100/51] on the nose, and the tests compare them exactly.
+
+lam is real: the spectra come from a symmetric pencil and the source
+problems are posed at real admissible lam, so the Drude law rejects any
+other lam with MaterialError.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple, Union
 
 from .geometry import CornerPattern, DomainSpec
 
-Number = Union[int, float, complex, Fraction]
+Number = Union[int, float, Fraction]
 
 
 class MaterialError(ValueError):
-    """Evaluation at a pole of the Drude law or of its inverse."""
+    """Evaluation at a pole of the Drude law or of its inverse, or at a
+    non-real lam."""
 
 
 @dataclass(frozen=True)
@@ -41,25 +47,6 @@ class DrudeMaterial:
             raise MaterialError("resonance frequencies must be non-negative")
 
 
-def drude_material(mu_plus=1, mu_minus=1, eps_plus=1, eps_minus=1,
-                   omega_mu=None, omega_eps=None,
-                   omega_mu_sq=None, omega_eps_sq=None) -> DrudeMaterial:
-    """Build a DrudeMaterial from either omega or omega^2 (squared form wins)."""
-    if omega_mu_sq is None:
-        omega_mu_sq = 0 if omega_mu is None else omega_mu * omega_mu
-    if omega_eps_sq is None:
-        omega_eps_sq = 0 if omega_eps is None else omega_eps * omega_eps
-    return DrudeMaterial(mu_plus, mu_minus, eps_plus, eps_minus,
-                         omega_mu_sq, omega_eps_sq)
-
-
-def _match(value, lam):
-    # Fractions interoperate with int/float but not with complex
-    if isinstance(lam, complex) and isinstance(value, Fraction):
-        return float(value)
-    return value
-
-
 def _ratio(a, b):
     # keep rational inputs exact (int/int would go float)
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
@@ -68,9 +55,12 @@ def _ratio(a, b):
 
 
 def _drude(const, omega_sq, lam):
+    if not isinstance(lam, numbers.Real):
+        raise MaterialError(f"Drude law evaluated at non-real lam = {lam}; "
+                            "lam must be real")
     if lam == 0:
         raise MaterialError("Drude law undefined at lam = 0")
-    return _match(const, lam) * (1 - _match(omega_sq, lam) / lam)
+    return const * (1 - omega_sq / lam)
 
 
 def mu(mat: DrudeMaterial, lam: Number, region: str) -> Number:
@@ -102,10 +92,6 @@ def mu_inv(mat: DrudeMaterial, lam: Number, region: str) -> Number:
     return _inverse(mu(mat, lam, region), lam)
 
 
-def eps_inv(mat: DrudeMaterial, lam: Number, region: str) -> Number:
-    return _inverse(eps(mat, lam, region), lam)
-
-
 @dataclass(frozen=True)
 class ContrastReport:
     kappa_mu_inv: Number
@@ -118,19 +104,19 @@ def contrasts(mat: DrudeMaterial, lam: Number, i_alpha: Optional[Fraction] = Non
               ) -> ContrastReport:
     """kappa_{mu^-1} = (mu_+/mu_-)/(1 - omega_mu^2/lam), kappa_eps mirrored.
 
-    With i_alpha given and lam real, the report flags membership of each
-    contrast in the critical interval [-I_alpha, -1/I_alpha].
+    With i_alpha given, the report flags membership of each contrast in the
+    critical interval [-I_alpha, -1/I_alpha].
     """
     if lam == 0 or lam == mat.omega_mu_sq:
         raise MaterialError(f"kappa_mu_inv has a pole at lam = {lam}")
-    k_mu = _match(_ratio(mat.mu_plus, mat.mu_minus), lam)
+    k_mu = _ratio(mat.mu_plus, mat.mu_minus)
     if mat.omega_mu_sq != 0:
-        k_mu = k_mu / (1 - _match(mat.omega_mu_sq, lam) / lam)
-    k_eps = _match(_ratio(mat.eps_minus, mat.eps_plus), lam)
+        k_mu = k_mu / (1 - mat.omega_mu_sq / lam)
+    k_eps = _ratio(mat.eps_minus, mat.eps_plus)
     if mat.omega_eps_sq != 0:
-        k_eps = k_eps * (1 - _match(mat.omega_eps_sq, lam) / lam)
+        k_eps = k_eps * (1 - mat.omega_eps_sq / lam)
     flag_mu = flag_eps = None
-    if i_alpha is not None and not isinstance(lam, complex):
+    if i_alpha is not None:
         lo, hi = -i_alpha, -Fraction(1) / i_alpha
         flag_mu = lo <= k_mu <= hi
         flag_eps = lo <= k_eps <= hi
@@ -183,12 +169,8 @@ def critical_lambda_windows(mat: DrudeMaterial, i_alpha) -> CriticalWindows:
 
 
 def lambda_admissible(mat: DrudeMaterial, windows: CriticalWindows, lam: Number) -> bool:
-    """True iff lam avoids {0, omega_mu^2, omega_eps^2} and both critical
-    windows; anything off the real axis is admissible."""
-    if isinstance(lam, complex):
-        if lam.imag != 0:
-            return True
-        lam = lam.real
+    """True iff the real lam avoids {0, omega_mu^2, omega_eps^2} and both
+    critical windows."""
     if lam in (0, mat.omega_mu_sq, mat.omega_eps_sq):
         return False
     for window in (windows.window_mu, windows.window_eps):

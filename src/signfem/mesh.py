@@ -1,5 +1,5 @@
 """Triangle mesh structure, red refinement, fold images and the
-reflection-conformity check, and the plain-text mesh format.
+reflection-conformity check, and the plain-text mesh writer.
 
 Triangles carry a region label (+1/-1) and a patch membership (none, corner n,
 edge n); every triangle must lie entirely inside one region.  Edges are
@@ -25,7 +25,7 @@ PATCH_NONE, PATCH_CORNER, PATCH_EDGE = 0, 1, 2
 
 
 class MeshError(ValueError):
-    """Structurally invalid mesh or malformed mesh file."""
+    """Structurally invalid mesh."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,6 +272,9 @@ def check_r_conformity(mesh: Mesh, domain: geo.DomainSpec) -> ConformityReport:
 
 
 def mesh_write(mesh: Mesh, path) -> None:
+    """Write the text format: header "signfem-mesh v1", "vertices V" and rows
+    "i x y" (repr floats, exact), "triangles T" and rows "t v1 v2 v3 region
+    patch".  The program writes this format and reads none."""
     with open(path, "w") as fh:
         fh.write("signfem-mesh v1\n")
         fh.write(f"vertices {mesh.num_vertices}\n")
@@ -285,63 +288,3 @@ def mesh_write(mesh: Mesh, path) -> None:
             patch = ("none" if kind == PATCH_NONE else
                      f"{'corner' if kind == PATCH_CORNER else 'edge'}:{mesh.patch_index[t]}")
             fh.write(f"{t} {v1} {v2} {v3} {reg} {patch}\n")
-
-
-def mesh_read(path) -> Mesh:
-    def fail(lineno, msg):
-        raise MeshError(f"{path}, line {lineno}: {msg}")
-
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "signfem-mesh v1":
-        fail(1, "missing 'signfem-mesh v1' header")
-    k = 1
-
-    def expect_section(name):
-        nonlocal k
-        parts = lines[k].split() if k < len(lines) else []
-        if len(parts) != 2 or parts[0] != name:
-            fail(k + 1, f"expected '{name} <count>'")
-        k += 1
-        return int(parts[1])
-
-    nv = expect_section("vertices")
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
-        parts = lines[k].split() if k < len(lines) else []
-        if len(parts) != 3 or int(parts[0]) != i:
-            fail(k + 1, f"expected vertex row '{i} x y'")
-        vertices[i] = float(parts[1]), float(parts[2])
-        k += 1
-    nt = expect_section("triangles")
-    tris = np.empty((nt, 3), dtype=np.int32)
-    region = np.empty(nt, dtype=np.int8)
-    patch_kind = np.empty(nt, dtype=np.int8)
-    patch_index = np.empty(nt, dtype=np.int32)
-    for t in range(nt):
-        parts = lines[k].split() if k < len(lines) else []
-        if len(parts) != 6 or int(parts[0]) != t:
-            fail(k + 1, f"expected triangle row '{t} v1 v2 v3 region patch'")
-        tris[t] = [int(p) for p in parts[1:4]]
-        if np.any(tris[t] >= nv) or np.any(tris[t] < 0):
-            fail(k + 1, f"triangle {t} references a missing vertex")
-        if parts[4] not in "+-" or len(parts[4]) != 1:
-            fail(k + 1, f"region label must be '+' or '-', got {parts[4]!r}")
-        region[t] = 1 if parts[4] == "+" else -1
-        patch = parts[5]
-        if patch == "none":
-            patch_kind[t], patch_index[t] = PATCH_NONE, -1
-        elif patch.startswith("corner:") or patch.startswith("edge:"):
-            kind, _, num = patch.partition(":")
-            patch_kind[t] = PATCH_CORNER if kind == "corner" else PATCH_EDGE
-            try:
-                patch_index[t] = int(num)
-            except ValueError:
-                fail(k + 1, f"bad patch index in {patch!r}")
-        else:
-            fail(k + 1, f"unknown patch label {patch!r}")
-        k += 1
-    try:
-        return Mesh(vertices, tris, region, patch_kind, patch_index)
-    except MeshError as exc:
-        raise MeshError(f"{path}: {exc}") from exc

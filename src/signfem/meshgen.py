@@ -262,9 +262,9 @@ def _corner_cos(X):
     return _dot(u1, u2) / (np.sqrt(_dot(u1, u1)) * np.sqrt(_dot(u2, u2)))
 
 
-def _smooth(P, tris, region, pkind, frozen, rect, rounds=8):
-    """Guarded Laplacian smoothing of leftover-region vertices, with Delaunay
-    flips after each round.
+def _smooth(P, tris, region, pkind, frozen, rect):
+    """Guarded Laplacian smoothing of leftover-region vertices, eight rounds,
+    with Delaunay flips after each round.
 
     Vertices of patch triangles never move (the reflection symmetry lives
     there); outer-boundary vertices slide along their rectangle side toward
@@ -286,7 +286,7 @@ def _smooth(P, tris, region, pkind, frozen, rect, rounds=8):
     it, and the angle guard still compares ``math.acos`` values, so every
     move and every decision is the sweep's.
     """
-    for _ in range(rounds):
+    for _ in range(8):
         sched = _smooth_schedule(P, tris, pkind, rect)
         moved = 0
         for v, nbr, has, count, fix_x, fix_y, T, owner, seg in sched:
@@ -592,13 +592,12 @@ def _add_clipped(pool, loop, tris, region, pkind, pidx, reg):
         pidx.append(-1)
 
 
-def square_mesh(n: int, lo=(0.0, 0.0), hi=(1.0, 1.0)) -> Mesh:
-    """Uniform diagonal triangulation of a rectangle, single '+' region."""
+def square_mesh(n: int) -> Mesh:
+    """Uniform diagonal triangulation of the unit square, single '+' region."""
     if n < 1:
         raise MeshError("need at least one cell per side")
-    xs = np.linspace(lo[0], hi[0], n + 1)
-    ys = np.linspace(lo[1], hi[1], n + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    xs = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
     vid = lambda i, j: i * (n + 1) + j
     tris = []

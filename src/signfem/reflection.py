@@ -185,7 +185,7 @@ def _weighted_gram(mesh: Mesh, geometry, tri_ids: np.ndarray,
     return B
 
 
-def _default_cutoff(domain: geo.DomainSpec, pattern: Tuple[str, int]):
+def _patch_cutoff(domain: geo.DomainSpec, pattern: Tuple[str, int]):
     kind, n = pattern
     if kind == "corner":
         pat = domain.patterns[n]
@@ -195,8 +195,8 @@ def _default_cutoff(domain: geo.DomainSpec, pattern: Tuple[str, int]):
 
 
 def estimate_norm(meshes: Sequence[Mesh], domain: geo.DomainSpec,
-                  pattern: Tuple[str, int], kind: str, direction: str,
-                  cutoff: Optional[geo.CutoffProfile] = None) -> NormEstimate:
+                  pattern: Tuple[str, int], kind: str,
+                  direction: str) -> NormEstimate:
     """Discrete sup of the weighted Rayleigh quotient, per refinement level.
 
     Solves (R^T B_tgt R) x = sigma B_src x on the source patch dofs, with both
@@ -206,8 +206,7 @@ def estimate_norm(meshes: Sequence[Mesh], domain: geo.DomainSpec,
     norm convention (sup vs sup squared) differs between sources, and the
     closed-form angle-ratio value matches the squared quantity.
     """
-    if cutoff is None:
-        cutoff = _default_cutoff(domain, pattern)
+    cutoff = _patch_cutoff(domain, pattern)
     sups = []
     for mesh in meshes:
         refl = build_reflection(mesh, domain, pattern, kind, direction)

@@ -36,7 +36,6 @@ nothing from BLAS threads, and the experiments pool runs each job on one.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -53,7 +52,7 @@ from .mesh import Mesh
 
 __all__ = [
     "SolverError", "SourceSolution", "MatrixPencil", "PencilLayout",
-    "EigenPair", "InfSupEstimate", "xnorm_gram", "solve_source",
+    "EigenPair", "xnorm_gram", "solve_source",
     "solve_scalar_potential", "build_pencil", "schur_action", "solve_eigen",
     "count_eigen_window", "residual_evaluator", "discrete_infsup",
 ]
@@ -68,7 +67,6 @@ class SourceSolution:
     field: FeField            # full edge coefficients (boundary dofs zero)
     lam: float
     residual: float           # relative algebraic residual, <= 1e-10
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -96,13 +94,6 @@ class EigenPair:
     # edge pairs only (None for scalar pairs):
     classification: Optional[str]    # "gradient-dominated" | "curl-carrying"
     curl_fraction: Optional[float]   # curl energy over total H(curl) energy
-
-
-@dataclass(frozen=True)
-class InfSupEstimate:
-    lam: float
-    beta_n: float
-    level: int
 
 
 def xnorm_gram(blocks: Dict[str, sp.csr_matrix], space,
@@ -187,19 +178,17 @@ def _refined_solve(lu, A: sp.spmatrix, b: np.ndarray) -> Tuple[np.ndarray, float
 
 
 def _gated_solve(A: sp.spmatrix, b: np.ndarray,
-                 what: str) -> Tuple[np.ndarray, float, float]:
+                 what: str) -> Tuple[np.ndarray, float]:
     """Factor, refine, and hold the relative residual to the 1e-10 gate.
-    Returns (solution, residual, wall time of factor and refinement)."""
-    t0 = time.perf_counter()
+    Returns (solution, residual)."""
     lu = _factorize(A, what)
     u, res = _refined_solve(lu, A, b)
-    wall = time.perf_counter() - t0
     if not np.isfinite(res) or res > 1e-10:
         d = np.abs(lu.lu.U.diagonal())
         raise SolverError(
             f"{what} is numerically singular: relative residual {res:.3e} "
             f"after refinement (min|U_ii|/max|U_ii| = {d.min() / d.max():.3e})")
-    return u, res, wall
+    return u, res
 
 
 def solve_source(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
@@ -217,22 +206,22 @@ def solve_source(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
         space = EdgeSpace(mesh)
     A = fem.assemble_A(blocks, mat, lam, space)
     b = space.restrict_vec(fem.assemble_rhs(mesh, _as_callable(f)))
-    u, res, wall = _gated_solve(A, b, f"A({lam})")
+    u, res = _gated_solve(A, b, f"A({lam})")
     field = FeField(space, space.expand_vec(u), lam=lam, description="source solve")
-    return SourceSolution(field, lam, res, wall)
+    return SourceSolution(field, lam, res)
 
 
 def solve_scalar_potential(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                           mat: mats.DrudeMaterial, lam,
-                           f0: Optional[Callable] = None
+                           mat: mats.DrudeMaterial, lam, f0: Callable
                            ) -> Tuple[FeField, np.ndarray]:
-    """Solve the scalar-potential form and return (v, eps(lam)^-1 Curl v).
+    """Solve the scalar-potential form loaded by f0 and return (v,
+    eps(lam)^-1 Curl v).
 
     The potential lives on the P1 space with natural boundary conditions; the
     derived vector field is elementwise constant, (T, 2).
     """
-    S, rhs = fem.assemble_scalar_problem(blocks, mat, lam, mesh, f0=f0)
-    v, _, _ = _gated_solve(S, rhs, f"scalar operator at lam={lam}")
+    S, rhs = fem.assemble_scalar_problem(blocks, mat, lam, mesh, f0)
+    v, _ = _gated_solve(S, rhs, f"scalar operator at lam={lam}")
     flux = fem.potential_flux(mesh, mat, lam, v)
     return FeField(ScalarSpace(mesh), v, lam=lam, description="scalar potential"), flux
 
@@ -471,9 +460,9 @@ def count_eigen_window(pencil: MatrixPencil,
 
 
 def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                    mat: mats.DrudeMaterial, lam: float,
-                    level: int = 0) -> InfSupEstimate:
-    """Smallest generalized singular value of A(lam) in the H(curl) Gram G.
+                    mat: mats.DrudeMaterial, lam: float) -> float:
+    """beta_n: the smallest generalized singular value of A(lam) in the
+    H(curl) Gram G.
 
     For symmetric A(lam), beta_n is the smallest |mu| of A x = mu G x, set by
     the discrete eigenvalue nearest lam.  One shift-invert Lanczos solve at
@@ -512,4 +501,4 @@ def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
         raise SolverError(
             f"inf-sup iteration at lam={lam} returned beta_n = {beta}, "
             f"which is not finite and positive")
-    return InfSupEstimate(lam, beta, level)
+    return beta

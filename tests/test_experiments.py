@@ -66,6 +66,17 @@ def _recording(calls):
     return pool_map
 
 
+def test_manufactured_fixture_converges_at_first_order():
+    # true errors against the exact field: each halving of h halves both
+    # the H(curl) and the L2 error of lowest-order edge elements
+    table = exp.run_source_convergence(dataclasses.replace(MANUFACTURED, levels=4))
+    for name in ("x_err", "l2_err"):
+        errs = table.column(name)
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert len(ratios) == 3
+        assert all(1.8 <= r <= 2.2 for r in ratios), (name, ratios)
+
+
 def test_eigen_convergence_scalar_reference_after_the_pool(monkeypatch):
     # the per-level edge jobs share one pool, finest first; the scalar
     # reference is one job of its own afterwards, and the table is the pooled one

@@ -112,7 +112,6 @@ def test_sector_of_matches_rays(pat, k):
          math.sin(pat.ray_angle(j) + 0.5 * pat.beta)]
     )
     assert pat.sector_of(mid) == j
-    assert pat.is_minus_sector(j) == (j >= pat.p_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -335,5 +334,6 @@ def test_domain_validation_errors():
     with pytest.raises(geo.GeometryError):  # irrational corner angle
         geo.DomainSpec(((-2, -2), (2, 2)),
                        ((0, 0), (1, 0), (math.cos(0.7), math.sin(0.7))), 0.05)
+    ref = geo.make_reference_domain()
     with pytest.raises(geo.GeometryError):  # halfwidth above the anchored bound
-        geo.make_reference_domain(patch_halfwidth=0.15)
+        geo.DomainSpec(ref.outer_rect, ref.interface_polygon, 0.3, 0.15)

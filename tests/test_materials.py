@@ -17,12 +17,12 @@ positive_fracs = st.fractions(min_value=F(1, 40), max_value=50, max_denominator=
 
 def reference_material():
     # inclusion ten times denser in both coefficients, resonances at 4 and 2
-    return mat.drude_material(mu_plus=1, mu_minus=10, eps_plus=1, eps_minus=10,
-                              omega_mu_sq=4, omega_eps_sq=2)
+    return mat.DrudeMaterial(mu_plus=1, mu_minus=10, eps_plus=1, eps_minus=10,
+                             omega_mu_sq=4, omega_eps_sq=2)
 
 
 def test_drude_pointwise():
-    m = mat.drude_material(mu_minus=F(1, 10), omega_mu_sq=2)
+    m = mat.DrudeMaterial(mu_minus=F(1, 10), omega_mu_sq=2)
     assert mat.mu(m, F(1), "-") == F(-1, 10)
     assert mat.mu(m, 1, "+") == 1
     assert mat.eps(m, 1e300, "-") == pytest.approx(1.0)  # dispersionless limit
@@ -34,12 +34,13 @@ def test_drude_pointwise():
     with pytest.raises(mat.MaterialError):
         mat.mu(m, 1, "x")
     assert mat.mu_inv(m, F(1), "-") == -10
-    assert mat.eps_inv(m, 3, "+") == 1
+    with pytest.raises(mat.MaterialError, match=r"non-real lam = \(1\+0\.2j\)"):
+        mat.mu(m, 1 + 0.2j, "-")
 
 
 def test_contrasts_at_lambda_one():
-    m = mat.drude_material(mu_plus=1, mu_minus=F(1, 10), eps_plus=1, eps_minus=10,
-                           omega_mu_sq=2, omega_eps_sq=2)
+    m = mat.DrudeMaterial(mu_plus=1, mu_minus=F(1, 10), eps_plus=1, eps_minus=10,
+                          omega_mu_sq=2, omega_eps_sq=2)
     rep = mat.contrasts(m, F(1))
     assert rep.kappa_mu_inv == -10
     assert rep.kappa_eps == -10
@@ -47,14 +48,11 @@ def test_contrasts_at_lambda_one():
 
 
 def test_contrasts_degenerate_cases():
-    m0 = mat.drude_material(mu_plus=2, mu_minus=5, eps_plus=4, eps_minus=3)
+    m0 = mat.DrudeMaterial(mu_plus=2, mu_minus=5, eps_plus=4, eps_minus=3)
     for lam in (F(1), 2.5, -3):
         rep = mat.contrasts(m0, lam)
         assert rep.kappa_mu_inv == F(2, 5)
         assert rep.kappa_eps == F(3, 4)
-    rep = mat.contrasts(m0, 1 + 2j)
-    assert rep.kappa_mu_inv == pytest.approx(0.4)
-    assert rep.kappa_eps == pytest.approx(0.75)
     m = reference_material()
     assert mat.contrasts(m, F(2)).kappa_eps == 0
     with pytest.raises(mat.MaterialError):
@@ -67,7 +65,6 @@ def test_contrast_flags():
     assert rep.in_critical_mu is True and rep.in_critical_eps is False
     rep = mat.contrasts(m, F(1), i_alpha=F(5))
     assert rep.in_critical_mu is False and rep.in_critical_eps is False
-    assert mat.contrasts(m, 1 + 1j, i_alpha=F(5)).in_critical_mu is None
 
 
 @given(positive_fracs, positive_fracs, st.fractions(min_value=F(1, 10), max_value=10,
@@ -77,15 +74,15 @@ def test_contrast_algebraic_identity(mu_p, mu_m, w, lam):
     w2 = w * w
     if lam == 0 or lam == w2:
         return
-    m = mat.drude_material(mu_plus=mu_p, mu_minus=mu_m, omega_mu_sq=w2)
+    m = mat.DrudeMaterial(mu_plus=mu_p, mu_minus=mu_m, omega_mu_sq=w2)
     rep = mat.contrasts(m, lam)
     assert rep.kappa_mu_inv * (F(1) / mu_p) * (1 - w2 / lam) * mu_m == 1
 
 
 @given(st.floats(min_value=-100, max_value=-1e-3), positive_fracs)
 def test_negative_lambda_coercive_side(lam, w):
-    m = mat.drude_material(mu_minus=3, eps_minus=F(1, 2),
-                           omega_mu_sq=w * w, omega_eps_sq=w)
+    m = mat.DrudeMaterial(mu_minus=3, eps_minus=F(1, 2),
+                          omega_mu_sq=w * w, omega_eps_sq=w)
     assert mat.mu(m, lam, "-") > 0
     assert mat.eps(m, lam, "-") > 0
 
@@ -130,8 +127,8 @@ def test_lambda_windows_exact():
 @given(positive_fracs, positive_fracs, positive_fracs,
        st.fractions(min_value=1, max_value=30, max_denominator=12))
 def test_lambda_windows_inside_resonance(cnum, cden, w, i_alpha):
-    m = mat.drude_material(mu_plus=cnum, mu_minus=cden, eps_plus=cden, eps_minus=cnum,
-                           omega_mu_sq=w, omega_eps_sq=w)
+    m = mat.DrudeMaterial(mu_plus=cnum, mu_minus=cden, eps_plus=cden, eps_minus=cnum,
+                          omega_mu_sq=w, omega_eps_sq=w)
     windows = mat.critical_lambda_windows(m, i_alpha)
     for lo, hi in (windows.window_mu, windows.window_eps):
         assert 0 < lo <= hi < w
@@ -140,7 +137,7 @@ def test_lambda_windows_inside_resonance(cnum, cden, w, i_alpha):
 
 
 def test_empty_windows():
-    m = mat.drude_material(mu_plus=1, mu_minus=1, eps_plus=1, eps_minus=1)
+    m = mat.DrudeMaterial(mu_plus=1, mu_minus=1, eps_plus=1, eps_minus=1)
     windows = mat.critical_lambda_windows(m, F(5))
     assert windows.window_mu is None and windows.window_eps is None
     assert mat.lambda_admissible(m, windows, 1.7)
@@ -151,10 +148,8 @@ def test_lambda_admissible_reference_data():
     windows = mat.critical_lambda_windows(m, F(5))
     assert mat.lambda_admissible(m, windows, F(1))
     assert not mat.lambda_admissible(m, windows, 1.5)
-    assert mat.lambda_admissible(m, windows, 2 + 1j)
     assert not mat.lambda_admissible(m, windows, F(2))  # omega_eps^2
     assert not mat.lambda_admissible(m, windows, 4)  # omega_mu^2
     assert not mat.lambda_admissible(m, windows, 0)
     assert not mat.lambda_admissible(m, windows, F(20, 11))  # inside eps-window
     assert mat.lambda_admissible(m, windows, 5)
-    assert not mat.lambda_admissible(m, windows, complex(1.5, 0.0))
