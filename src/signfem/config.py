@@ -136,8 +136,8 @@ def _coerce_number(raw: str) -> Number:
 
 
 def _coerce_pair(raw: str) -> Tuple[Number, Number]:
-    parts = [p for p in raw.split(",") if p.strip()]
-    if len(parts) != 2:
+    parts = raw.split(",")
+    if len(parts) != 2 or not all(p.strip() for p in parts):
         raise ConfigError(f"expected a pair 'a,b', got {raw!r}")
     return (_coerce_number(parts[0]), _coerce_number(parts[1]))
 

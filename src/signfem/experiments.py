@@ -14,7 +14,23 @@ listed first, they start at once while the coarse levels fill in behind them.
 Each job assembles only its own formulation row's blocks, inside its worker
 thread.  Temporaries freed in the main thread stay in its glibc arena, where
 the workers' factorizations cannot reuse them, so assembling in the worker
-keeps the peak memory down.
+keeps the peak memory down.  For the same reason every job of the eigen
+studies ends with glibc's malloc_trim(0) (_trimmed): the memory a finished
+job freed stays resident in its worker's arena otherwise, where neither the
+other worker nor the main thread reuses it.  On the benchmark's spectral
+config the eigen-convergence study peaked at 220-239 MB without the trim and
+193-211 MB with it (ten and eight runs, two vCPUs).  The source study's jobs
+do not trim: its peak is the two L4 factorizations overlapping, which no
+trim lowers, and with every job trimmed the source_deep benchmark was
+slower in 5 of 8 alternating pairs, by 7% in the median.
+
+The pool overlaps SuperLU factorizations, but Python-level work in one job
+holds the other job back.  Measured on two vCPUs: one L3 edge factorization
+of the source study took 0.29-0.37 s alone; beside a 0.15-0.18 s pure-Python
+loop in the other thread it finished at 0.47-0.57 s, about the sum of the
+two.  So the per-triangle kernels the jobs run are kept short (fem module
+docstring), and the source study's cross-check reuses the flux that
+solvers.solve_scalar_potential returns instead of computing it again.
 
 Every pool job runs with one BLAS thread (_one_blas_thread).  Otherwise
 each worker's SuperLU and ARPACK calls also start OpenBLAS's own threads, so
@@ -195,6 +211,31 @@ def _one_blas_thread():
             put(n)
 
 
+@functools.lru_cache(maxsize=None)
+def _malloc_trim() -> Optional[Callable]:
+    """glibc's malloc_trim; None under a C library without it."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _trimmed(task: Callable) -> Callable:
+    """task, then hand the free memory of every malloc arena back to the
+    system where malloc_trim exists: the eigen studies' pool jobs (module
+    docstring)."""
+    def job(item):
+        try:
+            return task(item)
+        finally:
+            trim = _malloc_trim()
+            if trim is not None:
+                trim(0)
+    return job
+
+
 def _pool_map(task: Callable, items: Sequence) -> list:
     """Dispatch per-level/per-formulation work; results return in submission
     order.  Workers take the items in list order, so the largest jobs go
@@ -292,9 +333,9 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
             s = sol.solve_source(meshes[i], blocks, mat, lam, cfg.source)
             return s.field.coeffs, (blocks if i == finest else None)
         blocks = fem.assemble_blocks(meshes[i], (fem.SCALAR,))
-        v, _ = sol.solve_scalar_potential(meshes[i], blocks, mat, lam,
-                                          f0=_constant_f0(cfg.source))
-        return v.coeffs
+        _, flux = sol.solve_scalar_potential(meshes[i], blocks, mat, lam,
+                                             f0=_constant_f0(cfg.source))
+        return flux
 
     jobs = [(i, kind) for i in levels for kind in ("edge", "scalar")]
     solved = dict(zip(jobs, _pool_map(task, jobs)))
@@ -322,7 +363,7 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
             d = w - uref
             x_err = norm(gram, space_f.restrict_vec(d)) / ref_x
             l2_err = norm(mass, d) / ref_l2
-            cross = fem.cross_error(meshes[i], mat, lam, u, solved[i, "scalar"])
+            cross = fem.cross_error(meshes[i], u, solved[i, "scalar"])
             rows.append((i, meshes[i].h_max, meshes[i].num_edges, x_err, l2_err,
                          cross))
     return ResultTable(("level", "h_max", "dofs", "x_err", "l2_err", "cross_err"),
@@ -362,7 +403,7 @@ def _gated_eigenpairs(meshes: Sequence[Mesh], mat: mats.DrudeMaterial,
                     f"residual {q.residual:.3e} > {RESIDUAL_FILTER!r}")
         return pairs
 
-    return dict(zip(jobs, _pool_map(task, jobs)))
+    return dict(zip(jobs, _pool_map(_trimmed(task), jobs)))
 
 
 def run_spectrum(cfg: ExperimentConfig):

@@ -172,11 +172,11 @@ def _weighted_gram(mesh: Mesh, geometry, tri_ids: np.ndarray,
 
     if kind == "scalar":
         conn = mesh.triangles[tri_ids]
-        local = grads[tri_ids]
-        elem = np.einsum("tjd,tkd->tjk", local, local) * w_chi[:, None, None]
+        local = grads[:, :, tri_ids]
+        elem = np.einsum("jdt,kdt->tjk", local, local) * w_chi[:, None, None]
     else:
         conn = mesh.tri_edges[tri_ids]
-        sq = mesh.tri_edge_signs[tri_ids] * curls[tri_ids]
+        sq = mesh.tri_edge_signs[tri_ids] * curls[tri_ids, None]
         elem = np.einsum("tj,tk->tjk", sq, sq) * w_chi[:, None, None]
     idx = np.searchsorted(dofs, conn)
     B = np.zeros((len(dofs), len(dofs)))

@@ -65,7 +65,6 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SourceSolution:
     field: FeField            # full edge coefficients (boundary dofs zero)
-    lam: float
     residual: float           # relative algebraic residual, <= 1e-10
 
 
@@ -208,7 +207,7 @@ def solve_source(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     b = space.restrict_vec(fem.assemble_rhs(mesh, _as_callable(f)))
     u, res = _gated_solve(A, b, f"A({lam})")
     field = FeField(space, space.expand_vec(u), lam=lam, description="source solve")
-    return SourceSolution(field, lam, res)
+    return SourceSolution(field, res)
 
 
 def solve_scalar_potential(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],

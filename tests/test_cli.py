@@ -10,7 +10,7 @@ import pytest
 
 import signfem
 from signfem import solvers as sol
-from signfem.cli import main
+from signfem.cli import EXIT_CONFIG, main
 
 CFG_51 = """
 [domain]
@@ -247,6 +247,11 @@ def test_critical_lambda_gate(cfg51, tmp_path):
 def test_malformed_window_flag(cfg52, tmp_path):
     assert main(["eigen", "spectrum", "--config", cfg52, "--window", "1.2",
                  "--out", str(tmp_path)]) == 2
+
+
+def test_window_flag_with_empty_part(cfg52, tmp_path):
+    assert main(["eigen", "spectrum", "--config", cfg52, "--window", "1.2,,4/3",
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_missing_config_file(tmp_path):

@@ -114,6 +114,12 @@ def test_load_config_with_overrides(tmp_path):
         load_config(p, not_a_field=1)
 
 
+@pytest.mark.parametrize("raw", ["1.2,,4/3", ",1.2,4/3,", "1.2, ,4/3"])
+def test_empty_part_of_a_pair_rejected(raw):
+    with pytest.raises(ConfigError, match="pair"):
+        parse_config(f"[experiment]\nwindow = {raw}\nkind = spectrum\n")
+
+
 def test_window_parses_fractions():
     cfg = parse_config("[experiment]\nwindow = 4/3,100/51\nkind = spectrum\n")
     assert cfg.window == (F(4, 3), F(100, 51))

@@ -1,6 +1,7 @@
 """Study runners: job lists, pool scheduling and the tables they return."""
 
 import dataclasses
+import platform
 import threading
 import time
 from fractions import Fraction
@@ -146,6 +147,36 @@ def test_pool_without_blas_controls_sets_nothing(two_blas_threads, monkeypatch):
     monkeypatch.setattr(exp, "_blas_controls", lambda: ())
     assert exp._pool_map(lambda _: _counts(controls), [0, 1]) == [before] * 2
     assert _counts(controls) == before
+
+
+def test_trimmed_jobs_trim_the_heap(monkeypatch):
+    # a trimmed job ends with malloc_trim(0), a failing one too
+    calls = []
+    monkeypatch.setattr(exp, "_malloc_trim", lambda: calls.append)
+    assert exp._pool_map(exp._trimmed(lambda x: 2 * x), [0, 1, 2]) == [0, 2, 4]
+    assert calls == [0] * 3
+
+    def fail(_):
+        raise sol.SolverError("factorization failed")
+
+    with pytest.raises(sol.SolverError):
+        exp._trimmed(fail)(0)
+    assert calls == [0] * 4
+    monkeypatch.setattr(exp, "_malloc_trim", lambda: None)
+    assert exp._trimmed(lambda x: 2 * x)(3) == 6
+
+
+def test_eigen_jobs_trim_the_heap(monkeypatch):
+    # two edge jobs and the scalar reference
+    calls = []
+    monkeypatch.setattr(exp, "_malloc_trim", lambda: calls.append)
+    exp.run_eigen_convergence(CONVERGE_52)
+    assert calls == [0] * 3
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+def test_malloc_trim_found_under_glibc():
+    assert exp._malloc_trim()(0) in (0, 1)
 
 
 def test_pool_size_follows_the_cpu_affinity(monkeypatch):

@@ -5,13 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from signfem import fem
+from signfem import fem, materials as mats
 from signfem.geometry import make_reference_domain
 from signfem.materials import DrudeMaterial
 from signfem.mesh import Mesh, refine_red
-from signfem.meshgen import build_r_conform_coarse
+from signfem.meshgen import build_r_conform_coarse, square_mesh
 
 REFERENCE = DrudeMaterial(mu_minus=10.0, eps_minus=10.0,
                           omega_mu_sq=4.0, omega_eps_sq=2.0)
@@ -220,9 +221,10 @@ def test_cross_check_consistency(coarse):
     # affine v has a globally constant rotated gradient (1, 2)
     v = coarse.vertices[:, 1] - 2.0 * coarse.vertices[:, 0] + 0.5
     u = fem.interpolate_edge(coarse, lambda x: np.broadcast_to([1.0, 2.0], x.shape))
-    assert fem.cross_error(coarse, homog, -1.0, u, v) <= 1e-12
+    flux = fem.potential_flux(coarse, homog, -1.0, v)
+    assert fem.cross_error(coarse, u, flux) <= 1e-12
     with pytest.raises(fem.FemError, match="vanishes"):
-        fem.cross_error(coarse, homog, -1.0, u, np.zeros(coarse.num_vertices))
+        fem.cross_error(coarse, u, np.zeros((coarse.num_triangles, 2)))
 
 
 def test_prolongation_is_exact(coarse):
@@ -278,3 +280,178 @@ def test_mass_gram_gives_l2_norm(coarse, blocks):
     M = blocks["M_plus"] + blocks["M_minus"]
     assert np.sqrt(u @ (M @ u)) == pytest.approx(fem.field_norms(coarse, u).l2,
                                                  rel=1e-13)
+
+
+# Oracles for the element kernels: the per-triangle (T, 3, 2) gradients,
+# np.einsum products and np.add.at scatters that the kernels replace, and the
+# closed form of the edge mass.
+
+def _oracle_grads(mesh):
+    v = mesh.vertices[mesh.triangles]
+    grads = np.empty((mesh.num_triangles, 3, 2))
+    for j in range(3):
+        opp = v[:, (j + 2) % 3] - v[:, (j + 1) % 3]
+        grads[:, j, 0] = -opp[:, 1]
+        grads[:, j, 1] = opp[:, 0]
+    return grads / (2 * mesh.areas)[:, None, None]
+
+
+def _oracle_whitney(grads, lam):
+    return np.stack([lam[j] * grads[:, (j + 1) % 3] - lam[(j + 1) % 3] * grads[:, j]
+                     for j in range(3)], axis=1)
+
+
+def _oracle_edge_mass(mesh):
+    """Midpoint-rule edge mass per triangle, before orientation signs."""
+    grads = _oracle_grads(mesh)
+    M = np.zeros((mesh.num_triangles, 3, 3))
+    for lam, w in zip(*fem.MID_RULE):
+        W = _oracle_whitney(grads, lam)
+        M += w * np.einsum("tjd,tkd->tjk", W, W)
+    return M * mesh.areas[:, None, None]
+
+
+def _closed_form_edge_mass(mesh):
+    """Edge mass per triangle, before orientation signs, in closed form: with
+    g_ab = grad(lam_a) . grad(lam_b) and int_T lam_a lam_c = area (1 +
+    delta_ac) / 12, local edges j = (a, b) and k = (c, d) give
+    area/12 [(1+d_ac) g_bd - (1+d_ad) g_bc - (1+d_bc) g_ad + (1+d_bd) g_ac]."""
+    grads = _oracle_grads(mesh)
+    g = np.einsum("tad,tbd->tab", grads, grads)
+    M = np.empty((mesh.num_triangles, 3, 3))
+    for j in range(3):
+        a, b = j, (j + 1) % 3
+        for k in range(3):
+            c, d = k, (k + 1) % 3
+            M[:, j, k] = ((1 + (a == c)) * g[:, b, d] - (1 + (a == d)) * g[:, b, c]
+                          - (1 + (b == c)) * g[:, a, d] + (1 + (b == d)) * g[:, a, c])
+    return M * (mesh.areas / 12)[:, None, None]
+
+
+def _oracle_blocks(mesh):
+    """All twelve blocks of assemble_blocks."""
+    grads = _oracle_grads(mesh)
+    area = mesh.areas
+    q = np.ldexp(np.round(np.ldexp(1.0 / area, 30)), -30)
+    signs = mesh.tri_edge_signs.astype(float)
+    Kel = (signs[:, :, None] * signs[:, None, :]) * q[:, None, None]
+    Mel = _oracle_edge_mass(mesh) * (signs[:, :, None] * signs[:, None, :])
+    Ksel = np.einsum("tjd,tkd->tjk", grads, grads) * area[:, None, None]
+    Msel = np.zeros((mesh.num_triangles, 3, 3))
+    for lam, w in zip(*fem.MID_RULE):
+        Msel += w * np.einsum("j,k->jk", lam, lam)[None, :, :]
+    Msel = Msel * area[:, None, None]
+    out = {}
+    for dofs, n, stems in ((mesh.tri_edges, mesh.num_edges, (("K", Kel), ("M", Mel))),
+                           (mesh.triangles, mesh.num_vertices,
+                            (("Ks", Ksel), ("Ms", Msel)))):
+        rows, cols = np.repeat(dofs, 3, axis=1), np.tile(dofs, (1, 3))
+        for name, sign in (("plus", 1), ("minus", -1)):
+            sel = mesh.region == sign
+            for stem, el in stems:
+                out[f"{stem}_{name}"] = sp.coo_matrix(
+                    (el[sel].ravel(), (rows[sel].ravel(), cols[sel].ravel())),
+                    shape=(n, n)).tocsr()
+    tm = np.flatnonzero(mesh.region == -1)
+    out["C"] = sp.coo_matrix(
+        (signs[tm].ravel(), (np.repeat(np.arange(len(tm)), 3),
+                             mesh.tri_edges[tm].ravel())),
+        shape=(len(tm), mesh.num_edges)).tocsr()
+    out["MY"] = sp.diags(area[tm]).tocsr()
+    rows_s = np.repeat(2 * np.arange(len(tm)), 3)
+    agrad = grads[tm] * area[tm, None, None]
+    out["Cs"] = sp.coo_matrix(
+        (np.concatenate([agrad[:, :, 0].ravel(), agrad[:, :, 1].ravel()]),
+         (np.concatenate([rows_s, rows_s + 1]),
+          np.tile(mesh.triangles[tm].ravel(), 2))),
+        shape=(2 * len(tm), mesh.num_vertices)).tocsr()
+    out["MYs"] = sp.diags(np.repeat(area[tm], 2)).tocsr()
+    return out
+
+
+def _oracle_rhs(mesh, fun):
+    v = mesh.vertices[mesh.triangles]
+    grads = _oracle_grads(mesh)
+    vals = None
+    for lam, w in zip(*fem.MID_RULE):
+        W = _oracle_whitney(grads, lam)
+        f = np.asarray(fun(np.einsum("j,tjd->td", lam, v)), dtype=float)
+        contrib = w * np.einsum("td,tjd->tj", f, W)
+        vals = contrib if vals is None else vals + contrib
+    vals = vals * mesh.areas[:, None] * mesh.tri_edge_signs.astype(float)
+    out = np.zeros(mesh.num_edges)
+    np.add.at(out, mesh.tri_edges.ravel(), vals.ravel())
+    return out
+
+
+def _oracle_scalar_rhs(mesh, mu_t, f0):
+    v = mesh.vertices[mesh.triangles]
+    vals = None
+    for lam, w in zip(*fem.MID_RULE):
+        f = np.asarray(f0(np.einsum("j,tjd->td", lam, v)), dtype=float)
+        contrib = w * f[:, None] * lam[None, :]
+        vals = contrib if vals is None else vals + contrib
+    vals = vals * (mu_t * mesh.areas)[:, None]
+    out = np.zeros(mesh.num_vertices)
+    np.add.at(out, mesh.triangles.ravel(), vals.ravel())
+    return out
+
+
+@pytest.fixture(scope="module")
+def kernel_meshes(coarse):
+    fine = refine_red(coarse)
+    return {"L0": coarse, "L1": fine, "L3": refine_red(refine_red(fine)),
+            "square": square_mesh(4)}
+
+
+@pytest.mark.parametrize("name", ["L0", "L1", "square"])
+def test_edge_mass_matches_closed_form(kernel_meshes, name):
+    mesh = kernel_meshes[name]
+    grads, _ = fem._geometry(mesh)
+    quad = fem._edge_mass(grads, mesh.areas)
+    closed = _closed_form_edge_mass(mesh)
+    assert np.all(quad == quad.transpose(0, 2, 1))
+    # each entry against its Cauchy-Schwarz bound sqrt(M_jj M_kk): off-diagonal
+    # entries can cancel to 1e-4 of it (or to zero on the square), so a
+    # relative error on the entry itself would measure that cancellation
+    diag = np.sqrt(np.diagonal(closed, axis1=1, axis2=2))
+    bound = diag[:, :, None] * diag[:, None, :]
+    assert np.all(np.abs(quad - closed) <= 2e-15 * bound)
+
+
+@pytest.mark.parametrize("name", ["L0", "L1", "L3", "square"])
+def test_blocks_and_loads_bit_identical_to_oracle(kernel_meshes, name):
+    mesh = kernel_meshes[name]
+    blocks = fem.assemble_blocks(mesh)
+    for key, ref in _oracle_blocks(mesh).items():
+        got = blocks[key]
+        assert got.shape == ref.shape, key
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes(), key
+
+    def load(x):
+        return np.stack([np.sin(3 * x[..., 0]), x[..., 1] ** 2 - x[..., 0]], axis=-1)
+    assert fem.assemble_rhs(mesh, load).tobytes() == _oracle_rhs(mesh, load).tobytes()
+
+    f0 = lambda x: np.cos(x[..., 0]) + 2.0 * x[..., 1]
+    _, rhs = fem.assemble_scalar_problem(blocks, REFERENCE, 3.0, mesh, f0)
+    mu_t = np.where(mesh.region == 1, float(mats.mu(REFERENCE, 3.0, "+")),
+                    float(mats.mu(REFERENCE, 3.0, "-")))
+    assert rhs.tobytes() == _oracle_scalar_rhs(mesh, mu_t, f0).tobytes()
+
+
+def test_evaluation_runs_in_float64(coarse):
+    rng = np.random.default_rng(9)
+    u64 = rng.standard_normal(coarse.num_edges)
+    v64 = rng.standard_normal(coarse.num_vertices)
+    # longdouble vectors whose float64 rounding is u64 and v64
+    u = u64.astype(np.longdouble) * (1 + np.longdouble(2.0) ** -60)
+    v = v64.astype(np.longdouble) * (1 - np.longdouble(2.0) ** -60)
+    assert np.any(u != u64) and np.array_equal(u.astype(float), u64)
+    assert np.any(v != v64) and np.array_equal(v.astype(float), v64)
+
+    flux = fem.potential_flux(coarse, REFERENCE, 1.0, v)
+    assert flux.dtype == np.float64
+    assert flux.tobytes() == fem.potential_flux(coarse, REFERENCE, 1.0, v64).tobytes()
+    assert fem.field_norms(coarse, u) == fem.field_norms(coarse, u64)
+    assert fem.cross_error(coarse, u, flux) == fem.cross_error(coarse, u64, flux)

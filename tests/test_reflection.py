@@ -151,7 +151,7 @@ def test_curl_transform_identity(coarse, dom):
     signs = coarse.tri_edge_signs
 
     def tri_curl(field):
-        return np.einsum("tj,tj->t", field[coarse.tri_edges] * signs, curls)
+        return np.einsum("tj,t->t", field[coarse.tri_edges] * signs, curls)
 
     cu = tri_curl(u)
     bary = coarse.vertices[coarse.triangles].mean(axis=1)

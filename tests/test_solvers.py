@@ -49,7 +49,7 @@ def test_source_solution_contract(mesh_seq, blocks_seq):
     m, bl = mesh_seq[1], blocks_seq[1]
     s = sol.solve_source(m, bl, CONTRAST_TEN, 1.0, (1.0, 1.0))
     assert s.residual <= 1e-10
-    assert s.lam == 1.0
+    assert s.field.lam == 1.0
     space = EdgeSpace(m)
     bdry = np.setdiff1d(np.arange(m.num_edges), space.free)
     assert np.all(s.field.coeffs[bdry] == 0.0)
@@ -110,8 +110,7 @@ def test_scalar_potential_cross_check_decreases(mesh_seq, blocks_seq):
         v, flux = sol.solve_scalar_potential(m, bl, CONTRAST_TEN, 1.0,
                                              f0=lambda x: x[..., 1] - x[..., 0])
         assert flux.shape == (m.num_triangles, 2)
-        crosses.append(fem.cross_error(m, CONTRAST_TEN, 1.0,
-                                       u.field.coeffs, v.coeffs))
+        crosses.append(fem.cross_error(m, u.field.coeffs, flux))
     assert crosses[0] > crosses[1] > crosses[2]
 
 
