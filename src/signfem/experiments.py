@@ -331,7 +331,8 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
         if kind == "edge":
             blocks = fem.assemble_blocks(meshes[i], (fem.EDGE,))
             s = sol.solve_source(meshes[i], blocks, mat, lam, cfg.source)
-            return s.field.coeffs, (blocks if i == finest else None)
+            # drop the longdouble carry: prolongation and norms run in float64
+            return s.field.coeffs.astype(float), (blocks if i == finest else None)
         blocks = fem.assemble_blocks(meshes[i], (fem.SCALAR,))
         _, flux = sol.solve_scalar_potential(meshes[i], blocks, mat, lam,
                                              f0=_constant_f0(cfg.source))
@@ -345,8 +346,7 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
     gram = sol.xnorm_gram(blocks_f, space_f)
     mass = blocks_f["M_plus"] + blocks_f["M_minus"]
 
-    def norm(G, d):  # float64 is enough for a norm; the solve's carry is not
-        d = np.asarray(d, dtype=float)
+    def norm(G, d):
         return math.sqrt(max(float(d @ (G @ d)), 0.0))
 
     prolong = [fem.edge_prolongation(c, f) for c, f in zip(meshes, meshes[1:])]

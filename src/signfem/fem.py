@@ -22,9 +22,10 @@ The edge mass stays the midpoint rule, written out.  Its closed form,
 area/12 [(1+d_ac) g_bd - (1+d_ad) g_bc - (1+d_bc) g_ad + (1+d_bd) g_ac] for
 local edges (a, b) and (c, d) with g_ab = grad(lam_a) . grad(lam_b), was
 about 10 ms faster at L4 and differs only in rounding, by at most 2e-15 of
-sqrt(M_jj M_kk).  That rounding alone moved the inertia probe of the
-section 5.2 edge pencil S - (4/3) T at L3 from 5.3e-11 to 1.3e-10, past its
-1e-10 gate (solvers._negative_count), and the eigen-convergence study raised.
+sqrt(M_jj M_kk).  Its one reason, a rounding that pushed the probe of the
+factored pencil S - (4/3) T (section 5.2, L3) past 1e-10, is gone: inertia
+comes from A(4/3) (solvers._negative_count), whose probe reads 3.2e-11 with
+this rule and 1.2e-11 with the closed form in the order above.
 
 Fields are evaluated in float64: _edge_values, _edge_curls and
 potential_flux round their coefficients on entry.  solve_source and

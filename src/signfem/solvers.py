@@ -5,9 +5,11 @@ laws.  With constant mu_minus the curl of the edge space restricted to the
 inclusion is exactly the piecewise-constant auxiliary space, so introducing
 v = (omega_mu/sqrt(mu_minus)) (lam - omega_mu^2)^{-1} curl u|_- linearizes the
 problem into a symmetric pencil (S, T) with T block-diagonal positive
-definite.  Eliminating v back out of S - lam*T must reproduce the rational
-operator A(lam) exactly; schur_action provides that substitution as an
-independent check on the block algebra.
+definite.  Its auxiliary block D(lam) = (pole - lam) MY is diagonal, and
+eliminating it from S - lam*T gives back the rational operator A(lam)
+(schur_complement).  So S - sigma*T is never factored: its inertia is
+nu_-(A(sigma)) + n_aux [sigma > pole] (Haynsworth, Linear Algebra Appl. 1,
+1968), and shift-invert solves with it by block elimination on A(sigma).
 
 In 2D the scalar-potential problem is the edge problem with mu and eps
 swapped: eps(lam)^-1 weights the P1 stiffness, mu(lam) the mass, and the
@@ -19,15 +21,17 @@ serves both formulations.
 
 Every sparse factorization goes through _factorize, with one policy: a
 reverse Cuthill-McKee pre-order, then SuperLU in SymmetricMode with ordering
-MMD_AT_PLUS_A and diag_pivot_thresh=0.  Each matrix factored here (A(lam),
-S - sigma*T, and the Gram of residual_evaluator, the only Gram factored) is
-symmetric, and with the pivots on the diagonal (perm_r == perm_c) diag(U) is
-the D of LDL^T, whose signs certify window counts.  Fill at L4: A(1) 32.6 M
-with COLAMD, 11.8 M now; the P1 scalar operator 11.9 M and 8.8 M.  MMD breaks
-ties in input order, and on the mesh's own numbering it fills those two to
-15.2 M and 19.0 M, hence the pre-order.  The threshold must be 0: at 0.01
-SuperLU pivots off the diagonal on the L1 and L2 pencils and the inertia
-comes out wrong; with partial pivoting the ordering did not finish at L4 in
+MMD_AT_PLUS_A and diag_pivot_thresh=0.  Each matrix factored here is A(lam)
+of one formulation or the Gram of residual_evaluator (the only Gram
+factored); each is symmetric, and with the pivots on the diagonal (perm_r ==
+perm_c) diag(U) is the D of LDL^T, whose signs certify window counts.  On the
+section 5.2 edge pencil at L3 A(4/3) fills 2.42 M, S - (4/3)T filled 2.58 M,
+and the backward-error probe moves from 5.3e-11 to 3.2e-11.  Fill at L4: A(1)
+32.6 M with COLAMD, 11.8 M now; the P1 scalar operator 11.9 M and 8.8 M.  MMD
+breaks ties in input order, and on the mesh's own numbering it fills those two
+to 15.2 M and 19.0 M, hence the pre-order.  The threshold must be 0: at 0.01
+SuperLU pivoted off the diagonal on the L1 and L2 pencils and the inertia
+came out wrong; with partial pivoting the ordering did not finish at L4 in
 10 min.  ARPACK gets these factors through OPinv and builds none of its own;
 its M is only ever multiplied.  SuperLU's supernodal kernels are level-2 BLAS
 (Demmel et al., SIAM J. Matrix Anal. Appl. 1999), so a factorization gains
@@ -53,7 +57,7 @@ from .mesh import Mesh
 __all__ = [
     "SolverError", "SourceSolution", "MatrixPencil", "PencilLayout",
     "EigenPair", "xnorm_gram", "solve_source",
-    "solve_scalar_potential", "build_pencil", "schur_action", "solve_eigen",
+    "solve_scalar_potential", "build_pencil", "schur_complement", "solve_eigen",
     "count_eigen_window", "residual_evaluator", "discrete_infsup",
 ]
 
@@ -124,9 +128,6 @@ class _Factor:
         x = np.empty_like(y)
         x[self.order] = y
         return x
-
-    def inverse(self) -> spla.LinearOperator:
-        return spla.LinearOperator(self.lu.shape, matvec=self.solve, dtype=float)
 
 
 def _factorize(A: sp.spmatrix, what: str) -> _Factor:
@@ -272,35 +273,39 @@ def build_pencil(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     return MatrixPencil(S, T, layout)
 
 
-def schur_action(pencil: MatrixPencil, lam: float, u: np.ndarray) -> np.ndarray:
-    """A(lam) u reconstructed by eliminating the auxiliary block of S - lam*T.
-
-    Independent of assemble_A's coefficient algebra: only the pencil blocks
-    and the diagonal auxiliary mass enter.  Requires lam != omega_mu^2.
-    """
+def schur_complement(pencil: MatrixPencil, lam: float) -> sp.csr_matrix:
+    """A(lam) = S11 - lam*T11 - S12 D(lam)^-1 S21, the auxiliary block D(lam) =
+    (pole - lam) MY of S - lam*T eliminated, from the pencil blocks alone
+    (independent of assemble_A's coefficient algebra).  Raises at the pole."""
     lay = pencil.layout
     if not lay.coupled:
-        return pencil.S @ u - lam * (pencil.T @ u)
+        return pencil.S - lam * pencil.T
     if lam == lay.pole:
-        raise SolverError("substitution undefined at the resonance pole")
-    nu = lay.n_primary
-    S = pencil.S
-    S11, S12, S21 = S[:nu, :nu], S[:nu, nu:], S[nu:, :nu]
-    T11 = pencil.T[:nu, :nu]
-    my = pencil.T[nu:, nu:].diagonal()
-    v = (S21 @ u) / ((lay.pole - lam) * my)
-    return S11 @ u - lam * (T11 @ u) - S12 @ v
+        raise SolverError(f"no elimination at the resonance pole {lay.pole}")
+    S, T, nu = pencil.S, pencil.T, lay.n_primary
+    Dinv = sp.diags(1.0 / ((lay.pole - lam) * T.diagonal()[nu:]))
+    return (S[:nu, :nu] - lam * T[:nu, :nu] - S[:nu, nu:] @ Dinv @ S[nu:, :nu]).tocsr()
 
 
 def _shift_invert(pencil: MatrixPencil, sigma: float, k: int, vectors: bool):
-    """The k eigenpairs nearest sigma, as (values, vectors or None).  A sigma on
-    an eigenvalue fails the factor of S - sigma*T and raises; it is never moved."""
-    n = pencil.S.shape[0]
-    lu = _factorize(pencil.S - sigma * pencil.T, f"S - sigma*T at sigma={sigma}")
+    """The k eigenpairs nearest sigma, as (values, vectors or None).  OPinv
+    solves (S - sigma*T) x = b by block elimination on one factor of A(sigma):
+    g = b2/d, u = A^-1 (b1 - S12 g), v = g - S21 u / d.  A sigma on an
+    eigenvalue fails that factor and raises; it is never moved."""
+    n, nu = pencil.S.shape[0], pencil.layout.n_primary
+    lu = _factorize(schur_complement(pencil, sigma), f"A(sigma) at sigma={sigma}")
+    S12, S21 = pencil.S[:nu, nu:], pencil.S[nu:, :nu]
+    d = (pencil.layout.pole - sigma) * pencil.T.diagonal()[nu:]
+
+    def solve(b):
+        g = b[nu:] / d
+        u = lu.solve(b[:nu] - S12 @ g)
+        return np.concatenate([u, g - (S21 @ u) / d])
+
     try:
         out = spla.eigsh(pencil.S, k=min(k, n - 2), M=pencil.T, sigma=sigma,
-                         OPinv=lu.inverse(), v0=np.ones(n) / np.sqrt(n),
-                         return_eigenvectors=vectors)
+                         OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float),
+                         v0=np.ones(n) / np.sqrt(n), return_eigenvectors=vectors)
     except ArpackNoConvergence as exc:  # partial results are not trustworthy
         raise SolverError(f"shift-invert at sigma={sigma} did not converge: "
                           f"{exc}") from exc
@@ -436,11 +441,12 @@ def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
 
 
 def _negative_count(pencil: MatrixPencil, sigma: float) -> int:
-    """nu_-(S - sigma*T), the number of eigenvalues below sigma, from the signs
-    of diag(U).  Only an LDL^T factor (perm_r == perm_c) that passes a
-    backward-error probe is accepted; anything else raises."""
-    what = f"S - sigma*T at sigma={sigma}"
-    A = pencil.S - sigma * pencil.T
+    """nu_-(S - sigma*T), the number of eigenvalues below sigma: the negative
+    signs of diag(U) of A(sigma), plus n_aux if sigma > pole (Haynsworth).
+    Only an LDL^T factor (perm_r == perm_c) that passes a backward-error probe
+    is accepted; anything else raises."""
+    what = f"A(sigma) at sigma={sigma}"
+    A = schur_complement(pencil, sigma)
     lu = _factorize(A, what)
     if not np.array_equal(lu.lu.perm_r, lu.lu.perm_c):
         raise SolverError(f"{what} pivoted off the diagonal: no inertia")
@@ -448,7 +454,8 @@ def _negative_count(pencil: MatrixPencil, sigma: float) -> int:
     err = float(np.linalg.norm(A @ lu.solve(y) - y) / np.linalg.norm(y))
     if not err <= 1e-10:
         raise SolverError(f"{what}: backward error {err:.1e} > 1e-10, no inertia")
-    return int(np.count_nonzero(lu.lu.U.diagonal() < 0))
+    aux = pencil.layout.n_aux if sigma > pencil.layout.pole else 0
+    return int(np.count_nonzero(lu.lu.U.diagonal() < 0)) + aux
 
 
 def count_eigen_window(pencil: MatrixPencil,
@@ -486,8 +493,9 @@ def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     luA = _factorize(A, f"inf-sup A(lam) at lam={lam}")
     n = A.shape[0]
     try:
-        _, vecs = spla.eigsh(A, k=1, M=G, sigma=0.0, OPinv=luA.inverse(),
-                             v0=np.ones(n) / np.sqrt(n), tol=1e-10)
+        _, vecs = spla.eigsh(A, k=1, M=G, sigma=0.0, v0=np.ones(n) / np.sqrt(n),
+                             OPinv=spla.LinearOperator(A.shape, matvec=luA.solve,
+                                                       dtype=float), tol=1e-10)
     except ArpackNoConvergence as exc:
         raise SolverError(
             f"inf-sup iteration did not converge at lam={lam}; "

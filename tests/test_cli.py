@@ -183,6 +183,16 @@ def test_eigen_spectrum(cfg52, tmp_path, capsys):
     assert "eigenvalues in window" in capsys.readouterr().out
 
 
+def test_eigen_spectrum_eps_window_at_small_patch_radius(cfg52, tmp_path):
+    # patch radius 0.05: factoring S - (100/51) T failed the 1e-10 inertia
+    # probe at L1 (backward error 1.9e-10); the factor of A(100/51) passes
+    out = tmp_path / "o"
+    assert main(["eigen", "spectrum", "--config", cfg52, "--levels", "2",
+                 "--window", "4/3,100/51", "--shift", "1.6",
+                 "--out", str(out)]) == 0
+    assert (out / "spectrum.csv").is_file()
+
+
 def test_eigen_spectrum_bad_scalar_pair_fails(cfg52, tmp_path, capsys,
                                               monkeypatch):
     _with_bad_pair(monkeypatch, "scalar")

@@ -129,9 +129,9 @@ def test_pencil_structure(mesh_seq, blocks_seq):
 def test_pencil_one_block_when_dispersionless(mesh_seq, blocks_seq):
     p = sol.build_pencil(mesh_seq[0], blocks_seq[0], HOMOGENEOUS)
     assert not p.layout.coupled and p.layout.n_aux == 0
-    x = np.ones(p.S.shape[0])
-    want = p.S @ x - 0.5 * (p.T @ x)
-    assert np.allclose(sol.schur_action(p, 0.5, x), want, rtol=0, atol=0)
+    # nothing to eliminate: the complement is the pencil matrix itself
+    A, want = sol.schur_complement(p, 0.5), p.S - 0.5 * p.T
+    assert A.shape == want.shape and (A != want).nnz == 0
 
 
 def test_nonpositive_drude_constant_rejected_at_the_type(mesh_seq, blocks_seq):
@@ -152,10 +152,11 @@ def test_schur_substitution_reproduces_operator(mesh_seq, blocks_seq):
             p = sol.build_pencil(m, bl, mat)
             for lam in ADMISSIBLE_LAMS:
                 A = fem.assemble_A(bl, mat, lam, space)
+                schur = sol.schur_complement(p, lam)
                 for _ in range(6):
                     x = rng.standard_normal(space.nfree)
                     want = A @ x
-                    got = sol.schur_action(p, lam, x)
+                    got = schur @ x
                     assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
@@ -169,10 +170,11 @@ def test_schur_substitution_scalar_formulation(mesh_seq, blocks_seq):
         for lam in ADMISSIBLE_LAMS:
             S, _ = fem.assemble_scalar_problem(bl, mat, lam, m,
                                                lambda x: x[..., 0] - x[..., 1])
+            schur = sol.schur_complement(p, lam)
             for _ in range(4):
                 x = rng.standard_normal(m.num_vertices)
                 want = S @ x
-                got = sol.schur_action(p, lam, x)
+                got = schur @ x
                 assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
@@ -196,14 +198,14 @@ def test_schur_substitution_any_admissible_lambda(lam):
     A = fem.assemble_A(_HYP_BLOCKS, CONTRAST_TEN, lam, space)
     x = np.linspace(-1, 1, space.nfree)
     want = A @ x
-    got = sol.schur_action(_HYP_PENCIL, lam, x)
+    got = sol.schur_complement(_HYP_PENCIL, lam) @ x
     assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
 def test_schur_undefined_at_pole(mesh_seq, blocks_seq):
     p = sol.build_pencil(mesh_seq[0], blocks_seq[0], CONTRAST_TEN)
     with pytest.raises(sol.SolverError, match="pole"):
-        sol.schur_action(p, 2.0, np.ones(p.S.shape[0]))
+        sol.schur_complement(p, 2.0)
 
 
 def test_eigen_reference_target(mesh_seq, blocks_seq):
@@ -299,6 +301,53 @@ def test_count_window_matches_dense(mesh_seq, blocks_seq):
     got = sol.count_eigen_window(p, SPECTRUM_WINDOW)
     assert len(got) == len(dense)
     assert np.allclose(got, dense, rtol=1e-8, atol=1e-9)
+
+
+@pytest.mark.parametrize("form, window, shift", [
+    (fem.EDGE, (1.2, 4 / 3), 1.27),
+    (fem.SCALAR, (2.1, 3.0), 2.5),    # above the scalar pole: D(sigma) < 0
+], ids=["edge", "scalar"])
+def test_inertia_and_solves_factor_only_the_schur_complement(
+        mesh_seq, blocks_seq, monkeypatch, form, window, shift):
+    # nu_-(S - sigma*T) = nu_-(A(sigma)) + n_aux [sigma > pole], with the edge
+    # pole at 4 and the scalar pole at 2.  Single shifts on both sides of each
+    # pole are needed: a window with both edges above the pole cancels n_aux.
+    from scipy.linalg import eigh
+    m, bl = mesh_seq[0], blocks_seq[0]
+    p = sol.build_pencil(m, bl, REFERENCE, form=form)
+    vals = eigh(p.S.toarray(), p.T.toarray(), eigvals_only=True)
+    for sigma in (1.5, 2.5, 3.9, 4.2):
+        assert sol._negative_count(p, sigma) == np.count_nonzero(vals < sigma)
+
+    # no path factors S - sigma*T: every factor is A(sigma) or a Gram
+    rows = []
+    real_factorize = sol._factorize
+
+    def factorize(A, what):
+        rows.append(A.shape[0])
+        return real_factorize(A, what)
+
+    monkeypatch.setattr(sol, "_factorize", factorize)
+    assert sol.count_eigen_window(p, window).size
+    assert sol.solve_eigen(m, bl, REFERENCE, p, window=window, shift=shift)
+    assert rows and max(rows) <= p.layout.n_primary
+
+
+@pytest.fixture(scope="module")
+def small_patch_seq():
+    seq = [build_r_conform_coarse(make_reference_domain(patch_radius=0.05), 0.2)]
+    seq.append(refine_red(seq[0]))
+    return seq
+
+
+@pytest.mark.parametrize("form", [fem.EDGE, fem.SCALAR], ids=["edge", "scalar"])
+def test_count_window_certified_at_small_patch_radius(small_patch_seq, form):
+    # at patch radius 0.05 a factor of S - (100/51) T fails the 1e-10 inertia
+    # probe (1.2e-10 at L0, 1.9e-10 at L1); the factor of A(100/51) passes
+    got = [len(sol.count_eigen_window(
+        sol.build_pencil(m, fem.assemble_blocks(m, (form,)), REFERENCE, form=form),
+        SPECTRUM_WINDOW)) for m in small_patch_seq]
+    assert got == [20, 41]
 
 
 MU_WINDOW = (8 / 3, 200 / 51)
