@@ -127,10 +127,8 @@ def _cmd_solve(args) -> int:
     lam = float(cfg.lam)
     f0 = exp._constant_f0(cfg.source)
     v, flux = sol.solve_scalar_potential(m, blocks, cfg.material(), lam, f0=f0)
-    bary = m.barycenters()
-    rows = [(t, float(bary[t, 0]), float(bary[t, 1]),
-             float(flux[t, 0]), float(flux[t, 1]))
-            for t in range(m.num_triangles)]
+    rows = exp._lines("{},{},{},{},{}\n", range(m.num_triangles),
+                      *m.barycenters().T, *flux.T)
     out = Path(cfg.out_dir)
     path = exp._write_csv(out / "scalar.csv",
                           ("triangle", "x1", "x2", "f1", "f2"), rows,

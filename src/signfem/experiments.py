@@ -74,7 +74,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy
@@ -105,8 +105,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, columns: Sequence[str], rows: Sequence[Sequence],
+def _lines(fmt: str, *columns) -> str:
+    """FMT filled from one row of COLUMNS (equal-length arrays) per line, all
+    lines joined.  The cells are the Python ints and floats of .tolist(), so
+    "{}" prints a float as its repr, as _fmt does."""
+    return "".join(map(fmt.format, *(np.asarray(c).tolist() for c in columns)))
+
+
+def _write_csv(path, columns: Sequence[str], rows: Union[Sequence[Sequence], str],
                metadata: Sequence[Tuple[str, str]] = ()) -> Path:
+    """Write metadata lines "# key = value", the header and ROWS: sequences
+    of cells, each written by _fmt, or the data lines already joined (see
+    _lines), whose cells must need no CSV quoting."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
@@ -114,8 +124,11 @@ def _write_csv(path, columns: Sequence[str], rows: Sequence[Sequence],
             f.write(f"# {key} = {val}\n")
         w = csv.writer(f, lineterminator="\n")
         w.writerow(columns)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        if isinstance(rows, str):
+            f.write(rows)
+        else:
+            for row in rows:
+                w.writerow([_fmt(x) for x in row])
     return path
 
 
@@ -604,9 +617,9 @@ def export_field(field: FeField, path, format: str = "csv") -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
 
+    T = mesh.num_triangles
     if format == "csv":
-        rows = [(t, bary[t, 0], bary[t, 1], vals[t, 0], vals[t, 1], curls[t])
-                for t in range(mesh.num_triangles)]
+        rows = _lines("{},{},{},{},{},{}\n", np.arange(T), *bary.T, *vals.T, curls)
         return _write_csv(path, ("triangle", "x1", "x2", "u1", "u2", "curl"),
                           rows, [("description", field.description or "field"),
                                  ("lam", "none" if field.lam is None
@@ -617,19 +630,14 @@ def export_field(field: FeField, path, format: str = "csv") -> Path:
         f.write(f"{field.description or 'signfem field'}\n")
         f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.num_vertices} double\n")
-        for x, y in mesh.vertices:
-            f.write(f"{_fmt(x)} {_fmt(y)} 0.0\n")
-        T = mesh.num_triangles
+        f.write(_lines("{} {} 0.0\n", *mesh.vertices.T))
         f.write(f"CELLS {T} {4 * T}\n")
-        for a, b, c in mesh.triangles:
-            f.write(f"3 {a} {b} {c}\n")
+        f.write(_lines("3 {} {} {}\n", *mesh.triangles.T))
         f.write(f"CELL_TYPES {T}\n")
-        f.writelines("5\n" * T)
+        f.write("5\n" * T)
         f.write(f"CELL_DATA {T}\n")
         f.write("VECTORS field double\n")
-        for t in range(T):
-            f.write(f"{_fmt(vals[t, 0])} {_fmt(vals[t, 1])} 0.0\n")
+        f.write(_lines("{} {} 0.0\n", *vals.T))
         f.write("SCALARS curl double 1\nLOOKUP_TABLE default\n")
-        for t in range(T):
-            f.write(f"{_fmt(curls[t])}\n")
+        f.write(_lines("{}\n", curls))
     return path

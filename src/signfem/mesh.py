@@ -8,7 +8,12 @@ assembly relies on, and sorted by the key lo*V + hi.
 
 fold_images is the one place where the images of patch triangles under the
 corner fold maps and edge mirrors are matched to mesh vertices: the
-conformity check and the reflection operators both read it.
+conformity check and the reflection operators both read it.  On a locally
+reflection-conform mesh every image lands on a vertex up to rounding, so
+the match is an exact lookup of rounded coordinates in a sorted key array,
+not a nearest-neighbour search.  Only an image whose key is not that of
+exactly one vertex, which a conforming mesh does not produce, is matched by
+scanning every candidate.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import geometry as geo
 
@@ -152,6 +156,61 @@ def _patch_sides(mesh: Mesh, pattern: Tuple[str, int],
             np.flatnonzero(in_patch & (mesh.region == -side)))
 
 
+# fold-image keys round coordinates to a grid of _KEY_STEP times the extent
+# of the candidates' bounding box, so each candidate's key is a pair of
+# integers in [0, 1e9], whatever the mesh level
+_KEY_STEP = 1e-9
+_KEY_MAX = 2**30
+
+
+def _nearest_rows(points: np.ndarray):
+    """Matcher of query points (m, 2) to their nearest row of POINTS (n, 2).
+
+    A query whose key, its coordinates rounded on the grid, is the key of
+    exactly one row of POINTS lies within sqrt(2) grid steps of that row,
+    which is then the nearest unless another row lies within 2 sqrt(2)
+    steps, about 3e-9 times the extent: far closer than the vertices of any
+    mesh the program builds.  The keys of POINTS are sorted once and each
+    query key is found by binary search.  Every other query, which a
+    reflection-conform mesh does not produce, is matched by _nearest_by_scan.
+    """
+    lo = points.min(axis=0)
+    step = _KEY_STEP * float((points.max(axis=0) - lo).max())
+
+    def key(p):
+        # a query off the grid's range is clipped to a key no row of POINTS has
+        q = np.clip(np.rint((p - lo) / step), -1, _KEY_MAX).astype(np.int64)
+        return q[:, 0] * (2 * _KEY_MAX) + q[:, 1]
+
+    keys = key(points)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    new = sorted_keys[1:] != sorted_keys[:-1]
+    single = np.r_[True, new] & np.r_[new, True]
+
+    def nearest(query: np.ndarray) -> np.ndarray:
+        qk = key(query)
+        at = np.minimum(np.searchsorted(sorted_keys, qk), len(points) - 1)
+        rows = order[at]
+        miss = np.flatnonzero((sorted_keys[at] != qk) | ~single[at])
+        if len(miss):
+            rows[miss] = _nearest_by_scan(points, query[miss])
+        return rows
+
+    return nearest
+
+
+def _nearest_by_scan(points: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Row of POINTS nearest each row of QUERY, from every distance; the
+    queries go in blocks of about 2**20 distances."""
+    rows = np.empty(len(query), dtype=np.intp)
+    block = max(1, 2**20 // len(points))
+    for s in range(0, len(query), block):
+        d = query[s:s + block, None, :] - points
+        rows[s:s + block] = np.argmin(d[..., 0] ** 2 + d[..., 1] ** 2, axis=1)
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class FoldImages:
     """Where the defined-side triangles of one patch land under their maps.
@@ -161,6 +220,13 @@ class FoldImages:
     image of vertex j of triangle tri[r] under maps[map[r]], dist[r, j] the
     distance between them.  other_vertices holds the sorted ids of all
     other-side patch vertices, the candidates of that search.
+
+    The nearest vertex is found by _nearest_rows.  On a reflection-conform
+    mesh every image lies on a candidate up to rounding, so a lookup of its
+    rounded coordinates finds it and no nearest-neighbour structure (a
+    KD-tree) is needed.  Only the images that find no single candidate,
+    which a non-conforming mesh produces, are matched by scanning every
+    candidate.  Either way vertex holds the nearest candidate.
     """
 
     maps: Tuple[geo.SectorMap, ...]
@@ -198,11 +264,11 @@ def fold_images(mesh: Mesh, domain: geo.DomainSpec, pattern: Tuple[str, int],
     other_vertices = np.unique(mesh.triangles[other])
     rows = [(np.empty(0, int), np.empty(0, int), np.empty((0, 3), int), np.empty((0, 3)))]
     if len(other):
-        tree = cKDTree(mesh.vertices[other_vertices])
+        nearest = _nearest_rows(mesh.vertices[other_vertices])
         for k, m in enumerate(maps):
             t = defined[sector == m.source_sector]
             image = m(mesh.vertices[mesh.triangles[t]])
-            ids = other_vertices[tree.query(image)[1]]
+            ids = other_vertices[nearest(image.reshape(-1, 2)).reshape(-1, 3)]
             rows.append((t, np.full(len(t), k), ids,
                          np.linalg.norm(mesh.vertices[ids] - image, axis=-1)))
     tri, map_of, vertex, dist = (np.concatenate(c) for c in zip(*rows))
@@ -275,16 +341,15 @@ def mesh_write(mesh: Mesh, path) -> None:
     """Write the text format: header "signfem-mesh v1", "vertices V" and rows
     "i x y" (repr floats, exact), "triangles T" and rows "t v1 v2 v3 region
     patch".  The program writes this format and reads none."""
+    patch = {PATCH_NONE: "none", PATCH_CORNER: "corner:{}", PATCH_EDGE: "edge:{}"}
+    labels = [patch[k].format(n) for k, n in
+              zip(mesh.patch_kind.tolist(), mesh.patch_index.tolist())]
     with open(path, "w") as fh:
         fh.write("signfem-mesh v1\n")
         fh.write(f"vertices {mesh.num_vertices}\n")
-        for i, (x, y) in enumerate(mesh.vertices):
-            fh.write(f"{i} {float(x)!r} {float(y)!r}\n")
+        fh.write("".join(map("{} {!r} {!r}\n".format, range(mesh.num_vertices),
+                             *mesh.vertices.T.tolist())))
         fh.write(f"triangles {mesh.num_triangles}\n")
-        for t in range(mesh.num_triangles):
-            v1, v2, v3 = mesh.triangles[t]
-            reg = "+" if mesh.region[t] > 0 else "-"
-            kind = mesh.patch_kind[t]
-            patch = ("none" if kind == PATCH_NONE else
-                     f"{'corner' if kind == PATCH_CORNER else 'edge'}:{mesh.patch_index[t]}")
-            fh.write(f"{t} {v1} {v2} {v3} {reg} {patch}\n")
+        fh.write("".join(map("{} {} {} {} {} {}\n".format, range(mesh.num_triangles),
+                             *mesh.triangles.T.tolist(),
+                             np.where(mesh.region > 0, "+", "-").tolist(), labels)))

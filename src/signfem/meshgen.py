@@ -161,10 +161,22 @@ def _edge_triangles(tris):
     slot 3 t + j of that first occurrence and of the second one (-1 for a
     boundary edge).  Triangle t of slot s is s // 3.
     """
-    flat = np.asarray(tris, dtype=np.int64).ravel()
-    nxt = flat.reshape(-1, 3)[:, [1, 2, 0]].ravel()
-    lo, hi = np.minimum(flat, nxt), np.maximum(flat, nxt)
-    key = (lo << 32) | hi
+    key = _slot_keys(np.asarray(tris, dtype=np.int64))
+    first, second = _occurrences(key)
+    return np.column_stack([key[first] >> 32, key[first] & 0xFFFFFFFF]), first, second
+
+
+def _slot_keys(T):
+    """Per slot 3 t + j of the triangles T (n, 3), the key lo << 32 | hi of
+    its edge T[t, j] -> T[t, j + 1]."""
+    flat = T.ravel()
+    nxt = T[:, [1, 2, 0]].ravel()
+    return (np.minimum(flat, nxt) << 32) | np.maximum(flat, nxt)
+
+
+def _occurrences(key):
+    """Per distinct value of KEY, in order of first occurrence: the index of
+    that first occurrence and of the second one (-1 if there is none)."""
     order = np.argsort(key, kind="stable")
     sk = key[order]
     head = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
@@ -172,8 +184,7 @@ def _edge_triangles(tris):
     first = order[head]
     second = np.where(pair, order[np.minimum(head + 1, len(sk) - 1)], -1)
     by_first = np.argsort(first)
-    first, second = first[by_first], second[by_first]
-    return np.column_stack([lo[first], hi[first]]), first, second
+    return first[by_first], second[by_first]
 
 
 def _dot(a, b):
@@ -412,16 +423,23 @@ def _lawson_flips(P, tris, region, pkind, frozen):
     only if neither triangle was flipped earlier in the pass.  An untouched
     triangle still has its pass-start vertices, so the in-circle and
     orientation tests of every candidate are evaluated up front, batched.
+    Vertices do not move, so an edge whose two triangles a pass left alone
+    tests the same in the next pass and does not flip; only the edges of
+    the triangles a pass rewrote (among them every edge it skipped as
+    dirty) are tested again, still in order of first occurrence.
     """
     region, pkind = np.asarray(region), np.asarray(pkind)
     frozen_keys = np.array([(u << 32) | v for u, v in frozen], dtype=np.int64)
+    T = np.array(tris, dtype=np.int64)
+    key = _slot_keys(T)
+    slots = np.arange(T.size)  # the slots of the edges to test, ascending
     for _ in range(100):
-        T = np.array(tris, dtype=np.int64)
-        edges, first, second = _edge_triangles(T)
+        first, second = _occurrences(key[slots])
+        first, second = slots[first], np.where(second >= 0, slots[second], -1)
         t1, t2 = first // 3, np.maximum(second, 0) // 3
         ok = ((second >= 0) & (region[t1] == region[t2])
               & (pkind[t1] == PATCH_NONE) & (pkind[t2] == PATCH_NONE)
-              & ~np.isin((edges[:, 0] << 32) | edges[:, 1], frozen_keys))
+              & ~np.isin(key[first], frozen_keys))
         first, second, t1, t2 = first[ok], second[ok], t1[ok], t2[ok]
         # t1 holds the directed edge u -> v; w1, w2 are the opposite vertices
         flat = T.ravel()
@@ -442,7 +460,6 @@ def _lawson_flips(P, tris, region, pkind, frozen):
         # a flip needs det > 1e-10 s^4 >= 0: only those edges enter the loop
         want = (det > 0) & convex
         dirty = set()
-        flips = 0
         for a, b, ua, va, wa, wb, d, s in zip(
                 t1[want].tolist(), t2[want].tolist(), u[want].tolist(), v[want].tolist(),
                 w1[want].tolist(), w2[want].tolist(), det[want].tolist(),
@@ -452,12 +469,13 @@ def _lawson_flips(P, tris, region, pkind, frozen):
             # scalar power: numpy's array power may differ in the last bit
             if d <= 1e-10 * s**4:
                 continue
-            tris[a] = [ua, wb, wa]
-            tris[b] = [va, wa, wb]
+            T[a] = tris[a] = [ua, wb, wa]
+            T[b] = tris[b] = [va, wa, wb]
             dirty.update((a, b))
-            flips += 1
-        if not flips:
+        if not dirty:
             return
+        key = _slot_keys(T)
+        slots = np.flatnonzero(np.isin(key, _slot_keys(T[list(dirty)])))
 
 
 def build_r_conform_coarse(domain: geo.DomainSpec, h_target: float) -> Mesh:

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import signfem
-from signfem import solvers as sol
+from signfem import experiments as exp, fem, solvers as sol
 from signfem.cli import EXIT_CONFIG, main
+from signfem.config import load_config
 
 CFG_51 = """
 [domain]
@@ -225,6 +226,27 @@ def test_diagnose_reflection(cfg51, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "corner 0" in text and "edge 2" in text
     assert (out / "reflection.csv").is_file()
+
+
+def test_scalar_csv_matches_row_writer(cfg51, tmp_path):
+    # the verb's flux table at L1 and L2 against the per-row writer
+    for levels in (2, 3):
+        out = tmp_path / f"L{levels - 1}"
+        assert main(["solve", "scalar", "--config", cfg51, "--levels", str(levels),
+                     "--out", str(out)]) == 0
+        cfg = load_config(cfg51, kind="source", levels=levels)
+        m = exp.mesh_ladder(cfg)[-1]
+        blocks = fem.assemble_blocks(m, (fem.SCALAR,))
+        _, flux = sol.solve_scalar_potential(m, blocks, cfg.material(), float(cfg.lam),
+                                             f0=exp._constant_f0(cfg.source))
+        bary = m.barycenters()
+        rows = [(t, float(bary[t, 0]), float(bary[t, 1]),
+                 float(flux[t, 0]), float(flux[t, 1]))
+                for t in range(m.num_triangles)]
+        lines = (out / "scalar.csv").read_text().splitlines(keepends=True)
+        meta = [ln for ln in lines if ln.startswith("#")]
+        exp._write_csv(tmp_path / "rows.csv", ("triangle", "x1", "x2", "f1", "f2"), rows)
+        assert "".join(lines[len(meta):]) == (tmp_path / "rows.csv").read_text()
 
 
 def test_export_field_csv_and_vtk(cfg51, tmp_path):

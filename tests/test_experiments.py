@@ -6,6 +6,7 @@ import threading
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from signfem import experiments as exp, fem, solvers as sol
@@ -188,3 +189,54 @@ def test_pool_size_follows_the_cpu_affinity(monkeypatch):
         return threading.get_ident()
 
     assert len(set(exp._pool_map(job, range(4)))) == 1
+
+
+def _export_field_rows(field, path, format):
+    """export_field as loops that format one vertex or triangle at a time."""
+    mesh = field.space.mesh
+    vals, curls = fem.eval_cellwise(mesh, field.coeffs)
+    bary = mesh.barycenters()
+    if format == "csv":
+        rows = [(t, bary[t, 0], bary[t, 1], vals[t, 0], vals[t, 1], curls[t])
+                for t in range(mesh.num_triangles)]
+        exp._write_csv(path, ("triangle", "x1", "x2", "u1", "u2", "curl"),
+                       rows, [("description", field.description or "field"),
+                              ("lam", "none" if field.lam is None
+                               else repr(float(field.lam)))])
+        return
+    fmt = exp._fmt
+    with open(path, "w") as f:
+        f.write("# vtk DataFile Version 3.0\n")
+        f.write(f"{field.description or 'signfem field'}\n")
+        f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {mesh.num_vertices} double\n")
+        for x, y in mesh.vertices:
+            f.write(f"{fmt(x)} {fmt(y)} 0.0\n")
+        T = mesh.num_triangles
+        f.write(f"CELLS {T} {4 * T}\n")
+        for a, b, c in mesh.triangles:
+            f.write(f"3 {a} {b} {c}\n")
+        f.write(f"CELL_TYPES {T}\n")
+        f.writelines("5\n" * T)
+        f.write(f"CELL_DATA {T}\n")
+        f.write("VECTORS field double\n")
+        for t in range(T):
+            f.write(f"{fmt(vals[t, 0])} {fmt(vals[t, 1])} 0.0\n")
+        f.write("SCALARS curl double 1\nLOOKUP_TABLE default\n")
+        for t in range(T):
+            f.write(f"{fmt(curls[t])}\n")
+
+
+@pytest.mark.parametrize("format", ["csv", "vtk"])
+def test_export_field_matches_row_writer(format, tmp_path):
+    # random coefficients on L1 and L2, with and without a lambda: the same
+    # bytes as the per-row loops
+    meshes = exp.mesh_ladder(dataclasses.replace(SOURCE_51, levels=3))
+    rng = np.random.default_rng(7)
+    for m, lam in ((meshes[1], None), (meshes[2], 4 / 3)):
+        coeffs = rng.standard_normal(m.num_edges)
+        coeffs[::5] = 0.0
+        field = fem.FeField(fem.EdgeSpace(m), coeffs, lam=lam, description="random")
+        exp.export_field(field, tmp_path / "joined", format)
+        _export_field_rows(field, tmp_path / "rows", format)
+        assert (tmp_path / "joined").read_bytes() == (tmp_path / "rows").read_bytes()

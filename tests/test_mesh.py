@@ -2,13 +2,18 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from signfem import geometry as geo
+from signfem import geometry as geo, mesh as mesh_mod
 from signfem.mesh import (Mesh, MeshError, PATCH_CORNER, PATCH_EDGE, PATCH_NONE,
                           check_r_conformity, mesh_write, refine_red)
 from signfem import meshgen
@@ -279,6 +284,68 @@ def test_batched_passes_match_plain_loops(case, monkeypatch):
         assert tris == tris_ref, seed
 
 
+def _lawson_reference(P, tris, region, pkind, frozen):
+    """meshgen._lawson_flips with every pass testing every edge."""
+    region, pkind = np.asarray(region), np.asarray(pkind)
+    for _ in range(100):
+        T = np.array(tris, dtype=np.int64)
+        edges, first, second = meshgen._edge_triangles(T)
+        t1, t2 = first // 3, np.maximum(second, 0) // 3
+        ok = ((second >= 0) & (region[t1] == region[t2])
+              & (pkind[t1] == PATCH_NONE) & (pkind[t2] == PATCH_NONE)
+              & np.array([tuple(e) not in frozen for e in edges.tolist()], dtype=bool))
+        first, second, t1, t2 = first[ok], second[ok], t1[ok], t2[ok]
+        flat = T.ravel()
+        u, v = flat[first], flat[3 * t1 + (first + 1) % 3]
+        w1, w2 = flat[3 * t1 + (first + 2) % 3], flat[3 * t2 + (second + 2) % 3]
+        pu, pv, p1, p2 = P[u], P[v], P[w1], P[w2]
+        rows = np.stack([pu, pv, p1], axis=1)
+        mat = np.empty((len(u), 3, 3))
+        mat[:, :, :2] = rows - p2[:, None, :]
+        mat[:, :, 2] = meshgen._dot(rows, rows) - meshgen._dot(p2, p2)[:, None]
+        det = np.linalg.det(mat).tolist()
+        scale = np.maximum(np.sqrt(meshgen._dot(pu - pv, pu - pv)),
+                           np.sqrt(meshgen._dot(p1 - p2, p1 - p2))).tolist()
+        convex = ((meshgen._cross(pu, p2, p1) > 0)
+                  & (meshgen._cross(pv, p1, p2) > 0)).tolist()
+        dirty = set()
+        for k, (a, b) in enumerate(zip(t1.tolist(), t2.tolist())):
+            d, s = det[k], scale[k]
+            if a in dirty or b in dirty or not (d > 0 and convex[k]) or d <= 1e-10 * s**4:
+                continue
+            tris[a] = [int(u[k]), int(w2[k]), int(w1[k])]
+            tris[b] = [int(v[k]), int(w1[k]), int(w2[k])]
+            dirty.update((a, b))
+        if not dirty:
+            return
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_incremental_flips_match_full_passes(case, monkeypatch):
+    # _lawson_flips retests only the edges of the triangles the last pass
+    # rewrote; the reference retests every edge.  Same flips, on the inputs
+    # of every call in the golden build and on seeded jitters of them
+    domain, _, _, _, h, _, _ = GOLDEN[case]
+    calls = []
+    flips = meshgen._lawson_flips
+
+    def record(P, tris, region, pkind, frozen):
+        calls.append((P.copy(), [t[:] for t in tris], region, pkind, frozen))
+        flips(P, tris, region, pkind, frozen)
+
+    monkeypatch.setattr(meshgen, "_lawson_flips", record)
+    build_r_conform_coarse(domain, h)
+    assert len(calls) > 1
+    rng = np.random.default_rng(5)
+    for P, tris, region, pkind, frozen in calls:
+        for jitter in (0.0, 0.05 * h):
+            Q = P + rng.uniform(-jitter, jitter, P.shape) if jitter else P
+            got, want = [t[:] for t in tris], [t[:] for t in tris]
+            flips(Q, got, region, pkind, frozen)
+            _lawson_reference(Q, want, region, pkind, frozen)
+            assert got == want
+
+
 def test_region_purity(domain, coarse):
     # every triangle lies entirely inside one region: barycenter side agrees
     # with the label and no edge crosses the interface polygon
@@ -342,6 +409,98 @@ def test_conformity_detects_tampering(domain, coarse):
     tri_ids = {v[0] for v in rep.violations}
     assert all(isinstance(v[1], str) and isinstance(v[2], str) for v in rep.violations)
     assert any(isinstance(t, int) for t in tri_ids)
+
+
+def _moved(m, sel, shift):
+    """M with vertex 1 of its first triangle in SEL moved by SHIFT."""
+    vertices = m.vertices.copy()
+    vertices[m.triangles[np.flatnonzero(sel)[0], 1]] += shift
+    return Mesh(vertices, m.triangles, m.region, m.patch_kind, m.patch_index)
+
+
+@pytest.fixture(scope="module")
+def fold_cases():
+    """(mesh, domain, conforming) for the fold-image oracle: the reference
+    domain at r = 0.3 and 0.05 on L0-L3, the square, and two tampered
+    meshes: the one of test_conformity_detects_tampering and the
+    non-conform one of tests/test_reflection.py."""
+    cases = {}
+    for r in (0.3, 0.05):
+        dom = geo.make_reference_domain(r)
+        m = build_r_conform_coarse(dom, 0.2)
+        for level in range(4):
+            cases[f"r={r} L{level}"] = (m, dom, True)
+            m = refine_red(m)
+    cases["square"] = (build_r_conform_coarse(SQUARE, 0.25), SQUARE, True)
+    m, dom, _ = cases["r=0.3 L0"]
+    cases["tampered"] = (_moved(m, m.patch_kind == PATCH_CORNER, (1e-6, -1e-6)), dom, False)
+    cases["bad"] = (_moved(m, (m.patch_kind == PATCH_CORNER) & (m.patch_index == 0)
+                           & (m.region == 1), 1e-6), dom, False)
+    return cases
+
+
+FOLD_CASES = [f"r={r} L{level}" for r in (0.3, 0.05) for level in range(4)] + [
+    "square", "tampered", "bad"]
+
+
+def _all_fold_images(mesh, domain):
+    out = []
+    calls = ([("corner", i) for i in range(len(domain.patterns))]
+             + [("edge", n) for n in range(len(domain.edges))])
+    for pattern in calls:
+        for direction in "+-":
+            try:
+                out.append(mesh_mod.fold_images(mesh, domain, pattern, direction))
+            except geo.GeometryError:  # no fold maps for this corner
+                break
+    return out
+
+
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_fold_images_match_kdtree(case, fold_cases, monkeypatch):
+    # the exact-key lookup against a KD-tree nearest-vertex query: every
+    # array the same, bit for bit; only the tampered meshes scan
+    mesh, domain, conforming = fold_cases[case]
+    scanned = []
+    scan = mesh_mod._nearest_by_scan
+
+    def counted_scan(points, query):
+        scanned.append(len(query))
+        return scan(points, query)
+
+    monkeypatch.setattr(mesh_mod, "_nearest_by_scan", counted_scan)
+    got = _all_fold_images(mesh, domain)
+    assert (sum(scanned) == 0) == conforming
+
+    def kdtree_rows(points):
+        return lambda query: cKDTree(points).query(query)[1]
+
+    monkeypatch.setattr(mesh_mod, "_nearest_rows", kdtree_rows)
+    want = _all_fold_images(mesh, domain)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert len(a.maps) == len(b.maps)
+        for name in ("defined", "other", "other_vertices", "tri", "map", "vertex", "dist"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+
+
+def test_nearest_rows_off_grid_and_merged():
+    # rows 3 and 4 share a key and [5, -3] lies off the grid: those queries
+    # are scanned, and every query still gets its nearest row
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0 + 1e-12]])
+    query = np.array([[1.0, 1.0], [1.0, 1.0 + 2e-12], [5.0, -3.0], [0.0, 1.0 + 1e-15]])
+    assert mesh_mod._nearest_rows(pts)(query).tolist() == [3, 4, 1, 2]
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # the fold images need no KD-tree, so no signfem process pays for
+    # importing scipy.spatial (and scipy.special with it)
+    src = Path(mesh_mod.__file__).resolve().parents[1]
+    code = "import sys, signfem.cli; sys.exit(int('scipy.spatial' in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_refine_red(coarse):
@@ -440,6 +599,31 @@ def test_mesh_io_roundtrip(coarse, tmp_path):
         want = kind if kind == "none" else f"{kind}:{coarse.patch_index[t]}"
         assert patch == want
     assert kinds == {"none", "corner", "edge"}
+
+
+def _mesh_write_rows(mesh, path):
+    """mesh_write as a loop that formats one vertex or triangle at a time."""
+    with open(path, "w") as fh:
+        fh.write("signfem-mesh v1\n")
+        fh.write(f"vertices {mesh.num_vertices}\n")
+        for i, (x, y) in enumerate(mesh.vertices):
+            fh.write(f"{i} {float(x)!r} {float(y)!r}\n")
+        fh.write(f"triangles {mesh.num_triangles}\n")
+        for t in range(mesh.num_triangles):
+            v1, v2, v3 = mesh.triangles[t]
+            reg = "+" if mesh.region[t] > 0 else "-"
+            kind = mesh.patch_kind[t]
+            patch = ("none" if kind == PATCH_NONE else
+                     f"{'corner' if kind == PATCH_CORNER else 'edge'}:{mesh.patch_index[t]}")
+            fh.write(f"{t} {v1} {v2} {v3} {reg} {patch}\n")
+
+
+def test_mesh_write_matches_row_writer(coarse, tmp_path):
+    fine = refine_red(coarse)
+    for m in (fine, refine_red(fine)):
+        mesh_write(m, tmp_path / "joined.mesh")
+        _mesh_write_rows(m, tmp_path / "rows.mesh")
+        assert (tmp_path / "joined.mesh").read_bytes() == (tmp_path / "rows.mesh").read_bytes()
 
 
 def test_mesh_validation_rejects_garbage():
