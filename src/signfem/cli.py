@@ -137,7 +137,7 @@ def _cmd_solve(args) -> int:
                            ("level", str(cfg.levels - 1)),
                            ("h_max", repr(float(m.h_max))),
                            ("dofs", str(m.num_vertices))])
-    norms = fem.scalar_norms(m, v.coeffs)
+    norms = fem.scalar_norms(m, v)
     print(f"level {cfg.levels - 1}: dofs {m.num_vertices}"
           f"  |v|_H1 {norms.hcurl:.6g}  |v|_L2 {norms.l2:.6g}")
     print(f"wrote {path}")
@@ -186,8 +186,10 @@ def _cmd_export(args) -> int:
     meshes = exp.mesh_ladder(cfg)
     m = meshes[-1]
     blocks = fem.assemble_blocks(m, (fem.EDGE,))
-    s = sol.solve_source(m, blocks, cfg.material(), float(cfg.lam), cfg.source)
-    path = exp.export_field(s.field, Path(cfg.out_dir) / f"field.{args.format}",
+    lam = float(cfg.lam)
+    s = sol.solve_source(m, blocks, cfg.material(), lam, cfg.source)
+    path = exp.export_field(m, s.coeffs, lam,
+                            Path(cfg.out_dir) / f"field.{args.format}",
                             format=args.format)
     print(f"level {cfg.levels - 1}: dofs {fem.EdgeSpace(m).nfree}"
           f"  residual {s.residual:.2e}")

@@ -66,7 +66,6 @@ is checkable.
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import functools
 import math
@@ -74,7 +73,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
@@ -82,7 +81,7 @@ import scipy.sparse.linalg as spla  # rebound by perfbench/tracing.py
 
 from . import fem, materials as mats, meshgen, reflection as refl, solvers as sol
 from .config import ConfigError, ExperimentConfig
-from .fem import EdgeSpace, FeField
+from .fem import EdgeSpace
 from .mesh import Mesh, refine_red
 
 __all__ = [
@@ -112,23 +111,22 @@ def _lines(fmt: str, *columns) -> str:
     return "".join(map(fmt.format, *(np.asarray(c).tolist() for c in columns)))
 
 
-def _write_csv(path, columns: Sequence[str], rows: Union[Sequence[Sequence], str],
+def _row_lines(rows: Sequence[Sequence]) -> str:
+    """One line per row of cells, each cell written by _fmt, all joined."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def _write_csv(path, columns: Sequence[str], lines: str,
                metadata: Sequence[Tuple[str, str]] = ()) -> Path:
-    """Write metadata lines "# key = value", the header and ROWS: sequences
-    of cells, each written by _fmt, or the data lines already joined (see
-    _lines), whose cells must need no CSV quoting."""
+    """Write metadata lines "# key = value", the header and the data LINES,
+    already joined (_lines, _row_lines).  No cell, header or data, holds a
+    comma, a quote or a line break, so none needs CSV quoting."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
-        for key, val in metadata:
-            f.write(f"# {key} = {val}\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(columns)
-        if isinstance(rows, str):
-            f.write(rows)
-        else:
-            for row in rows:
-                w.writerow([_fmt(x) for x in row])
+        f.writelines(f"# {key} = {val}\n" for key, val in metadata)
+        f.write(",".join(columns) + "\n")
+        f.write(lines)
     return path
 
 
@@ -156,7 +154,7 @@ class ResultTable:
         return [row[self.columns.index(name)] for row in self.rows]
 
     def write_csv(self, path) -> Path:
-        return _write_csv(path, self.columns, self.rows, self.metadata)
+        return _write_csv(path, self.columns, _row_lines(self.rows), self.metadata)
 
 
 def mesh_ladder(cfg: ExperimentConfig) -> List[Mesh]:
@@ -272,22 +270,25 @@ def _base_metadata(cfg: ExperimentConfig) -> List[Tuple[str, str]]:
 
 
 def manufactured_solution(lam: float):
-    """Smooth natural-boundary fixture on the unit square.
+    """Smooth fixture on the unit square for the edge space's perfectly
+    conducting boundary.
 
-    u = Curl(sin pi x1 sin pi x2) has curl 2 pi^2 sin pi x1 sin pi x2, which
-    vanishes on the square's boundary, so the unclamped edge space sees the
-    exact field with no boundary mismatch; the matching load for A(lam) is
-    (2 pi^2 - lam) u.  Returns (exact, exact_curl, load).
+    u = Curl(cos pi x1 cos pi x2) = pi (-cos pi x1 sin pi x2, sin pi x1 cos
+    pi x2) has no tangential trace on the square's boundary, so the edge
+    space, whose boundary dofs are zero, holds the exact field's boundary
+    values exactly.  Its curl is 2 pi^2 cos pi x1 cos pi x2 and curl curl u
+    = 2 pi^2 u, so the matching load for A(lam) is (2 pi^2 - lam) u.
+    Returns (exact, exact_curl, load).
     """
     def exact(x):
         x = np.asarray(x, dtype=float)
         sx, cx = np.sin(np.pi * x[..., 0]), np.cos(np.pi * x[..., 0])
         sy, cy = np.sin(np.pi * x[..., 1]), np.cos(np.pi * x[..., 1])
-        return np.pi * np.stack([sx * cy, -cx * sy], axis=-1)
+        return np.pi * np.stack([-cx * sy, sx * cy], axis=-1)
 
     def exact_curl(x):
         x = np.asarray(x, dtype=float)
-        return 2 * np.pi ** 2 * np.sin(np.pi * x[..., 0]) * np.sin(np.pi * x[..., 1])
+        return 2 * np.pi ** 2 * np.cos(np.pi * x[..., 0]) * np.cos(np.pi * x[..., 1])
 
     scale = 2 * np.pi ** 2 - lam
     return exact, exact_curl, lambda x: scale * exact(x)
@@ -326,34 +327,32 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
 
         def task(job):
             m = meshes[job[0]]
-            space = EdgeSpace(m, clamp=False)
             blocks = fem.assemble_blocks(m, (fem.EDGE,))
-            s = sol.solve_source(m, blocks, mat, lam, load, space=space)
-            l2, x = fem.error_vs_exact(m, s.field.coeffs, exact, exact_curl)
+            s = sol.solve_source(m, blocks, mat, lam, load)
+            l2, x = fem.error_vs_exact(m, s.coeffs, exact, exact_curl)
             return (x, l2)
 
-        jobs = [(i, "edge") for i in levels]
+        jobs = [(i, fem.EDGE) for i in levels]
         errs = dict(zip(jobs, _pool_map(task, jobs)))
-        rows = tuple((i, meshes[i].h_max, meshes[i].num_edges) + errs[i, "edge"]
+        rows = tuple((i, meshes[i].h_max, meshes[i].num_edges) + errs[i, fem.EDGE]
                      for i in range(cfg.levels))
         return ResultTable(("level", "h_max", "dofs", "x_err", "l2_err"),
                            rows, tuple(meta))
 
     def task(job):
-        i, kind = job
-        if kind == "edge":
-            blocks = fem.assemble_blocks(meshes[i], (fem.EDGE,))
+        i, form = job
+        blocks = fem.assemble_blocks(meshes[i], (form,))
+        if form is fem.EDGE:
             s = sol.solve_source(meshes[i], blocks, mat, lam, cfg.source)
             # drop the longdouble carry: prolongation and norms run in float64
-            return s.field.coeffs.astype(float), (blocks if i == finest else None)
-        blocks = fem.assemble_blocks(meshes[i], (fem.SCALAR,))
+            return s.coeffs.astype(float), (blocks if i == finest else None)
         _, flux = sol.solve_scalar_potential(meshes[i], blocks, mat, lam,
                                              f0=_constant_f0(cfg.source))
         return flux
 
-    jobs = [(i, kind) for i in levels for kind in ("edge", "scalar")]
+    jobs = [(i, form) for i in levels for form in (fem.EDGE, fem.SCALAR)]
     solved = dict(zip(jobs, _pool_map(task, jobs)))
-    uref, blocks_f = solved[finest, "edge"]
+    uref, blocks_f = solved[finest, fem.EDGE]
 
     space_f = EdgeSpace(meshes[-1])
     gram = sol.xnorm_gram(blocks_f, space_f)
@@ -370,13 +369,13 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
         ref_x = norm(gram, space_f.restrict_vec(uref))
         ref_l2 = norm(mass, uref)
         for i in range(cfg.levels):
-            u = w = solved[i, "edge"][0]
+            u = w = solved[i, fem.EDGE][0]
             for P in prolong[i:]:
                 w = P @ w
             d = w - uref
             x_err = norm(gram, space_f.restrict_vec(d)) / ref_x
             l2_err = norm(mass, d) / ref_l2
-            cross = fem.cross_error(meshes[i], u, solved[i, "scalar"])
+            cross = fem.cross_error(meshes[i], u, solved[i, fem.SCALAR])
             rows.append((i, meshes[i].h_max, meshes[i].num_edges, x_err, l2_err,
                          cross))
     return ResultTable(("level", "h_max", "dofs", "x_err", "l2_err", "cross_err"),
@@ -400,14 +399,13 @@ def _gated_eigenpairs(meshes: Sequence[Mesh], mat: mats.DrudeMaterial,
                       jobs: Sequence[Tuple[int, fem.Formulation]],
                       window: Tuple[float, float], shift: float,
                       count: int) -> Dict[Tuple[int, fem.Formulation], list]:
-    """solve_eigen on each (level, formulation) job's pencil through the pool,
-    by job; each job assembles its own row's blocks in its worker.  A pair
-    whose rational residual misses RESIDUAL_FILTER raises."""
+    """solve_eigen on each (level, formulation) job through the pool, by job;
+    each job assembles its own row's blocks in its worker.  A pair whose
+    rational residual misses RESIDUAL_FILTER raises."""
     def task(job):
         i, form = job
         blocks = fem.assemble_blocks(meshes[i], (form,))
-        p = sol.build_pencil(meshes[i], blocks, mat, form=form)
-        pairs = sol.solve_eigen(meshes[i], blocks, mat, p, window=window,
+        pairs = sol.solve_eigen(meshes[i], blocks, mat, form, window=window,
                                 shift=shift, count=count)
         for q in pairs:
             if not q.residual <= RESIDUAL_FILTER:
@@ -471,7 +469,8 @@ def run_spectrum(cfg: ExperimentConfig):
     ]
     columns = ("level", "formulation", "lam", "residual", "classification",
                "curl_fraction", "regime", "scalar_match", "scalar_match_rel")
-    path = _write_csv(Path(cfg.out_dir) / "spectrum.csv", columns, rows, meta)
+    path = _write_csv(Path(cfg.out_dir) / "spectrum.csv", columns, _row_lines(rows),
+                      meta)
     return rows, path
 
 
@@ -595,12 +594,15 @@ def run_reflection_diagnostic(cfg: ExperimentConfig):
     meta = _base_metadata(cfg) + [("norm_kind", "vector")]
     columns = ("pattern", "index", "direction", "measured_sup",
                "measured_sup_squared", "formula_value", "drift_last_two")
-    path = _write_csv(Path(cfg.out_dir) / "reflection.csv", columns, rows, meta)
+    path = _write_csv(Path(cfg.out_dir) / "reflection.csv", columns,
+                      _row_lines(rows), meta)
     return rows, path
 
 
-def export_field(field: FeField, path, format: str = "csv") -> Path:
-    """Write per-triangle barycenter samples of an edge field.
+def export_field(mesh: Mesh, coeffs: np.ndarray, lam: float, path,
+                 format: str = "csv") -> Path:
+    """Write per-triangle barycenter samples of the source solve at lam, the
+    edge field with coefficients coeffs on every edge of mesh.
 
     csv: one row per triangle with barycenter, both components, and the
     elementwise curl.  vtk: legacy ASCII unstructured grid carrying the same
@@ -608,11 +610,7 @@ def export_field(field: FeField, path, format: str = "csv") -> Path:
     """
     if format not in ("csv", "vtk"):
         raise ValueError(f"unknown export format {format!r}")
-    space = field.space
-    if not isinstance(space, EdgeSpace):
-        raise fem.FemError("export_field needs a field bound to an EdgeSpace")
-    mesh = space.mesh
-    vals, curls = fem.eval_cellwise(mesh, field.coeffs)
+    vals, curls = fem.eval_cellwise(mesh, coeffs)
     bary = mesh.barycenters()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -621,13 +619,12 @@ def export_field(field: FeField, path, format: str = "csv") -> Path:
     if format == "csv":
         rows = _lines("{},{},{},{},{},{}\n", np.arange(T), *bary.T, *vals.T, curls)
         return _write_csv(path, ("triangle", "x1", "x2", "u1", "u2", "curl"),
-                          rows, [("description", field.description or "field"),
-                                 ("lam", "none" if field.lam is None
-                                  else repr(float(field.lam)))])
+                          rows, [("description", "source solve"),
+                                 ("lam", repr(float(lam)))])
 
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
-        f.write(f"{field.description or 'signfem field'}\n")
+        f.write("source solve\n")
         f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.num_vertices} double\n")
         f.write(_lines("{} {} 0.0\n", *mesh.vertices.T))

@@ -38,7 +38,7 @@ the mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,7 +47,7 @@ from . import materials as mats
 from .mesh import Mesh
 
 __all__ = [
-    "ScalarSpace", "EdgeSpace", "FeField", "FemError",
+    "ScalarSpace", "EdgeSpace", "FemError",
     "Formulation", "EDGE", "SCALAR", "assemble_blocks", "gradient_map",
     "assemble_A", "assemble_rhs", "assemble_scalar_problem",
     "field_norms", "scalar_norms", "potential_flux",
@@ -111,13 +111,12 @@ class ScalarSpace(_FreeDofs):
 
 @dataclass(frozen=True, eq=False)
 class EdgeSpace(_FreeDofs):
-    """Lowest-order edge-element space; free dofs exclude boundary edges
-    (perfectly conducting boundary, tangential trace eliminated).  clamp=False
-    keeps every edge: the natural-boundary variant used by manufactured
-    fixtures whose exact field has a nonzero tangential trace."""
+    """Lowest-order edge-element space on a perfectly conducting boundary:
+    the tangential trace is eliminated, so the free dofs are the interior
+    edges.  Every edge field of the package lives here, the manufactured
+    fixture's too (its exact field has no tangential trace)."""
 
     mesh: Mesh
-    clamp: bool = True
 
     @property
     def ndof(self) -> int:
@@ -125,23 +124,11 @@ class EdgeSpace(_FreeDofs):
 
     @property
     def free(self) -> np.ndarray:
-        if not self.clamp:
-            return np.arange(self.mesh.num_edges)
         return np.flatnonzero(~self.mesh.boundary_edge)
 
     @property
     def nfree(self) -> int:
-        if not self.clamp:
-            return self.mesh.num_edges
         return int((~self.mesh.boundary_edge).sum())
-
-
-@dataclass
-class FeField:
-    space: object
-    coeffs: np.ndarray
-    lam: Optional[float] = None
-    description: str = ""
 
 
 def _vertex_coords(mesh: Mesh) -> np.ndarray:
@@ -220,19 +207,25 @@ def _scatter(rows, cols, vals, shape):
 @dataclass(frozen=True)
 class Formulation:
     """One row of the formulation table: the block stems a problem reads, its
-    space (whose free dofs it keeps) and whether mu and eps swap roles.
+    space (whose free dofs it keeps), its element kernel and whether mu and
+    eps swap roles.
 
     A row reads the Drude laws of roles(mat): mu(lam)^-1 weights the
     stiffness and eps(lam) the mass, and omega_mu is the resonance that the
-    auxiliary block linearizes.
+    auxiliary block linearizes.  elements(mesh, grads, curls, tm) gives the
+    row's dofs per triangle, its stiffness and mass element matrices and its
+    pairing and aux-mass blocks (_edge_elements, _scalar_elements).  The row
+    itself is the handle the solvers and the studies pass around; kind only
+    names it in messages.
     """
 
-    kind: str        # "edge" | "scalar"
+    kind: str        # "edge" | "scalar", for messages
     stiffness: str   # curl-curl or gradient-gradient stem
     mass: str
     pairing: str     # minus-region coupling to the auxiliary unknowns
     aux_mass: str
     space: type
+    elements: Callable
     swap: bool
 
     def roles(self, mat: mats.DrudeMaterial) -> mats.DrudeMaterial:
@@ -243,12 +236,6 @@ class Formulation:
             mu_plus=mat.eps_plus, mu_minus=mat.eps_minus, eps_plus=mat.mu_plus,
             eps_minus=mat.mu_minus, omega_mu_sq=mat.omega_eps_sq,
             omega_eps_sq=mat.omega_mu_sq)
-
-
-# In 2D the scalar-potential problem is the edge problem with mu and eps
-# exchanged, on P1 functions with natural boundary conditions.
-EDGE = Formulation("edge", "K", "M", "C", "MY", EdgeSpace, swap=False)
-SCALAR = Formulation("scalar", "Ks", "Ms", "Cs", "MYs", ScalarSpace, swap=True)
 
 
 def _edge_elements(mesh: Mesh, grads, curls, tm):
@@ -297,7 +284,12 @@ def _scalar_elements(mesh: Mesh, grads, curls, tm):
     return mesh.triangles, Ksel, Msel, Cs, MYs
 
 
-_ELEMENTS = {"edge": _edge_elements, "scalar": _scalar_elements}
+# In 2D the scalar-potential problem is the edge problem with mu and eps
+# exchanged, on P1 functions with natural boundary conditions.
+EDGE = Formulation("edge", "K", "M", "C", "MY", EdgeSpace, _edge_elements,
+                   swap=False)
+SCALAR = Formulation("scalar", "Ks", "Ms", "Cs", "MYs", ScalarSpace,
+                     _scalar_elements, swap=True)
 
 
 def assemble_blocks(mesh: Mesh, forms: Tuple[Formulation, ...] = (EDGE, SCALAR)
@@ -317,8 +309,7 @@ def assemble_blocks(mesh: Mesh, forms: Tuple[Formulation, ...] = (EDGE, SCALAR)
     tm = np.flatnonzero(mesh.region == -1)
     blocks = {}
     for form in forms:
-        dofs, Sel, Mel, pairing, aux_mass = _ELEMENTS[form.kind](
-            mesh, grads, curls, tm)
+        dofs, Sel, Mel, pairing, aux_mass = form.elements(mesh, grads, curls, tm)
         n = form.space(mesh).ndof
         rows, cols = np.repeat(dofs, 3, axis=1), np.tile(dofs, (1, 3))
         for name, sign in (("plus", 1), ("minus", -1)):

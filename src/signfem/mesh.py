@@ -257,7 +257,7 @@ def fold_images(mesh: Mesh, domain: geo.DomainSpec, pattern: Tuple[str, int],
         corner = domain.patterns[n]
         maps = geo.fold_maps(corner, "plus-to-minus" if direction == "+"
                              else "minus-to-plus")
-        sector = corner.sector_of(mesh.barycenters()[defined])
+        sector = corner.sector_of(mesh.vertices[mesh.triangles[defined]].mean(axis=1))
     else:
         maps = (geo.edge_reflection(*domain.edges[n]),)
         sector = np.full(len(defined), -1)

@@ -273,7 +273,7 @@ def _corner_cos(X):
     return _dot(u1, u2) / (np.sqrt(_dot(u1, u1)) * np.sqrt(_dot(u2, u2)))
 
 
-def _smooth(P, tris, region, pkind, frozen, rect):
+def _smooth(P, tris, region, pkind, rect):
     """Guarded Laplacian smoothing of leftover-region vertices, eight rounds,
     with Delaunay flips after each round.
 
@@ -324,7 +324,7 @@ def _smooth(P, tris, region, pkind, frozen, rect):
             ok &= np.logical_and.reduceat(_cross(Y[:, 0], Y[:, 1], Y[:, 2]) > 0, seg)
             P[v[ok]] = new[ok]
             moved += int(ok.sum())
-        _lawson_flips(P, tris, region, pkind, frozen)
+        _lawson_flips(P, tris, region, pkind)
         if not moved:
             return
 
@@ -415,9 +415,11 @@ def _smooth_schedule(P, tris, pkind, rect):
     return sched
 
 
-def _lawson_flips(P, tris, region, pkind, frozen):
-    """Delaunay edge flips restricted to unfrozen interior edges between
-    same-region, patch-free triangles.
+def _lawson_flips(P, tris, region, pkind):
+    """Delaunay edge flips restricted to interior edges between same-region,
+    patch-free triangles.  A frozen edge (_split_to_size) is an edge of a
+    patch triangle, which is never split or flipped, so the patch test
+    already keeps it.
 
     Each pass tests the edges in order of first occurrence and flips a pair
     only if neither triangle was flipped earlier in the pass.  An untouched
@@ -429,7 +431,6 @@ def _lawson_flips(P, tris, region, pkind, frozen):
     dirty) are tested again, still in order of first occurrence.
     """
     region, pkind = np.asarray(region), np.asarray(pkind)
-    frozen_keys = np.array([(u << 32) | v for u, v in frozen], dtype=np.int64)
     T = np.array(tris, dtype=np.int64)
     key = _slot_keys(T)
     slots = np.arange(T.size)  # the slots of the edges to test, ascending
@@ -438,8 +439,7 @@ def _lawson_flips(P, tris, region, pkind, frozen):
         first, second = slots[first], np.where(second >= 0, slots[second], -1)
         t1, t2 = first // 3, np.maximum(second, 0) // 3
         ok = ((second >= 0) & (region[t1] == region[t2])
-              & (pkind[t1] == PATCH_NONE) & (pkind[t2] == PATCH_NONE)
-              & ~np.isin(key[first], frozen_keys))
+              & (pkind[t1] == PATCH_NONE) & (pkind[t2] == PATCH_NONE))
         first, second, t1, t2 = first[ok], second[ok], t1[ok], t2[ok]
         # t1 holds the directed edge u -> v; w1, w2 are the opposite vertices
         flat = T.ravel()
@@ -580,8 +580,8 @@ def build_r_conform_coarse(domain: geo.DomainSpec, h_target: float) -> Mesh:
 
     _split_to_size(pool, tris, region, pkind, pidx, frozen, h_target)
     P = pool.array()
-    _lawson_flips(P, tris, region, pkind, frozen)
-    _smooth(P, tris, region, pkind, frozen, domain.outer_rect)
+    _lawson_flips(P, tris, region, pkind)
+    _smooth(P, tris, region, pkind, domain.outer_rect)
 
     mesh = Mesh(P, np.array(tris, dtype=np.int32),
                 np.array(region, dtype=np.int8), np.array(pkind, dtype=np.int8),

@@ -15,9 +15,12 @@ In 2D the scalar-potential problem is the edge problem with mu and eps
 swapped: eps(lam)^-1 weights the P1 stiffness, mu(lam) the mass, and the
 auxiliary variable is the piecewise-constant gradient on the inclusion.  Every
 routine here that takes a formulation (fem.EDGE or fem.SCALAR) reads its
-blocks and its material roles from that row of the formulation table;
-solve_eigen finds the row from its pencil's layout kind, so one eigen path
-serves both formulations.
+blocks and its material roles from that row of the formulation table, and
+every pencil carries the row it linearizes (MatrixPencil.form).  solve_eigen
+takes the row and builds its own pencil, so one eigen path serves both
+formulations.  Solves return plain arrays: SourceSolution.coeffs, the
+scalar coefficients of solve_scalar_potential and EigenPair.u hold every dof
+of their space, boundary dofs zero.
 
 Every sparse factorization goes through _factorize, with one policy: a
 reverse Cuthill-McKee pre-order, then SuperLU in SymmetricMode with ordering
@@ -51,14 +54,13 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import fem, materials as mats
-from .fem import EDGE, SCALAR, EdgeSpace, FeField, Formulation, ScalarSpace
+from .fem import EDGE, EdgeSpace, Formulation
 from .mesh import Mesh
 
 __all__ = [
-    "SolverError", "SourceSolution", "MatrixPencil", "PencilLayout",
-    "EigenPair", "xnorm_gram", "solve_source",
-    "solve_scalar_potential", "build_pencil", "schur_complement", "solve_eigen",
-    "count_eigen_window", "residual_evaluator", "discrete_infsup",
+    "SolverError", "SourceSolution", "MatrixPencil", "EigenPair", "xnorm_gram",
+    "solve_source", "solve_scalar_potential", "build_pencil", "schur_complement",
+    "solve_eigen", "count_eigen_window", "residual_evaluator", "discrete_infsup",
 ]
 
 
@@ -68,31 +70,24 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SourceSolution:
-    field: FeField            # full edge coefficients (boundary dofs zero)
+    coeffs: np.ndarray        # every edge (boundary dofs zero), longdouble
     residual: float           # relative algebraic residual, <= 1e-10
-
-
-@dataclass(frozen=True)
-class PencilLayout:
-    kind: str                 # "edge" (field problem) | "scalar" (potential)
-    n_primary: int            # primary dofs (first block)
-    n_aux: int                # auxiliary minus-region dofs (second block)
-    coupled: bool             # False when the resonance is absent (one block)
-    pole: float               # omega_mu^2 (edge) / omega_eps^2 (scalar)
 
 
 @dataclass(frozen=True)
 class MatrixPencil:
     S: sp.csr_matrix
     T: sp.csr_matrix          # block diagonal, positive definite
-    layout: PencilLayout
+    form: Formulation         # the row it linearizes
+    n_primary: int            # primary dofs (first block)
+    n_aux: int                # auxiliary minus-region dofs; 0: one block
+    pole: float               # omega_mu^2 (edge) / omega_eps^2 (scalar)
 
 
 @dataclass(frozen=True)
 class EigenPair:
     lam: float
     u: np.ndarray             # full coefficients on the formulation's space
-    v: np.ndarray             # auxiliary part (empty for one-block pencils)
     residual: float           # rational residual ||A(lam)u|| / ||u||_X
     # edge pairs only (None for scalar pairs):
     classification: Optional[str]    # "gradient-dominated" | "curl-carrying"
@@ -192,38 +187,35 @@ def _gated_solve(A: sp.spmatrix, b: np.ndarray,
 
 
 def solve_source(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                 mat: mats.DrudeMaterial, lam, f,
-                 space: Optional[EdgeSpace] = None) -> SourceSolution:
-    """Direct solve of A(lam) u = b with b_e = <f, Whitney_e>.
+                 mat: mats.DrudeMaterial, lam, f) -> SourceSolution:
+    """Direct solve of A(lam) u = b with b_e = <f, Whitney_e> on the edge
+    space.
 
     f is a constant vector (shape (2,)) or a callable x -> (..., 2).  Iterative
     refinement keeps the relative residual at the 1e-10 gate even on deep
     meshes; a residual still above it means lam sits at or near an eigenvalue
-    and is reported with pivot diagnostics instead of returned.  Passing a
-    space overrides the default clamped one (natural-boundary fixtures).
+    and is reported with pivot diagnostics instead of returned.
     """
-    if space is None:
-        space = EdgeSpace(mesh)
+    space = EdgeSpace(mesh)
     A = fem.assemble_A(blocks, mat, lam, space)
     b = space.restrict_vec(fem.assemble_rhs(mesh, _as_callable(f)))
     u, res = _gated_solve(A, b, f"A({lam})")
-    field = FeField(space, space.expand_vec(u), lam=lam, description="source solve")
-    return SourceSolution(field, res)
+    return SourceSolution(space.expand_vec(u), res)
 
 
 def solve_scalar_potential(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
                            mat: mats.DrudeMaterial, lam, f0: Callable
-                           ) -> Tuple[FeField, np.ndarray]:
+                           ) -> Tuple[np.ndarray, np.ndarray]:
     """Solve the scalar-potential form loaded by f0 and return (v,
     eps(lam)^-1 Curl v).
 
-    The potential lives on the P1 space with natural boundary conditions; the
-    derived vector field is elementwise constant, (T, 2).
+    The potential v holds the coefficients of every vertex (the P1 space with
+    natural boundary conditions), in longdouble; the derived vector field is
+    elementwise constant, (T, 2).
     """
     S, rhs = fem.assemble_scalar_problem(blocks, mat, lam, mesh, f0)
     v, _ = _gated_solve(S, rhs, f"scalar operator at lam={lam}")
-    flux = fem.potential_flux(mesh, mat, lam, v)
-    return FeField(ScalarSpace(mesh), v, lam=lam, description="scalar potential"), flux
+    return v, fem.potential_flux(mesh, mat, lam, v)
 
 
 def build_pencil(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
@@ -238,13 +230,14 @@ def build_pencil(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
         T = [ eps_+ M_+ + eps_- M_-                         0                 ]
             [ 0                                             MY                ]
 
-    with w_m^2 = omega_mu^2, w_e^2 = omega_eps^2.  For omega_mu = 0 the
-    problem is already linear in lam and the pencil degenerates to the
-    one-block form (upper-left corner only).
+    with w_m^2 = omega_mu^2, w_e^2 = omega_eps^2.  The pencil is the
+    one-block form (upper-left corner only, n_aux = 0) exactly when the
+    auxiliary block is empty: for omega_mu = 0, where the problem is already
+    linear in lam, and on a mesh with no minus triangle.
 
     form=SCALAR reads Ks/Ms/Cs/MYs on every vertex with mu and eps swapped:
-    the auxiliary variable is the minus-region gradient, the pole is
-    omega_eps^2, and omega_eps = 0 gives the one-block form.
+    the auxiliary variable is the minus-region gradient and the pole is
+    omega_eps^2.  The pencil carries its row as pencil.form.
     """
     space = form.space(mesh)
     free = space.free
@@ -260,30 +253,29 @@ def build_pencil(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     Mass = eps_p * blocks[M + "_plus"] + eps_m * blocks[M + "_minus"]
     Auu = space.restrict_matrix(Auu)
     Mass = space.restrict_matrix(Mass)
-    if wmu2 == 0.0:
-        layout = PencilLayout(form.kind, Auu.shape[0], 0, False, 0.0)
-        return MatrixPencil(Auu, Mass, layout)
+    MY = blocks[form.aux_mass]
+    if wmu2 == 0.0 or MY.shape[0] == 0:
+        return MatrixPencil(Auu, Mass, form, Auu.shape[0], 0, wmu2)
 
     scale = np.sqrt(wmu2 / mu_m)
     Cf = blocks[form.pairing].tocsr()[:, free]
-    MY = blocks[form.aux_mass]
     S = sp.bmat([[Auu, scale * Cf.T], [scale * Cf, wmu2 * MY]], format="csr")
     T = sp.block_diag([Mass, MY], format="csr")
-    layout = PencilLayout(form.kind, Auu.shape[0], Cf.shape[0], True, wmu2)
-    return MatrixPencil(S, T, layout)
+    return MatrixPencil(S, T, form, Auu.shape[0], MY.shape[0], wmu2)
 
 
 def schur_complement(pencil: MatrixPencil, lam: float) -> sp.csr_matrix:
     """A(lam) = S11 - lam*T11 - S12 D(lam)^-1 S21, the auxiliary block D(lam) =
     (pole - lam) MY of S - lam*T eliminated, from the pencil blocks alone
-    (independent of assemble_A's coefficient algebra).  Raises at the pole."""
-    lay = pencil.layout
-    if not lay.coupled:
+    (independent of assemble_A's coefficient algebra).  A one-block pencil
+    has nothing to eliminate and gives S - lam*T; otherwise it raises at the
+    pole."""
+    if not pencil.n_aux:
         return pencil.S - lam * pencil.T
-    if lam == lay.pole:
-        raise SolverError(f"no elimination at the resonance pole {lay.pole}")
-    S, T, nu = pencil.S, pencil.T, lay.n_primary
-    Dinv = sp.diags(1.0 / ((lay.pole - lam) * T.diagonal()[nu:]))
+    if lam == pencil.pole:
+        raise SolverError(f"no elimination at the resonance pole {pencil.pole}")
+    S, T, nu = pencil.S, pencil.T, pencil.n_primary
+    Dinv = sp.diags(1.0 / ((pencil.pole - lam) * T.diagonal()[nu:]))
     return (S[:nu, :nu] - lam * T[:nu, :nu] - S[:nu, nu:] @ Dinv @ S[nu:, :nu]).tocsr()
 
 
@@ -292,10 +284,10 @@ def _shift_invert(pencil: MatrixPencil, sigma: float, k: int, vectors: bool):
     solves (S - sigma*T) x = b by block elimination on one factor of A(sigma):
     g = b2/d, u = A^-1 (b1 - S12 g), v = g - S21 u / d.  A sigma on an
     eigenvalue fails that factor and raises; it is never moved."""
-    n, nu = pencil.S.shape[0], pencil.layout.n_primary
+    n, nu = pencil.S.shape[0], pencil.n_primary
     lu = _factorize(schur_complement(pencil, sigma), f"A(sigma) at sigma={sigma}")
     S12, S21 = pencil.S[:nu, nu:], pencil.S[nu:, :nu]
-    d = (pencil.layout.pole - sigma) * pencil.T.diagonal()[nu:]
+    d = (pencil.pole - sigma) * pencil.T.diagonal()[nu:]
 
     def solve(b):
         g = b[nu:] / d
@@ -337,7 +329,7 @@ def _eigen_window(pencil: MatrixPencil, window: Tuple[float, float],
     a, b = _window(window)
     if not (a <= shift <= b):
         raise SolverError(f"shift {shift} outside window [{a}, {b}]")
-    if pencil.layout.kind == EDGE.kind and a < 0.0 < b:
+    if pencil.form is EDGE and a < 0.0 < b:
         raise SolverError(f"window [{a}, {b}] contains lam = 0, the edge "
                           f"pencil's plus-region gradient kernel")
     lo, hi = a, b
@@ -393,30 +385,27 @@ def residual_evaluator(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     return evaluate
 
 
-_FORMS = {form.kind: form for form in (EDGE, SCALAR)}
-
-
 def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                mat: mats.DrudeMaterial, pencil: MatrixPencil,
+                mat: mats.DrudeMaterial, form: Formulation,
                 window: Tuple[float, float], shift: float,
                 count: int = 8) -> List[EigenPair]:
-    """Up to count eigenpairs of the pencil in the window, those nearest the
-    shift, sorted by lam and certified by inertia (see _eigen_window).
+    """Up to count eigenpairs of the formulation's pencil (build_pencil) in
+    the window, those nearest the shift, sorted by lam and certified by
+    inertia (see _eigen_window).
 
-    Either formulation's pencil is served: pencil.layout.kind names the row
-    whose space and rational residual (residual_evaluator) the pairs use.
-    Every pair carries its residual value; edge pairs also carry a Helmholtz
-    classification of their edge part (curl energy fraction <= 1e-8 means
-    gradient-dominated; those populate the accumulation window of the
-    permittivity contrast).  A shift within 0.05 of the pencil's resonance
+    Either formulation is served: form gives the pencil, the space and the
+    rational residual (residual_evaluator) the pairs use, and blocks must
+    hold its stems.  Every pair carries its residual value; edge pairs also
+    carry a Helmholtz classification of their edge part (curl energy
+    fraction <= 1e-8 means gradient-dominated; those populate the
+    accumulation window of the permittivity contrast).  A shift within 0.05 of the pencil's resonance
     pole, or a residual that cannot be evaluated, raises SolverError.
     """
-    lay = pencil.layout
-    form = _FORMS[lay.kind]
-    if lay.coupled and abs(shift - lay.pole) < 0.05:
+    pencil = build_pencil(mesh, blocks, mat, form)
+    if pencil.n_aux and abs(shift - pencil.pole) < 0.05:
         raise SolverError(
             f"shift {shift} within the guard band of the resonance pole "
-            f"{lay.pole}")
+            f"{pencil.pole}")
     vals, vecs = _eigen_window(pencil, window, shift, count, vectors=True)
 
     space = form.space(mesh)
@@ -424,8 +413,7 @@ def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     pairs: List[EigenPair] = []
     for lam, x in zip(vals, vecs.T):
         lam = float(lam)
-        u = space.expand_vec(x[:lay.n_primary])
-        v = x[lay.n_primary:].copy()
+        u = space.expand_vec(x[:pencil.n_primary])
         cls = frac = None
         if form is EDGE:
             norms = fem.field_norms(mesh, u)
@@ -436,7 +424,7 @@ def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
         except SolverError as exc:
             raise SolverError(f"rational residual of the eigenpair at lam={lam} "
                               f"failed: {exc}") from exc
-        pairs.append(EigenPair(lam, u, v, res, cls, frac))
+        pairs.append(EigenPair(lam, u, res, cls, frac))
     return pairs
 
 
@@ -454,7 +442,7 @@ def _negative_count(pencil: MatrixPencil, sigma: float) -> int:
     err = float(np.linalg.norm(A @ lu.solve(y) - y) / np.linalg.norm(y))
     if not err <= 1e-10:
         raise SolverError(f"{what}: backward error {err:.1e} > 1e-10, no inertia")
-    aux = pencil.layout.n_aux if sigma > pencil.layout.pole else 0
+    aux = pencil.n_aux if sigma > pencil.pole else 0
     return int(np.count_nonzero(lu.lu.U.diagonal() < 0)) + aux
 
 

@@ -125,14 +125,14 @@ def test_solve_scalar_writes_flux(cfg51, tmp_path):
     assert header[0] == "triangle,x1,x2,f1,f2"
 
 
-def _with_bad_pair(monkeypatch, kind):
-    # every solve of a `kind` pencil also returns one pair above the residual
-    # gate, which the study must refuse rather than drop
+def _with_bad_pair(monkeypatch, target):
+    # every eigen solve of the target formulation also returns one pair above
+    # the residual gate, which the study must refuse rather than drop
     solve_eigen = sol.solve_eigen
 
-    def with_bad_pair(mesh, blocks, mat, pencil, **kwargs):
-        pairs = solve_eigen(mesh, blocks, mat, pencil, **kwargs)
-        if pencil.layout.kind != kind:
+    def with_bad_pair(mesh, blocks, mat, form, **kwargs):
+        pairs = solve_eigen(mesh, blocks, mat, form, **kwargs)
+        if form is not target:
             return pairs
         return pairs + [dataclasses.replace(pairs[0], lam=1.25, residual=1.0)]
 
@@ -148,7 +148,7 @@ def test_eigen_converge(cfg52, tmp_path, capsys, monkeypatch):
     assert "err_vs_finest" in capsys.readouterr().out
     assert "dropped_by_filter" not in (out / "eigen.csv").read_text()
 
-    _with_bad_pair(monkeypatch, "edge")
+    _with_bad_pair(monkeypatch, fem.EDGE)
     assert main(args + ["--out", str(tmp_path / "bad")]) == 3
     err = capsys.readouterr().err
     assert "edge eigenpair at lam=1.25" in err and "1.000e+00" in err
@@ -196,7 +196,7 @@ def test_eigen_spectrum_eps_window_at_small_patch_radius(cfg52, tmp_path):
 
 def test_eigen_spectrum_bad_scalar_pair_fails(cfg52, tmp_path, capsys,
                                               monkeypatch):
-    _with_bad_pair(monkeypatch, "scalar")
+    _with_bad_pair(monkeypatch, fem.SCALAR)
     assert main(["eigen", "spectrum", "--config", cfg52, "--levels", "2",
                  "--window", "1.2,4/3", "--shift", "1.27",
                  "--out", str(tmp_path)]) == 3
@@ -240,13 +240,12 @@ def test_scalar_csv_matches_row_writer(cfg51, tmp_path):
         _, flux = sol.solve_scalar_potential(m, blocks, cfg.material(), float(cfg.lam),
                                              f0=exp._constant_f0(cfg.source))
         bary = m.barycenters()
-        rows = [(t, float(bary[t, 0]), float(bary[t, 1]),
-                 float(flux[t, 0]), float(flux[t, 1]))
-                for t in range(m.num_triangles)]
+        rows = "".join(f"{t},{float(bary[t, 0])!r},{float(bary[t, 1])!r},"
+                       f"{float(flux[t, 0])!r},{float(flux[t, 1])!r}\n"
+                       for t in range(m.num_triangles))
         lines = (out / "scalar.csv").read_text().splitlines(keepends=True)
         meta = [ln for ln in lines if ln.startswith("#")]
-        exp._write_csv(tmp_path / "rows.csv", ("triangle", "x1", "x2", "f1", "f2"), rows)
-        assert "".join(lines[len(meta):]) == (tmp_path / "rows.csv").read_text()
+        assert "".join(lines[len(meta):]) == "triangle,x1,x2,f1,f2\n" + rows
 
 
 def test_export_field_csv_and_vtk(cfg51, tmp_path):

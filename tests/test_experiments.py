@@ -42,10 +42,10 @@ def test_source_table_same_pooled_and_sequential(cfg, monkeypatch):
     assert exp.run_source_convergence(cfg) == pooled
 
 
-@pytest.mark.parametrize("cfg, kinds", [(SOURCE_51, ("edge", "scalar")),
-                                        (MANUFACTURED, ("edge",))],
+@pytest.mark.parametrize("cfg, forms", [(SOURCE_51, (fem.EDGE, fem.SCALAR)),
+                                        (MANUFACTURED, (fem.EDGE,))],
                          ids=["reference", "manufactured"])
-def test_source_jobs_finest_level_first(cfg, kinds, monkeypatch):
+def test_source_jobs_finest_level_first(cfg, forms, monkeypatch):
     calls = []
 
     def recording(task, items):
@@ -57,8 +57,9 @@ def test_source_jobs_finest_level_first(cfg, kinds, monkeypatch):
     assert len(calls) == 1
     jobs = calls[0]
     finest = cfg.levels - 1
-    assert jobs[:len(kinds)] == [(finest, k) for k in kinds]
-    assert sorted(jobs) == sorted((i, k) for i in range(cfg.levels) for k in kinds)
+    assert jobs[:len(forms)] == [(finest, f) for f in forms]
+    assert len(jobs) == cfg.levels * len(forms)
+    assert set(jobs) == {(i, f) for i in range(cfg.levels) for f in forms}
 
 
 def _recording(calls):
@@ -77,6 +78,16 @@ def test_manufactured_fixture_converges_at_first_order():
         ratios = [a / b for a, b in zip(errs, errs[1:])]
         assert len(ratios) == 3
         assert all(1.8 <= r <= 2.2 for r in ratios), (name, ratios)
+
+
+def test_manufactured_field_has_no_tangential_trace():
+    # the exact field lives in the perfectly conducting edge space: its
+    # tangential moments vanish on every boundary edge of the square
+    exact, _, _ = exp.manufactured_solution(1.0)
+    m = exp.mesh_ladder(dataclasses.replace(MANUFACTURED, levels=2))[-1]
+    moments = fem.interpolate_edge(m, exact)
+    assert np.abs(moments[m.boundary_edge]).max() <= 1e-12
+    assert np.abs(moments[~m.boundary_edge]).max() > 1e-2
 
 
 def test_eigen_convergence_scalar_reference_after_the_pool(monkeypatch):
@@ -191,23 +202,23 @@ def test_pool_size_follows_the_cpu_affinity(monkeypatch):
     assert len(set(exp._pool_map(job, range(4)))) == 1
 
 
-def _export_field_rows(field, path, format):
+def _export_field_rows(mesh, coeffs, lam, path, format):
     """export_field as loops that format one vertex or triangle at a time."""
-    mesh = field.space.mesh
-    vals, curls = fem.eval_cellwise(mesh, field.coeffs)
+    vals, curls = fem.eval_cellwise(mesh, coeffs)
     bary = mesh.barycenters()
-    if format == "csv":
-        rows = [(t, bary[t, 0], bary[t, 1], vals[t, 0], vals[t, 1], curls[t])
-                for t in range(mesh.num_triangles)]
-        exp._write_csv(path, ("triangle", "x1", "x2", "u1", "u2", "curl"),
-                       rows, [("description", field.description or "field"),
-                              ("lam", "none" if field.lam is None
-                               else repr(float(field.lam)))])
-        return
     fmt = exp._fmt
+    if format == "csv":
+        with open(path, "w") as f:
+            f.write("# description = source solve\n")
+            f.write(f"# lam = {float(lam)!r}\n")
+            f.write("triangle,x1,x2,u1,u2,curl\n")
+            for t in range(mesh.num_triangles):
+                cells = (t, bary[t, 0], bary[t, 1], vals[t, 0], vals[t, 1], curls[t])
+                f.write(",".join(fmt(x) for x in cells) + "\n")
+        return
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
-        f.write(f"{field.description or 'signfem field'}\n")
+        f.write("source solve\n")
         f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.num_vertices} double\n")
         for x, y in mesh.vertices:
@@ -229,14 +240,12 @@ def _export_field_rows(field, path, format):
 
 @pytest.mark.parametrize("format", ["csv", "vtk"])
 def test_export_field_matches_row_writer(format, tmp_path):
-    # random coefficients on L1 and L2, with and without a lambda: the same
-    # bytes as the per-row loops
+    # random coefficients on L1 and L2: the same bytes as the per-row loops
     meshes = exp.mesh_ladder(dataclasses.replace(SOURCE_51, levels=3))
     rng = np.random.default_rng(7)
-    for m, lam in ((meshes[1], None), (meshes[2], 4 / 3)):
+    for m, lam in ((meshes[1], 1), (meshes[2], 4 / 3)):
         coeffs = rng.standard_normal(m.num_edges)
         coeffs[::5] = 0.0
-        field = fem.FeField(fem.EdgeSpace(m), coeffs, lam=lam, description="random")
-        exp.export_field(field, tmp_path / "joined", format)
-        _export_field_rows(field, tmp_path / "rows", format)
+        exp.export_field(m, coeffs, lam, tmp_path / "joined", format)
+        _export_field_rows(m, coeffs, lam, tmp_path / "rows", format)
         assert (tmp_path / "joined").read_bytes() == (tmp_path / "rows").read_bytes()

@@ -142,7 +142,7 @@ def test_coarse_builder_golden(case):
     assert (m.vertices ** 2).sum() == pytest.approx(vsq, rel=1e-12)
 
 
-def _smooth_reference(P, tris, region, pkind, frozen, rect, rounds=8):
+def _smooth_reference(P, tris, region, pkind, rect, rounds=8):
     """The plain Gauss-Seidel sweep that meshgen._smooth runs as a level
     schedule: one vertex at a time, in order of first appearance."""
     def min_angle(cos):
@@ -199,7 +199,7 @@ def _smooth_reference(P, tris, region, pkind, frozen, rect, rounds=8):
                     and (meshgen._cross(Y[:, 0], Y[:, 1], Y[:, 2]) > 0).all()):
                 P[i] = new
                 moved += 1
-        meshgen._lawson_flips(P, tris, region, pkind, frozen)
+        meshgen._lawson_flips(P, tris, region, pkind)
         if not moved:
             return
 
@@ -250,9 +250,9 @@ def test_batched_passes_match_plain_loops(case, monkeypatch):
     smooth_inputs, polygons = [], []
     smooth, clip = meshgen._smooth, meshgen.ear_clip
 
-    def record_smooth(P, tris, region, pkind, frozen, rect):
-        smooth_inputs.append((P.copy(), [t[:] for t in tris], region, pkind, frozen, rect))
-        smooth(P, tris, region, pkind, frozen, rect)
+    def record_smooth(P, tris, region, pkind, rect):
+        smooth_inputs.append((P.copy(), [t[:] for t in tris], region, pkind, rect))
+        smooth(P, tris, region, pkind, rect)
 
     def record_clip(points):
         polygons.append(np.array(points))
@@ -261,7 +261,7 @@ def test_batched_passes_match_plain_loops(case, monkeypatch):
     monkeypatch.setattr(meshgen, "_smooth", record_smooth)
     monkeypatch.setattr(meshgen, "ear_clip", record_clip)
     build_r_conform_coarse(domain, h)
-    (P0, tris0, region, pkind, frozen, rect), = smooth_inputs
+    (P0, tris0, region, pkind, rect), = smooth_inputs
     assert len(polygons) == 2
     for pts in polygons:
         assert clip(pts) == _ear_clip_reference(pts)
@@ -277,23 +277,22 @@ def test_batched_passes_match_plain_loops(case, monkeypatch):
             rng = np.random.default_rng(seed)
             P[leftover] += rng.uniform(-0.1 * h, 0.1 * h, (leftover.sum(), 2))
         P_ref, tris_ref = P.copy(), [t[:] for t in tris0]
-        _smooth_reference(P_ref, tris_ref, region, pkind, frozen, rect)
+        _smooth_reference(P_ref, tris_ref, region, pkind, rect)
         tris = [t[:] for t in tris0]
-        smooth(P, tris, region, pkind, frozen, rect)
+        smooth(P, tris, region, pkind, rect)
         assert P.tobytes() == P_ref.tobytes(), seed
         assert tris == tris_ref, seed
 
 
-def _lawson_reference(P, tris, region, pkind, frozen):
+def _lawson_reference(P, tris, region, pkind):
     """meshgen._lawson_flips with every pass testing every edge."""
     region, pkind = np.asarray(region), np.asarray(pkind)
     for _ in range(100):
         T = np.array(tris, dtype=np.int64)
-        edges, first, second = meshgen._edge_triangles(T)
+        _, first, second = meshgen._edge_triangles(T)
         t1, t2 = first // 3, np.maximum(second, 0) // 3
         ok = ((second >= 0) & (region[t1] == region[t2])
-              & (pkind[t1] == PATCH_NONE) & (pkind[t2] == PATCH_NONE)
-              & np.array([tuple(e) not in frozen for e in edges.tolist()], dtype=bool))
+              & (pkind[t1] == PATCH_NONE) & (pkind[t2] == PATCH_NONE))
         first, second, t1, t2 = first[ok], second[ok], t1[ok], t2[ok]
         flat = T.ravel()
         u, v = flat[first], flat[3 * t1 + (first + 1) % 3]
@@ -329,20 +328,20 @@ def test_incremental_flips_match_full_passes(case, monkeypatch):
     calls = []
     flips = meshgen._lawson_flips
 
-    def record(P, tris, region, pkind, frozen):
-        calls.append((P.copy(), [t[:] for t in tris], region, pkind, frozen))
-        flips(P, tris, region, pkind, frozen)
+    def record(P, tris, region, pkind):
+        calls.append((P.copy(), [t[:] for t in tris], region, pkind))
+        flips(P, tris, region, pkind)
 
     monkeypatch.setattr(meshgen, "_lawson_flips", record)
     build_r_conform_coarse(domain, h)
     assert len(calls) > 1
     rng = np.random.default_rng(5)
-    for P, tris, region, pkind, frozen in calls:
+    for P, tris, region, pkind in calls:
         for jitter in (0.0, 0.05 * h):
             Q = P + rng.uniform(-jitter, jitter, P.shape) if jitter else P
             got, want = [t[:] for t in tris], [t[:] for t in tris]
-            flips(Q, got, region, pkind, frozen)
-            _lawson_reference(Q, want, region, pkind, frozen)
+            flips(Q, got, region, pkind)
+            _lawson_reference(Q, want, region, pkind)
             assert got == want
 
 

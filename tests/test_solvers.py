@@ -14,7 +14,7 @@ from signfem.fem import EdgeSpace
 from signfem.geometry import make_reference_domain
 from signfem.materials import DrudeMaterial, lambda_admissible
 from signfem.mesh import refine_red
-from signfem.meshgen import build_r_conform_coarse
+from signfem.meshgen import build_r_conform_coarse, square_mesh
 
 REFERENCE = DrudeMaterial(mu_minus=10.0, eps_minus=10.0,
                           omega_mu_sq=4.0, omega_eps_sq=2.0)
@@ -49,17 +49,17 @@ def test_source_solution_contract(mesh_seq, blocks_seq):
     m, bl = mesh_seq[1], blocks_seq[1]
     s = sol.solve_source(m, bl, CONTRAST_TEN, 1.0, (1.0, 1.0))
     assert s.residual <= 1e-10
-    assert s.field.lam == 1.0
     space = EdgeSpace(m)
     bdry = np.setdiff1d(np.arange(m.num_edges), space.free)
-    assert np.all(s.field.coeffs[bdry] == 0.0)
-    assert fem.field_norms(m, s.field.coeffs).hcurl > 0
+    assert s.coeffs.shape == (m.num_edges,)
+    assert np.all(s.coeffs[bdry] == 0.0)
+    assert fem.field_norms(m, s.coeffs).hcurl > 0
 
 
 def test_source_zero_load(mesh_seq, blocks_seq):
     s = sol.solve_source(mesh_seq[0], blocks_seq[0], CONTRAST_TEN, 1.0, (0.0, 0.0))
     assert s.residual == 0.0
-    assert np.all(s.field.coeffs == 0.0)
+    assert np.all(s.coeffs == 0.0)
 
 
 def test_source_constant_equals_callable(mesh_seq, blocks_seq):
@@ -67,7 +67,7 @@ def test_source_constant_equals_callable(mesh_seq, blocks_seq):
     a = sol.solve_source(m, bl, REFERENCE, -1.0, (1.0, 2.0))
     b = sol.solve_source(m, bl, REFERENCE, -1.0,
                          lambda x: np.broadcast_to((1.0, 2.0), x.shape))
-    assert np.array_equal(a.field.coeffs, b.field.coeffs)
+    assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_source_coercive_matches_dense(mesh_seq, blocks_seq):
@@ -77,7 +77,7 @@ def test_source_coercive_matches_dense(mesh_seq, blocks_seq):
     b = space.restrict_vec(fem.assemble_rhs(m, lambda x: np.broadcast_to((1.0, 1.0), x.shape)))
     want = np.linalg.solve(A, b)
     got = sol.solve_source(m, bl, CONTRAST_TEN, -1.0, (1.0, 1.0))
-    err = np.linalg.norm(space.restrict_vec(got.field.coeffs) - want)
+    err = np.linalg.norm(space.restrict_vec(got.coeffs) - want)
     assert err <= 1e-10 * np.linalg.norm(want)
 
 
@@ -109,8 +109,9 @@ def test_scalar_potential_cross_check_decreases(mesh_seq, blocks_seq):
         u = sol.solve_source(m, bl, CONTRAST_TEN, 1.0, (1.0, 1.0))
         v, flux = sol.solve_scalar_potential(m, bl, CONTRAST_TEN, 1.0,
                                              f0=lambda x: x[..., 1] - x[..., 0])
+        assert v.shape == (m.num_vertices,)
         assert flux.shape == (m.num_triangles, 2)
-        crosses.append(fem.cross_error(m, u.field.coeffs, flux))
+        crosses.append(fem.cross_error(m, u.coeffs, flux))
     assert crosses[0] > crosses[1] > crosses[2]
 
 
@@ -118,9 +119,9 @@ def test_pencil_structure(mesh_seq, blocks_seq):
     m, bl = mesh_seq[0], blocks_seq[0]
     for mat, pole in ((CONTRAST_TEN, 2.0), (REFERENCE, 4.0)):
         p = sol.build_pencil(m, bl, mat)
-        assert p.layout.kind == "edge"
-        assert p.layout.coupled and p.layout.pole == pole
-        assert p.layout.n_aux == np.count_nonzero(m.region == -1)
+        assert p.form is fem.EDGE and p.pole == pole
+        assert p.n_aux == np.count_nonzero(m.region == -1) > 0
+        assert p.n_primary + p.n_aux == p.S.shape[0]
         assert abs(p.S - p.S.T).max() == 0.0
         assert abs(p.T - p.T.T).max() == 0.0
         assert np.linalg.eigvalsh(p.T.toarray()).min() > 0
@@ -128,10 +129,24 @@ def test_pencil_structure(mesh_seq, blocks_seq):
 
 def test_pencil_one_block_when_dispersionless(mesh_seq, blocks_seq):
     p = sol.build_pencil(mesh_seq[0], blocks_seq[0], HOMOGENEOUS)
-    assert not p.layout.coupled and p.layout.n_aux == 0
+    assert p.n_aux == 0 and p.n_primary == p.S.shape[0]
     # nothing to eliminate: the complement is the pencil matrix itself
     A, want = sol.schur_complement(p, 0.5), p.S - 0.5 * p.T
     assert A.shape == want.shape and (A != want).nnz == 0
+
+
+def test_pencil_one_block_without_minus_triangles():
+    # a mesh with no minus triangle has an empty auxiliary block even with
+    # omega_mu > 0: the pencil is the one-block form, and at omega_mu^2 the
+    # complement is S - lam*T, with no pole to raise at
+    m = square_mesh(4)
+    assert not np.any(m.region == -1)
+    for form in (fem.EDGE, fem.SCALAR):
+        p = sol.build_pencil(m, fem.assemble_blocks(m, (form,)), REFERENCE, form=form)
+        assert p.form is form and p.n_aux == 0 and p.n_primary == p.S.shape[0]
+        lam = p.pole
+        A, want = sol.schur_complement(p, lam), p.S - lam * p.T
+        assert lam > 0 and A.shape == want.shape and (A != want).nnz == 0
 
 
 def test_nonpositive_drude_constant_rejected_at_the_type(mesh_seq, blocks_seq):
@@ -165,8 +180,8 @@ def test_schur_substitution_scalar_formulation(mesh_seq, blocks_seq):
     m, bl = mesh_seq[0], blocks_seq[0]
     for mat in (CONTRAST_TEN, REFERENCE):
         p = sol.build_pencil(m, bl, mat, form=fem.SCALAR)
-        assert p.layout.kind == "scalar"
-        assert p.layout.n_aux == 2 * np.count_nonzero(m.region == -1)
+        assert p.form is fem.SCALAR
+        assert p.n_aux == 2 * np.count_nonzero(m.region == -1)
         for lam in ADMISSIBLE_LAMS:
             S, _ = fem.assemble_scalar_problem(bl, mat, lam, m,
                                                lambda x: x[..., 0] - x[..., 1])
@@ -211,8 +226,8 @@ def test_schur_undefined_at_pole(mesh_seq, blocks_seq):
 def test_eigen_reference_target(mesh_seq, blocks_seq):
     # the reference material has an isolated eigenvalue just below 4/3
     m, bl = mesh_seq[2], blocks_seq[2]
-    p = sol.build_pencil(m, bl, REFERENCE)
-    pairs = sol.solve_eigen(m, bl, REFERENCE, p, window=(1.2, 4 / 3), shift=1.27)
+    pairs = sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(1.2, 4 / 3),
+                            shift=1.27)
     assert pairs, "no eigenpair found in the target window"
     lams = [q.lam for q in pairs]
     assert lams == sorted(lams)
@@ -223,14 +238,12 @@ def test_eigen_reference_target(mesh_seq, blocks_seq):
         assert q.classification in ("gradient-dominated", "curl-carrying")
         assert 0.0 <= q.curl_fraction <= 1.0
         assert q.u.shape == (m.num_edges,)
-        assert q.v.shape == (p.layout.n_aux,)
 
 
 def test_eigen_shift_independence(mesh_seq, blocks_seq):
     m, bl = mesh_seq[1], blocks_seq[1]
-    p = sol.build_pencil(m, bl, REFERENCE)
-    a = sol.solve_eigen(m, bl, REFERENCE, p, window=(1.2, 4 / 3), shift=1.22)
-    b = sol.solve_eigen(m, bl, REFERENCE, p, window=(1.2, 4 / 3), shift=1.31)
+    a = sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(1.2, 4 / 3), shift=1.22)
+    b = sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(1.2, 4 / 3), shift=1.31)
     la = max(q.lam for q in a)
     lb = max(q.lam for q in b)
     assert abs(la - lb) <= 1e-9 * max(1.0, abs(la))
@@ -238,13 +251,12 @@ def test_eigen_shift_independence(mesh_seq, blocks_seq):
 
 def test_eigen_input_validation(mesh_seq, blocks_seq):
     m, bl = mesh_seq[0], blocks_seq[0]
-    p = sol.build_pencil(m, bl, REFERENCE)
     with pytest.raises(sol.SolverError, match="window"):
-        sol.solve_eigen(m, bl, REFERENCE, p, window=(2.0, 1.0), shift=1.5)
+        sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(2.0, 1.0), shift=1.5)
     with pytest.raises(sol.SolverError, match="shift"):
-        sol.solve_eigen(m, bl, REFERENCE, p, window=(1.0, 2.0), shift=5.0)
+        sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(1.0, 2.0), shift=5.0)
     with pytest.raises(sol.SolverError, match="guard"):
-        sol.solve_eigen(m, bl, REFERENCE, p, window=(3.8, 4.3), shift=3.98)
+        sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(3.8, 4.3), shift=3.98)
 
 
 def test_scalar_eigen_guard_band_at_omega_eps_sq(mesh_seq, blocks_seq):
@@ -252,9 +264,9 @@ def test_scalar_eigen_guard_band_at_omega_eps_sq(mesh_seq, blocks_seq):
     # omega_mu^2 = 4: a shift within 0.05 of 2 raises before any factor
     m, bl = mesh_seq[0], blocks_seq[0]
     ps = sol.build_pencil(m, bl, REFERENCE, form=fem.SCALAR)
-    assert ps.layout.pole == float(REFERENCE.omega_eps_sq)
+    assert ps.pole == float(REFERENCE.omega_eps_sq)
     with pytest.raises(sol.SolverError, match="guard band.*pole 2.0"):
-        sol.solve_eigen(m, bl, REFERENCE, ps, window=(1.9, 2.1), shift=2.04)
+        sol.solve_eigen(m, bl, REFERENCE, fem.SCALAR, window=(1.9, 2.1), shift=2.04)
 
 
 @pytest.mark.parametrize("form, window, shift", [
@@ -267,7 +279,7 @@ def test_solve_eigen_matches_dense(mesh_seq, blocks_seq, form, window, shift):
     p = sol.build_pencil(m, bl, REFERENCE, form=form)
     vals = eigh(p.S.toarray(), p.T.toarray(), eigvals_only=True)
     want = np.sort(vals[(vals >= window[0]) & (vals <= window[1])])
-    pairs = sol.solve_eigen(m, bl, REFERENCE, p, window=window, shift=shift,
+    pairs = sol.solve_eigen(m, bl, REFERENCE, form, window=window, shift=shift,
                             count=64)
     got = np.array([q.lam for q in pairs])
     assert want.size and got.shape == want.shape
@@ -278,12 +290,9 @@ def test_solve_eigen_matches_dense(mesh_seq, blocks_seq, form, window, shift):
 def test_vector_and_scalar_spectra_agree(mesh_seq, blocks_seq):
     # the two formulations discretize the same eigenvalue from opposite sides
     m, bl = mesh_seq[2], blocks_seq[2]
-    pv = sol.build_pencil(m, bl, REFERENCE)
-    ps = sol.build_pencil(m, bl, REFERENCE, form=fem.SCALAR)
-    lv = [q.lam for q in sol.solve_eigen(m, bl, REFERENCE, pv, window=(1.2, 4 / 3),
-                                         shift=1.27, count=4)]
-    ls = [q.lam for q in sol.solve_eigen(m, bl, REFERENCE, ps, window=(1.2, 4 / 3),
-                                         shift=1.27, count=4)]
+    lv, ls = ([q.lam for q in sol.solve_eigen(m, bl, REFERENCE, form,
+                                              window=(1.2, 4 / 3), shift=1.27, count=4)]
+              for form in (fem.EDGE, fem.SCALAR))
     assert lv and ls
     assert abs(max(lv) - max(ls)) <= 1e-2 * max(lv)
 
@@ -329,8 +338,8 @@ def test_inertia_and_solves_factor_only_the_schur_complement(
 
     monkeypatch.setattr(sol, "_factorize", factorize)
     assert sol.count_eigen_window(p, window).size
-    assert sol.solve_eigen(m, bl, REFERENCE, p, window=window, shift=shift)
-    assert rows and max(rows) <= p.layout.n_primary
+    assert sol.solve_eigen(m, bl, REFERENCE, form, window=window, shift=shift)
+    assert rows and max(rows) <= p.n_primary
 
 
 @pytest.fixture(scope="module")
@@ -453,10 +462,9 @@ def test_certificate_catches_skipped_eigenvalue(mesh_seq, blocks_seq, monkeypatc
         return (vals[keep], out[1][:, keep]) if return_eigenvectors else vals[keep]
 
     m, bl = mesh_seq[level], blocks_seq[level]
-    p = sol.build_pencil(m, bl, REFERENCE)
     monkeypatch.setattr(sol.spla, "eigsh", skipping)
     with pytest.raises(sol.SolverError, match="inertia counts"):
-        sol.solve_eigen(m, bl, REFERENCE, p, window=window, shift=shift,
+        sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=window, shift=shift,
                         count=count)
 
 
@@ -468,7 +476,7 @@ def test_edge_window_around_zero_fails_at_once(mesh_seq, blocks_seq):
     p = sol.build_pencil(m, bl, REFERENCE)
     t0 = time.perf_counter()
     with pytest.raises(sol.SolverError, match="plus-region gradient kernel"):
-        sol.solve_eigen(m, bl, REFERENCE, p, window=(-0.1, 0.3), shift=0.1)
+        sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(-0.1, 0.3), shift=0.1)
     with pytest.raises(sol.SolverError, match="plus-region gradient kernel"):
         sol.count_eigen_window(p, (-0.1, 0.3))
     assert time.perf_counter() - t0 < 1.0
@@ -483,16 +491,15 @@ def test_eigen_residual_failure_raises(mesh_seq, blocks_seq, monkeypatch):
         return evaluate
 
     m, bl = mesh_seq[0], blocks_seq[0]
-    p = sol.build_pencil(m, bl, REFERENCE)
     monkeypatch.setattr(sol, "residual_evaluator", evaluator)
     with pytest.raises(sol.SolverError, match=r"lam=1\.2.*evaluator broke"):
-        sol.solve_eigen(m, bl, REFERENCE, p, window=(1.2, 4 / 3), shift=1.27)
+        sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(1.2, 4 / 3), shift=1.27)
 
 
 def test_rational_residual_contract(mesh_seq, blocks_seq):
     m, bl = mesh_seq[1], blocks_seq[1]
-    p = sol.build_pencil(m, bl, REFERENCE)
-    pairs = sol.solve_eigen(m, bl, REFERENCE, p, window=(1.2, 4 / 3), shift=1.27)
+    pairs = sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(1.2, 4 / 3),
+                            shift=1.27)
     q = max(pairs, key=lambda r: r.lam)
     evaluate = sol.residual_evaluator(m, bl, REFERENCE)
     assert evaluate(q.lam, q.u) <= 1e-8
@@ -514,14 +521,12 @@ def test_scalar_residual_contract(mesh_seq, blocks_seq):
     # the pole at omega_eps^2; each scalar pair of solve_eigen carries exactly
     # that residual of its own vector, and no edge classification
     m, bl = mesh_seq[1], blocks_seq[1]
-    ps = sol.build_pencil(m, bl, REFERENCE, form=fem.SCALAR)
-    pairs = sol.solve_eigen(m, bl, REFERENCE, ps, window=(1.2, 4 / 3),
+    pairs = sol.solve_eigen(m, bl, REFERENCE, fem.SCALAR, window=(1.2, 4 / 3),
                             shift=1.27, count=4)
     assert pairs
     evaluate = sol.residual_evaluator(m, bl, REFERENCE, fem.SCALAR)
     for q in pairs:
         assert q.u.shape == (m.num_vertices,)
-        assert q.v.shape == (ps.layout.n_aux,)
         assert q.residual == evaluate(q.lam, q.u)
         assert q.classification is None and q.curl_fraction is None
     q = max(pairs, key=lambda r: r.lam)
