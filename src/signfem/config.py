@@ -36,9 +36,10 @@ class ExperimentConfig:
 
     lam / window / shift are optional because each experiment kind consumes a
     different subset; validation of the subset happens in the runner, while
-    the cross-cutting invariant -- any referenced real lam must be admissible
+    the cross-cutting invariants -- any referenced real lam must be admissible
     for the configured material unless allow_critical declares the run a
-    negative control -- is enforced here at construction.
+    negative control, and a shift must lie in its window -- are enforced
+    here at construction.
 
     h_coarse is the target edge length of the coarse mesh's leftover
     regions, not its h_max: the corner-patch triangles have sides of length
@@ -89,6 +90,9 @@ class ExperimentConfig:
             a, b = self.window
             if not a < b:
                 raise ConfigError(f"window must be increasing, got {self.window}")
+            # in floats, as the eigen runners hand them to the solver
+            if self.shift is not None and not float(a) <= float(self.shift) <= float(b):
+                raise ConfigError(f"shift {self.shift} outside window {self.window}")
         try:
             self.material()
         except mats.MaterialError as exc:

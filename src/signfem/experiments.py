@@ -29,8 +29,8 @@ holds the other job back.  Measured on two vCPUs: one L3 edge factorization
 of the source study took 0.29-0.37 s alone; beside a 0.15-0.18 s pure-Python
 loop in the other thread it finished at 0.47-0.57 s, about the sum of the
 two.  So the per-triangle kernels the jobs run are kept short (fem module
-docstring), and the source study's cross-check reuses the flux that
-solvers.solve_scalar_potential returns instead of computing it again.
+docstring), and the source study's scalar jobs return the flux of their
+potential (fem.potential_flux), which the cross-check after the pool reads.
 
 Every pool job runs with one BLAS thread (_one_blas_thread).  Otherwise
 each worker's SuperLU and ARPACK calls also start OpenBLAS's own threads, so
@@ -294,18 +294,12 @@ def manufactured_solution(lam: float):
     return exact, exact_curl, lambda x: scale * exact(x)
 
 
-def _constant_f0(f: Tuple[float, float]) -> Callable:
-    # Curl f0 = (d2 f0, -d1 f0) must reproduce the constant vector source
-    f1, f2 = float(f[0]), float(f[1])
-    return lambda x: f1 * x[..., 1] - f2 * x[..., 0]
-
-
 def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
     """Per level: relative H(curl)/L2 errors against the finest level, plus
     the cross-check against the scalar-potential field; the manufactured
     fixture reports true errors instead.  Both errors are quadratic forms in
-    the finest blocks: the Gram, and M_+ + M_- (the midpoint rule of
-    field_norms is exact for products of two edge functions)."""
+    the finest blocks: the Gram, and M_+ + M_- (the midpoint rule of the
+    mass blocks is exact for products of two edge functions)."""
     if cfg.kind != "source":
         raise ConfigError(f"source study asked to run a {cfg.kind!r} config")
     if cfg.levels < 3:
@@ -342,13 +336,11 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
     def task(job):
         i, form = job
         blocks = fem.assemble_blocks(meshes[i], (form,))
+        s = sol.solve_source(meshes[i], blocks, mat, lam, cfg.source, form)
         if form is fem.EDGE:
-            s = sol.solve_source(meshes[i], blocks, mat, lam, cfg.source)
             # drop the longdouble carry: prolongation and norms run in float64
             return s.coeffs.astype(float), (blocks if i == finest else None)
-        _, flux = sol.solve_scalar_potential(meshes[i], blocks, mat, lam,
-                                             f0=_constant_f0(cfg.source))
-        return flux
+        return fem.potential_flux(meshes[i], mat, lam, s.coeffs)
 
     jobs = [(i, form) for i in levels for form in (fem.EDGE, fem.SCALAR)]
     solved = dict(zip(jobs, _pool_map(task, jobs)))

@@ -28,11 +28,10 @@ comes from A(4/3) (solvers._negative_count), whose probe reads 3.2e-11 with
 this rule and 1.2e-11 with the closed form in the order above.
 
 Fields are evaluated in float64: _edge_values, _edge_curls and
-potential_flux round their coefficients on entry.  solve_source and
-solve_scalar_potential return the longdouble carry of their refinement, and
-norms and the cross-check would otherwise run in non-SIMD extended
-precision.  Geometry is recomputed per call (7 ms at L4), never cached on
-the mesh.
+potential_flux round their coefficients on entry.  solve_source returns the
+longdouble carry of its refinement, and the cross-check and the error norms
+would otherwise run in non-SIMD extended precision.  Geometry is recomputed
+per call (7 ms at L4), never cached on the mesh.
 """
 
 from __future__ import annotations
@@ -49,10 +48,9 @@ from .mesh import Mesh
 __all__ = [
     "ScalarSpace", "EdgeSpace", "FemError",
     "Formulation", "EDGE", "SCALAR", "assemble_blocks", "gradient_map",
-    "assemble_A", "assemble_rhs", "assemble_scalar_problem",
-    "field_norms", "scalar_norms", "potential_flux",
+    "assemble_A", "assemble_rhs", "block_norm_sq", "potential_flux",
     "cross_error", "eval_cellwise", "error_vs_exact", "interpolate_edge",
-    "edge_prolongation", "scalar_prolongation",
+    "edge_prolongation",
     "MID_RULE", "STRANG_RULE",
 ]
 
@@ -207,16 +205,17 @@ def _scatter(rows, cols, vals, shape):
 @dataclass(frozen=True)
 class Formulation:
     """One row of the formulation table: the block stems a problem reads, its
-    space (whose free dofs it keeps), its element kernel and whether mu and
-    eps swap roles.
+    space (whose free dofs it keeps), its element and load kernels and
+    whether mu and eps swap roles.
 
     A row reads the Drude laws of roles(mat): mu(lam)^-1 weights the
     stiffness and eps(lam) the mass, and omega_mu is the resonance that the
     auxiliary block linearizes.  elements(mesh, grads, curls, tm) gives the
     row's dofs per triangle, its stiffness and mass element matrices and its
-    pairing and aux-mass blocks (_edge_elements, _scalar_elements).  The row
-    itself is the handle the solvers and the studies pass around; kind only
-    names it in messages.
+    pairing and aux-mass blocks (_edge_elements, _scalar_elements), and
+    load(mesh, mat, lam, f) its load vector of the source f on every dof of
+    its space (_edge_load, _scalar_load).  The row itself is the handle the
+    solvers and the studies pass around; kind only names it in messages.
     """
 
     kind: str        # "edge" | "scalar", for messages
@@ -226,6 +225,7 @@ class Formulation:
     aux_mass: str
     space: type
     elements: Callable
+    load: Callable
     swap: bool
 
     def roles(self, mat: mats.DrudeMaterial) -> mats.DrudeMaterial:
@@ -284,12 +284,37 @@ def _scalar_elements(mesh: Mesh, grads, curls, tm):
     return mesh.triangles, Ksel, Msel, Cs, MYs
 
 
+def _edge_load(mesh: Mesh, mat: mats.DrudeMaterial, lam, f) -> np.ndarray:
+    """The edge row's load <f, w> (assemble_rhs), for a callable f or a
+    constant vector f of shape (2,)."""
+    return assemble_rhs(mesh, f if callable(f)
+                        else lambda x: np.broadcast_to(f, x.shape))
+
+
+def _scalar_load(mesh: Mesh, mat: mats.DrudeMaterial, lam, f) -> np.ndarray:
+    """The scalar row's load <mu(lam) f0, w> for the constant vector source f,
+    shape (2,), with f0 = f1 x2 - f2 x1 so that Curl f0 = (d2 f0, -d1 f0) =
+    f, by the midpoint rule, which is exact for the affine f0."""
+    v = _vertex_coords(mesh)
+    mu_t = np.where(mesh.region == 1, float(mats.mu(mat, lam, "+")),
+                    float(mats.mu(mat, lam, "-")))
+    vals = None
+    for lam_b, w in zip(*MID_RULE):
+        x = _lincomb(lam_b, v)
+        f0 = f[0] * x[1] - f[1] * x[0]
+        contrib = w * f0[:, None] * lam_b[None, :]
+        vals = contrib if vals is None else vals + contrib
+    vals = vals * (mu_t * mesh.areas)[:, None]
+    return np.bincount(mesh.triangles.ravel(), weights=vals.ravel(),
+                       minlength=mesh.num_vertices)
+
+
 # In 2D the scalar-potential problem is the edge problem with mu and eps
 # exchanged, on P1 functions with natural boundary conditions.
 EDGE = Formulation("edge", "K", "M", "C", "MY", EdgeSpace, _edge_elements,
-                   swap=False)
+                   _edge_load, swap=False)
 SCALAR = Formulation("scalar", "Ks", "Ms", "Cs", "MYs", ScalarSpace,
-                     _scalar_elements, swap=True)
+                     _scalar_elements, _scalar_load, swap=True)
 
 
 def assemble_blocks(mesh: Mesh, forms: Tuple[Formulation, ...] = (EDGE, SCALAR)
@@ -396,59 +421,15 @@ def assemble_rhs(mesh: Mesh, fun: Callable) -> np.ndarray:
                        minlength=mesh.num_edges)
 
 
-def assemble_scalar_problem(blocks: Dict[str, sp.csr_matrix],
-                            mat: mats.DrudeMaterial, lam, mesh: Mesh,
-                            f0: Callable) -> Tuple[sp.csr_matrix, np.ndarray]:
-    """Scalar analog on the P1 space with natural boundary conditions:
-    eps(lam)^-1-weighted stiffness minus lam mu(lam)-weighted mass, loaded
-    with <mu(lam) f0, w> by the midpoint rule, which is exact for the affine
-    f0 of a constant vector source."""
-    S = assemble_A(blocks, mat, lam, ScalarSpace(mesh), SCALAR)
-
-    v = _vertex_coords(mesh)
-    pts, wts = MID_RULE
-    mu_t = np.where(mesh.region == 1, float(mats.mu(mat, lam, "+")),
-                    float(mats.mu(mat, lam, "-")))
-    vals = None
-    for lam_b, w in zip(pts, wts):
-        f = np.asarray(f0(_lincomb(lam_b, v).T), dtype=float)
-        contrib = w * f[:, None] * lam_b[None, :]
-        vals = contrib if vals is None else vals + contrib
-    vals = vals * (mu_t * mesh.areas)[:, None]
-    rhs = np.bincount(mesh.triangles.ravel(), weights=vals.ravel(),
-                      minlength=mesh.num_vertices)
-    return S, rhs
-
-
-@dataclass
-class FieldNorms:
-    l2: float
-    curl: float
-    hcurl: float
-
-
-def field_norms(mesh: Mesh, u_full: np.ndarray) -> FieldNorms:
-    """L2 norm, curl seminorm, and the graph norm of an edge-element field."""
-    l2sq = 0.0
-    for w, _, vals in _edge_values(mesh, u_full, MID_RULE):
-        l2sq += w * _rowdot(vals, vals) @ mesh.areas
-    curlsq = float((_edge_curls(mesh, u_full) ** 2) @ mesh.areas)
-    l2sq = float(l2sq)
-    return FieldNorms(np.sqrt(l2sq), np.sqrt(curlsq), np.sqrt(l2sq + curlsq))
-
-
-def scalar_norms(mesh: Mesh, p: np.ndarray) -> FieldNorms:
-    """L2 norm, H1 seminorm, and H1 norm of a P1 field."""
-    grads, _ = _geometry(mesh)
-    vals = p[mesh.triangles]
-    pts, wts = MID_RULE
-    l2sq = 0.0
-    for lam, w in zip(pts, wts):
-        at = vals @ lam
-        l2sq += w * float((at ** 2) @ mesh.areas)
-    gvals = _lincomb(vals.T, grads)
-    h1sq = float(_rowdot(gvals, gvals) @ mesh.areas)
-    return FieldNorms(np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(l2sq + h1sq))
+def block_norm_sq(blocks: Dict[str, sp.csr_matrix], stem: str,
+                  u_full: np.ndarray) -> float:
+    """u^T (B_plus + B_minus) u for the two region blocks of a stem, each
+    applied to u, a vector on every dof of the stem's space.  Summed in
+    longdouble, as discrete_infsup takes its Rayleigh quotient: the curl
+    energy of a gradient-heavy field cancels in K u, and float64 lost up to
+    2.5e-12 of it on section 5.2 eigenvectors (r = 0.05, L1)."""
+    u = np.asarray(u_full, dtype=np.longdouble)
+    return float(sum(u @ (blocks[f"{stem}_{r}"] @ u) for r in ("plus", "minus")))
 
 
 def potential_flux(mesh: Mesh, mat: mats.DrudeMaterial, lam,
@@ -551,14 +532,6 @@ def _child_moments() -> np.ndarray:
     return m * d[:, :, k] - m[:, :, k] * d
 
 
-def _check_nested(coarse: Mesh, fine: Mesh) -> None:
-    T = coarse.num_triangles
-    if (fine.parent_tri is None
-            or fine.num_vertices != coarse.num_vertices + coarse.num_edges
-            or not np.array_equal(fine.parent_tri, np.repeat(np.arange(T), 4))):
-        raise FemError("fine mesh lacks parent metadata (not refine_red of coarse)")
-
-
 def edge_prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     """Exact transfer (E_fine, E_coarse) of edge fields onto refine_red(coarse).
 
@@ -566,7 +539,11 @@ def edge_prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
     coarse field along the fine edge: a fixed local pattern per child, with
     at most three entries per row, each +-1/4 or +-1/2.  Built from
     parent_tri and the child numbering alone, without quadrature."""
-    _check_nested(coarse, fine)
+    if (fine.parent_tri is None
+            or fine.num_vertices != coarse.num_vertices + coarse.num_edges
+            or not np.array_equal(fine.parent_tri,
+                                  np.repeat(np.arange(coarse.num_triangles), 4))):
+        raise FemError("fine mesh lacks parent metadata (not refine_red of coarse)")
     # any adjacent fine triangle for each fine edge, and its local edge index
     slot = np.empty(fine.num_edges, dtype=np.int64)
     slot[fine.tri_edges.ravel()] = np.arange(3 * fine.num_triangles)
@@ -579,15 +556,3 @@ def edge_prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
                       shape=(fine.num_edges, coarse.num_edges))
     P.eliminate_zeros()
     return P
-
-
-def scalar_prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
-    """Exact transfer (V_fine, V_coarse) of P1 fields onto refine_red(coarse):
-    coarse vertices keep their values (entry 1), and each new vertex, an edge
-    midpoint, takes the mean of the edge's endpoints (entries 1/2)."""
-    _check_nested(coarse, fine)
-    V, E = coarse.num_vertices, coarse.num_edges
-    rows = np.concatenate([np.arange(V), np.repeat(V + np.arange(E), 2)])
-    cols = np.concatenate([np.arange(V), coarse.edges.ravel()])
-    vals = np.concatenate([np.ones(V), np.full(2 * E, 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(fine.num_vertices, V))

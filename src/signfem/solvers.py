@@ -18,9 +18,9 @@ routine here that takes a formulation (fem.EDGE or fem.SCALAR) reads its
 blocks and its material roles from that row of the formulation table, and
 every pencil carries the row it linearizes (MatrixPencil.form).  solve_eigen
 takes the row and builds its own pencil, so one eigen path serves both
-formulations.  Solves return plain arrays: SourceSolution.coeffs, the
-scalar coefficients of solve_scalar_potential and EigenPair.u hold every dof
-of their space, boundary dofs zero.
+formulations; so does solve_source, whose load is the row's load kernel.
+Solves return plain arrays: SourceSolution.coeffs and EigenPair.u hold every
+dof of their row's space, boundary dofs zero.
 
 Every sparse factorization goes through _factorize, with one policy: a
 reverse Cuthill-McKee pre-order, then SuperLU in SymmetricMode with ordering
@@ -59,7 +59,7 @@ from .mesh import Mesh
 
 __all__ = [
     "SolverError", "SourceSolution", "MatrixPencil", "EigenPair", "xnorm_gram",
-    "solve_source", "solve_scalar_potential", "build_pencil", "schur_complement",
+    "solve_source", "build_pencil", "schur_complement",
     "solve_eigen", "count_eigen_window", "residual_evaluator", "discrete_infsup",
 ]
 
@@ -70,7 +70,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SourceSolution:
-    coeffs: np.ndarray        # every edge (boundary dofs zero), longdouble
+    coeffs: np.ndarray        # every dof (boundary dofs zero), longdouble
     residual: float           # relative algebraic residual, <= 1e-10
 
 
@@ -102,15 +102,6 @@ def xnorm_gram(blocks: Dict[str, sp.csr_matrix], space,
     G = (blocks[K + "_plus"] + blocks[K + "_minus"]
          + blocks[M + "_plus"] + blocks[M + "_minus"])
     return space.restrict_matrix(G)
-
-
-def _as_callable(f) -> Callable:
-    if callable(f):
-        return f
-    c = np.asarray(f, dtype=float)
-    if c.shape != (2,):
-        raise SolverError(f"constant source must have shape (2,), got {c.shape}")
-    return lambda x: np.broadcast_to(c, x.shape)
 
 
 @dataclass(frozen=True)
@@ -187,35 +178,28 @@ def _gated_solve(A: sp.spmatrix, b: np.ndarray,
 
 
 def solve_source(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                 mat: mats.DrudeMaterial, lam, f) -> SourceSolution:
-    """Direct solve of A(lam) u = b with b_e = <f, Whitney_e> on the edge
-    space.
+                 mat: mats.DrudeMaterial, lam, f,
+                 form: Formulation = EDGE) -> SourceSolution:
+    """Direct solve of A(lam) u = b on the formulation's space, with b the
+    row's load of the source f (Formulation.load).
 
-    f is a constant vector (shape (2,)) or a callable x -> (..., 2).  Iterative
-    refinement keeps the relative residual at the 1e-10 gate even on deep
-    meshes; a residual still above it means lam sits at or near an eigenvalue
-    and is reported with pivot diagnostics instead of returned.
+    f is a constant vector (shape (2,)); the edge row also takes a callable
+    x -> (..., 2).  Iterative refinement keeps the relative residual at the
+    1e-10 gate even on deep meshes; a residual still above it means lam sits
+    at or near an eigenvalue and is reported with pivot diagnostics instead
+    of returned.
     """
-    space = EdgeSpace(mesh)
-    A = fem.assemble_A(blocks, mat, lam, space)
-    b = space.restrict_vec(fem.assemble_rhs(mesh, _as_callable(f)))
-    u, res = _gated_solve(A, b, f"A({lam})")
+    if not callable(f):
+        f = np.asarray(f, dtype=float)
+        if f.shape != (2,):
+            raise SolverError(f"constant source must have shape (2,), got {f.shape}")
+    elif form is not EDGE:
+        raise SolverError(f"the {form.kind} row takes a constant source, not a callable")
+    space = form.space(mesh)
+    A = fem.assemble_A(blocks, mat, lam, space, form)
+    b = space.restrict_vec(form.load(mesh, mat, lam, f))
+    u, res = _gated_solve(A, b, f"{form.kind} A({lam})")
     return SourceSolution(space.expand_vec(u), res)
-
-
-def solve_scalar_potential(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                           mat: mats.DrudeMaterial, lam, f0: Callable
-                           ) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve the scalar-potential form loaded by f0 and return (v,
-    eps(lam)^-1 Curl v).
-
-    The potential v holds the coefficients of every vertex (the P1 space with
-    natural boundary conditions), in longdouble; the derived vector field is
-    elementwise constant, (T, 2).
-    """
-    S, rhs = fem.assemble_scalar_problem(blocks, mat, lam, mesh, f0)
-    v, _ = _gated_solve(S, rhs, f"scalar operator at lam={lam}")
-    return v, fem.potential_flux(mesh, mat, lam, v)
 
 
 def build_pencil(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
@@ -416,8 +400,8 @@ def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
         u = space.expand_vec(x[:pencil.n_primary])
         cls = frac = None
         if form is EDGE:
-            norms = fem.field_norms(mesh, u)
-            frac = float((norms.curl / norms.hcurl) ** 2)
+            curl = fem.block_norm_sq(blocks, form.stiffness, u)
+            frac = curl / (curl + fem.block_norm_sq(blocks, form.mass, u))
             cls = "gradient-dominated" if frac <= 1e-8 else "curl-carrying"
         try:
             res = evaluate(lam, u)

@@ -205,6 +205,20 @@ def test_eigen_spectrum_bad_scalar_pair_fails(cfg52, tmp_path, capsys,
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("noun, shift", [("spectrum", "2"), ("converge", "0.5")])
+def test_shift_outside_window_is_config_error(cfg52, tmp_path, capsys, monkeypatch,
+                                              noun, shift):
+    # a config mistake: exit 2 before any mesh is built, not a solver error
+    # after the whole ladder
+    def mesh_ladder(cfg):
+        raise AssertionError("mesh ladder built for a bad config")
+
+    monkeypatch.setattr(exp, "mesh_ladder", mesh_ladder)
+    assert main(["eigen", noun, "--config", cfg52, "--window", "1.2,4/3",
+                 "--shift", shift, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"shift {float(shift)} outside window" in capsys.readouterr().err
+
+
 def test_eigen_target_missing_is_solver_failure(cfg51, tmp_path):
     # the contrast-ten material has no eigenvalue in this window
     assert main(["eigen", "converge", "--config", cfg51, "--levels", "2",
@@ -237,8 +251,9 @@ def test_scalar_csv_matches_row_writer(cfg51, tmp_path):
         cfg = load_config(cfg51, kind="source", levels=levels)
         m = exp.mesh_ladder(cfg)[-1]
         blocks = fem.assemble_blocks(m, (fem.SCALAR,))
-        _, flux = sol.solve_scalar_potential(m, blocks, cfg.material(), float(cfg.lam),
-                                             f0=exp._constant_f0(cfg.source))
+        lam = float(cfg.lam)
+        v = sol.solve_source(m, blocks, cfg.material(), lam, cfg.source, fem.SCALAR)
+        flux = fem.potential_flux(m, cfg.material(), lam, v.coeffs)
         bary = m.barycenters()
         rows = "".join(f"{t},{float(bary[t, 0])!r},{float(bary[t, 1])!r},"
                        f"{float(flux[t, 0])!r},{float(flux[t, 1])!r}\n"

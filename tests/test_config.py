@@ -75,6 +75,18 @@ def test_bad_values_rejected():
         parse_config("[experiment]\nwindow = 2,1\n")
 
 
+def test_shift_outside_window_rejected():
+    with pytest.raises(ConfigError, match="shift 2 outside window"):
+        ExperimentConfig(kind="spectrum", window=(1.2, F(4, 3)), shift=2)
+    with pytest.raises(ConfigError, match="outside window"):
+        parse_config("[experiment]\nwindow = 1.2,4/3\nshift = 0.5\n")
+    # the window's ends belong to it, compared as the floats the solver gets
+    for shift in (1.2, 4 / 3, F(4, 3)):
+        assert ExperimentConfig(window=(1.2, F(4, 3)), shift=shift).shift == shift
+    # a shift without a window is the runner's business
+    assert ExperimentConfig(shift=7).window is None
+
+
 def test_manufactured_needs_square():
     with pytest.raises(ConfigError, match="square"):
         parse_config("[experiment]\nfixture = manufactured\n")

@@ -158,8 +158,9 @@ def test_operator_definiteness(coarse, blocks):
 
 
 def test_scalar_problem_shape_and_kernel(coarse, blocks):
-    S, rhs = fem.assemble_scalar_problem(blocks, REFERENCE, 3.0, coarse,
-                                         lambda x: x[..., 0] - x[..., 1])
+    S = fem.assemble_A(blocks, REFERENCE, 3.0, fem.ScalarSpace(coarse), fem.SCALAR)
+    # the source (-1, -1) is Curl f0 of the potential f0 = x1 - x2
+    rhs = fem.SCALAR.load(coarse, REFERENCE, 3.0, np.array([-1.0, -1.0]))
     # natural boundary conditions: every vertex keeps its row
     assert S.shape == (coarse.num_vertices, coarse.num_vertices)
     assert rhs.shape == (coarse.num_vertices,)
@@ -227,27 +228,35 @@ def test_cross_check_consistency(coarse):
         fem.cross_error(coarse, u, np.zeros((coarse.num_triangles, 2)))
 
 
+def _p1_prolongation(coarse):
+    """Fine P1 coefficients of every coarse hat function on refine_red(coarse),
+    one column each: coarse vertices keep their values, and each midpoint,
+    vertex V + e of the fine mesh, gets the mean of coarse edge e's
+    endpoints."""
+    eye = sp.identity(coarse.num_vertices, format="csr")
+    mid = 0.5 * (eye[coarse.edges[:, 0]] + eye[coarse.edges[:, 1]])
+    return sp.vstack([eye, mid], format="csr")
+
+
 def test_prolongation_is_exact(coarse):
     fine = refine_red(coarse)
+    bc, bf = fem.assemble_blocks(coarse), fem.assemble_blocks(fine)
     rng = np.random.default_rng(11)
     uc = rng.standard_normal(coarse.num_edges)
     uf = fem.edge_prolongation(coarse, fine) @ uc
     # same function in the nested space: identical norms
-    nc = fem.field_norms(coarse, uc)
-    nf = fem.field_norms(fine, uf)
-    assert nf.l2 == pytest.approx(nc.l2, rel=1e-10)
-    assert nf.curl == pytest.approx(nc.curl, rel=1e-10)
+    for stem in ("M", "K"):
+        assert fem.block_norm_sq(bf, stem, uf) == pytest.approx(
+            fem.block_norm_sq(bc, stem, uc), rel=2e-10, abs=0)
 
     pc = rng.standard_normal(coarse.num_vertices)
-    pf = fem.scalar_prolongation(coarse, fine) @ pc
-    sc = fem.scalar_norms(coarse, pc)
-    sf = fem.scalar_norms(fine, pf)
-    assert sf.l2 == pytest.approx(sc.l2, rel=1e-12)
-    assert sf.curl == pytest.approx(sc.curl, rel=1e-12)
+    pf = _p1_prolongation(coarse) @ pc
+    for stem in ("Ms", "Ks"):
+        assert fem.block_norm_sq(bf, stem, pf) == pytest.approx(
+            fem.block_norm_sq(bc, stem, pc), rel=2e-12, abs=0)
 
-    for build in (fem.edge_prolongation, fem.scalar_prolongation):
-        with pytest.raises(fem.FemError, match="parent"):
-            build(coarse, coarse)
+    with pytest.raises(fem.FemError, match="parent"):
+        fem.edge_prolongation(coarse, coarse)
 
 
 def test_edge_prolongation_entries(coarse):
@@ -256,7 +265,7 @@ def test_edge_prolongation_entries(coarse):
     assert P.shape == (fine.num_edges, coarse.num_edges)
     assert set(np.abs(P.data)) == {0.25, 0.5}
     assert np.diff(P.indptr).max() == 3
-    Q = fem.scalar_prolongation(coarse, fine)
+    Q = _p1_prolongation(coarse)
     assert Q.shape == (fine.num_vertices, coarse.num_vertices)
     assert set(Q.data) == {0.5, 1.0}
 
@@ -267,19 +276,30 @@ def test_prolongations_commute_with_gradient(coarse):
     meshes = [coarse, refine_red(coarse)]
     meshes.append(refine_red(meshes[-1]))
     for c, f in zip(meshes, meshes[1:]):
-        lhs = fem.gradient_map(f) @ fem.scalar_prolongation(c, f)
+        lhs = fem.gradient_map(f) @ _p1_prolongation(c)
         rhs = fem.edge_prolongation(c, f) @ fem.gradient_map(c)
         assert abs(lhs - rhs).max() == 0.0
 
 
+def _quadrature_norms_sq(mesh, u_full):
+    """Squared L2 norm and curl seminorm of an edge field by quadrature of
+    its values and elementwise curls."""
+    l2sq = sum(w * float(fem._rowdot(vals, vals) @ mesh.areas)
+               for w, _, vals in fem._edge_values(mesh, u_full, fem.MID_RULE))
+    return l2sq, float((fem._edge_curls(mesh, u_full) ** 2) @ mesh.areas)
+
+
 def test_mass_gram_gives_l2_norm(coarse, blocks):
     # the midpoint rule is exact for products of two edge functions, so the
-    # quadratic form of the mass blocks is field_norms' L2 norm
+    # quadratic form of the mass blocks is the quadrature's L2 norm
     rng = np.random.default_rng(5)
     u = rng.standard_normal(coarse.num_edges)
     M = blocks["M_plus"] + blocks["M_minus"]
-    assert np.sqrt(u @ (M @ u)) == pytest.approx(fem.field_norms(coarse, u).l2,
-                                                 rel=1e-13)
+    l2sq, curlsq = _quadrature_norms_sq(coarse, u)
+    assert np.sqrt(u @ (M @ u)) == pytest.approx(np.sqrt(l2sq), rel=1e-13)
+    # and block_norm_sq reads both from the region blocks
+    assert fem.block_norm_sq(blocks, "M", u) == pytest.approx(l2sq, rel=1e-13, abs=0)
+    assert fem.block_norm_sq(blocks, "K", u) == pytest.approx(curlsq, rel=1e-12, abs=0)
 
 
 # Oracles for the element kernels: the per-triangle (T, 3, 2) gradients,
@@ -433,8 +453,13 @@ def test_blocks_and_loads_bit_identical_to_oracle(kernel_meshes, name):
         return np.stack([np.sin(3 * x[..., 0]), x[..., 1] ** 2 - x[..., 0]], axis=-1)
     assert fem.assemble_rhs(mesh, load).tobytes() == _oracle_rhs(mesh, load).tobytes()
 
-    f0 = lambda x: np.cos(x[..., 0]) + 2.0 * x[..., 1]
-    _, rhs = fem.assemble_scalar_problem(blocks, REFERENCE, 3.0, mesh, f0)
+    assert fem.EDGE.load(mesh, REFERENCE, 3.0, load).tobytes() == \
+        _oracle_rhs(mesh, load).tobytes()
+
+    # the scalar row's constant source f is Curl f0 of f0 = f1 x2 - f2 x1
+    f = np.array([2.0, -0.5])
+    rhs = fem.SCALAR.load(mesh, REFERENCE, 3.0, f)
+    f0 = lambda x: f[0] * x[..., 1] - f[1] * x[..., 0]
     mu_t = np.where(mesh.region == 1, float(mats.mu(REFERENCE, 3.0, "+")),
                     float(mats.mu(REFERENCE, 3.0, "-")))
     assert rhs.tobytes() == _oracle_scalar_rhs(mesh, mu_t, f0).tobytes()
@@ -453,5 +478,5 @@ def test_evaluation_runs_in_float64(coarse):
     flux = fem.potential_flux(coarse, REFERENCE, 1.0, v)
     assert flux.dtype == np.float64
     assert flux.tobytes() == fem.potential_flux(coarse, REFERENCE, 1.0, v64).tobytes()
-    assert fem.field_norms(coarse, u) == fem.field_norms(coarse, u64)
+    assert _quadrature_norms_sq(coarse, u) == _quadrature_norms_sq(coarse, u64)
     assert fem.cross_error(coarse, u, flux) == fem.cross_error(coarse, u64, flux)

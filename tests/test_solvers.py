@@ -25,6 +25,7 @@ HOMOGENEOUS = DrudeMaterial()
 # outside the critical windows and away from both resonances, for both
 # materials above
 ADMISSIBLE_LAMS = (0.7, 1.1, 2.2, 4.2, 4.7)
+SPECTRUM_WINDOW = (4 / 3, 100 / 51)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +54,7 @@ def test_source_solution_contract(mesh_seq, blocks_seq):
     bdry = np.setdiff1d(np.arange(m.num_edges), space.free)
     assert s.coeffs.shape == (m.num_edges,)
     assert np.all(s.coeffs[bdry] == 0.0)
-    assert fem.field_norms(m, s.coeffs).hcurl > 0
+    assert sum(fem.block_norm_sq(bl, stem, s.coeffs) for stem in "KM") > 0
 
 
 def test_source_zero_load(mesh_seq, blocks_seq):
@@ -99,16 +100,33 @@ def test_source_rejects_complex_lambda(mesh_seq, blocks_seq, monkeypatch):
 
 
 def test_source_bad_constant_shape(mesh_seq, blocks_seq):
-    with pytest.raises(sol.SolverError, match="shape"):
-        sol.solve_source(mesh_seq[0], blocks_seq[0], REFERENCE, -1.0, (1.0, 2.0, 3.0))
+    for form in (fem.EDGE, fem.SCALAR):
+        with pytest.raises(sol.SolverError, match="shape"):
+            sol.solve_source(mesh_seq[0], blocks_seq[0], REFERENCE, -1.0,
+                             (1.0, 2.0, 3.0), form)
+
+
+@pytest.mark.parametrize("f, match", [
+    (lambda x: np.broadcast_to((1.0, 1.0), x.shape), "constant source"),
+    (np.ones((1, 2)), "shape"),
+], ids=["callable", "row-matrix"])
+def test_scalar_source_rejected_before_factorization(mesh_seq, blocks_seq,
+                                                     monkeypatch, f, match):
+    # the scalar row's load is that of a linear potential, so it takes only a
+    # constant vector of shape (2,); anything else stops before SuperLU
+    splu_calls = []
+    monkeypatch.setattr(sol.spla, "splu", lambda *a, **k: splu_calls.append(a))
+    with pytest.raises(sol.SolverError, match=match):
+        sol.solve_source(mesh_seq[0], blocks_seq[0], REFERENCE, -1.0, f, fem.SCALAR)
+    assert splu_calls == []
 
 
 def test_scalar_potential_cross_check_decreases(mesh_seq, blocks_seq):
     crosses = []
     for m, bl in zip(mesh_seq, blocks_seq):
         u = sol.solve_source(m, bl, CONTRAST_TEN, 1.0, (1.0, 1.0))
-        v, flux = sol.solve_scalar_potential(m, bl, CONTRAST_TEN, 1.0,
-                                             f0=lambda x: x[..., 1] - x[..., 0])
+        v = sol.solve_source(m, bl, CONTRAST_TEN, 1.0, (1.0, 1.0), fem.SCALAR).coeffs
+        flux = fem.potential_flux(m, CONTRAST_TEN, 1.0, v)
         assert v.shape == (m.num_vertices,)
         assert flux.shape == (m.num_triangles, 2)
         crosses.append(fem.cross_error(m, u.coeffs, flux))
@@ -183,8 +201,7 @@ def test_schur_substitution_scalar_formulation(mesh_seq, blocks_seq):
         assert p.form is fem.SCALAR
         assert p.n_aux == 2 * np.count_nonzero(m.region == -1)
         for lam in ADMISSIBLE_LAMS:
-            S, _ = fem.assemble_scalar_problem(bl, mat, lam, m,
-                                               lambda x: x[..., 0] - x[..., 1])
+            S = fem.assemble_A(bl, mat, lam, fem.ScalarSpace(m), fem.SCALAR)
             schur = sol.schur_complement(p, lam)
             for _ in range(4):
                 x = rng.standard_normal(m.num_vertices)
@@ -238,6 +255,32 @@ def test_eigen_reference_target(mesh_seq, blocks_seq):
         assert q.classification in ("gradient-dominated", "curl-carrying")
         assert 0.0 <= q.curl_fraction <= 1.0
         assert q.u.shape == (m.num_edges,)
+
+
+@pytest.mark.parametrize("seq, level, window, shift, count", [
+    ("mesh_seq", 0, (1.2, 4 / 3), 1.27, 8),
+    ("mesh_seq", 1, (1.2, 4 / 3), 1.27, 8),
+    ("small_patch_seq", 1, SPECTRUM_WINDOW, 1.6, 24),
+], ids=["L0", "L1", "L1-eps-window-small-patch"])
+def test_curl_fraction_matches_quadrature(request, seq, level, window, shift,
+                                          count):
+    # the curl fraction read from the K and M blocks against the quadrature
+    # of the field's values and elementwise curls.  In the permittivity
+    # window at patch radius 0.05 the fractions go down to 0.14, and block
+    # products summed in float64 were 1.9e-12 off there
+    m = request.getfixturevalue(seq)[level]
+    bl = fem.assemble_blocks(m, (fem.EDGE,))
+    pairs = sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=window,
+                            shift=shift, count=count)
+    assert pairs
+    for q in pairs:
+        l2sq = sum(w * float(fem._rowdot(vals, vals) @ m.areas)
+                   for w, _, vals in fem._edge_values(m, q.u, fem.MID_RULE))
+        curlsq = float((fem._edge_curls(m, q.u) ** 2) @ m.areas)
+        ref = curlsq / (curlsq + l2sq)
+        assert q.curl_fraction == pytest.approx(ref, rel=1e-12, abs=0)
+        label = "gradient-dominated" if ref <= 1e-8 else "curl-carrying"
+        assert q.classification == label
 
 
 def test_eigen_shift_independence(mesh_seq, blocks_seq):
@@ -295,9 +338,6 @@ def test_vector_and_scalar_spectra_agree(mesh_seq, blocks_seq):
               for form in (fem.EDGE, fem.SCALAR))
     assert lv and ls
     assert abs(max(lv) - max(ls)) <= 1e-2 * max(lv)
-
-
-SPECTRUM_WINDOW = (4 / 3, 100 / 51)
 
 
 def test_count_window_matches_dense(mesh_seq, blocks_seq):
