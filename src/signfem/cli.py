@@ -110,6 +110,17 @@ def _cmd_mesh(args) -> int:
     return EXIT_OK
 
 
+def _finest_source(args, what: str):
+    """Config and finest mesh of a verb that solves the constant source."""
+    cfg = _load(args, kind="source")
+    if cfg.lam is None:
+        raise ConfigError(f"{what} needs lam")
+    if cfg.fixture != "none":
+        raise ConfigError(f"{what} takes the constant source, not "
+                          f"fixture = {cfg.fixture}")
+    return cfg, exp.mesh_ladder(cfg)[-1]
+
+
 def _cmd_solve(args) -> int:
     if args.noun == "source":
         cfg = _load(args, kind="source")
@@ -119,15 +130,11 @@ def _cmd_solve(args) -> int:
         print(f"wrote {path}")
         return EXIT_OK
     # scalar: potential solve on the finest ladder level, flux dumped per triangle.
-    cfg = _load(args, kind="source")
-    if cfg.lam is None:
-        raise ConfigError("scalar solve needs lam")
-    meshes = exp.mesh_ladder(cfg)
-    m = meshes[-1]
-    blocks = fem.assemble_blocks(m, (fem.SCALAR,))
+    cfg, m = _finest_source(args, "scalar solve")
+    blocks = fem.assemble_blocks(m, fem.SCALAR)
     lam = float(cfg.lam)
     mat = cfg.material()
-    v = sol.solve_source(m, blocks, mat, lam, cfg.source, fem.SCALAR).coeffs
+    v = sol.solve_source(m, blocks, mat, lam, cfg.source).coeffs
     flux = fem.potential_flux(m, mat, lam, v)
     rows = exp._lines("{},{},{},{},{}\n", range(m.num_triangles),
                       *m.barycenters().T, *flux.T)
@@ -139,8 +146,8 @@ def _cmd_solve(args) -> int:
                            ("level", str(cfg.levels - 1)),
                            ("h_max", repr(float(m.h_max))),
                            ("dofs", str(m.num_vertices))])
-    l2sq = fem.block_norm_sq(blocks, fem.SCALAR.mass, v)
-    h1sq = l2sq + fem.block_norm_sq(blocks, fem.SCALAR.stiffness, v)
+    l2sq = fem.block_norm_sq(blocks.mass, v)
+    h1sq = l2sq + fem.block_norm_sq(blocks.stiffness, v)
     print(f"level {cfg.levels - 1}: dofs {m.num_vertices}"
           f"  |v|_H1 {math.sqrt(h1sq):.6g}  |v|_L2 {math.sqrt(l2sq):.6g}")
     print(f"wrote {path}")
@@ -183,18 +190,13 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    cfg = _load(args, kind="source")
-    if cfg.lam is None:
-        raise ConfigError("field export needs lam")
-    meshes = exp.mesh_ladder(cfg)
-    m = meshes[-1]
-    blocks = fem.assemble_blocks(m, (fem.EDGE,))
+    cfg, m = _finest_source(args, "field export")
     lam = float(cfg.lam)
-    s = sol.solve_source(m, blocks, cfg.material(), lam, cfg.source)
+    s = sol.solve_source(m, fem.assemble_blocks(m), cfg.material(), lam, cfg.source)
     path = exp.export_field(m, s.coeffs, lam,
                             Path(cfg.out_dir) / f"field.{args.format}",
                             format=args.format)
-    print(f"level {cfg.levels - 1}: dofs {fem.EdgeSpace(m).nfree}"
+    print(f"level {cfg.levels - 1}: dofs {len(fem.EDGE.space(m).free)}"
           f"  residual {s.residual:.2e}")
     print(f"wrote {path}")
     return EXIT_OK

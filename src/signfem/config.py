@@ -10,7 +10,8 @@ the critical windows derived from a config are exact when the inputs are.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Tuple, Union
@@ -39,7 +40,7 @@ class ExperimentConfig:
     the cross-cutting invariants -- any referenced real lam must be admissible
     for the configured material unless allow_critical declares the run a
     negative control, and a shift must lie in its window -- are enforced
-    here at construction.
+    here at construction, as is that every number is finite.
 
     h_coarse is the target edge length of the coarse mesh's leftover
     regions, not its h_max: the corner-patch triangles have sides of length
@@ -72,6 +73,11 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            for x in value if isinstance(value, tuple) else (value,):
+                if isinstance(x, (int, float, Fraction)) and not _finite(x):
+                    raise ConfigError(f"{field.name} must be finite, got {value}")
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; "
                               f"expected one of {KINDS}")
@@ -125,6 +131,15 @@ class ExperimentConfig:
         spec = self.domain_spec()
         i_alpha = mats.critical_interval(spec) if spec is not None else Fraction(1)
         return mats.critical_lambda_windows(self.material(), i_alpha)
+
+
+def _finite(x: Number) -> bool:
+    """Whether x is finite as the float the solvers get: not inf or nan, and
+    no int or fraction beyond the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _coerce_number(raw: str) -> Number:

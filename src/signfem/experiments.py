@@ -81,7 +81,6 @@ import scipy.sparse.linalg as spla  # rebound by perfbench/tracing.py
 
 from . import fem, materials as mats, meshgen, reflection as refl, solvers as sol
 from .config import ConfigError, ExperimentConfig
-from .fem import EdgeSpace
 from .mesh import Mesh, refine_red
 
 __all__ = [
@@ -321,8 +320,7 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
 
         def task(job):
             m = meshes[job[0]]
-            blocks = fem.assemble_blocks(m, (fem.EDGE,))
-            s = sol.solve_source(m, blocks, mat, lam, load)
+            s = sol.solve_source(m, fem.assemble_blocks(m), mat, lam, load)
             l2, x = fem.error_vs_exact(m, s.coeffs, exact, exact_curl)
             return (x, l2)
 
@@ -335,8 +333,8 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
 
     def task(job):
         i, form = job
-        blocks = fem.assemble_blocks(meshes[i], (form,))
-        s = sol.solve_source(meshes[i], blocks, mat, lam, cfg.source, form)
+        blocks = fem.assemble_blocks(meshes[i], form)
+        s = sol.solve_source(meshes[i], blocks, mat, lam, cfg.source)
         if form is fem.EDGE:
             # drop the longdouble carry: prolongation and norms run in float64
             return s.coeffs.astype(float), (blocks if i == finest else None)
@@ -346,9 +344,9 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
     solved = dict(zip(jobs, _pool_map(task, jobs)))
     uref, blocks_f = solved[finest, fem.EDGE]
 
-    space_f = EdgeSpace(meshes[-1])
+    space_f = fem.EDGE.space(meshes[-1])
     gram = sol.xnorm_gram(blocks_f, space_f)
-    mass = blocks_f["M_plus"] + blocks_f["M_minus"]
+    mass = blocks_f.mass[0] + blocks_f.mass[1]
 
     def norm(G, d):
         return math.sqrt(max(float(d @ (G @ d)), 0.0))
@@ -396,9 +394,8 @@ def _gated_eigenpairs(meshes: Sequence[Mesh], mat: mats.DrudeMaterial,
     rational residual misses RESIDUAL_FILTER raises."""
     def task(job):
         i, form = job
-        blocks = fem.assemble_blocks(meshes[i], (form,))
-        pairs = sol.solve_eigen(meshes[i], blocks, mat, form, window=window,
-                                shift=shift, count=count)
+        pairs = sol.solve_eigen(meshes[i], fem.assemble_blocks(meshes[i], form),
+                                mat, window=window, shift=shift, count=count)
         for q in pairs:
             if not q.residual <= RESIDUAL_FILTER:
                 raise sol.SolverError(
@@ -542,8 +539,8 @@ def run_infsup_diagnostic(cfg: ExperimentConfig) -> ResultTable:
     meshes = mesh_ladder(cfg)
 
     def task(i):
-        blocks = fem.assemble_blocks(meshes[i], (fem.EDGE,))
-        return sol.discrete_infsup(meshes[i], blocks, mat, lam)
+        return sol.discrete_infsup(meshes[i], fem.assemble_blocks(meshes[i]),
+                                   mat, lam)
 
     # finest level first, each job assembling its own blocks (module docstring)
     levels = range(cfg.levels - 1, -1, -1)

@@ -37,7 +37,7 @@ per call (7 ms at L4), never cached on the mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,8 +46,8 @@ from . import materials as mats
 from .mesh import Mesh
 
 __all__ = [
-    "ScalarSpace", "EdgeSpace", "FemError",
-    "Formulation", "EDGE", "SCALAR", "assemble_blocks", "gradient_map",
+    "Space", "FemError",
+    "Formulation", "EDGE", "SCALAR", "Blocks", "assemble_blocks", "gradient_map",
     "assemble_A", "assemble_rhs", "block_norm_sq", "potential_flux",
     "cross_error", "eval_cellwise", "error_vs_exact", "interpolate_edge",
     "edge_prolongation",
@@ -75,8 +75,13 @@ class FemError(RuntimeError):
     pass
 
 
-class _FreeDofs:
-    """Restriction to the free dofs of a space, and expansion back."""
+@dataclass(frozen=True, eq=False)
+class Space:
+    """The dofs of a formulation row on one mesh (Formulation.space): ndof in
+    all, the free ones it solves for, restriction to them and expansion back."""
+
+    ndof: int
+    free: np.ndarray
 
     def restrict_matrix(self, A: sp.spmatrix) -> sp.csr_matrix:
         free = self.free
@@ -91,42 +96,17 @@ class _FreeDofs:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarSpace(_FreeDofs):
-    """P1 Lagrange space on all mesh vertices (natural boundary condition)."""
-
-    mesh: Mesh
-
-    @property
-    def ndof(self) -> int:
-        return self.mesh.num_vertices
-
-    @property
-    def free(self) -> np.ndarray:
-        """Every vertex: the natural boundary condition eliminates no dof."""
-        return np.arange(self.ndof)
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeSpace(_FreeDofs):
+def _edge_space(mesh: Mesh) -> Space:
     """Lowest-order edge-element space on a perfectly conducting boundary:
     the tangential trace is eliminated, so the free dofs are the interior
     edges.  Every edge field of the package lives here, the manufactured
     fixture's too (its exact field has no tangential trace)."""
+    return Space(mesh.num_edges, np.flatnonzero(~mesh.boundary_edge))
 
-    mesh: Mesh
 
-    @property
-    def ndof(self) -> int:
-        return self.mesh.num_edges
-
-    @property
-    def free(self) -> np.ndarray:
-        return np.flatnonzero(~self.mesh.boundary_edge)
-
-    @property
-    def nfree(self) -> int:
-        return int((~self.mesh.boundary_edge).sum())
+def _scalar_space(mesh: Mesh) -> Space:
+    """P1 Lagrange space: natural boundary conditions keep every vertex free."""
+    return Space(mesh.num_vertices, np.arange(mesh.num_vertices))
 
 
 def _vertex_coords(mesh: Mesh) -> np.ndarray:
@@ -204,26 +184,22 @@ def _scatter(rows, cols, vals, shape):
 
 @dataclass(frozen=True)
 class Formulation:
-    """One row of the formulation table: the block stems a problem reads, its
-    space (whose free dofs it keeps), its element and load kernels and
-    whether mu and eps swap roles.
+    """One row of the formulation table: its space, its element and load
+    kernels and whether mu and eps swap roles.
 
     A row reads the Drude laws of roles(mat): mu(lam)^-1 weights the
     stiffness and eps(lam) the mass, and omega_mu is the resonance that the
-    auxiliary block linearizes.  elements(mesh, grads, curls, tm) gives the
-    row's dofs per triangle, its stiffness and mass element matrices and its
-    pairing and aux-mass blocks (_edge_elements, _scalar_elements), and
-    load(mesh, mat, lam, f) its load vector of the source f on every dof of
-    its space (_edge_load, _scalar_load).  The row itself is the handle the
-    solvers and the studies pass around; kind only names it in messages.
+    auxiliary block linearizes.  space(mesh) gives the row's Space
+    (_edge_space, _scalar_space); elements(mesh, grads, curls, tm) its dofs
+    per triangle, its stiffness and mass element matrices and its pairing
+    and aux-mass blocks (_edge_elements, _scalar_elements); and load(mesh,
+    mat, lam, f) its load vector of the source f on every dof of its space
+    (_edge_load, _scalar_load).  Assembled blocks carry their row
+    (Blocks.form); kind only names it in messages.
     """
 
     kind: str        # "edge" | "scalar", for messages
-    stiffness: str   # curl-curl or gradient-gradient stem
-    mass: str
-    pairing: str     # minus-region coupling to the auxiliary unknowns
-    aux_mass: str
-    space: type
+    space: Callable
     elements: Callable
     load: Callable
     swap: bool
@@ -260,8 +236,8 @@ def _edge_elements(mesh: Mesh, grads, curls, tm):
 
 def _scalar_elements(mesh: Mesh, grads, curls, tm):
     """The scalar row's dofs per triangle, its P1 element matrices (T,3,3),
-    stiffness and mass, and its pairing and aux-mass blocks; Cs^T MYs^-1 Cs
-    == Ks_minus."""
+    stiffness and mass, and its pairing Cs and aux-mass block MYs; Cs^T
+    MYs^-1 Cs is the minus-region stiffness."""
     area = mesh.areas
     Ksel = np.empty((mesh.num_triangles, 3, 3))
     for j in range(3):
@@ -311,41 +287,45 @@ def _scalar_load(mesh: Mesh, mat: mats.DrudeMaterial, lam, f) -> np.ndarray:
 
 # In 2D the scalar-potential problem is the edge problem with mu and eps
 # exchanged, on P1 functions with natural boundary conditions.
-EDGE = Formulation("edge", "K", "M", "C", "MY", EdgeSpace, _edge_elements,
-                   _edge_load, swap=False)
-SCALAR = Formulation("scalar", "Ks", "Ms", "Cs", "MYs", ScalarSpace,
-                     _scalar_elements, _scalar_load, swap=True)
+EDGE = Formulation("edge", _edge_space, _edge_elements, _edge_load, swap=False)
+SCALAR = Formulation("scalar", _scalar_space, _scalar_elements, _scalar_load,
+                     swap=True)
 
 
-def assemble_blocks(mesh: Mesh, forms: Tuple[Formulation, ...] = (EDGE, SCALAR)
-                    ) -> Dict[str, sp.csr_matrix]:
-    """Assemble the per-region building blocks of the given formulation rows,
-    keyed by stem and region.  Each row builds the four stems it names, and
-    only its own element matrices are computed.
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """One formulation row's blocks on one mesh (assemble_blocks), and the row
+    they belong to, which every routine that takes them reads from form."""
 
-    EDGE: K_plus/K_minus, M_plus/M_minus, edge-element curl-curl and mass on
-    every edge; C, the <curl u, q> pairing of the edge space with the
-    minus-region piecewise constants, and MY, their mass (diagonal of minus
-    areas).  SCALAR: Ks_plus/Ks_minus, Ms_plus/Ms_minus, P1 stiffness and mass
-    on every vertex; Cs, the two components of area * grad v per minus
-    triangle, and MYs, their mass.  The default builds both rows (12 blocks).
-    """
+    form: Formulation
+    stiffness: Tuple[sp.csr_matrix, sp.csr_matrix]
+    mass: Tuple[sp.csr_matrix, sp.csr_matrix]
+    pairing: sp.csr_matrix
+    aux_mass: sp.csr_matrix
+
+
+def assemble_blocks(mesh: Mesh, form: Formulation = EDGE) -> Blocks:
+    """The blocks of one formulation row: stiffness and mass as (plus, minus)
+    region pairs on every dof of its space, the pairing of the space with the
+    minus-region auxiliary unknowns and their mass.
+
+    EDGE: edge-element curl-curl and mass; the <curl u, q> pairing with the
+    minus-region piecewise constants, whose mass is the diagonal of minus
+    areas.  SCALAR: P1 stiffness and mass; the two components of area *
+    grad v per minus triangle, and their mass."""
     grads, curls = _geometry(mesh)
     tm = np.flatnonzero(mesh.region == -1)
-    blocks = {}
-    for form in forms:
-        dofs, Sel, Mel, pairing, aux_mass = form.elements(mesh, grads, curls, tm)
-        n = form.space(mesh).ndof
-        rows, cols = np.repeat(dofs, 3, axis=1), np.tile(dofs, (1, 3))
-        for name, sign in (("plus", 1), ("minus", -1)):
-            sel = np.flatnonzero(mesh.region == sign)
-            r, c = np.take(rows, sel, axis=0), np.take(cols, sel, axis=0)
-            for stem, el in ((form.stiffness, Sel), (form.mass, Mel)):
-                blocks[f"{stem}_{name}"] = _scatter(r, c, np.take(el, sel, axis=0),
-                                                    (n, n))
-        blocks[form.pairing] = pairing
-        blocks[form.aux_mass] = aux_mass
-    return blocks
+    dofs, Sel, Mel, pairing, aux_mass = form.elements(mesh, grads, curls, tm)
+    n = form.space(mesh).ndof
+    rows, cols = np.repeat(dofs, 3, axis=1), np.tile(dofs, (1, 3))
+    regions = []
+    for sign in (1, -1):
+        sel = np.flatnonzero(mesh.region == sign)
+        r, c = np.take(rows, sel, axis=0), np.take(cols, sel, axis=0)
+        regions.append([_scatter(r, c, np.take(el, sel, axis=0), (n, n))
+                        for el in (Sel, Mel)])
+    stiffness, mass = zip(*regions)
+    return Blocks(form, stiffness, mass, pairing, aux_mass)
 
 
 def gradient_map(mesh: Mesh) -> sp.csr_matrix:
@@ -359,20 +339,19 @@ def gradient_map(mesh: Mesh) -> sp.csr_matrix:
                          shape=(E, mesh.num_vertices)).tocsr()
 
 
-def assemble_A(blocks: Dict[str, sp.csr_matrix], mat: mats.DrudeMaterial,
-               lam, space, form: Formulation = EDGE) -> sp.csr_matrix:
+def assemble_A(blocks: Blocks, mat: mats.DrudeMaterial, lam,
+               space: Space) -> sp.csr_matrix:
     """A(lam) = mu(lam)^-1-weighted stiffness minus lam eps(lam)-weighted
-    mass of the formulation, on the free dofs of space.  For the edge
+    mass of the blocks' row, on the free dofs of space.  For the edge
     problem that is curl-curl and mass on the interior edges; the scalar row
     reads the same law with mu and eps swapped."""
-    m = form.roles(mat)
+    m = blocks.form.roles(mat)
     k_p = 1.0 / float(mats.mu(m, lam, "+"))
     k_m = float(mats.mu_inv(m, lam, "-"))
     m_p = float(mats.eps(m, lam, "+"))
     m_m = float(mats.eps(m, lam, "-"))
-    K, M = form.stiffness, form.mass
-    A = (k_p * blocks[K + "_plus"] + k_m * blocks[K + "_minus"]
-         - lam * (m_p * blocks[M + "_plus"] + m_m * blocks[M + "_minus"]))
+    (K_p, K_m), (M_p, M_m) = blocks.stiffness, blocks.mass
+    A = k_p * K_p + k_m * K_m - lam * (m_p * M_p + m_m * M_m)
     return space.restrict_matrix(A)
 
 
@@ -421,15 +400,16 @@ def assemble_rhs(mesh: Mesh, fun: Callable) -> np.ndarray:
                        minlength=mesh.num_edges)
 
 
-def block_norm_sq(blocks: Dict[str, sp.csr_matrix], stem: str,
+def block_norm_sq(pair: Tuple[sp.csr_matrix, sp.csr_matrix],
                   u_full: np.ndarray) -> float:
-    """u^T (B_plus + B_minus) u for the two region blocks of a stem, each
-    applied to u, a vector on every dof of the stem's space.  Summed in
-    longdouble, as discrete_infsup takes its Rayleigh quotient: the curl
-    energy of a gradient-heavy field cancels in K u, and float64 lost up to
-    2.5e-12 of it on section 5.2 eigenvectors (r = 0.05, L1)."""
+    """u^T (B_plus + B_minus) u for a (plus, minus) pair of region blocks
+    (Blocks.stiffness, Blocks.mass), each applied to u, a vector on every dof
+    of their space.  Summed in longdouble, as discrete_infsup takes its
+    Rayleigh quotient: the curl energy of a gradient-heavy field cancels in
+    K u, and float64 lost up to 2.5e-12 of it on section 5.2 eigenvectors
+    (r = 0.05, L1)."""
     u = np.asarray(u_full, dtype=np.longdouble)
-    return float(sum(u @ (blocks[f"{stem}_{r}"] @ u) for r in ("plus", "minus")))
+    return float(sum(u @ (B @ u) for B in pair))
 
 
 def potential_flux(mesh: Mesh, mat: mats.DrudeMaterial, lam,

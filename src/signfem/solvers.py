@@ -13,14 +13,14 @@ nu_-(A(sigma)) + n_aux [sigma > pole] (Haynsworth, Linear Algebra Appl. 1,
 
 In 2D the scalar-potential problem is the edge problem with mu and eps
 swapped: eps(lam)^-1 weights the P1 stiffness, mu(lam) the mass, and the
-auxiliary variable is the piecewise-constant gradient on the inclusion.  Every
-routine here that takes a formulation (fem.EDGE or fem.SCALAR) reads its
-blocks and its material roles from that row of the formulation table, and
-every pencil carries the row it linearizes (MatrixPencil.form).  solve_eigen
-takes the row and builds its own pencil, so one eigen path serves both
-formulations; so does solve_source, whose load is the row's load kernel.
-Solves return plain arrays: SourceSolution.coeffs and EigenPair.u hold every
-dof of their row's space, boundary dofs zero.
+auxiliary variable is the piecewise-constant gradient on the inclusion.  The
+blocks of fem.assemble_blocks carry their row of the formulation table
+(fem.EDGE or fem.SCALAR), and every routine here reads its space and its
+material roles from blocks.form; every pencil carries the row it linearizes
+(MatrixPencil.form).  solve_eigen builds its own pencil from the blocks, so
+one eigen path serves both formulations; so does solve_source, whose load is
+the row's load kernel.  Solves return plain arrays: SourceSolution.coeffs and
+EigenPair.u hold every dof of their row's space, boundary dofs zero.
 
 Every sparse factorization goes through _factorize, with one policy: a
 reverse Cuthill-McKee pre-order, then SuperLU in SymmetricMode with ordering
@@ -44,7 +44,7 @@ nothing from BLAS threads, and the experiments pool runs each job on one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,7 +54,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import fem, materials as mats
-from .fem import EDGE, EdgeSpace, Formulation
+from .fem import EDGE, Blocks, Formulation, Space
 from .mesh import Mesh
 
 __all__ = [
@@ -94,14 +94,11 @@ class EigenPair:
     curl_fraction: Optional[float]   # curl energy over total H(curl) energy
 
 
-def xnorm_gram(blocks: Dict[str, sp.csr_matrix], space,
-               form: Formulation = EDGE) -> sp.csr_matrix:
+def xnorm_gram(blocks: Blocks, space: Space) -> sp.csr_matrix:
     """Unweighted Gram on the free dofs: stiffness + mass over both regions,
     the H(curl) Gram for the edge problem and the H1 Gram for the scalar one."""
-    K, M = form.stiffness, form.mass
-    G = (blocks[K + "_plus"] + blocks[K + "_minus"]
-         + blocks[M + "_plus"] + blocks[M + "_minus"])
-    return space.restrict_matrix(G)
+    (K_p, K_m), (M_p, M_m) = blocks.stiffness, blocks.mass
+    return space.restrict_matrix(K_p + K_m + M_p + M_m)
 
 
 @dataclass(frozen=True)
@@ -177,11 +174,10 @@ def _gated_solve(A: sp.spmatrix, b: np.ndarray,
     return u, res
 
 
-def solve_source(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                 mat: mats.DrudeMaterial, lam, f,
-                 form: Formulation = EDGE) -> SourceSolution:
-    """Direct solve of A(lam) u = b on the formulation's space, with b the
-    row's load of the source f (Formulation.load).
+def solve_source(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial, lam,
+                 f) -> SourceSolution:
+    """Direct solve of A(lam) u = b on the space of the blocks' row, with b
+    the row's load of the source f (Formulation.load).
 
     f is a constant vector (shape (2,)); the edge row also takes a callable
     x -> (..., 2).  Iterative refinement keeps the relative residual at the
@@ -189,6 +185,7 @@ def solve_source(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     at or near an eigenvalue and is reported with pivot diagnostics instead
     of returned.
     """
+    form = blocks.form
     if not callable(f):
         f = np.asarray(f, dtype=float)
         if f.shape != (2,):
@@ -196,14 +193,14 @@ def solve_source(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     elif form is not EDGE:
         raise SolverError(f"the {form.kind} row takes a constant source, not a callable")
     space = form.space(mesh)
-    A = fem.assemble_A(blocks, mat, lam, space, form)
+    A = fem.assemble_A(blocks, mat, lam, space)
     b = space.restrict_vec(form.load(mesh, mat, lam, f))
     u, res = _gated_solve(A, b, f"{form.kind} A({lam})")
     return SourceSolution(space.expand_vec(u), res)
 
 
-def build_pencil(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                 mat: mats.DrudeMaterial, form: Formulation = EDGE) -> MatrixPencil:
+def build_pencil(mesh: Mesh, blocks: Blocks,
+                 mat: mats.DrudeMaterial) -> MatrixPencil:
     """Assemble the symmetric linearization of the rational eigenproblem.
 
     Coupled edge form (omega_mu > 0), on free edge dofs u and auxiliary
@@ -219,30 +216,27 @@ def build_pencil(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     auxiliary block is empty: for omega_mu = 0, where the problem is already
     linear in lam, and on a mesh with no minus triangle.
 
-    form=SCALAR reads Ks/Ms/Cs/MYs on every vertex with mu and eps swapped:
-    the auxiliary variable is the minus-region gradient and the pole is
-    omega_eps^2.  The pencil carries its row as pencil.form.
+    Blocks of the scalar row give the same pencil on every vertex with mu and
+    eps swapped: the auxiliary variable is the minus-region gradient and the
+    pole is omega_eps^2.  The pencil carries its row as pencil.form.
     """
+    form = blocks.form
     space = form.space(mesh)
-    free = space.free
     m = form.roles(mat)
     wmu2 = float(m.omega_mu_sq)
     weps2 = float(m.omega_eps_sq)
     mu_p, mu_m = float(m.mu_plus), float(m.mu_minus)
     eps_p, eps_m = float(m.eps_plus), float(m.eps_minus)
-    K, M = form.stiffness, form.mass
+    (K_p, K_m), (M_p, M_m) = blocks.stiffness, blocks.mass
 
-    Auu = (blocks[K + "_plus"] / mu_p + blocks[K + "_minus"] / mu_m
-           + (weps2 * eps_m) * blocks[M + "_minus"])
-    Mass = eps_p * blocks[M + "_plus"] + eps_m * blocks[M + "_minus"]
-    Auu = space.restrict_matrix(Auu)
-    Mass = space.restrict_matrix(Mass)
-    MY = blocks[form.aux_mass]
+    Auu = space.restrict_matrix(K_p / mu_p + K_m / mu_m + (weps2 * eps_m) * M_m)
+    Mass = space.restrict_matrix(eps_p * M_p + eps_m * M_m)
+    MY = blocks.aux_mass
     if wmu2 == 0.0 or MY.shape[0] == 0:
         return MatrixPencil(Auu, Mass, form, Auu.shape[0], 0, wmu2)
 
     scale = np.sqrt(wmu2 / mu_m)
-    Cf = blocks[form.pairing].tocsr()[:, free]
+    Cf = blocks.pairing.tocsr()[:, space.free]
     S = sp.bmat([[Auu, scale * Cf.T], [scale * Cf, wmu2 * MY]], format="csr")
     T = sp.block_diag([Mass, MY], format="csr")
     return MatrixPencil(S, T, form, Auu.shape[0], MY.shape[0], wmu2)
@@ -336,10 +330,9 @@ def _eigen_window(pencil: MatrixPencil, window: Tuple[float, float],
     return vals[sel], (vecs[:, sel] if vectors else None)
 
 
-def residual_evaluator(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                       mat: mats.DrudeMaterial, form: Formulation = EDGE
+def residual_evaluator(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial
                        ) -> Callable[[float, np.ndarray], float]:
-    """Rational residual of a formulation, with the Gram factored once.
+    """Rational residual of the blocks' row, with the Gram factored once.
 
     The returned evaluate(lam, u_full) is ||A(lam) u|| in the inverse-Gram
     sense over ||u||, with A(lam) and the Gram of the formulation (H(curl)
@@ -349,8 +342,9 @@ def residual_evaluator(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     resonance the pencil linearizes (omega_mu^2 for the edge problem,
     omega_eps^2 for the scalar one).
     """
+    form = blocks.form
     space = form.space(mesh)
-    G = xnorm_gram(blocks, space, form)
+    G = xnorm_gram(blocks, space)
     luG = _factorize(G, f"{form.kind} Gram")
     pole = float(form.roles(mat).omega_mu_sq)
 
@@ -361,7 +355,7 @@ def residual_evaluator(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
         den = float(u @ (G @ u))
         if den <= 0:
             raise SolverError("rational residual undefined for u = 0")
-        A = fem.assemble_A(blocks, mat, lam, space, form)
+        A = fem.assemble_A(blocks, mat, lam, space)
         r = A @ u
         num = float(r @ luG.solve(r))
         return float(np.sqrt(max(num, 0.0) / den))
@@ -369,39 +363,38 @@ def residual_evaluator(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     return evaluate
 
 
-def solve_eigen(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                mat: mats.DrudeMaterial, form: Formulation,
+def solve_eigen(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial,
                 window: Tuple[float, float], shift: float,
                 count: int = 8) -> List[EigenPair]:
-    """Up to count eigenpairs of the formulation's pencil (build_pencil) in
-    the window, those nearest the shift, sorted by lam and certified by
+    """Up to count eigenpairs of the pencil of the blocks' row (build_pencil)
+    in the window, those nearest the shift, sorted by lam and certified by
     inertia (see _eigen_window).
 
-    Either formulation is served: form gives the pencil, the space and the
-    rational residual (residual_evaluator) the pairs use, and blocks must
-    hold its stems.  Every pair carries its residual value; edge pairs also
-    carry a Helmholtz classification of their edge part (curl energy
-    fraction <= 1e-8 means gradient-dominated; those populate the
-    accumulation window of the permittivity contrast).  A shift within 0.05 of the pencil's resonance
+    Either formulation is served: blocks.form gives the pencil, the space
+    and the rational residual (residual_evaluator) the pairs use.  Every pair
+    carries its residual value; edge pairs also carry a Helmholtz
+    classification of their edge part (curl energy fraction <= 1e-8 means
+    gradient-dominated; those populate the accumulation window of the
+    permittivity contrast).  A shift within 0.05 of the pencil's resonance
     pole, or a residual that cannot be evaluated, raises SolverError.
     """
-    pencil = build_pencil(mesh, blocks, mat, form)
+    pencil = build_pencil(mesh, blocks, mat)
     if pencil.n_aux and abs(shift - pencil.pole) < 0.05:
         raise SolverError(
             f"shift {shift} within the guard band of the resonance pole "
             f"{pencil.pole}")
     vals, vecs = _eigen_window(pencil, window, shift, count, vectors=True)
 
-    space = form.space(mesh)
-    evaluate = residual_evaluator(mesh, blocks, mat, form)
+    space = blocks.form.space(mesh)
+    evaluate = residual_evaluator(mesh, blocks, mat)
     pairs: List[EigenPair] = []
     for lam, x in zip(vals, vecs.T):
         lam = float(lam)
         u = space.expand_vec(x[:pencil.n_primary])
         cls = frac = None
-        if form is EDGE:
-            curl = fem.block_norm_sq(blocks, form.stiffness, u)
-            frac = curl / (curl + fem.block_norm_sq(blocks, form.mass, u))
+        if blocks.form is EDGE:
+            curl = fem.block_norm_sq(blocks.stiffness, u)
+            frac = curl / (curl + fem.block_norm_sq(blocks.mass, u))
             cls = "gradient-dominated" if frac <= 1e-8 else "curl-carrying"
         try:
             res = evaluate(lam, u)
@@ -437,10 +430,10 @@ def count_eigen_window(pencil: MatrixPencil,
     return _eigen_window(pencil, window, float(window[0]), np.inf, False)[0]
 
 
-def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
-                    mat: mats.DrudeMaterial, lam: float) -> float:
-    """beta_n: the smallest generalized singular value of A(lam) in the
-    H(curl) Gram G.
+def discrete_infsup(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial,
+                    lam: float) -> float:
+    """beta_n: the smallest generalized singular value of A(lam) of the
+    blocks' row in its Gram G (xnorm_gram), H(curl) for the edge row.
 
     For symmetric A(lam), beta_n is the smallest |mu| of A x = mu G x, set by
     the discrete eigenvalue nearest lam.  One shift-invert Lanczos solve at
@@ -459,7 +452,7 @@ def discrete_infsup(mesh: Mesh, blocks: Dict[str, sp.csr_matrix],
     beta_n tends to zero with h, but not monotonically: one refinement can
     move the nearest eigenvalue away and raise beta_n.
     """
-    space = EdgeSpace(mesh)
+    space = blocks.form.space(mesh)
     A = fem.assemble_A(blocks, mat, lam, space)
     G = xnorm_gram(blocks, space)
     luA = _factorize(A, f"inf-sup A(lam) at lam={lam}")

@@ -130,13 +130,21 @@ def _with_bad_pair(monkeypatch, target):
     # the residual gate, which the study must refuse rather than drop
     solve_eigen = sol.solve_eigen
 
-    def with_bad_pair(mesh, blocks, mat, form, **kwargs):
-        pairs = solve_eigen(mesh, blocks, mat, form, **kwargs)
-        if form is not target:
+    def with_bad_pair(mesh, blocks, mat, **kwargs):
+        pairs = solve_eigen(mesh, blocks, mat, **kwargs)
+        if blocks.form is not target:
             return pairs
         return pairs + [dataclasses.replace(pairs[0], lam=1.25, residual=1.0)]
 
     monkeypatch.setattr(sol, "solve_eigen", with_bad_pair)
+
+
+def _no_mesh_ladder(monkeypatch):
+    # a config mistake exits 2 before any mesh is built
+    def mesh_ladder(cfg):
+        raise AssertionError("mesh ladder built for a bad config")
+
+    monkeypatch.setattr(exp, "mesh_ladder", mesh_ladder)
 
 
 def test_eigen_converge(cfg52, tmp_path, capsys, monkeypatch):
@@ -208,15 +216,46 @@ def test_eigen_spectrum_bad_scalar_pair_fails(cfg52, tmp_path, capsys,
 @pytest.mark.parametrize("noun, shift", [("spectrum", "2"), ("converge", "0.5")])
 def test_shift_outside_window_is_config_error(cfg52, tmp_path, capsys, monkeypatch,
                                               noun, shift):
-    # a config mistake: exit 2 before any mesh is built, not a solver error
-    # after the whole ladder
-    def mesh_ladder(cfg):
-        raise AssertionError("mesh ladder built for a bad config")
-
-    monkeypatch.setattr(exp, "mesh_ladder", mesh_ladder)
+    # not a solver error after the whole ladder
+    _no_mesh_ladder(monkeypatch)
     assert main(["eigen", noun, "--config", cfg52, "--window", "1.2,4/3",
                  "--shift", shift, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert f"shift {float(shift)} outside window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, flags, field", [
+    ("solve scalar", [], "lam"),
+    ("diagnose infsup", [], "lam"),
+    ("export field", [], "lam"),
+    ("eigen spectrum", ["--window", "1.2,inf"], "window"),
+    ("eigen converge", ["--window", "1.2,inf", "--shift", "1.27"], "window"),
+], ids=["solve-scalar", "diagnose-infsup", "export-field", "spectrum", "converge"])
+def test_non_finite_number_is_config_error(cfg52, tmp_path, capsys, monkeypatch,
+                                           verb, flags, field):
+    # lam = inf and an infinite window end used to reach SuperLU and exit 3
+    # with "Factor is exactly singular"
+    text = Path(cfg52).read_text()
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(text.replace("lam = 1", "lam = inf") if field == "lam" else text)
+    _no_mesh_ladder(monkeypatch)
+    assert main([*verb.split(), "--config", str(cfg), *flags,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("verb", ["solve scalar", "export field"])
+def test_constant_source_verbs_refuse_a_fixture(tmp_path, capsys, monkeypatch, verb):
+    # both verbs solve the constant source; on a manufactured config they
+    # used to solve it anyway and exit 0
+    cfg = tmp_path / "mms.cfg"
+    cfg.write_text("[domain]\nkind = square\n[experiment]\nlam = 1\nlevels = 2\n"
+                   "fixture = manufactured\n")
+    _no_mesh_ladder(monkeypatch)
+    assert main([*verb.split(), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "fixture = manufactured" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_eigen_target_missing_is_solver_failure(cfg51, tmp_path):
@@ -250,9 +289,9 @@ def test_scalar_csv_matches_row_writer(cfg51, tmp_path):
                      "--out", str(out)]) == 0
         cfg = load_config(cfg51, kind="source", levels=levels)
         m = exp.mesh_ladder(cfg)[-1]
-        blocks = fem.assemble_blocks(m, (fem.SCALAR,))
+        blocks = fem.assemble_blocks(m, fem.SCALAR)
         lam = float(cfg.lam)
-        v = sol.solve_source(m, blocks, cfg.material(), lam, cfg.source, fem.SCALAR)
+        v = sol.solve_source(m, blocks, cfg.material(), lam, cfg.source)
         flux = fem.potential_flux(m, cfg.material(), lam, v.coeffs)
         bary = m.barycenters()
         rows = "".join(f"{t},{float(bary[t, 0])!r},{float(bary[t, 1])!r},"

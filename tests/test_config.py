@@ -75,6 +75,25 @@ def test_bad_values_rejected():
         parse_config("[experiment]\nwindow = 2,1\n")
 
 
+@pytest.mark.parametrize("section, line", [
+    ("experiment", "lam = inf"), ("experiment", "lam = nan"),
+    ("experiment", "window = 1.2,inf"), ("experiment", "window = -inf,1.2"),
+    ("experiment", "shift = inf"), ("experiment", "threshold = -inf"),
+    ("experiment", "source = 1,nan"), ("domain", "patch_radius = inf"),
+    ("material", "mu_minus = inf"), ("material", "omega_eps_sq = nan"),
+    # past the float range: an exact int or fraction that would turn into inf
+    pytest.param("experiment", "lam = 1" + "0" * 400, id="experiment-lam-huge-int"),
+    pytest.param("experiment", "shift = 1" + "0" * 400 + "/3",
+                 id="experiment-shift-huge-fraction"),
+])
+def test_non_finite_number_rejected(section, line):
+    # inf and nan parse as floats; each is a config error, not an input that
+    # reaches a factorization and fails there as a solver error
+    field = line.split()[0]
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        parse_config(f"[{section}]\n{line}\n")
+
+
 def test_shift_outside_window_rejected():
     with pytest.raises(ConfigError, match="shift 2 outside window"):
         ExperimentConfig(kind="spectrum", window=(1.2, F(4, 3)), shift=2)
@@ -102,6 +121,9 @@ def test_critical_lambda_rejected_without_escape():
     # the declared-negative-control escape hatch admits the same value
     cfg = parse_config(body, allow_critical=True)
     assert cfg.lam == F(3, 2)
+    # but not a non-finite lam
+    with pytest.raises(ConfigError, match="lam must be finite"):
+        ExperimentConfig(lam=float("inf"), allow_critical=True)
 
 
 def test_pole_rejected():

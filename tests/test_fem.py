@@ -31,40 +31,60 @@ def blocks(coarse):
     return fem.assemble_blocks(coarse)
 
 
-def test_block_keys_and_exact_symmetry(blocks):
-    for key in ("K_plus", "K_minus", "M_plus", "M_minus",
-                "Ks_plus", "Ks_minus", "Ms_plus", "Ms_minus", "C", "MY"):
-        assert key in blocks
-    for key in ("K_plus", "K_minus", "M_plus", "M_minus",
-                "Ks_plus", "Ks_minus", "Ms_plus", "Ms_minus"):
-        B = blocks[key]
-        assert abs(B - B.T).max() <= 1e-14
+@pytest.fixture(scope="module")
+def scalar_blocks(coarse):
+    return fem.assemble_blocks(coarse, fem.SCALAR)
+
+
+def _block_fields(blocks):
+    """(name, matrix) for every block of a Blocks, region pairs split."""
+    return [("stiffness_plus", blocks.stiffness[0]),
+            ("stiffness_minus", blocks.stiffness[1]),
+            ("mass_plus", blocks.mass[0]), ("mass_minus", blocks.mass[1]),
+            ("pairing", blocks.pairing), ("aux_mass", blocks.aux_mass)]
+
+
+def _assert_same_bits(got, ref, what):
+    assert got.shape == ref.shape and got.dtype == ref.dtype, what
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes(), what
+
+
+def test_block_keys_and_exact_symmetry(blocks, scalar_blocks):
+    for bl in (blocks, scalar_blocks):
+        assert len(bl.stiffness) == len(bl.mass) == 2
+        for B in bl.stiffness + bl.mass:
+            assert abs(B - B.T).max() <= 1e-14
 
 
 @pytest.mark.parametrize("level", [0, 1])
 def test_blocks_of_one_form_match_the_default(coarse, level):
+    # the default is the edge row; each row carries itself and sizes its
+    # blocks by its own space
     mesh = refine_red(coarse) if level else coarse
-    both = fem.assemble_blocks(mesh)
-    edge = fem.assemble_blocks(mesh, (fem.EDGE,))
-    scalar = fem.assemble_blocks(mesh, (fem.SCALAR,))
-    assert set(edge) == {"K_plus", "K_minus", "M_plus", "M_minus", "C", "MY"}
-    assert set(scalar) == {"Ks_plus", "Ks_minus", "Ms_plus", "Ms_minus", "Cs", "MYs"}
-    assert len(both) == 12 and set(both) == set(edge) | set(scalar)
-    for part in (edge, scalar):
-        for key, B in part.items():
-            ref = both[key]
-            assert B.shape == ref.shape and B.dtype == ref.dtype
-            for attr in ("indptr", "indices", "data"):
-                assert getattr(B, attr).tobytes() == getattr(ref, attr).tobytes(), key
+    default = fem.assemble_blocks(mesh)
+    edge = fem.assemble_blocks(mesh, fem.EDGE)
+    scalar = fem.assemble_blocks(mesh, fem.SCALAR)
+    assert default.form is edge.form is fem.EDGE and scalar.form is fem.SCALAR
+    for (what, B), (_, ref) in zip(_block_fields(edge), _block_fields(default)):
+        _assert_same_bits(B, ref, what)
+    n_minus = int((mesh.region == -1).sum())
+    for bl, n, n_aux in ((edge, mesh.num_edges, n_minus),
+                         (scalar, mesh.num_vertices, 2 * n_minus)):
+        assert bl.form.space(mesh).ndof == n
+        for B in bl.stiffness + bl.mass:
+            assert B.shape == (n, n)
+        assert bl.pairing.shape == (n_aux, n)
+        assert bl.aux_mass.shape == (n_aux, n_aux)
 
 
-def test_mass_blocks_positive_definite_per_region(coarse, blocks):
-    for name, sign in (("plus", 1), ("minus", -1)):
+def test_mass_blocks_positive_definite_per_region(coarse, blocks, scalar_blocks):
+    for k, sign in enumerate((1, -1)):
         sel = np.unique(coarse.tri_edges[coarse.region == sign])
-        Msub = blocks[f"M_{name}"].toarray()[np.ix_(sel, sel)]
+        Msub = blocks.mass[k].toarray()[np.ix_(sel, sel)]
         assert np.linalg.eigvalsh(Msub).min() > 0
         vsel = np.unique(coarse.triangles[coarse.region == sign])
-        Mssub = blocks[f"Ms_{name}"].toarray()[np.ix_(vsel, vsel)]
+        Mssub = scalar_blocks.mass[k].toarray()[np.ix_(vsel, vsel)]
         assert np.linalg.eigvalsh(Mssub).min() > 0
 
 
@@ -75,8 +95,8 @@ def test_single_triangle_closed_forms():
                 patch_kind=np.zeros(1, dtype=np.int8),
                 patch_index=np.full(1, -1, dtype=np.int32))
     blocks = fem.assemble_blocks(mesh)
-    K = (blocks["K_plus"] + blocks["K_minus"]).toarray()
-    M = (blocks["M_plus"] + blocks["M_minus"]).toarray()
+    K = (blocks.stiffness[0] + blocks.stiffness[1]).toarray()
+    M = (blocks.mass[0] + blocks.mass[1]).toarray()
 
     # independent oracle: integrate the analytic edge functions with a dense
     # barycentric grid (degree >= 2 handled exactly by the trapezoid-free
@@ -110,7 +130,7 @@ def test_single_triangle_closed_forms():
 
 def test_curl_of_gradient_vanishes_at_matrix_level(coarse, blocks):
     G = fem.gradient_map(coarse)
-    K = blocks["K_plus"] + blocks["K_minus"]
+    K = blocks.stiffness[0] + blocks.stiffness[1]
     KG = K @ G
     assert KG.nnz == 0 or abs(KG).max() <= 1e-13
     rng = np.random.default_rng(7)
@@ -128,8 +148,8 @@ def test_gradient_map_matches_tangential_moments(coarse):
 
 def test_constant_field_patch_test(coarse, blocks):
     u = fem.interpolate_edge(coarse, lambda x: np.broadcast_to([1.0, 0.0], x.shape))
-    K = blocks["K_plus"] + blocks["K_minus"]
-    M = blocks["M_plus"] + blocks["M_minus"]
+    K = blocks.stiffness[0] + blocks.stiffness[1]
+    M = blocks.mass[0] + blocks.mass[1]
     area = float(coarse.areas.sum())
     assert abs(u @ (K @ u)) <= 1e-12
     assert u @ (M @ u) == pytest.approx(area, rel=1e-12)
@@ -139,7 +159,7 @@ def test_constant_field_patch_test(coarse, blocks):
 
 
 def test_operator_definiteness(coarse, blocks):
-    space = fem.EdgeSpace(coarse)
+    space = fem.EDGE.space(coarse)
     A = fem.assemble_A(blocks, REFERENCE, -1.0, space).toarray()
     assert np.abs(A - A.T).max() == 0.0
     sla.cholesky(A)  # raises if not positive definite
@@ -157,15 +177,15 @@ def test_operator_definiteness(coarse, blocks):
     sla.cholesky(Ah.toarray())
 
 
-def test_scalar_problem_shape_and_kernel(coarse, blocks):
-    S = fem.assemble_A(blocks, REFERENCE, 3.0, fem.ScalarSpace(coarse), fem.SCALAR)
+def test_scalar_problem_shape_and_kernel(coarse, scalar_blocks):
+    S = fem.assemble_A(scalar_blocks, REFERENCE, 3.0, fem.SCALAR.space(coarse))
     # the source (-1, -1) is Curl f0 of the potential f0 = x1 - x2
     rhs = fem.SCALAR.load(coarse, REFERENCE, 3.0, np.array([-1.0, -1.0]))
     # natural boundary conditions: every vertex keeps its row
     assert S.shape == (coarse.num_vertices, coarse.num_vertices)
     assert rhs.shape == (coarse.num_vertices,)
     ones = np.ones(coarse.num_vertices)
-    Ks = blocks["Ks_plus"] + blocks["Ks_minus"]
+    Ks = scalar_blocks.stiffness[0] + scalar_blocks.stiffness[1]
     assert np.abs(Ks @ ones).max() <= 1e-12
     # the load x1 - x2 integrates to a finite real vector
     assert np.isfinite(rhs).all()
@@ -175,12 +195,12 @@ def boundary_vertices(mesh):
     return np.unique(mesh.edges[mesh.boundary_edge])
 
 
-def helmholtz_project(mesh, blocks, u_full):
+def helmholtz_project(mesh, blocks, scalar_blocks, u_full):
     """L2-orthogonal splitting u = grad p + r against gradients of P1
     functions vanishing on the boundary: (p, grad p, r)."""
     G = fem.gradient_map(mesh)
-    M = blocks["M_plus"] + blocks["M_minus"]
-    Ks = blocks["Ks_plus"] + blocks["Ks_minus"]
+    M = blocks.mass[0] + blocks.mass[1]
+    Ks = scalar_blocks.stiffness[0] + scalar_blocks.stiffness[1]
     interior = np.setdiff1d(np.arange(mesh.num_vertices), boundary_vertices(mesh))
     rhs = (G.T @ (M @ u_full))[interior]
     Kii = Ks.tocsr()[interior][:, interior]
@@ -190,31 +210,31 @@ def helmholtz_project(mesh, blocks, u_full):
     return SimpleNamespace(potential=p, gradient=grad, remainder=u_full - grad)
 
 
-def test_helmholtz_projection(coarse, blocks):
+def test_helmholtz_projection(coarse, blocks, scalar_blocks):
     rng = np.random.default_rng(3)
     u = rng.standard_normal(coarse.num_edges)
-    split = helmholtz_project(coarse, blocks, u)
-    M = blocks["M_plus"] + blocks["M_minus"]
+    split = helmholtz_project(coarse, blocks, scalar_blocks, u)
+    M = blocks.mass[0] + blocks.mass[1]
     unorm2 = u @ (M @ u)
     assert abs(split.remainder @ (M @ split.gradient)) <= 1e-10 * unorm2
     assert np.abs(split.gradient + split.remainder - u).max() <= 1e-14
 
-    again = helmholtz_project(coarse, blocks, split.remainder)
+    again = helmholtz_project(coarse, blocks, scalar_blocks, split.remainder)
     assert np.abs(again.gradient).max() <= 1e-12
 
     # a discrete gradient is reproduced with zero remainder
     G = fem.gradient_map(coarse)
     p0 = rng.standard_normal(coarse.num_vertices)
     p0[boundary_vertices(coarse)] = 0.0
-    gsplit = helmholtz_project(coarse, blocks, G @ p0)
+    gsplit = helmholtz_project(coarse, blocks, scalar_blocks, G @ p0)
     assert np.abs(gsplit.remainder).max() <= 1e-12
 
 
 def test_aux_space_spans_minus_curls(coarse, blocks):
     n_minus = int((coarse.region == -1).sum())
-    assert blocks["C"].shape[0] == n_minus
+    assert blocks.pairing.shape[0] == n_minus
     # C maps the edge space onto all of the piecewise-constant space
-    assert np.linalg.matrix_rank(blocks["C"].toarray()) == n_minus
+    assert np.linalg.matrix_rank(blocks.pairing.toarray()) == n_minus
 
 
 def test_cross_check_consistency(coarse):
@@ -245,15 +265,16 @@ def test_prolongation_is_exact(coarse):
     uc = rng.standard_normal(coarse.num_edges)
     uf = fem.edge_prolongation(coarse, fine) @ uc
     # same function in the nested space: identical norms
-    for stem in ("M", "K"):
-        assert fem.block_norm_sq(bf, stem, uf) == pytest.approx(
-            fem.block_norm_sq(bc, stem, uc), rel=2e-10, abs=0)
+    for field in ("mass", "stiffness"):
+        assert fem.block_norm_sq(getattr(bf, field), uf) == pytest.approx(
+            fem.block_norm_sq(getattr(bc, field), uc), rel=2e-10, abs=0)
 
+    bc, bf = (fem.assemble_blocks(m, fem.SCALAR) for m in (coarse, fine))
     pc = rng.standard_normal(coarse.num_vertices)
     pf = _p1_prolongation(coarse) @ pc
-    for stem in ("Ms", "Ks"):
-        assert fem.block_norm_sq(bf, stem, pf) == pytest.approx(
-            fem.block_norm_sq(bc, stem, pc), rel=2e-12, abs=0)
+    for field in ("mass", "stiffness"):
+        assert fem.block_norm_sq(getattr(bf, field), pf) == pytest.approx(
+            fem.block_norm_sq(getattr(bc, field), pc), rel=2e-12, abs=0)
 
     with pytest.raises(fem.FemError, match="parent"):
         fem.edge_prolongation(coarse, coarse)
@@ -294,12 +315,13 @@ def test_mass_gram_gives_l2_norm(coarse, blocks):
     # quadratic form of the mass blocks is the quadrature's L2 norm
     rng = np.random.default_rng(5)
     u = rng.standard_normal(coarse.num_edges)
-    M = blocks["M_plus"] + blocks["M_minus"]
+    M = blocks.mass[0] + blocks.mass[1]
     l2sq, curlsq = _quadrature_norms_sq(coarse, u)
     assert np.sqrt(u @ (M @ u)) == pytest.approx(np.sqrt(l2sq), rel=1e-13)
     # and block_norm_sq reads both from the region blocks
-    assert fem.block_norm_sq(blocks, "M", u) == pytest.approx(l2sq, rel=1e-13, abs=0)
-    assert fem.block_norm_sq(blocks, "K", u) == pytest.approx(curlsq, rel=1e-12, abs=0)
+    assert fem.block_norm_sq(blocks.mass, u) == pytest.approx(l2sq, rel=1e-13, abs=0)
+    assert fem.block_norm_sq(blocks.stiffness, u) == pytest.approx(curlsq, rel=1e-12,
+                                                                   abs=0)
 
 
 # Oracles for the element kernels: the per-triangle (T, 3, 2) gradients,
@@ -349,7 +371,8 @@ def _closed_form_edge_mass(mesh):
 
 
 def _oracle_blocks(mesh):
-    """All twelve blocks of assemble_blocks."""
+    """The blocks of both formulation rows, by row: each a list of (field,
+    matrix) in the order of _block_fields."""
     grads = _oracle_grads(mesh)
     area = mesh.areas
     q = np.ldexp(np.round(np.ldexp(1.0 / area, 30)), -30)
@@ -362,31 +385,34 @@ def _oracle_blocks(mesh):
         Msel += w * np.einsum("j,k->jk", lam, lam)[None, :, :]
     Msel = Msel * area[:, None, None]
     out = {}
-    for dofs, n, stems in ((mesh.tri_edges, mesh.num_edges, (("K", Kel), ("M", Mel))),
-                           (mesh.triangles, mesh.num_vertices,
-                            (("Ks", Ksel), ("Ms", Msel)))):
+    for form, dofs, n, stems in (
+            (fem.EDGE, mesh.tri_edges, mesh.num_edges,
+             (("stiffness", Kel), ("mass", Mel))),
+            (fem.SCALAR, mesh.triangles, mesh.num_vertices,
+             (("stiffness", Ksel), ("mass", Msel)))):
         rows, cols = np.repeat(dofs, 3, axis=1), np.tile(dofs, (1, 3))
-        for name, sign in (("plus", 1), ("minus", -1)):
-            sel = mesh.region == sign
-            for stem, el in stems:
-                out[f"{stem}_{name}"] = sp.coo_matrix(
+        out[form] = {}
+        for stem, el in stems:
+            for name, sign in (("plus", 1), ("minus", -1)):
+                sel = mesh.region == sign
+                out[form][f"{stem}_{name}"] = sp.coo_matrix(
                     (el[sel].ravel(), (rows[sel].ravel(), cols[sel].ravel())),
                     shape=(n, n)).tocsr()
     tm = np.flatnonzero(mesh.region == -1)
-    out["C"] = sp.coo_matrix(
+    out[fem.EDGE]["pairing"] = sp.coo_matrix(
         (signs[tm].ravel(), (np.repeat(np.arange(len(tm)), 3),
                              mesh.tri_edges[tm].ravel())),
         shape=(len(tm), mesh.num_edges)).tocsr()
-    out["MY"] = sp.diags(area[tm]).tocsr()
+    out[fem.EDGE]["aux_mass"] = sp.diags(area[tm]).tocsr()
     rows_s = np.repeat(2 * np.arange(len(tm)), 3)
     agrad = grads[tm] * area[tm, None, None]
-    out["Cs"] = sp.coo_matrix(
+    out[fem.SCALAR]["pairing"] = sp.coo_matrix(
         (np.concatenate([agrad[:, :, 0].ravel(), agrad[:, :, 1].ravel()]),
          (np.concatenate([rows_s, rows_s + 1]),
           np.tile(mesh.triangles[tm].ravel(), 2))),
         shape=(2 * len(tm), mesh.num_vertices)).tocsr()
-    out["MYs"] = sp.diags(np.repeat(area[tm], 2)).tocsr()
-    return out
+    out[fem.SCALAR]["aux_mass"] = sp.diags(np.repeat(area[tm], 2)).tocsr()
+    return {form: list(fields.items()) for form, fields in out.items()}
 
 
 def _oracle_rhs(mesh, fun):
@@ -442,12 +468,13 @@ def test_edge_mass_matches_closed_form(kernel_meshes, name):
 @pytest.mark.parametrize("name", ["L0", "L1", "L3", "square"])
 def test_blocks_and_loads_bit_identical_to_oracle(kernel_meshes, name):
     mesh = kernel_meshes[name]
-    blocks = fem.assemble_blocks(mesh)
-    for key, ref in _oracle_blocks(mesh).items():
-        got = blocks[key]
-        assert got.shape == ref.shape, key
-        for attr in ("indptr", "indices", "data"):
-            assert getattr(got, attr).tobytes() == getattr(ref, attr).tobytes(), key
+    for form, oracle in _oracle_blocks(mesh).items():
+        blocks = fem.assemble_blocks(mesh, form)
+        assert blocks.form is form
+        fields = _block_fields(blocks)
+        assert [what for what, _ in fields] == [what for what, _ in oracle]
+        for (what, got), (_, ref) in zip(fields, oracle):
+            _assert_same_bits(got, ref, (form.kind, what))
 
     def load(x):
         return np.stack([np.sin(3 * x[..., 0]), x[..., 1] ** 2 - x[..., 0]], axis=-1)

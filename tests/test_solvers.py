@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from signfem import fem, materials as mats, solvers as sol
-from signfem.fem import EdgeSpace
 from signfem.geometry import make_reference_domain
 from signfem.materials import DrudeMaterial, lambda_admissible
 from signfem.mesh import refine_red
@@ -46,15 +45,26 @@ def blocks_seq(mesh_seq):
     return [fem.assemble_blocks(m) for m in mesh_seq]
 
 
+@pytest.fixture(scope="module")
+def scalar_seq(mesh_seq):
+    return [fem.assemble_blocks(m, fem.SCALAR) for m in mesh_seq]
+
+
+@pytest.fixture(scope="module")
+def rows(blocks_seq, scalar_seq):
+    """Each formulation row's blocks, level by level."""
+    return {fem.EDGE: blocks_seq, fem.SCALAR: scalar_seq}
+
+
 def test_source_solution_contract(mesh_seq, blocks_seq):
     m, bl = mesh_seq[1], blocks_seq[1]
     s = sol.solve_source(m, bl, CONTRAST_TEN, 1.0, (1.0, 1.0))
     assert s.residual <= 1e-10
-    space = EdgeSpace(m)
+    space = fem.EDGE.space(m)
     bdry = np.setdiff1d(np.arange(m.num_edges), space.free)
     assert s.coeffs.shape == (m.num_edges,)
     assert np.all(s.coeffs[bdry] == 0.0)
-    assert sum(fem.block_norm_sq(bl, stem, s.coeffs) for stem in "KM") > 0
+    assert sum(fem.block_norm_sq(pair, s.coeffs) for pair in (bl.stiffness, bl.mass)) > 0
 
 
 def test_source_zero_load(mesh_seq, blocks_seq):
@@ -73,7 +83,7 @@ def test_source_constant_equals_callable(mesh_seq, blocks_seq):
 
 def test_source_coercive_matches_dense(mesh_seq, blocks_seq):
     m, bl = mesh_seq[0], blocks_seq[0]
-    space = EdgeSpace(m)
+    space = fem.EDGE.space(m)
     A = fem.assemble_A(bl, CONTRAST_TEN, -1.0, space).toarray()
     b = space.restrict_vec(fem.assemble_rhs(m, lambda x: np.broadcast_to((1.0, 1.0), x.shape)))
     want = np.linalg.solve(A, b)
@@ -99,33 +109,33 @@ def test_source_rejects_complex_lambda(mesh_seq, blocks_seq, monkeypatch):
     assert splu_calls == []
 
 
-def test_source_bad_constant_shape(mesh_seq, blocks_seq):
+def test_source_bad_constant_shape(mesh_seq, rows):
     for form in (fem.EDGE, fem.SCALAR):
         with pytest.raises(sol.SolverError, match="shape"):
-            sol.solve_source(mesh_seq[0], blocks_seq[0], REFERENCE, -1.0,
-                             (1.0, 2.0, 3.0), form)
+            sol.solve_source(mesh_seq[0], rows[form][0], REFERENCE, -1.0,
+                             (1.0, 2.0, 3.0))
 
 
 @pytest.mark.parametrize("f, match", [
     (lambda x: np.broadcast_to((1.0, 1.0), x.shape), "constant source"),
     (np.ones((1, 2)), "shape"),
 ], ids=["callable", "row-matrix"])
-def test_scalar_source_rejected_before_factorization(mesh_seq, blocks_seq,
+def test_scalar_source_rejected_before_factorization(mesh_seq, scalar_seq,
                                                      monkeypatch, f, match):
     # the scalar row's load is that of a linear potential, so it takes only a
     # constant vector of shape (2,); anything else stops before SuperLU
     splu_calls = []
     monkeypatch.setattr(sol.spla, "splu", lambda *a, **k: splu_calls.append(a))
     with pytest.raises(sol.SolverError, match=match):
-        sol.solve_source(mesh_seq[0], blocks_seq[0], REFERENCE, -1.0, f, fem.SCALAR)
+        sol.solve_source(mesh_seq[0], scalar_seq[0], REFERENCE, -1.0, f)
     assert splu_calls == []
 
 
-def test_scalar_potential_cross_check_decreases(mesh_seq, blocks_seq):
+def test_scalar_potential_cross_check_decreases(mesh_seq, blocks_seq, scalar_seq):
     crosses = []
-    for m, bl in zip(mesh_seq, blocks_seq):
+    for m, bl, bs in zip(mesh_seq, blocks_seq, scalar_seq):
         u = sol.solve_source(m, bl, CONTRAST_TEN, 1.0, (1.0, 1.0))
-        v = sol.solve_source(m, bl, CONTRAST_TEN, 1.0, (1.0, 1.0), fem.SCALAR).coeffs
+        v = sol.solve_source(m, bs, CONTRAST_TEN, 1.0, (1.0, 1.0)).coeffs
         flux = fem.potential_flux(m, CONTRAST_TEN, 1.0, v)
         assert v.shape == (m.num_vertices,)
         assert flux.shape == (m.num_triangles, 2)
@@ -160,7 +170,7 @@ def test_pencil_one_block_without_minus_triangles():
     m = square_mesh(4)
     assert not np.any(m.region == -1)
     for form in (fem.EDGE, fem.SCALAR):
-        p = sol.build_pencil(m, fem.assemble_blocks(m, (form,)), REFERENCE, form=form)
+        p = sol.build_pencil(m, fem.assemble_blocks(m, form), REFERENCE)
         assert p.form is form and p.n_aux == 0 and p.n_primary == p.S.shape[0]
         lam = p.pole
         A, want = sol.schur_complement(p, lam), p.S - lam * p.T
@@ -180,28 +190,28 @@ def test_schur_substitution_reproduces_operator(mesh_seq, blocks_seq):
     rng = np.random.default_rng(7)
     for lvl in (0, 1):
         m, bl = mesh_seq[lvl], blocks_seq[lvl]
-        space = EdgeSpace(m)
+        space = fem.EDGE.space(m)
         for mat in (CONTRAST_TEN, REFERENCE):
             p = sol.build_pencil(m, bl, mat)
             for lam in ADMISSIBLE_LAMS:
                 A = fem.assemble_A(bl, mat, lam, space)
                 schur = sol.schur_complement(p, lam)
                 for _ in range(6):
-                    x = rng.standard_normal(space.nfree)
+                    x = rng.standard_normal(len(space.free))
                     want = A @ x
                     got = schur @ x
                     assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
-def test_schur_substitution_scalar_formulation(mesh_seq, blocks_seq):
+def test_schur_substitution_scalar_formulation(mesh_seq, scalar_seq):
     rng = np.random.default_rng(8)
-    m, bl = mesh_seq[0], blocks_seq[0]
+    m, bl = mesh_seq[0], scalar_seq[0]
     for mat in (CONTRAST_TEN, REFERENCE):
-        p = sol.build_pencil(m, bl, mat, form=fem.SCALAR)
+        p = sol.build_pencil(m, bl, mat)
         assert p.form is fem.SCALAR
         assert p.n_aux == 2 * np.count_nonzero(m.region == -1)
         for lam in ADMISSIBLE_LAMS:
-            S = fem.assemble_A(bl, mat, lam, fem.ScalarSpace(m), fem.SCALAR)
+            S = fem.assemble_A(bl, mat, lam, fem.SCALAR.space(m))
             schur = sol.schur_complement(p, lam)
             for _ in range(4):
                 x = rng.standard_normal(m.num_vertices)
@@ -226,9 +236,9 @@ _HYP_WINDOWS = mats.critical_lambda_windows(
 def test_schur_substitution_any_admissible_lambda(lam):
     assume(lambda_admissible(CONTRAST_TEN, _HYP_WINDOWS, lam))
     assume(abs(lam - 2.0) > 0.05)
-    space = EdgeSpace(_HYP_MESH)
+    space = fem.EDGE.space(_HYP_MESH)
     A = fem.assemble_A(_HYP_BLOCKS, CONTRAST_TEN, lam, space)
-    x = np.linspace(-1, 1, space.nfree)
+    x = np.linspace(-1, 1, len(space.free))
     want = A @ x
     got = sol.schur_complement(_HYP_PENCIL, lam) @ x
     assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
@@ -243,7 +253,7 @@ def test_schur_undefined_at_pole(mesh_seq, blocks_seq):
 def test_eigen_reference_target(mesh_seq, blocks_seq):
     # the reference material has an isolated eigenvalue just below 4/3
     m, bl = mesh_seq[2], blocks_seq[2]
-    pairs = sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(1.2, 4 / 3),
+    pairs = sol.solve_eigen(m, bl, REFERENCE, window=(1.2, 4 / 3),
                             shift=1.27)
     assert pairs, "no eigenpair found in the target window"
     lams = [q.lam for q in pairs]
@@ -269,8 +279,8 @@ def test_curl_fraction_matches_quadrature(request, seq, level, window, shift,
     # window at patch radius 0.05 the fractions go down to 0.14, and block
     # products summed in float64 were 1.9e-12 off there
     m = request.getfixturevalue(seq)[level]
-    bl = fem.assemble_blocks(m, (fem.EDGE,))
-    pairs = sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=window,
+    bl = fem.assemble_blocks(m)
+    pairs = sol.solve_eigen(m, bl, REFERENCE, window=window,
                             shift=shift, count=count)
     assert pairs
     for q in pairs:
@@ -285,8 +295,8 @@ def test_curl_fraction_matches_quadrature(request, seq, level, window, shift,
 
 def test_eigen_shift_independence(mesh_seq, blocks_seq):
     m, bl = mesh_seq[1], blocks_seq[1]
-    a = sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(1.2, 4 / 3), shift=1.22)
-    b = sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(1.2, 4 / 3), shift=1.31)
+    a = sol.solve_eigen(m, bl, REFERENCE, window=(1.2, 4 / 3), shift=1.22)
+    b = sol.solve_eigen(m, bl, REFERENCE, window=(1.2, 4 / 3), shift=1.31)
     la = max(q.lam for q in a)
     lb = max(q.lam for q in b)
     assert abs(la - lb) <= 1e-9 * max(1.0, abs(la))
@@ -295,34 +305,34 @@ def test_eigen_shift_independence(mesh_seq, blocks_seq):
 def test_eigen_input_validation(mesh_seq, blocks_seq):
     m, bl = mesh_seq[0], blocks_seq[0]
     with pytest.raises(sol.SolverError, match="window"):
-        sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(2.0, 1.0), shift=1.5)
+        sol.solve_eigen(m, bl, REFERENCE, window=(2.0, 1.0), shift=1.5)
     with pytest.raises(sol.SolverError, match="shift"):
-        sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(1.0, 2.0), shift=5.0)
+        sol.solve_eigen(m, bl, REFERENCE, window=(1.0, 2.0), shift=5.0)
     with pytest.raises(sol.SolverError, match="guard"):
-        sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(3.8, 4.3), shift=3.98)
+        sol.solve_eigen(m, bl, REFERENCE, window=(3.8, 4.3), shift=3.98)
 
 
-def test_scalar_eigen_guard_band_at_omega_eps_sq(mesh_seq, blocks_seq):
+def test_scalar_eigen_guard_band_at_omega_eps_sq(mesh_seq, scalar_seq):
     # the scalar pencil linearizes the resonance at omega_eps^2 = 2, not at
     # omega_mu^2 = 4: a shift within 0.05 of 2 raises before any factor
-    m, bl = mesh_seq[0], blocks_seq[0]
-    ps = sol.build_pencil(m, bl, REFERENCE, form=fem.SCALAR)
+    m, bl = mesh_seq[0], scalar_seq[0]
+    ps = sol.build_pencil(m, bl, REFERENCE)
     assert ps.pole == float(REFERENCE.omega_eps_sq)
     with pytest.raises(sol.SolverError, match="guard band.*pole 2.0"):
-        sol.solve_eigen(m, bl, REFERENCE, fem.SCALAR, window=(1.9, 2.1), shift=2.04)
+        sol.solve_eigen(m, bl, REFERENCE, window=(1.9, 2.1), shift=2.04)
 
 
 @pytest.mark.parametrize("form, window, shift", [
     (fem.EDGE, (1.2, 4 / 3), 1.27),
     (fem.SCALAR, (2.1, 3.0), 2.5),    # L0 has no scalar value below 4/3
 ], ids=["edge", "scalar"])
-def test_solve_eigen_matches_dense(mesh_seq, blocks_seq, form, window, shift):
+def test_solve_eigen_matches_dense(mesh_seq, rows, form, window, shift):
     from scipy.linalg import eigh
-    m, bl = mesh_seq[0], blocks_seq[0]
-    p = sol.build_pencil(m, bl, REFERENCE, form=form)
+    m, bl = mesh_seq[0], rows[form][0]
+    p = sol.build_pencil(m, bl, REFERENCE)
     vals = eigh(p.S.toarray(), p.T.toarray(), eigvals_only=True)
     want = np.sort(vals[(vals >= window[0]) & (vals <= window[1])])
-    pairs = sol.solve_eigen(m, bl, REFERENCE, form, window=window, shift=shift,
+    pairs = sol.solve_eigen(m, bl, REFERENCE, window=window, shift=shift,
                             count=64)
     got = np.array([q.lam for q in pairs])
     assert want.size and got.shape == want.shape
@@ -330,10 +340,10 @@ def test_solve_eigen_matches_dense(mesh_seq, blocks_seq, form, window, shift):
     assert all(q.u.shape == (form.space(m).ndof,) for q in pairs)
 
 
-def test_vector_and_scalar_spectra_agree(mesh_seq, blocks_seq):
+def test_vector_and_scalar_spectra_agree(mesh_seq, rows):
     # the two formulations discretize the same eigenvalue from opposite sides
-    m, bl = mesh_seq[2], blocks_seq[2]
-    lv, ls = ([q.lam for q in sol.solve_eigen(m, bl, REFERENCE, form,
+    m = mesh_seq[2]
+    lv, ls = ([q.lam for q in sol.solve_eigen(m, rows[form][2], REFERENCE,
                                               window=(1.2, 4 / 3), shift=1.27, count=4)]
               for form in (fem.EDGE, fem.SCALAR))
     assert lv and ls
@@ -357,13 +367,13 @@ def test_count_window_matches_dense(mesh_seq, blocks_seq):
     (fem.SCALAR, (2.1, 3.0), 2.5),    # above the scalar pole: D(sigma) < 0
 ], ids=["edge", "scalar"])
 def test_inertia_and_solves_factor_only_the_schur_complement(
-        mesh_seq, blocks_seq, monkeypatch, form, window, shift):
+        mesh_seq, rows, monkeypatch, form, window, shift):
     # nu_-(S - sigma*T) = nu_-(A(sigma)) + n_aux [sigma > pole], with the edge
     # pole at 4 and the scalar pole at 2.  Single shifts on both sides of each
     # pole are needed: a window with both edges above the pole cancels n_aux.
     from scipy.linalg import eigh
-    m, bl = mesh_seq[0], blocks_seq[0]
-    p = sol.build_pencil(m, bl, REFERENCE, form=form)
+    m, bl = mesh_seq[0], rows[form][0]
+    p = sol.build_pencil(m, bl, REFERENCE)
     vals = eigh(p.S.toarray(), p.T.toarray(), eigvals_only=True)
     for sigma in (1.5, 2.5, 3.9, 4.2):
         assert sol._negative_count(p, sigma) == np.count_nonzero(vals < sigma)
@@ -378,7 +388,7 @@ def test_inertia_and_solves_factor_only_the_schur_complement(
 
     monkeypatch.setattr(sol, "_factorize", factorize)
     assert sol.count_eigen_window(p, window).size
-    assert sol.solve_eigen(m, bl, REFERENCE, form, window=window, shift=shift)
+    assert sol.solve_eigen(m, bl, REFERENCE, window=window, shift=shift)
     assert rows and max(rows) <= p.n_primary
 
 
@@ -394,7 +404,7 @@ def test_count_window_certified_at_small_patch_radius(small_patch_seq, form):
     # at patch radius 0.05 a factor of S - (100/51) T fails the 1e-10 inertia
     # probe (1.2e-10 at L0, 1.9e-10 at L1); the factor of A(100/51) passes
     got = [len(sol.count_eigen_window(
-        sol.build_pencil(m, fem.assemble_blocks(m, (form,)), REFERENCE, form=form),
+        sol.build_pencil(m, fem.assemble_blocks(m, form), REFERENCE),
         SPECTRUM_WINDOW)) for m in small_patch_seq]
     assert got == [20, 41]
 
@@ -410,14 +420,13 @@ MU_WINDOW = (8 / 3, 200 / 51)
     (fem.EDGE, (2.1, 3.0), [2, 2, 2]),
     (fem.SCALAR, (2.1, 3.0), [2, 2, 2]),
 ], ids=["edge-eps", "scalar-eps", "edge-mu", "scalar-mu", "edge-gap", "scalar-gap"])
-def test_count_window_exact_under_refinement(mesh_seq, blocks_seq, form, window,
+def test_count_window_exact_under_refinement(mesh_seq, rows, form, window,
                                              counts):
     # the discrete eigenvalues accumulate in the permittivity-critical window,
     # where each red refinement doubles their number; the permeability-critical
     # window and the admissible gap hold the same few at every level
-    got = [len(sol.count_eigen_window(sol.build_pencil(m, bl, REFERENCE, form=form),
-                                      window))
-           for m, bl in zip(mesh_seq, blocks_seq)]
+    got = [len(sol.count_eigen_window(sol.build_pencil(m, bl, REFERENCE), window))
+           for m, bl in zip(mesh_seq, rows[form])]
     assert got == counts
 
 
@@ -504,7 +513,7 @@ def test_certificate_catches_skipped_eigenvalue(mesh_seq, blocks_seq, monkeypatc
     m, bl = mesh_seq[level], blocks_seq[level]
     monkeypatch.setattr(sol.spla, "eigsh", skipping)
     with pytest.raises(sol.SolverError, match="inertia counts"):
-        sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=window, shift=shift,
+        sol.solve_eigen(m, bl, REFERENCE, window=window, shift=shift,
                         count=count)
 
 
@@ -516,7 +525,7 @@ def test_edge_window_around_zero_fails_at_once(mesh_seq, blocks_seq):
     p = sol.build_pencil(m, bl, REFERENCE)
     t0 = time.perf_counter()
     with pytest.raises(sol.SolverError, match="plus-region gradient kernel"):
-        sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(-0.1, 0.3), shift=0.1)
+        sol.solve_eigen(m, bl, REFERENCE, window=(-0.1, 0.3), shift=0.1)
     with pytest.raises(sol.SolverError, match="plus-region gradient kernel"):
         sol.count_eigen_window(p, (-0.1, 0.3))
     assert time.perf_counter() - t0 < 1.0
@@ -533,19 +542,20 @@ def test_eigen_residual_failure_raises(mesh_seq, blocks_seq, monkeypatch):
     m, bl = mesh_seq[0], blocks_seq[0]
     monkeypatch.setattr(sol, "residual_evaluator", evaluator)
     with pytest.raises(sol.SolverError, match=r"lam=1\.2.*evaluator broke"):
-        sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(1.2, 4 / 3), shift=1.27)
+        sol.solve_eigen(m, bl, REFERENCE, window=(1.2, 4 / 3), shift=1.27)
 
 
 def test_rational_residual_contract(mesh_seq, blocks_seq):
     m, bl = mesh_seq[1], blocks_seq[1]
-    pairs = sol.solve_eigen(m, bl, REFERENCE, fem.EDGE, window=(1.2, 4 / 3),
+    pairs = sol.solve_eigen(m, bl, REFERENCE, window=(1.2, 4 / 3),
                             shift=1.27)
     q = max(pairs, key=lambda r: r.lam)
     evaluate = sol.residual_evaluator(m, bl, REFERENCE)
     assert evaluate(q.lam, q.u) <= 1e-8
 
     rng = np.random.default_rng(3)
-    u = EdgeSpace(m).expand_vec(rng.standard_normal(EdgeSpace(m).nfree))
+    space = fem.EDGE.space(m)
+    u = space.expand_vec(rng.standard_normal(len(space.free)))
     assert evaluate(1.1, u) >= 1e-3
 
     with pytest.raises(sol.SolverError, match="pole"):
@@ -556,15 +566,15 @@ def test_rational_residual_contract(mesh_seq, blocks_seq):
         evaluate(1.1, np.zeros(m.num_edges))
 
 
-def test_scalar_residual_contract(mesh_seq, blocks_seq):
+def test_scalar_residual_contract(mesh_seq, scalar_seq):
     # the scalar row of the shared evaluator: H1 Gram, scalar operator, and
     # the pole at omega_eps^2; each scalar pair of solve_eigen carries exactly
     # that residual of its own vector, and no edge classification
-    m, bl = mesh_seq[1], blocks_seq[1]
-    pairs = sol.solve_eigen(m, bl, REFERENCE, fem.SCALAR, window=(1.2, 4 / 3),
+    m, bl = mesh_seq[1], scalar_seq[1]
+    pairs = sol.solve_eigen(m, bl, REFERENCE, window=(1.2, 4 / 3),
                             shift=1.27, count=4)
     assert pairs
-    evaluate = sol.residual_evaluator(m, bl, REFERENCE, fem.SCALAR)
+    evaluate = sol.residual_evaluator(m, bl, REFERENCE)
     for q in pairs:
         assert q.u.shape == (m.num_vertices,)
         assert q.residual == evaluate(q.lam, q.u)
@@ -609,20 +619,22 @@ def test_infsup_critical_contrast_decays(mesh_seq, blocks_seq):
     assert crit[2] <= 1e-2 * ctrl[2]
 
 
-def test_infsup_matches_generalized_eigenproblem(mesh_seq, blocks_seq):
+def test_infsup_matches_generalized_eigenproblem(mesh_seq, rows):
     # for symmetric A(lam) and SPD G, beta_n is the smallest |mu| of
-    # A x = mu G x; pin the Lanczos estimate to a direct shift-invert solve
+    # A x = mu G x; pin the Lanczos estimate to a direct shift-invert solve.
+    # The scalar blocks give the scalar row's A(lam) in its H1 Gram.
     lam = 20 / 11
-    for lvl in (0, 1):
-        m, bl = mesh_seq[lvl], blocks_seq[lvl]
-        space = EdgeSpace(m)
-        A = fem.assemble_A(bl, CONTRAST_TEN, lam, space)
-        G = sol.xnorm_gram(bl, space)
-        mu = spla.eigsh(A.tocsc(), k=2, M=G.tocsc(), sigma=0,
-                        return_eigenvectors=False)
-        ref = float(np.abs(mu).min())
-        beta = sol.discrete_infsup(m, bl, CONTRAST_TEN, lam)
-        assert abs(beta - ref) <= 1e-6 * ref
+    for form in (fem.EDGE, fem.SCALAR):
+        for lvl in (0, 1):
+            m, bl = mesh_seq[lvl], rows[form][lvl]
+            space = form.space(m)
+            A = fem.assemble_A(bl, CONTRAST_TEN, lam, space)
+            G = sol.xnorm_gram(bl, space)
+            mu = spla.eigsh(A.tocsc(), k=2, M=G.tocsc(), sigma=0,
+                            return_eigenvectors=False)
+            ref = float(np.abs(mu).min())
+            beta = sol.discrete_infsup(m, bl, CONTRAST_TEN, lam)
+            assert abs(beta - ref) <= 1e-6 * ref
 
 
 def test_infsup_rejects_partial_arpack_result(mesh_seq, blocks_seq,
@@ -660,7 +672,7 @@ def _refined_infsup(m, bl, mat, lam):
     smallest over the 3 eigenvectors of A x = mu G x nearest 0, from a
     shift-invert solve to full ARPACK precision whose every A-solve takes three
     refinement steps with a longdouble residual."""
-    space = EdgeSpace(m)
+    space = bl.form.space(m)
     A = fem.assemble_A(bl, mat, lam, space)
     G = sol.xnorm_gram(bl, space)
     lu = sol._factorize(A, "reference A(lam)")
