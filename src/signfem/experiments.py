@@ -12,17 +12,17 @@ Every pooled study lists its per-level jobs finest level first
 unknowns of the one below, so the finest level's solves set the wall time;
 listed first, they start at once while the coarse levels fill in behind them.
 Each job assembles only its own formulation row's blocks, inside its worker
-thread.  Temporaries freed in the main thread stay in its glibc arena, where
-the workers' factorizations cannot reuse them, so assembling in the worker
-keeps the peak memory down.  For the same reason every job of the eigen
-studies ends with glibc's malloc_trim(0) (_trimmed): the memory a finished
-job freed stays resident in its worker's arena otherwise, where neither the
-other worker nor the main thread reuses it.  On the benchmark's spectral
-config the eigen-convergence study peaked at 220-239 MB without the trim and
-193-211 MB with it (ten and eight runs, two vCPUs).  The source study's jobs
-do not trim: its peak is the two L4 factorizations overlapping, which no
-trim lowers, and with every job trimmed the source_deep benchmark was
-slower in 5 of 8 alternating pairs, by 7% in the median.
+thread, and holds them no longer than it needs them: a source job lets its
+blocks go before it factors (solvers.solve_source), except the finest edge
+job, whose blocks the error norms read.  Temporaries freed in a thread stay in
+its glibc arena, where no factorization reuses them (SuperLU's factor arrays
+are fresh mmaps), so every factorization first hands that memory back
+(solvers._factorize).  Together with the blocks let go, this lowered the
+peak RSS of the source_deep benchmark from 539-548 to 475-489 MB (median
+543 to 481) and that of the spectral one from 175-188 to 160-176 MB (ten
+alternating pairs each, two vCPUs).  Most of what is left of the source
+study's peak is its two L4 factorizations, edge and scalar, which run at
+once.
 
 The pool overlaps SuperLU factorizations, but Python-level work in one job
 holds the other job back.  Measured on two vCPUs: one L3 edge factorization
@@ -221,31 +221,6 @@ def _one_blas_thread():
             put(n)
 
 
-@functools.lru_cache(maxsize=None)
-def _malloc_trim() -> Optional[Callable]:
-    """glibc's malloc_trim; None under a C library without it."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, TypeError, AttributeError):
-        return None
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
-
-
-def _trimmed(task: Callable) -> Callable:
-    """task, then hand the free memory of every malloc arena back to the
-    system where malloc_trim exists: the eigen studies' pool jobs (module
-    docstring)."""
-    def job(item):
-        try:
-            return task(item)
-        finally:
-            trim = _malloc_trim()
-            if trim is not None:
-                trim(0)
-    return job
-
-
 def _pool_map(task: Callable, items: Sequence) -> list:
     """Dispatch per-level/per-formulation work; results return in submission
     order.  Workers take the items in list order, so the largest jobs go
@@ -333,11 +308,14 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
 
     def task(job):
         i, form = job
-        blocks = fem.assemble_blocks(meshes[i], form)
-        s = sol.solve_source(meshes[i], blocks, mat, lam, cfg.source)
+        # only the norms' finest edge blocks are kept; every other job's
+        # blocks are freed before its factorization (solve_source)
+        kept = fem.assemble_blocks(meshes[i]) if job == (finest, fem.EDGE) else None
+        s = sol.solve_source(meshes[i], kept or fem.assemble_blocks(meshes[i], form),
+                             mat, lam, cfg.source)
         if form is fem.EDGE:
             # drop the longdouble carry: prolongation and norms run in float64
-            return s.coeffs.astype(float), (blocks if i == finest else None)
+            return s.coeffs.astype(float), kept
         return fem.potential_flux(meshes[i], mat, lam, s.coeffs)
 
     jobs = [(i, form) for i in levels for form in (fem.EDGE, fem.SCALAR)]
@@ -403,7 +381,7 @@ def _gated_eigenpairs(meshes: Sequence[Mesh], mat: mats.DrudeMaterial,
                     f"residual {q.residual:.3e} > {RESIDUAL_FILTER!r}")
         return pairs
 
-    return dict(zip(jobs, _pool_map(_trimmed(task), jobs)))
+    return dict(zip(jobs, _pool_map(task, jobs)))
 
 
 def run_spectrum(cfg: ExperimentConfig):
@@ -486,8 +464,9 @@ def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
     The per-level edge jobs share the pool, finest first.  The scalar
     reference runs as one job after it, so its factors are never held beside
     the finest edge job's: pooled with them on the benchmark's spectral
-    config, it cut the study from 2.9-3.3 s to 2.2-2.4 s but raised its peak
-    RSS from 208-217 to 228-237 MB.
+    config, with every factorization trimmed, it cut the study from 2.5-3.3 s
+    to 1.9-2.2 s but raised its peak RSS from 174-184 to 196-205 MB, about
+    12%.
     Every pair of either formulation must pass the RESIDUAL_FILTER gate
     (_gated_eigenpairs)."""
     if cfg.kind != "eigen-convergence":

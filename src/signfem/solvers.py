@@ -39,10 +39,24 @@ came out wrong; with partial pivoting the ordering did not finish at L4 in
 its M is only ever multiplied.  SuperLU's supernodal kernels are level-2 BLAS
 (Demmel et al., SIAM J. Matrix Anal. Appl. 1999), so a factorization gains
 nothing from BLAS threads, and the experiments pool runs each job on one.
+
+Every factorization starts on a trimmed heap: glibc's malloc_trim(0) right
+before splu hands the free memory of every malloc arena back to the system
+(_malloc_trim; a no-op under a C library without it).  SuperLU takes its
+factor arrays from fresh mmaps, which never reuse what assembly freed, so
+without the trim those temporaries stay resident under every factor.  In the
+source_deep benchmark about 330 MB were resident, of them about 160 MB live,
+when its two L4 factorizations started: assembling the L4 edge blocks makes
+115 MB of temporaries for 44 MB of blocks, and assemble_A 74 MB for 19.5 MB.
+The one policy covers source solves, inertia counts, shift-invert, the
+residual Gram and the inf-sup factor.  A fixed mallopt M_MMAP_THRESHOLD, tried
+in its place, cut 17 MB but made the eigen-convergence study about 20% slower.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -113,22 +127,46 @@ class _Factor:
         return x
 
 
+@functools.lru_cache(maxsize=None)
+def _malloc_trim() -> Optional[Callable]:
+    """glibc's malloc_trim; None under a C library without it."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
 def _factorize(A: sp.spmatrix, what: str) -> _Factor:
-    """The one sparse factorization (policy in the module docstring)."""
+    """The one sparse factorization (policy in the module docstring), started
+    on a trimmed heap."""
     A = A.tocsr()
     order = reverse_cuthill_mckee(A, symmetric_mode=True)
+    Ap = A[order][:, order].tocsc()
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
     try:
-        lu = spla.splu(A[order][:, order].tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(Ap, permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"factorization failed for {what}: {exc}") from exc
     return _Factor(lu, order)
 
 
+def _longdouble(A: sp.csr_matrix) -> sp.csr_matrix:
+    """A with its values in longdouble, on A's own indices and indptr:
+    A.astype(np.longdouble) copies those too (6.8 MB at the L4 edge A(1)).
+    Its products are bit for bit those of the astype copy."""
+    return sp.csr_matrix((A.data.astype(np.longdouble), A.indices, A.indptr),
+                         shape=A.shape)
+
+
 _REFINE_STEPS = 6
 
 
-def _refined_solve(lu, A: sp.spmatrix, b: np.ndarray) -> Tuple[np.ndarray, float]:
+def _refined_solve(lu, A: sp.csr_matrix, b: np.ndarray) -> Tuple[np.ndarray, float]:
     """LU solve plus iterative refinement with extended-precision carry.
 
     Refinement that stores u in float64 stalls at eps*|| |A||u| ||/||b||, and
@@ -141,7 +179,7 @@ def _refined_solve(lu, A: sp.spmatrix, b: np.ndarray) -> Tuple[np.ndarray, float
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         return np.zeros(b.shape[0], dtype=np.longdouble), 0.0
-    Ax = A.astype(np.longdouble)
+    Ax = _longdouble(A)
     bx = b.astype(np.longdouble)
 
     def rel(v):
@@ -160,7 +198,7 @@ def _refined_solve(lu, A: sp.spmatrix, b: np.ndarray) -> Tuple[np.ndarray, float
     return u, res
 
 
-def _gated_solve(A: sp.spmatrix, b: np.ndarray,
+def _gated_solve(A: sp.csr_matrix, b: np.ndarray,
                  what: str) -> Tuple[np.ndarray, float]:
     """Factor, refine, and hold the relative residual to the 1e-10 gate.
     Returns (solution, residual)."""
@@ -183,7 +221,8 @@ def solve_source(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial, lam,
     x -> (..., 2).  Iterative refinement keeps the relative residual at the
     1e-10 gate even on deep meshes; a residual still above it means lam sits
     at or near an eigenvalue and is reported with pivot diagnostics instead
-    of returned.
+    of returned.  The blocks are let go once A(lam) and b are built, so a
+    caller that holds no other reference frees them before the factorization.
     """
     form = blocks.form
     if not callable(f):
@@ -195,6 +234,7 @@ def solve_source(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial, lam,
     space = form.space(mesh)
     A = fem.assemble_A(blocks, mat, lam, space)
     b = space.restrict_vec(form.load(mesh, mat, lam, f))
+    del blocks
     u, res = _gated_solve(A, b, f"{form.kind} A({lam})")
     return SourceSolution(space.expand_vec(u), res)
 
@@ -409,7 +449,9 @@ def _negative_count(pencil: MatrixPencil, sigma: float) -> int:
     """nu_-(S - sigma*T), the number of eigenvalues below sigma: the negative
     signs of diag(U) of A(sigma), plus n_aux if sigma > pole (Haynsworth).
     Only an LDL^T factor (perm_r == perm_c) that passes a backward-error probe
-    is accepted; anything else raises."""
+    is accepted; anything else raises.  Reading lu.U makes scipy build and
+    cache CSC copies of both L and U: 14-18 MB more resident and 12-13 ms for
+    A(1.27) of the section 5.2 edge pencil at L3 (2.42 M fill)."""
     what = f"A(sigma) at sigma={sigma}"
     A = schur_complement(pencil, sigma)
     lu = _factorize(A, what)
@@ -467,8 +509,7 @@ def discrete_infsup(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial,
             f"{len(exc.eigenvalues)} partial Ritz values discarded") from exc
     x = vecs[:, 0].astype(np.longdouble)
     with np.errstate(invalid="ignore", divide="ignore"):
-        beta = float(abs(x @ (A.astype(np.longdouble) @ x))
-                     / (x @ (G.astype(np.longdouble) @ x)))
+        beta = float(abs(x @ (_longdouble(A) @ x)) / (x @ (_longdouble(G) @ x)))
     if not np.isfinite(beta) or beta <= 0:
         raise SolverError(
             f"inf-sup iteration at lam={lam} returned beta_n = {beta}, "

@@ -1,9 +1,9 @@
 """Study runners: job lists, pool scheduling and the tables they return."""
 
 import dataclasses
-import platform
 import threading
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -161,34 +161,49 @@ def test_pool_without_blas_controls_sets_nothing(two_blas_threads, monkeypatch):
     assert _counts(controls) == before
 
 
-def test_trimmed_jobs_trim_the_heap(monkeypatch):
-    # a trimmed job ends with malloc_trim(0), a failing one too
-    calls = []
-    monkeypatch.setattr(exp, "_malloc_trim", lambda: calls.append)
-    assert exp._pool_map(exp._trimmed(lambda x: 2 * x), [0, 1, 2]) == [0, 2, 4]
-    assert calls == [0] * 3
+def test_eigen_convergence_trims_before_every_factorization(monkeypatch):
+    # two edge jobs and the scalar reference: in each worker thread every
+    # splu follows its own malloc_trim(0)
+    events = []
+    real_splu = sol.spla.splu
 
-    def fail(_):
-        raise sol.SolverError("factorization failed")
+    def splu(*args, **kwargs):
+        events.append((threading.get_ident(), "splu"))
+        return real_splu(*args, **kwargs)
 
-    with pytest.raises(sol.SolverError):
-        exp._trimmed(fail)(0)
-    assert calls == [0] * 4
-    monkeypatch.setattr(exp, "_malloc_trim", lambda: None)
-    assert exp._trimmed(lambda x: 2 * x)(3) == 6
+    def trim(pad):
+        events.append((threading.get_ident(), ("trim", pad)))
 
-
-def test_eigen_jobs_trim_the_heap(monkeypatch):
-    # two edge jobs and the scalar reference
-    calls = []
-    monkeypatch.setattr(exp, "_malloc_trim", lambda: calls.append)
+    monkeypatch.setattr(sol, "_malloc_trim", lambda: trim)
+    monkeypatch.setattr(sol.spla, "splu", splu)
     exp.run_eigen_convergence(CONVERGE_52)
-    assert calls == [0] * 3
+    assert len(events) >= 6
+    for thread in {t for t, _ in events}:
+        mine = [e for t, e in events if t == thread]
+        assert mine == [("trim", 0), "splu"] * (len(mine) // 2)
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
-def test_malloc_trim_found_under_glibc():
-    assert exp._malloc_trim()(0) in (0, 1)
+def test_source_jobs_free_their_blocks_before_factoring(monkeypatch):
+    # one worker runs the jobs in list order; only the first, the finest
+    # edge job whose blocks the norms read, may hold its blocks under a factor
+    monkeypatch.setattr(exp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    made, factored = [], []
+    real_assemble, real_factorize = fem.assemble_blocks, sol._factorize
+
+    def assemble(mesh, form=fem.EDGE):
+        blocks = real_assemble(mesh, form)
+        made.append(weakref.ref(blocks))
+        return blocks
+
+    def factorize(A, what):
+        factored.append([i for i, ref in enumerate(made) if ref() is not None])
+        return real_factorize(A, what)
+
+    monkeypatch.setattr(fem, "assemble_blocks", assemble)
+    monkeypatch.setattr(sol, "_factorize", factorize)
+    exp.run_source_convergence(SOURCE_51)
+    assert len(made) == len(factored) == 2 * SOURCE_51.levels
+    assert factored == [[0]] * len(factored)
 
 
 def test_pool_size_follows_the_cpu_affinity(monkeypatch):

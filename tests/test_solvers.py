@@ -1,10 +1,12 @@
 """Direct solves, the linearization pencil, eigenpairs, and inf-sup estimates."""
 
 import dataclasses
+import platform
 import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -723,3 +725,62 @@ def test_infsup_factors_once(mesh_seq, blocks_seq, monkeypatch):
     assert sol.discrete_infsup(mesh_seq[0], blocks_seq[0], CONTRAST_TEN, 2.2) > 0
     assert len(splu_calls) == 1
     assert eigsh_kwargs and all("Minv" not in kw for kw in eigsh_kwargs)
+
+
+def _trace_factorizations(monkeypatch, has_trim):
+    """Record each malloc_trim(pad) as ("trim", pad) and each splu call as
+    "splu", in call order; has_trim=False stands for a C library without
+    malloc_trim."""
+    events = []
+    real_splu = spla.splu
+
+    def splu(*args, **kwargs):
+        events.append("splu")
+        return real_splu(*args, **kwargs)
+
+    def trim(pad):
+        events.append(("trim", pad))
+
+    monkeypatch.setattr(sol, "_malloc_trim", lambda: trim if has_trim else None)
+    monkeypatch.setattr(sol.spla, "splu", splu)
+    return events
+
+
+def test_every_factorization_trims_first(mesh_seq, blocks_seq, monkeypatch):
+    # each _factorize call hands freed arena memory back right before its
+    # splu, a failing one too
+    events = _trace_factorizations(monkeypatch, has_trim=True)
+    m, bl = mesh_seq[0], blocks_seq[0]
+    A = fem.assemble_A(bl, CONTRAST_TEN, 1.0, bl.form.space(m))
+    sol._factorize(A, "A(1)")
+    with pytest.raises(sol.SolverError, match="factorization failed"):
+        sol._factorize(sp.csr_matrix(A.shape), "zero")
+    assert events == [("trim", 0), "splu"] * 2
+
+
+def test_factorization_without_malloc_trim(mesh_seq, blocks_seq, monkeypatch):
+    # under a C library without malloc_trim the factorization runs untrimmed
+    events = _trace_factorizations(monkeypatch, has_trim=False)
+    m, bl = mesh_seq[0], blocks_seq[0]
+    assert sol.solve_source(m, bl, CONTRAST_TEN, 1.0, (1.0, 1.0)).residual <= 1e-10
+    assert events == ["splu"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+def test_malloc_trim_found_under_glibc():
+    assert sol._malloc_trim()(0) in (0, 1)
+
+
+def test_longdouble_copy_shares_the_indices(mesh_seq, blocks_seq):
+    # the refinement's and the inf-sup readout's longdouble A and G: data-only
+    # casts on the float64 index arrays, with the products of astype bit for bit
+    m, bl = mesh_seq[1], blocks_seq[1]
+    space = bl.form.space(m)
+    x = np.random.default_rng(3).standard_normal(len(space.free)).astype(np.longdouble)
+    for A in (fem.assemble_A(bl, CONTRAST_TEN, 2.2, space), sol.xnorm_gram(bl, space)):
+        Ax = sol._longdouble(A)
+        assert Ax.dtype == np.longdouble
+        assert np.shares_memory(Ax.indices, A.indices)
+        assert np.shares_memory(Ax.indptr, A.indptr)
+        assert not np.shares_memory(Ax.data, A.data)
+        assert np.array_equal(Ax @ x, A.astype(np.longdouble) @ x)
