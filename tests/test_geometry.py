@@ -1,5 +1,6 @@
 """Corner patterns, dihedral fold maps, cutoffs, and domain validation."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -183,6 +184,35 @@ def test_fold_rejects_doubled_even_patterns():
         geo.fold_maps(pat, "plus-to-minus")
     with pytest.raises(geo.GeometryError):
         geo.fold_maps(pat, "minus-to-plus")
+
+
+# Every admissible pattern with p <= 12 (p_+ and p_- odd and coprime), at two
+# corner and frame pairs.  sha256 over the maps in order of F and y as
+# little-endian float64 and of (sign, source_sector, target_sector) as
+# little-endian int64, and the number of maps, per direction.
+FOLD_DIRECTIONS = {"+": "plus-to-minus", "-": "minus-to-plus"}
+FOLD_GOLDEN = {
+    "+": (426, "49b589b804fcf137c76ddd1c173d348043929bf252874742e258d7f01cc95598"),
+    "-": (426, "0e6ef6772e6e4b829035f3b1156d88e685fdd56cda6ce7e8c8d67b84580d086e"),
+}
+
+
+@pytest.mark.parametrize("direction", sorted(FOLD_GOLDEN))
+def test_fold_maps_golden(direction):
+    h, count = hashlib.sha256(), 0
+    for p in range(2, 13, 2):
+        for p_plus in range(1, p, 2):
+            if math.gcd(p_plus, p) != 1:
+                continue
+            for corner, frame in (((0.0, 0.0), 0.0), ((0.3, -0.7), 1.1)):
+                pat = geo.corner_pattern(Fraction(p_plus, p), corner, frame)
+                for m in geo.fold_maps(pat, FOLD_DIRECTIONS[direction]):
+                    h.update(np.ascontiguousarray(m.F, dtype="<f8").tobytes())
+                    h.update(np.ascontiguousarray(m.y, dtype="<f8").tobytes())
+                    h.update(np.array([m.sign, m.source_sector, m.target_sector],
+                                      dtype="<i8").tobytes())
+                    count += 1
+    assert (count, h.hexdigest()) == FOLD_GOLDEN[direction]
 
 
 @settings(deadline=None, max_examples=60)
