@@ -1,9 +1,16 @@
 """Exact sector geometry at interface corners.
 
-Rational corner patterns (p+, p-), the dihedral fold maps that build the
-corner reflection operators, edge mirrors, C^2 cut-off profiles, and the
-domain specification consumed by the mesh builder.  Sector bookkeeping is
-exact (ints / Fractions); floats enter only in the final affine-map synthesis.
+Rational corner patterns (p+, p-), the fold maps that build the corner
+reflection operators, edge mirrors, C^2 cut-off profiles, and the domain
+specification consumed by the mesh builder.  Sector bookkeeping is exact
+(ints / Fractions); floats enter only when a map's matrix is formed.
+
+The fold maps follow one parity rule.  With P = p_plus and beta = 2pi/p, the
+map of sector s onto sector t crosses |t-s| rays: it is the reflection across
+the half-ray (s+t+1)/2 * beta when t-s is odd and the rotation by (t-s) * beta
+when t-s is even.  Direction '+' defines the minus sectors from the plus
+cone, '-' the plus sectors from the minus cone; the j-th map of a sector
+carries the sign (-1)^(j+1).
 """
 
 from __future__ import annotations
@@ -105,69 +112,7 @@ def corner_pattern(q, corner=(0.0, 0.0), frame_angle=0.0) -> CornerPattern:
 
 
 # ---------------------------------------------------------------------------
-# dihedral angle maps and fold construction
-
-
-@dataclass(frozen=True)
-class AngularMap:
-    """Element of the dihedral group on local sector angles.
-
-    reflect: theta -> c*beta - theta (axis along the half-ray c/2*beta);
-    rotate:  theta -> theta + c*beta.  c is kept canonical mod p (p*beta=2pi).
-    """
-
-    reflect: bool
-    c: int
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", self.c % self.p)
-
-    def apply(self, theta):
-        beta = TWO_PI / self.p
-        if self.reflect:
-            return self.c * beta - np.asarray(theta)
-        return np.asarray(theta) + self.c * beta
-
-    def image_sector(self, j: int) -> int:
-        """Sector onto which sector j is carried (half-open sector convention)."""
-        if self.reflect:
-            return (self.c - 1 - j) % self.p
-        return (j + self.c) % self.p
-
-    def after(self, other: "AngularMap") -> "AngularMap":
-        """Composition self o other."""
-        if self.p != other.p:
-            raise GeometryError("cannot compose maps of different sector groups")
-        if self.reflect:
-            return AngularMap(not other.reflect, self.c - other.c, self.p)
-        return AngularMap(other.reflect, self.c + other.c, self.p)
-
-    def inverse(self) -> "AngularMap":
-        return self if self.reflect else AngularMap(False, -self.c, self.p)
-
-
-def _fold_core(P: int, Q: int) -> list[list[tuple[AngularMap, int, int]]]:
-    """Fold maps from the first P sectors onto the last Q, in local indices.
-
-    Returns, per target sector P+k, a list of (map, sign, source_sector).  The
-    first target sector folds the source cone accordion-style: reflect across
-    the interface ray P, then re-reflect across rays P-1, P-2, ..., with signs
-    alternating +1, -1, ...  Each later target sector composes the previous
-    one with the reflection across the shared ray, which makes the pieces
-    match there automatically.
-    """
-    p = P + Q
-    rho = AngularMap(True, 2 * P, p)
-    maps = [(rho, 1, P - 1)]
-    for j in range(2, P + 1):
-        rho = AngularMap(not rho.reflect, 2 * (P - j + 1) - rho.c, p)
-        maps.append((rho, (-1) ** (j + 1), P - j))
-    rows = [maps]
-    for k in range(1, Q):
-        mirror = AngularMap(True, 2 * (P + k), p)
-        rows.append([(g.after(mirror), z, s) for (g, z, s) in rows[-1]])
-    return rows
+# fold maps
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -196,7 +141,6 @@ class SectorMap:
     sign: int
     source_sector: int
     target_sector: int
-    angular: AngularMap | None = None
 
     def __call__(self, x):
         return np.asarray(x, dtype=float) @ self.F.T + self.y
@@ -206,47 +150,39 @@ class SectorMap:
         return int(round(float(np.linalg.det(self.F))))
 
 
-def _synth(pattern: CornerPattern, ang: AngularMap, sign: int, src: int, tgt: int) -> SectorMap:
-    # rotations commute with the frame change; reflection axes pick up frame_angle
-    if ang.reflect:
-        F = _reflection(pattern.frame_angle + 0.5 * ang.c * pattern.beta)
-    else:
-        F = _rotation(ang.c * pattern.beta)
-    corner = np.array(pattern.corner, dtype=float)
-    return SectorMap(F=F, y=corner - F @ corner, sign=sign,
-                     source_sector=src, target_sector=tgt, angular=ang)
-
-
 def fold_maps(pattern: CornerPattern, direction: str) -> tuple[SectorMap, ...]:
-    """Sector maps implementing the corner reflection in the given direction.
+    """Sector maps of the corner reflection, in the order its operators use.
 
-    direction 'plus-to-minus': per minus sector, p_plus maps pulling back onto
-    the plus cone with alternating signs.  'minus-to-plus': per plus sector,
-    p_minus maps onto the minus cone.  Patterns with p_plus and p_minus both
-    even admit no such alternating fold (the trace condition on the second
-    interface ray pins an unpaired coefficient to zero), so they are rejected.
+    Direction '+' defines the minus sectors s = P..p-1 (P = p_plus), each from
+    the plus sectors t = P-j, j = 1..P; '-' defines the plus sectors
+    s = P-1..0, each from the minus sectors t = P-1+j, j = 1..p_minus.  Each
+    map follows the parity rule of the module docstring.  These accordion
+    folds of one cone onto the other have signed sums that match the input
+    trace on both interface rays and agree across every inner ray.  Patterns
+    with p_plus and p_minus both even admit no such alternating fold (the
+    trace condition on the second interface ray pins an unpaired coefficient
+    to zero), so they are rejected.
     """
-    if direction not in ("plus-to-minus", "minus-to-plus"):
+    if direction not in ("+", "-"):
         raise GeometryError(f"unknown fold direction {direction!r}")
     if pattern.p_plus % 2 == 0 and pattern.p_minus % 2 == 0:
         raise GeometryError(
             "no alternating fold exists for patterns with p_plus, p_minus both even"
         )
-    p = pattern.p
-    out = []
-    if direction == "plus-to-minus":
-        for k, row in enumerate(_fold_core(pattern.p_plus, pattern.p_minus)):
-            for ang, z, src in row:
-                out.append(_synth(pattern, ang, z, pattern.p_plus + k, src))
+    P, p, beta = pattern.p_plus, pattern.p, pattern.beta
+    if direction == "+":
+        folds = [(s, P - j, j) for s in range(P, p) for j in range(1, P + 1)]
     else:
-        # conjugate the reversed-role fold by nu: theta -> -theta, under which
-        # sector j reads p-1-j and (reflect|rotate, c) reads (same, -c)
-        for k, row in enumerate(_fold_core(pattern.p_minus, pattern.p_plus)):
-            for ang, z, src in row:
-                nu_ang = AngularMap(ang.reflect, -ang.c, p)
-                out.append(
-                    _synth(pattern, nu_ang, z, p - 1 - (pattern.p_minus + k), p - 1 - src)
-                )
+        folds = [(s, P - 1 + j, j) for s in range(P - 1, -1, -1)
+                 for j in range(1, pattern.p_minus + 1)]
+    corner = np.array(pattern.corner, dtype=float)
+    out = []
+    for s, t, j in folds:
+        if (t - s) % 2:
+            F = _reflection(pattern.frame_angle + 0.5 * ((s + t + 1) % p) * beta)
+        else:
+            F = _rotation(((t - s) % p) * beta)
+        out.append(SectorMap(F, corner - F @ corner, (-1) ** (j + 1), s, t))
     return tuple(out)
 
 
@@ -408,6 +344,8 @@ class DomainSpec:
             a_next = math.atan2(d_next[1], d_next[0])
             theta_int = (a_prev - a_next) % TWO_PI  # interior (minus) wedge
             q = 1 - _angle_fraction(theta_int)  # plus-cone aperture fraction
+            if q == Fraction(1, 2):
+                raise GeometryError(f"interface corner at {c} is flat (interior angle pi)")
             pats.append(corner_pattern(q, corner=c, frame_angle=a_prev))
             # patch disks must stay strictly inside the rectangle
             if min(c[0] - x0, x1 - c[0], c[1] - y0, y1 - c[1]) <= R:

@@ -243,9 +243,12 @@ def fold_images(mesh: Mesh, domain: geo.DomainSpec, pattern: Tuple[str, int],
                 direction: str) -> FoldImages:
     """Fold images of the patch pattern ("corner", n) or ("edge", n).
 
-    Corner patterns use the fold maps of geo.fold_maps ("+" plus-to-minus,
-    "-" minus-to-plus), each applied to the defined-side triangles of its
-    source sector; edge patterns use the one mirror for every triangle.  An
+    Corner patterns use geo.fold_maps in the same direction, each map
+    applied to the defined-side triangles of its source sector.  By its
+    parity rule, the map of sector s onto sector t is the reflection across
+    the half-ray (s+t+1)/2 * beta for t-s odd and the rotation by (t-s) * beta
+    for t-s even, with the sign (-1)^(j+1) of the j-th map of s.  Edge
+    patterns use the one mirror for every triangle.  An
     empty patch gives no maps; a patch with one side empty gives no rows.
     Raises geo.GeometryError for a corner whose sector counts are both even.
     """
@@ -255,8 +258,7 @@ def fold_images(mesh: Mesh, domain: geo.DomainSpec, pattern: Tuple[str, int],
         maps = ()
     elif kind == "corner":
         corner = domain.patterns[n]
-        maps = geo.fold_maps(corner, "plus-to-minus" if direction == "+"
-                             else "minus-to-plus")
+        maps = geo.fold_maps(corner, direction)
         sector = corner.sector_of(mesh.vertices[mesh.triangles[defined]].mean(axis=1))
     else:
         maps = (geo.edge_reflection(*domain.edges[n]),)

@@ -27,6 +27,7 @@ import scipy.sparse as sp
 
 from . import geometry as geo
 from .fem import STRANG_RULE, _geometry
+from .materials import critical_interval
 from .mesh import Mesh, MeshError, _patch_sides, fold_images
 
 __all__ = [
@@ -228,11 +229,7 @@ def estimate_norm(meshes: Sequence[Mesh], domain: geo.DomainSpec,
         sups.append(np.sqrt(sigma))
 
     kindn, n = pattern
-    if kindn == "corner":
-        pat = domain.patterns[n]
-        formula = float(max(pat.p_plus, pat.p_minus) / min(pat.p_plus, pat.p_minus))
-    else:
-        formula = 1.0
+    formula = float(critical_interval([domain.patterns[n]])) if kindn == "corner" else 1.0
     return NormEstimate(pattern, kind, direction,
                         measured_sup=sups[-1], measured_sup_squared=sups[-1] ** 2,
                         formula_value=formula, level_sups=tuple(sups))

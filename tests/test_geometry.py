@@ -1,4 +1,4 @@
-"""Corner patterns, dihedral fold maps, cutoffs, and domain validation."""
+"""Corner patterns, fold maps, cutoffs, and domain validation."""
 
 import hashlib
 import math
@@ -116,31 +116,20 @@ def test_sector_of_matches_rays(pat, k):
 
 
 # ---------------------------------------------------------------------------
-# angular maps
-
-
-@given(st.integers(2, 12), st.integers(-30, 30), st.integers(-30, 30),
-       st.booleans(), st.booleans(), st.floats(0, 7))
-def test_angular_compose_and_inverse(p, c1, c2, r1, r2, theta):
-    g1, g2 = geo.AngularMap(r1, c1, p), geo.AngularMap(r2, c2, p)
-    comp = g1.after(g2)
-    assert angdiff(comp.apply(theta), g1.apply(g2.apply(theta))) < 1e-12
-    ident = g1.after(g1.inverse())
-    assert angdiff(ident.apply(theta), theta) < 1e-12
-    # image_sector agrees with pushing the sector midpoint through the map
-    j = abs(c2) % p
-    beta = TWO_PI / p
-    mid = (j + 0.5) * beta
-    assert int(np.floor((g1.apply(mid) % TWO_PI) / beta)) % p == g1.image_sector(j)
-
-
-# ---------------------------------------------------------------------------
 # fold maps
+
+
+def sector_points(pat, j):
+    """Points of sector j at several radii, and their local angles."""
+    thetas = np.linspace(j * pat.beta, (j + 1) * pat.beta, 9)
+    a = pat.frame_angle + thetas
+    r = np.linspace(0.2, 0.9, 9)[:, None]
+    return np.array(pat.corner) + r * np.column_stack([np.cos(a), np.sin(a)]), thetas
 
 
 def test_fold_equilateral_plus_to_minus_pinned():
     pat = geo.corner_pattern(Fraction(5, 6))
-    maps = geo.fold_maps(pat, "plus-to-minus")
+    maps = geo.fold_maps(pat, "+")
     assert len(maps) == 5
     assert [m.sign for m in maps] == [1, -1, 1, -1, 1]
     assert [m.source_sector for m in maps] == [5] * 5
@@ -148,31 +137,32 @@ def test_fold_equilateral_plus_to_minus_pinned():
     b = pat.beta
     actions = [lambda t: 10 * b - t, lambda t: t - 2 * b, lambda t: 8 * b - t,
                lambda t: t - 4 * b, lambda t: 6 * b - t]
-    thetas = np.linspace(5 * b, 6 * b, 9)
+    x, thetas = sector_points(pat, 5)
     for m, act in zip(maps, actions):
-        assert np.all(angdiff(m.angular.apply(thetas), act(thetas)) < 1e-12)
-        assert m.orientation == (-1 if m.angular.reflect else 1)
+        assert np.all(angdiff(pat.local_angle(m(x)), act(thetas)) < 1e-12)
+    # the actions theta -> c*beta - theta are the reflections
+    assert [m.orientation for m in maps] == [-1, 1, -1, 1, -1]
 
 
 def test_fold_equilateral_minus_to_plus_pinned():
     pat = geo.corner_pattern(Fraction(5, 6))
-    maps = geo.fold_maps(pat, "minus-to-plus")
+    maps = geo.fold_maps(pat, "-")
     assert len(maps) == 5
     assert all(m.sign == 1 for m in maps)
     assert sorted(m.source_sector for m in maps) == [0, 1, 2, 3, 4]
     assert all(m.target_sector == 5 for m in maps)
-    # each is the inverse of one plus-to-minus map
-    fwd = geo.fold_maps(pat, "plus-to-minus")
+    # each is the inverse of one '+' map
+    fwd = geo.fold_maps(pat, "+")
     for m in maps:
-        inv = m.angular.inverse()
-        assert any(f.angular == inv for f in fwd)
+        x, _ = sector_points(pat, m.source_sector)
+        assert any(np.allclose(f(m(x)), x, atol=1e-13) for f in fwd)
 
 
 def test_fold_flat_interface_is_single_mirror():
     pat = geo.corner_pattern(Fraction(1, 2), corner=(0.3, -0.1), frame_angle=0.4)
-    for direction in ("plus-to-minus", "minus-to-plus"):
+    for direction in "+-":
         (m,) = geo.fold_maps(pat, direction)
-        assert m.sign == 1 and m.angular.reflect
+        assert m.sign == 1 and m.orientation == -1
         pts = np.array(pat.corner) + np.array([math.cos(0.4), math.sin(0.4)]) * 0.7
         assert np.allclose(m(pts), pts, atol=1e-14)  # interface line is fixed
 
@@ -181,16 +171,17 @@ def test_fold_rejects_doubled_even_patterns():
     pat = geo.corner_pattern(Fraction(1, 3))  # (2, 4)
     assert (pat.p_plus, pat.p_minus) == (2, 4)
     with pytest.raises(geo.GeometryError):
-        geo.fold_maps(pat, "plus-to-minus")
+        geo.fold_maps(pat, "+")
     with pytest.raises(geo.GeometryError):
-        geo.fold_maps(pat, "minus-to-plus")
+        geo.fold_maps(pat, "-")
+    with pytest.raises(geo.GeometryError, match="direction"):
+        geo.fold_maps(geo.corner_pattern(Fraction(5, 6)), "up")
 
 
 # Every admissible pattern with p <= 12 (p_+ and p_- odd and coprime), at two
 # corner and frame pairs.  sha256 over the maps in order of F and y as
 # little-endian float64 and of (sign, source_sector, target_sector) as
 # little-endian int64, and the number of maps, per direction.
-FOLD_DIRECTIONS = {"+": "plus-to-minus", "-": "minus-to-plus"}
 FOLD_GOLDEN = {
     "+": (426, "49b589b804fcf137c76ddd1c173d348043929bf252874742e258d7f01cc95598"),
     "-": (426, "0e6ef6772e6e4b829035f3b1156d88e685fdd56cda6ce7e8c8d67b84580d086e"),
@@ -206,7 +197,7 @@ def test_fold_maps_golden(direction):
                 continue
             for corner, frame in (((0.0, 0.0), 0.0), ((0.3, -0.7), 1.1)):
                 pat = geo.corner_pattern(Fraction(p_plus, p), corner, frame)
-                for m in geo.fold_maps(pat, FOLD_DIRECTIONS[direction]):
+                for m in geo.fold_maps(pat, direction):
                     h.update(np.ascontiguousarray(m.F, dtype="<f8").tobytes())
                     h.update(np.ascontiguousarray(m.y, dtype="<f8").tobytes())
                     h.update(np.array([m.sign, m.source_sector, m.target_sector],
@@ -216,7 +207,7 @@ def test_fold_maps_golden(direction):
 
 
 @settings(deadline=None, max_examples=60)
-@given(patterns_st, st.sampled_from(["plus-to-minus", "minus-to-plus"]),
+@given(patterns_st, st.sampled_from("+-"),
        st.lists(st.floats(-1, 1), min_size=CUBIC_DIM, max_size=CUBIC_DIM))
 def test_fold_trace_and_continuity(pat, direction, coeffs):
     """Signed fold sums match the input trace on the interface rays and are
@@ -224,7 +215,7 @@ def test_fold_trace_and_continuity(pat, direction, coeffs):
     w = cubic(coeffs)
     by = grouped(geo.fold_maps(pat, direction))
     radii = np.linspace(0.05, 1.0, 6)
-    if direction == "plus-to-minus":
+    if direction == "+":
         sectors = list(range(pat.p_plus, pat.p))
         first_ray, last_ray = pat.p_plus, pat.p
     else:
@@ -243,7 +234,7 @@ def test_fold_trace_and_continuity(pat, direction, coeffs):
 
 
 @settings(deadline=None, max_examples=60)
-@given(patterns_st, st.sampled_from(["plus-to-minus", "minus-to-plus"]))
+@given(patterns_st, st.sampled_from("+-"))
 def test_fold_maps_are_exact_isometries_onto_sectors(pat, direction):
     rng = np.random.default_rng(7)
     R = 0.8
@@ -364,6 +355,8 @@ def test_domain_validation_errors():
     with pytest.raises(geo.GeometryError):  # irrational corner angle
         geo.DomainSpec(((-2, -2), (2, 2)),
                        ((0, 0), (1, 0), (math.cos(0.7), math.sin(0.7))), 0.05)
+    with pytest.raises(geo.GeometryError, match=r"corner at \(0\.5, 0\.0\) is flat"):
+        geo.DomainSpec(((-1, -1), (2, 2)), ((0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)), 0.15)
     ref = geo.make_reference_domain()
     with pytest.raises(geo.GeometryError):  # halfwidth above the anchored bound
         geo.DomainSpec(ref.outer_rect, ref.interface_polygon, 0.3, 0.15)

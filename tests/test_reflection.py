@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 
 from signfem import fem, geometry as geo, reflection as refl
 from signfem.geometry import make_reference_domain
+from signfem.materials import critical_interval
 from signfem.mesh import (PATCH_CORNER, PATCH_EDGE, Mesh, MeshError,
                           check_r_conformity, refine_red)
 from signfem.meshgen import build_r_conform_coarse
@@ -23,8 +24,7 @@ def _maps_and_targets(mesh, dom, pattern, direction):
     kind, n = pattern
     if kind == "corner":
         by = {}
-        key = "plus-to-minus" if direction == "+" else "minus-to-plus"
-        for m in geo.fold_maps(dom.patterns[n], key):
+        for m in geo.fold_maps(dom.patterns[n], direction):
             by.setdefault(m.source_sector, []).append(m)
         cp, pk = dom.patterns[n], PATCH_CORNER
     else:
@@ -209,6 +209,39 @@ def test_other_corners_match_formula(mesh_seq, dom):
         est = refl.estimate_norm(mesh_seq[:2], dom, ("corner", n), "vector", "+")
         assert est.formula_value == 5.0
         assert np.sqrt(5) - 0.05 <= est.measured_sup <= 5.0 + 0.05
+
+
+@pytest.fixture(scope="module")
+def l_shape():
+    """The L-shaped inclusion: five convex corners (3,1) and the re-entrant
+    corner (1/2, 1/2) with pattern (1,3), so p_- > p_+ there."""
+    dom = geo.DomainSpec(((-0.6, -0.6), (1.6, 1.6)),
+                         ((0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)), 0.15)
+    seq = [build_r_conform_coarse(dom, 0.2)]
+    for _ in range(3):
+        seq.append(refine_red(seq[-1]))
+    return dom, seq
+
+
+def test_reentrant_corner_conform(l_shape):
+    dom, seq = l_shape
+    assert critical_interval(dom) == 3
+    assert ([(p.p_plus, p.p_minus) for p in dom.patterns]
+            == [(3, 1)] * 3 + [(1, 3)] + [(3, 1)] * 2)
+    for mesh in seq:
+        assert check_r_conformity(mesh, dom).passed
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+@pytest.mark.parametrize("direction", ["+", "-"])
+def test_reentrant_corner_norm_is_formula(l_shape, kind, direction):
+    """At the (1,3) corner the squared sup is the ratio 3 on L0 and L1, to
+    rounding."""
+    dom, seq = l_shape
+    est = refl.estimate_norm(seq[:2], dom, ("corner", 3), kind, direction)
+    assert est.formula_value == 3.0
+    for sup in est.level_sups:
+        assert abs(sup ** 2 - 3.0) <= 1e-12
 
 
 def test_build_rejects_bad_input(coarse, dom):
