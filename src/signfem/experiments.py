@@ -22,7 +22,9 @@ peak RSS of the source_deep benchmark from 539-548 to 475-489 MB (median
 543 to 481) and that of the spectral one from 175-188 to 160-176 MB (ten
 alternating pairs each, two vCPUs).  Most of what is left of the source
 study's peak is its two L4 factorizations, edge and scalar, which run at
-once.
+once.  With one-column SuperLU panels (solvers module docstring) they no
+longer hold panel workspace beside their factors, and the source_deep peak
+fell from 475-484 to 374-411 MB (median 478 to 387, ten alternating pairs).
 
 The pool overlaps SuperLU factorizations, but Python-level work in one job
 holds the other job back.  Measured on two vCPUs: one L3 edge factorization
@@ -466,7 +468,10 @@ def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
     the finest edge job's: pooled with them on the benchmark's spectral
     config, with every factorization trimmed, it cut the study from 2.5-3.3 s
     to 1.9-2.2 s but raised its peak RSS from 174-184 to 196-205 MB, about
-    12%.
+    12%.  Measured again with one-column panels (four alternating pairs of
+    the spectral workload against the unpooled study): wall_s 2.32-2.75 s
+    against 2.48-2.71 s, no clear gain, and peak RSS 202-205 MB against
+    158-166 MB, about 28%, still over the benchmark's 10% bound.
     Every pair of either formulation must pass the RESIDUAL_FILTER gate
     (_gated_eigenpairs)."""
     if cfg.kind != "eigen-convergence":

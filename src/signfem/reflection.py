@@ -69,14 +69,16 @@ def build_reflection(mesh: Mesh, domain: geo.DomainSpec,
 
     direction "+" defines the field on the minus side from plus-side data,
     "-" the reverse.  Raises ReflectionError when an image vertex or edge has
-    no mesh counterpart (non-conform mesh).  A dof shared by two sectors is
-    defined by the maps of the lower one.
+    no mesh counterpart (non-conform mesh), and for a corner whose sector
+    counts are both even, which has no alternating fold.  A dof shared by two
+    sectors is defined by the maps of the lower one.
     """
     if kind not in ("scalar", "vector"):
         raise ReflectionError(f"kind must be 'scalar' or 'vector', got {kind!r}")
     try:
         img = fold_images(mesh, domain, pattern, direction)
-    except MeshError as exc:  # unknown pattern kind or direction
+    except (MeshError, geo.GeometryError) as exc:
+        # unknown pattern kind or direction; a corner with both counts even
         raise ReflectionError(str(exc)) from exc
     if not (len(img.defined) and len(img.other)):
         raise ReflectionError(f"pattern {pattern} has no triangles on both sides")

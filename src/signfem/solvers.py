@@ -24,10 +24,11 @@ EigenPair.u hold every dof of their row's space, boundary dofs zero.
 
 Every sparse factorization goes through _factorize, with one policy: a
 reverse Cuthill-McKee pre-order, then SuperLU in SymmetricMode with ordering
-MMD_AT_PLUS_A and diag_pivot_thresh=0.  Each matrix factored here is A(lam)
-of one formulation or the Gram of residual_evaluator (the only Gram
-factored); each is symmetric, and with the pivots on the diagonal (perm_r ==
-perm_c) diag(U) is the D of LDL^T, whose signs certify window counts.  On the
+MMD_AT_PLUS_A, diag_pivot_thresh=0 and one-column panels (panel_size=1).
+Each matrix factored here is A(lam) of one formulation or the Gram of
+residual_evaluator (the only Gram factored); each is symmetric, and with the
+pivots on the diagonal (perm_r == perm_c) diag(U) is the D of LDL^T, whose
+signs certify window counts.  On the
 section 5.2 edge pencil at L3 A(4/3) fills 2.42 M, S - (4/3)T filled 2.58 M,
 and the backward-error probe moves from 5.3e-11 to 3.2e-11.  Fill at L4: A(1)
 32.6 M with COLAMD, 11.8 M now; the P1 scalar operator 11.9 M and 8.8 M.  MMD
@@ -39,6 +40,20 @@ came out wrong; with partial pivoting the ordering did not finish at L4 in
 its M is only ever multiplied.  SuperLU's supernodal kernels are level-2 BLAS
 (Demmel et al., SIAM J. Matrix Anal. Appl. 1999), so a factorization gains
 nothing from BLAS threads, and the experiments pool runs each job on one.
+
+SuperLU's panels default to 20 columns, and it allocates dense and integer
+work arrays of panel_size x n for each factorization (Li, ACM TOMS 31,
+2005).  On these 2D edge and P1 graphs the arrays cost more than the panel
+updates save.  The L4 edge A(1) (section 5.1 data, 283,680 dofs) raised
+peak RSS 94 MB above its resident factor with 20-column panels (346 vs
+252 MB) and by nothing with one column (264 MB), and took 0.85-0.97 s
+instead of 1.25-1.57 s.  The L3 edge A(sigma) (section 5.2 data, 70,800
+dofs) took 0.13-0.14 s instead of 0.22-0.28 s, at a peak of 112 MB instead
+of 132 MB.  The panel size does not change the factor's structure: the
+fill (11,757,628 and 2,472,588 entries), perm_c, perm_r == perm_c and every
+nu_- count stayed the same; only the rounding of the factors moved.
+SuperLU's relax stays at its default: with one-column panels, relax in
+{1, 4, 20, 40} moved the L3 and L4 times only within noise.
 
 Every factorization starts on a trimmed heap: glibc's malloc_trim(0) right
 before splu hands the free memory of every malloc arena back to the system
@@ -148,8 +163,8 @@ def _factorize(A: sp.spmatrix, what: str) -> _Factor:
     if trim is not None:
         trim(0)
     try:
-        lu = spla.splu(Ap, permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        lu = spla.splu(Ap, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       panel_size=1, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"factorization failed for {what}: {exc}") from exc
     return _Factor(lu, order)

@@ -253,6 +253,20 @@ def test_build_rejects_bad_input(coarse, dom):
         refl.build_reflection(coarse, dom, ("corner", 7), "scalar", "+")
 
 
+def test_build_rejects_corner_with_both_counts_even():
+    """A regular-hexagon inclusion has patterns (4,2) at every corner, and no
+    alternating fold exists there: an input error like the others."""
+    hexagon = tuple((0.5 + 0.5 * np.cos(k * np.pi / 3), 0.5 + 0.5 * np.sin(k * np.pi / 3))
+                    for k in range(6))
+    dom = geo.DomainSpec(((-0.5, -0.5), (1.5, 1.5)), hexagon, 0.15)
+    assert [(p.p_plus, p.p_minus) for p in dom.patterns] == [(4, 2)] * 6
+    mesh = build_r_conform_coarse(dom, 0.2)
+    for kind in ("scalar", "vector"):
+        for direction in ("+", "-"):
+            with pytest.raises(refl.ReflectionError, match="both even"):
+                refl.build_reflection(mesh, dom, ("corner", 0), kind, direction)
+
+
 def test_build_rejects_nonconform_mesh(coarse, dom):
     sel = (coarse.patch_kind == 1) & (coarse.patch_index == 0) & (coarse.region == 1)
     vid = int(coarse.triangles[np.flatnonzero(sel)[0], 1])

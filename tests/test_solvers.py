@@ -758,6 +758,30 @@ def test_every_factorization_trims_first(mesh_seq, blocks_seq, monkeypatch):
     assert events == [("trim", 0), "splu"] * 2
 
 
+def test_every_factorization_uses_the_one_policy(mesh_seq, rows, monkeypatch):
+    # source solves, inertia counts, shift-invert, the residual Gram and the
+    # inf-sup factor all reach splu with the same options (module docstring)
+    calls = []
+    real_splu = spla.splu
+
+    def splu(A, **kwargs):
+        calls.append(kwargs)
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(sol.spla, "splu", splu)
+    m = mesh_seq[0]
+    for form in (fem.EDGE, fem.SCALAR):
+        bl = rows[form][0]
+        sol.solve_source(m, bl, REFERENCE, 0.7, (1.0, 1.0))
+        sol.solve_eigen(m, bl, REFERENCE, window=SPECTRUM_WINDOW, shift=1.6)
+        sol.residual_evaluator(m, bl, REFERENCE)(1.1, np.ones(bl.form.space(m).ndof))
+    sol.discrete_infsup(m, rows[fem.EDGE][0], CONTRAST_TEN, 2.2)
+    assert len(calls) >= 7
+    for kwargs in calls:
+        assert kwargs == dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                              panel_size=1, options=dict(SymmetricMode=True))
+
+
 def test_factorization_without_malloc_trim(mesh_seq, blocks_seq, monkeypatch):
     # under a C library without malloc_trim the factorization runs untrimmed
     events = _trace_factorizations(monkeypatch, has_trim=False)

@@ -4,7 +4,9 @@
 # every output file, stdout and stderr with the run's output directory
 # masked as <OUT>, and the exit code.  Two trees made from two checkouts
 # compare with `diff -r`: no difference means every file, every printed line
-# and every exit code is byte-identical.
+# and every exit code is byte-identical.  tools/cli_compare.py compares them
+# under the tolerances of ROADMAP aim 2 instead, for a change that rounds
+# differently.
 #
 #   tools/cli_outputs.sh SRC OUT
 #
