@@ -93,6 +93,14 @@ def test_batched_geometry_matches_scalar_loops(coarse):
 
 SQUARE = geo.DomainSpec(((-1.0, -1.0), (2.0, 2.0)),
                         ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), 0.3)
+# the L-shape has a re-entrant (1,3) corner, the right isosceles triangle two
+# (7,1) corners, the regular hexagon (4,2) corners
+L_SHAPE = geo.DomainSpec(((-0.6, -0.6), (1.6, 1.6)),
+                         ((0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)), 0.15)
+RIGHT_TRIANGLE = geo.DomainSpec(((-0.6, -0.6), (1.6, 1.6)), ((0, 0), (1, 0), (0, 1)), 0.15)
+HEXAGON = geo.DomainSpec(((-0.5, -0.5), (1.5, 1.5)),
+                         tuple((0.5 + 0.5 * np.cos(k * np.pi / 3), 0.5 + 0.5 * np.sin(k * np.pi / 3))
+                               for k in range(6)), 0.15)
 
 # The coarse mesher's output, pinned: every split, flip and smoothing move
 # must come out the same.  sha256 of each label array as little-endian int64
@@ -126,6 +134,27 @@ GOLDEN = {
         "patch_index": "ebad14c679ff8290de48b86d21d3e5450040feb7738793329568c87de356200f",
         "vertices": "ebadf6fe15f828aea1200e8cbe8a7eb46a206c7c1ff655ad763db3ecdd9571db",
     }, 0.25, 565.1660785412627, 1264.3287355277134),
+    "L-shape": (L_SHAPE, 538, 1010, {
+        "triangles": "dfa7b7106a8f75afe584608ff0a37e8514c5533b6be9f3f78fc5254ecaf78d55",
+        "region": "de2f8b1e7349a33cee40e16075d49457aad5f85850d6f7f7bb2121c26e6f2f19",
+        "patch_kind": "026af531d49a0c179487f3775974f80ca4998a854afa898312539d33ef25ce97",
+        "patch_index": "eed1494d0c9c48c63a1faed50aae1183805c1bd027ce22ad61405faa7e73a7d3",
+        "vertices": "096fb2e8e2b78d9cf92e10ed4993e910a8d8ecab18de41a08a5531aa9b2d435e",
+    }, 0.2, 557.3260049024135, 761.0121754102659),
+    "right triangle": (RIGHT_TRIANGLE, 619, 1173, {
+        "triangles": "fb79636da4ed83ae6bf467b63b974ada4001172ad68911cb551ccf92e8c6e113",
+        "region": "ef34ed1dbd4d5daa1fd8011f9dbbad176897e9fc6923969e1ed5b89c255b391f",
+        "patch_kind": "84e3419411ed55831e3912d65f9cbdeefafa36dceb5b9bd0682a8cf4d4d14b74",
+        "patch_index": "50a7c5eb60f21c9bd36a0e8eff60209908d3c9d864945718047f6af83cefbd2d",
+        "vertices": "37225a2cb103292ac56b1d72ef92a561d7500c085354eea6096c7b0d2bb76bde",
+    }, 0.2, 656.701007995739, 876.2343149593137),
+    "hexagon": (HEXAGON, 678, 1290, {
+        "triangles": "b29621c19b1dde7bfb5fed5e03b2ad911cc3f41a434088ca2bcd854d273e1c13",
+        "region": "db334fecb24c110058b91ea927d95f994c49ca95e40119e13ca4887899d742ca",
+        "patch_kind": "22ca20a32bf282b6a4c4067cf7a40585594afeb937bc6124ecf2cfca31272fc9",
+        "patch_index": "cf65ee049f3e063be550738c397aceef7a6d282a9e3ec2b41c07afeeb46f0542",
+        "vertices": "a3c94104301bb4f28874d08d4682c6d87c9afb33c6c6554eae7541bfe3daf35e",
+    }, 0.2, 646.7726199874171, 845.2090230085587),
 }
 
 
@@ -140,6 +169,10 @@ def test_coarse_builder_golden(case):
         assert hashlib.sha256(data).hexdigest() == digest, name
     assert m.vertices.sum() == pytest.approx(vsum, rel=1e-12)
     assert (m.vertices ** 2).sum() == pytest.approx(vsq, rel=1e-12)
+    # no two vertices come near each other, so the builder never has a point
+    # to merge
+    dist, _ = cKDTree(m.vertices).query(m.vertices, k=2)
+    assert dist[:, 1].min() >= 1e-3
 
 
 def _smooth_reference(P, tris, region, pkind, rect, rounds=8):
