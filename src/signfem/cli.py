@@ -106,6 +106,9 @@ def _cmd_mesh(args) -> int:
             for tri, map_id, desc in report.violations[:10]:
                 print(f"  triangle {tri} via {map_id}: {desc}", file=sys.stderr)
             return EXIT_CONFORMITY
+    for _, n in report.unchecked:
+        print(f"corner {n} unchecked: p_plus and p_minus both even, no fold maps"
+              " (edge mirrors checked)")
     print(f"all {len(meshes)} levels conforming (worst mismatch {worst:.3e})")
     return EXIT_OK
 

@@ -288,22 +288,38 @@ def _segments_cross(p1, p2, p3, p4) -> bool:
     return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
 
 
+def _point_segment_distance(p, a, b) -> float:
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy)
+    t = min(1.0, max(0.0, t))
+    return math.hypot(p[0] - a[0] - t * dx, p[1] - a[1] - t * dy)
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Rectangle with a polygonal inclusion and interface-patch parameters.
 
     outer_rect = (lower-left, upper-right); interface_polygon lists the corners
     counterclockwise (enclosing the minus material).  patch_radius_corner is
-    the circumradius R of the regular corner polygons; patch_halfwidth_edge is
-    the per-side height of the edge trapezoids.  Passing None for the latter
-    anchors it at the corner-patch chord midpoints, R*sin(beta)/2 with the
-    most restrictive beta, so patches tile without overlap.
+    the circumradius R of the regular corner polygons.  patch_halfwidth_edge
+    is derived, not given: it is the height of the edge strips, which the
+    mesh builder anchors at the corner-patch chord midpoints, R*sin(beta)/2
+    from their edge.  Where the corners' beta differ it is the smallest of
+    these heights, so the edge cut-offs stay inside the strips that were
+    meshed.
+
+    Validation keeps the patches apart: corners more than 2R from each other,
+    patch disks strictly inside the rectangle, and every corner more than
+    R + half-width from each edge not incident to it.  The last rule also
+    keeps non-adjacent edges more than 2 * half-width apart, since the
+    distance of two disjoint segments is attained at an endpoint and
+    2 * half-width <= R.
     """
 
     outer_rect: tuple[tuple[float, float], tuple[float, float]]
     interface_polygon: tuple[tuple[float, float], ...]
     patch_radius_corner: float
-    patch_halfwidth_edge: float | None = None
+    patch_halfwidth_edge: float = field(init=False)
     patterns: tuple[CornerPattern, ...] = field(init=False)
 
     def __post_init__(self):
@@ -358,17 +374,21 @@ class DomainSpec:
                         f"corner patches at {poly[i]} and {poly[j]} overlap (2R >= {d:.6g})"
                     )
         object.__setattr__(self, "patterns", tuple(pats))
-
-        anchored = min(0.5 * R * math.sin(pat.beta) for pat in pats)
-        if self.patch_halfwidth_edge is None:
-            object.__setattr__(self, "patch_halfwidth_edge", anchored)
-        else:
-            hw = float(self.patch_halfwidth_edge)
-            if not 0.0 < hw <= anchored + 1e-12:
-                raise GeometryError(
-                    f"patch_halfwidth_edge {hw:.6g} exceeds the anchored bound {anchored:.6g}"
-                )
-            object.__setattr__(self, "patch_halfwidth_edge", hw)
+        hw = min(0.5 * R * math.sin(pat.beta) for pat in pats)
+        object.__setattr__(self, "patch_halfwidth_edge", hw)
+        # the patch disk of a corner (which bounds its patch polygon) against
+        # the strip of an edge not incident to it
+        for i in range(n):
+            for j in range(n):
+                if j in (i, (i - 1) % n):
+                    continue
+                a, b = poly[j], poly[(j + 1) % n]
+                d = _point_segment_distance(poly[i], a, b)
+                if d <= R + hw:
+                    raise GeometryError(
+                        f"corner patch at {poly[i]} overlaps the strip of edge {a}-{b} "
+                        f"(R + half-width {R + hw:.6g} >= {d:.6g})"
+                    )
 
     @property
     def edges(self) -> tuple[tuple[tuple[float, float], tuple[float, float]], ...]:

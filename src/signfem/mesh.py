@@ -288,6 +288,7 @@ class ConformityReport:
     passed: bool
     violations: List[Tuple[int, str, str]]  # (triangle id, map id, description)
     max_vertex_mismatch: float
+    unchecked: List[Tuple[str, int]]  # ("corner", n) patterns with no fold maps
 
     def __bool__(self):
         return self.passed
@@ -300,10 +301,12 @@ def check_r_conformity(mesh: Mesh, domain: geo.DomainSpec) -> ConformityReport:
     Reads fold_images: an image passes when its three nearest vertices form
     a triangle of the other side, each within 1e-10 * h_max.  Corners whose
     pattern admits no fold maps (p_+ and p_- both even) are checked through
-    the edge mirrors only.
+    the edge mirrors only and listed in ``unchecked``; ``passed`` means no
+    violation among the maps that exist.
     """
     tol = 1e-10 * mesh.h_max
     violations: List[Tuple[int, str, str]] = []
+    unchecked: List[Tuple[str, int]] = []
     worst = 0.0
     labels = [(("corner", i), f"corner{i}:p2m", f"corner{i}:m2p")
               for i in range(len(domain.patterns))]
@@ -314,7 +317,8 @@ def check_r_conformity(mesh: Mesh, domain: geo.DomainSpec) -> ConformityReport:
             try:
                 img = fold_images(mesh, domain, pattern, direction)
             except geo.GeometryError:
-                break  # no fold maps exist for this pattern
+                unchecked.append(pattern)  # no fold maps exist for this pattern
+                break
             if not len(img.other):
                 violations += [(int(t), label, "no target-side triangles in patch")
                                for t in img.defined]
@@ -332,7 +336,7 @@ def check_r_conformity(mesh: Mesh, domain: geo.DomainSpec) -> ConformityReport:
                 violations.append(
                     (int(img.tri[r]), f"{label}[{img.map[r]}]",
                      f"image near {np.round(image.mean(axis=0), 6).tolist()} unmatched"))
-    return ConformityReport(not violations, violations, worst)
+    return ConformityReport(not violations, violations, worst, unchecked)
 
 
 # ---------------------------------------------------------------------------

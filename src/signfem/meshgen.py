@@ -9,6 +9,15 @@ hanging nodes).  The leftover regions are ear-clipped, split to the target
 size by longest-edge bisection (patch-boundary edges frozen), and smoothed
 with Delaunay edge flips.
 
+The builder appends every vertex to a plain list and merges none, since it
+creates no point twice.  ``geometry.DomainSpec`` keeps the corners more than
+2R apart, every corner more than R + half-width from each edge not incident
+to it, and every patch disk strictly inside the rectangle, so the patch,
+strip and rectangle vertices are distinct.  Strip stations lie strictly
+inside their segments, the hole bridge ends on the rectangle's right side,
+and a split adds a new midpoint.  ``tests/test_mesh.py`` checks on every
+pinned mesh that no two vertices lie within 1e-3 of each other.
+
 The leftover-region passes share one edge-to-triangle adjacency builder,
 ``_edge_triangles``.  Splitting updates that adjacency in place after each
 bisection (Shewchuk's *Triangle* bookkeeping) instead of rebuilding it; the
@@ -38,30 +47,10 @@ from . import geometry as geo
 from .mesh import Mesh, MeshError, PATCH_CORNER, PATCH_EDGE, PATCH_NONE
 
 
-class _VertexPool:
-    """Deduplicating vertex store (grid hash, 1e-9 identity tolerance)."""
-
-    _GRID = 1e-6
-
-    def __init__(self):
-        self.pts: List[np.ndarray] = []
-        self._cells: Dict[Tuple[int, int], List[int]] = {}
-
-    def add(self, point) -> int:
-        p = np.asarray(point, dtype=float)
-        cx, cy = int(math.floor(p[0] / self._GRID)), int(math.floor(p[1] / self._GRID))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for i in self._cells.get((cx + dx, cy + dy), ()):
-                    if abs(self.pts[i][0] - p[0]) < 1e-9 and abs(self.pts[i][1] - p[1]) < 1e-9:
-                        return i
-        i = len(self.pts)
-        self.pts.append(p)
-        self._cells.setdefault((cx, cy), []).append(i)
-        return i
-
-    def array(self) -> np.ndarray:
-        return np.array(self.pts, dtype=float)
+def _add(pts: List[np.ndarray], point) -> int:
+    """Append POINT to the vertex list PTS; its id."""
+    pts.append(np.asarray(point, dtype=float))
+    return len(pts) - 1
 
 
 def _cross(o, a, b):
@@ -119,37 +108,21 @@ def ear_clip(points: np.ndarray) -> List[Tuple[int, int, int]]:
     return tris
 
 
-def _stations(pool: _VertexPool, a_id: int, b_id: int, m: int) -> List[int]:
-    a, b = pool.pts[a_id], pool.pts[b_id]
-    inner = [pool.add(a + (t / m) * (b - a)) for t in range(1, m)]
+def _stations(pts: List[np.ndarray], a_id: int, b_id: int, m: int) -> List[int]:
+    a, b = pts[a_id], pts[b_id]
+    inner = [_add(pts, a + (t / m) * (b - a)) for t in range(1, m)]
     return [a_id] + inner + [b_id]
 
 
-def _cut_hole(pool: _VertexPool, outer: List[int], hole_cw: List[int]) -> List[int]:
-    """Merge a clockwise hole loop into a counterclockwise outer loop with a
-    doubled bridge edge from the hole's rightmost vertex toward +x."""
-    hx = [pool.pts[i][0] for i in hole_cw]
-    start = max(range(len(hole_cw)), key=lambda j: (hx[j], pool.pts[hole_cw[j]][1]))
+def _cut_hole(pts: List[np.ndarray], rect: List[int], hole_cw: List[int]) -> List[int]:
+    """Merge a clockwise hole loop into the counterclockwise rectangle loop
+    RECT (lower-left corner first) with a doubled bridge edge from the hole's
+    rightmost vertex to the rectangle's right side, between the second and
+    third corners; the hole lies strictly inside the rectangle."""
+    start = max(range(len(hole_cw)), key=lambda j: tuple(pts[hole_cw[j]]))
     hole = hole_cw[start:] + hole_cw[:start]
-    H = pool.pts[hole[0]]
-    best = None  # (x_int, outer position)
-    K = len(outer)
-    for s in range(K):
-        u, v = pool.pts[outer[s]], pool.pts[outer[(s + 1) % K]]
-        if (u[1] - H[1]) * (v[1] - H[1]) > 0 or u[1] == v[1]:
-            continue
-        x_int = u[0] + (H[1] - u[1]) / (v[1] - u[1]) * (v[0] - u[0])
-        if x_int <= H[0] + 1e-12:
-            continue
-        if best is None or x_int < best[0]:
-            best = (x_int, s)
-    if best is None:
-        raise MeshError("hole bridge found no outer boundary to the right")
-    x_int, s = best
-    # the pool may dedupe the bridge onto an outer vertex; the resulting
-    # adjacent duplicates in the loop are collapsed before clipping
-    bridge = pool.add((x_int, H[1]))
-    return outer[:s + 1] + [bridge] + hole + [hole[0], bridge] + outer[s + 1:]
+    bridge = _add(pts, (pts[rect[1]][0], pts[hole[0]][1]))
+    return rect[:2] + [bridge] + hole + [hole[0], bridge] + rect[2:]
 
 
 def _edge_triangles(tris):
@@ -206,7 +179,7 @@ def _slot(tri, u, v):
     return (k + 1) % 3
 
 
-def _split_to_size(pool, tris, region, pkind, pidx, frozen, h):
+def _split_to_size(pts, tris, region, pkind, pidx, frozen, h):
     """Longest-edge bisection of every unfrozen edge above the target length.
 
     Always splits the globally longest oversized edge, so it is the longest
@@ -227,7 +200,7 @@ def _split_to_size(pool, tris, region, pkind, pidx, frozen, h):
     def push(e, slot):
         if e in frozen:
             return
-        L = float(np.linalg.norm(pool.pts[e[0]] - pool.pts[e[1]]))
+        L = float(np.linalg.norm(pts[e[0]] - pts[e[1]]))
         if L > h:
             heapq.heappush(heap, (-L, slot, e))
 
@@ -238,14 +211,12 @@ def _split_to_size(pool, tris, region, pkind, pidx, frozen, h):
         push(e, s1)
     while heap:
         negL, slot, best = heapq.heappop(heap)
-        if best not in adj:
-            continue  # already split
         now = slot_of(best)
         if now != slot:
             heapq.heappush(heap, (negL, now, best))
             continue
         u, v = best
-        mid = pool.add(0.5 * (pool.pts[u] + pool.pts[v]))
+        mid = _add(pts, 0.5 * (pts[u] + pts[v]))
         created = [_edge(u, mid), _edge(mid, v)]
         for t in sorted(adj.pop(best), reverse=True):
             j = _slot(tris[t], u, v)
@@ -491,14 +462,14 @@ def build_r_conform_coarse(domain: geo.DomainSpec, h_target: float) -> Mesh:
     """
     if not h_target > 0:
         raise MeshError("h_target must be positive")
-    pool = _VertexPool()
+    pts: List[np.ndarray] = []
     tris: List[List[int]] = []
     region: List[int] = []
     pkind: List[int] = []
     pidx: List[int] = []
 
     def add(a, b, c, reg, kind, index):
-        if _cross(pool.pts[a], pool.pts[b], pool.pts[c]) <= 0:
+        if _cross(pts[a], pts[b], pts[c]) <= 0:
             raise MeshError("degenerate patch triangle (h_target or radius too small?)")
         tris.append([a, b, c])
         region.append(reg)
@@ -510,12 +481,12 @@ def build_r_conform_coarse(domain: geo.DomainSpec, h_target: float) -> Mesh:
     R = domain.patch_radius_corner
 
     # corner patches: bisected slices of the regular 2p-gon
-    V = [[pool.add(pat.ray_point(j, R)) for j in range(pat.p)] for pat in patterns]
+    V = [[_add(pts, pat.ray_point(j, R)) for j in range(pat.p)] for pat in patterns]
     M = []
     for i, pat in enumerate(patterns):
-        M.append([pool.add(0.5 * (pool.pts[V[i][j]] + pool.pts[V[i][(j + 1) % pat.p]]))
+        M.append([_add(pts, 0.5 * (pts[V[i][j]] + pts[V[i][(j + 1) % pat.p]]))
                   for j in range(pat.p)])
-        ci = pool.add(pat.corner)
+        ci = _add(pts, pat.corner)
         for j in range(pat.p):
             reg = 1 if j < pat.p_plus else -1
             add(ci, V[i][j], M[i][j], reg, PATCH_CORNER, i)
@@ -529,12 +500,12 @@ def build_r_conform_coarse(domain: geo.DomainSpec, h_target: float) -> Mesh:
         A, B = V[i][pp], V[k][0]
         TmA, TmB = M[i][pp], M[k][patterns[k].p - 1]
         TpA, TpB = M[i][pp - 1], M[k][0]
-        lengths = [np.linalg.norm(pool.pts[x] - pool.pts[y])
+        lengths = [np.linalg.norm(pts[x] - pts[y])
                    for x, y in ((A, B), (TmA, TmB), (TpA, TpB))]
         m = max(1, math.ceil(max(lengths) / h_target - 1e-12))
-        base = _stations(pool, A, B, m)
-        mtop = _stations(pool, TmA, TmB, m)
-        ptop = _stations(pool, TpA, TpB, m)
+        base = _stations(pts, A, B, m)
+        mtop = _stations(pts, TmA, TmB, m)
+        ptop = _stations(pts, TpA, TpB, m)
         base_sta.append(base)
         mtop_sta.append(mtop)
         ptop_sta.append(ptop)
@@ -560,11 +531,12 @@ def build_r_conform_coarse(domain: geo.DomainSpec, h_target: float) -> Mesh:
         for j in range(pat.p - 1, pat.p_plus, -1):
             seq += [V[k][j], M[k][j - 1]]
         loop += seq[:-1]
-    _add_clipped(pool, loop, tris, region, pkind, pidx, -1)
+    _add_clipped(pts, loop, tris, region, pkind, pidx, -1)
 
-    # leftover exterior: rectangle with the patch-collar hole bridged open
+    # leftover exterior: rectangle with the patch-collar hole bridged open;
+    # the collar runs counterclockwise, like the polygon it surrounds
     (x0, y0), (x1, y1) = domain.outer_rect
-    outer = [pool.add(p) for p in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+    rect = [_add(pts, p) for p in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
     hole = []
     for n in range(N):
         pat = patterns[n]
@@ -573,13 +545,11 @@ def build_r_conform_coarse(domain: geo.DomainSpec, h_target: float) -> Mesh:
             seq += [V[n][j], M[n][j]]
         hole += seq
         hole += ptop_sta[n][1:-1]
-    if _loop_area(pool, hole) < 0:
-        hole = hole[::-1]
-    merged = _cut_hole(pool, outer, hole[::-1])
-    _add_clipped(pool, merged, tris, region, pkind, pidx, 1)
+    merged = _cut_hole(pts, rect, hole[::-1])
+    _add_clipped(pts, merged, tris, region, pkind, pidx, 1)
 
-    _split_to_size(pool, tris, region, pkind, pidx, frozen, h_target)
-    P = pool.array()
+    _split_to_size(pts, tris, region, pkind, pidx, frozen, h_target)
+    P = np.array(pts, dtype=float)
     _lawson_flips(P, tris, region, pkind)
     _smooth(P, tris, region, pkind, domain.outer_rect)
 
@@ -592,18 +562,9 @@ def build_r_conform_coarse(domain: geo.DomainSpec, h_target: float) -> Mesh:
     return mesh
 
 
-def _loop_area(pool, loop):
-    pts = np.array([pool.pts[i] for i in loop])
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def _add_clipped(pool, loop, tris, region, pkind, pidx, reg):
-    loop = [i for k, i in enumerate(loop) if i != loop[k - 1]]  # drop repeats
-    if _loop_area(pool, loop) < 0:
-        loop = loop[::-1]
-    pts = np.array([pool.pts[i] for i in loop])
-    for (a, b, c) in ear_clip(pts):
+def _add_clipped(pts, loop, tris, region, pkind, pidx, reg):
+    """Ear-clip the counterclockwise LOOP of vertex ids into region REG."""
+    for (a, b, c) in ear_clip(np.array([pts[i] for i in loop])):
         tris.append([loop[a], loop[b], loop[c]])
         region.append(reg)
         pkind.append(PATCH_NONE)

@@ -1,6 +1,7 @@
 """Verb wiring, exit codes, and output files of the command-line runner."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import signfem
-from signfem import experiments as exp, fem, solvers as sol
+from signfem import config, experiments as exp, fem, geometry as geo, solvers as sol
 from signfem.cli import EXIT_CONFIG, main
 from signfem.config import load_config
 
@@ -67,6 +68,25 @@ def test_mesh_check_passes(cfg51, tmp_path, capsys):
     assert main(["mesh", "check", "--config", cfg51, "--levels", "2",
                  "--out", str(tmp_path)]) == 0
     assert "conforming" in capsys.readouterr().out
+
+
+def test_mesh_check_names_unchecked_corners(cfg51, tmp_path, capsys, monkeypatch):
+    # the hexagon's (4,2) corners admit no fold maps; the reference domain's
+    # output has no such line
+    assert main(["mesh", "check", "--config", cfg51, "--levels", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert "unchecked" not in capsys.readouterr().out
+    hexagon = tuple((0.5 + 0.5 * math.cos(k * math.pi / 3), 0.5 + 0.5 * math.sin(k * math.pi / 3))
+                    for k in range(6))
+    dom = geo.DomainSpec(((-0.5, -0.5), (1.5, 1.5)), hexagon, 0.15)
+    monkeypatch.setattr(config.ExperimentConfig, "domain_spec", lambda self: dom)
+    assert main(["mesh", "check", "--config", cfg51, "--levels", "1",
+                 "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if "unchecked" in l] == [
+        f"corner {n} unchecked: p_plus and p_minus both even, no fold maps"
+        " (edge mirrors checked)" for n in range(6)]
+    assert lines[-1].startswith("all 1 levels conforming")
 
 
 def test_mesh_check_square_is_noop(tmp_path, capsys):

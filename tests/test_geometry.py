@@ -358,5 +358,31 @@ def test_domain_validation_errors():
     with pytest.raises(geo.GeometryError, match=r"corner at \(0\.5, 0\.0\) is flat"):
         geo.DomainSpec(((-1, -1), (2, 2)), ((0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)), 0.15)
     ref = geo.make_reference_domain()
-    with pytest.raises(geo.GeometryError):  # halfwidth above the anchored bound
+    with pytest.raises(TypeError):  # the half-width is derived, never given
         geo.DomainSpec(ref.outer_rect, ref.interface_polygon, 0.3, 0.15)
+
+
+def notched(tip):
+    """A 6 x 2 block with a 45-degree notch from the top whose tip is at
+    height TIP above the bottom edge; R = 0.15, half-width 0.053."""
+    w = 2 - tip
+    return geo.DomainSpec(((-1, -1), (7, 3)),
+                          ((0, 0), (6, 0), (6, 2), (3 + w, 2), (3, tip), (3 - w, 2), (0, 2)),
+                          0.15)
+
+
+@pytest.mark.parametrize("tip", [0.05, 0.12, 0.2])
+def test_patch_reaching_a_far_edge_strip_is_rejected(tip):
+    # the tip's patch disk overlaps the bottom edge's strip: at 0.12 the
+    # leftover region could not be triangulated, at 0.2 a sliver triangle
+    # was left, at 0.05 the notch sides also come within 2 * half-width of
+    # the bottom edge
+    with pytest.raises(geo.GeometryError,
+                       match=rf"corner patch at \(3\.0, {tip}\) overlaps the strip of edge "
+                             r"\(0\.0, 0\.0\)-\(6\.0, 0\.0\)"):
+        notched(tip)
+
+
+def test_patch_clear_of_far_edge_strips_is_accepted():
+    dom = notched(0.4)
+    assert dom.patch_halfwidth_edge == pytest.approx(0.075 * math.sin(math.pi / 4))

@@ -424,8 +424,20 @@ def _dist_to_segment(p, a, b):
 def test_conformity_coarse_and_refined(domain, coarse):
     for mesh in (coarse, refine_red(coarse), refine_red(refine_red(coarse))):
         rep = check_r_conformity(mesh, domain)
-        assert rep.passed and not rep.violations
+        assert rep.passed and not rep.violations and not rep.unchecked
         assert rep.max_vertex_mismatch <= 1e-10 * mesh.h_max
+
+
+def test_conformity_lists_corners_without_fold_maps():
+    # the hexagon's (4,2) corners admit no fold: only its edge mirrors are
+    # checked, and the report says so
+    m = build_r_conform_coarse(HEXAGON, 0.2)
+    rep = check_r_conformity(m, HEXAGON)
+    assert rep.unchecked == [("corner", n) for n in range(6)]
+    assert rep.passed and not rep.violations
+    assert 0 < rep.max_vertex_mismatch <= 1e-10 * m.h_max
+    sel = (m.patch_kind == PATCH_EDGE) & (m.patch_index == 0)
+    assert not check_r_conformity(_moved(m, sel, (1e-6, -1e-6)), HEXAGON).passed
 
 
 def test_conformity_detects_tampering(domain, coarse):
