@@ -20,7 +20,8 @@ from pathlib import Path
 from . import experiments as exp
 from . import fem
 from . import solvers as sol
-from .config import ConfigError, ExperimentConfig, load_config, _coerce_pair
+from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
+                     _coerce_pair)
 from .fem import FemError
 from .geometry import GeometryError
 from .materials import MaterialError
@@ -52,10 +53,7 @@ def _load(args, kind=None) -> ExperimentConfig:
         overrides["allow_critical"] = True
     if args.config is not None:
         return load_config(args.config, **overrides)
-    try:
-        return ExperimentConfig(**overrides)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
+    return parse_config("", **overrides)
 
 
 def _print_table(table: exp.ResultTable) -> None:

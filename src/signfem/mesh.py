@@ -7,13 +7,15 @@ deduplicated with global low->high orientation, which the edge-element
 assembly relies on, and sorted by the key lo*V + hi.
 
 fold_images is the one place where the images of patch triangles under the
-corner fold maps and edge mirrors are matched to mesh vertices: the
-conformity check and the reflection operators both read it.  On a locally
+corner fold maps and edge mirrors are matched to the mesh and each match is
+decided: the nearest vertices of an image must form an other-side triangle,
+each within 1e-10 * h_max.  The conformity check reports the unmatched
+images and the reflection operators refuse them.  On a locally
 reflection-conform mesh every image lands on a vertex up to rounding, so
-the match is an exact lookup of rounded coordinates in a sorted key array,
-not a nearest-neighbour search.  Only an image whose key is not that of
-exactly one vertex, which a conforming mesh does not produce, is matched by
-scanning every candidate.
+the nearest vertex is an exact lookup of rounded coordinates in a sorted
+key array, not a nearest-neighbour search.  Only an image whose key is not
+that of exactly one vertex, which a conforming mesh does not produce, is
+matched by scanning every candidate.
 """
 
 from __future__ import annotations
@@ -219,7 +221,10 @@ class FoldImages:
     and then map: vertex[r, j] is the other-side patch vertex nearest the
     image of vertex j of triangle tri[r] under maps[map[r]], dist[r, j] the
     distance between them.  other_vertices holds the sorted ids of all
-    other-side patch vertices, the candidates of that search.
+    other-side patch vertices, the candidates of that search.  matched[r]
+    says whether row r folds onto the mesh: vertex[r] is, up to order, a
+    triangle of the other side, and every dist[r, j] is at most
+    1e-10 * h_max.  This is the program's one conformity rule.
 
     The nearest vertex is found by _nearest_rows.  On a reflection-conform
     mesh every image lies on a candidate up to rounding, so a lookup of its
@@ -237,6 +242,7 @@ class FoldImages:
     map: np.ndarray
     vertex: np.ndarray
     dist: np.ndarray
+    matched: np.ndarray
 
 
 def fold_images(mesh: Mesh, domain: geo.DomainSpec, pattern: Tuple[str, int],
@@ -263,20 +269,29 @@ def fold_images(mesh: Mesh, domain: geo.DomainSpec, pattern: Tuple[str, int],
     else:
         maps = (geo.edge_reflection(*domain.edges[n]),)
         sector = np.full(len(defined), -1)
-    other_vertices = np.unique(mesh.triangles[other])
-    rows = [(np.empty(0, int), np.empty(0, int), np.empty((0, 3), int), np.empty((0, 3)))]
+    other_vertices, local = np.unique(mesh.triangles[other], return_inverse=True)
+    rows = [(np.empty(0, int), np.empty(0, int), np.empty((0, 3), int), np.empty((0, 3)),
+             np.empty(0, bool))]
     if len(other):
+        # a triple of candidates as one integer: their sorted positions in
+        # other_vertices, raveled (raises rather than wraps if too large)
+        dims = (len(other_vertices),) * 3
+        key = lambda pos: np.ravel_multi_index(np.sort(pos, axis=1).T, dims)
+        other_keys = key(local.reshape(-1, 3))
+        tol = 1e-10 * mesh.h_max
         nearest = _nearest_rows(mesh.vertices[other_vertices])
         for k, m in enumerate(maps):
             t = defined[sector == m.source_sector]
             image = m(mesh.vertices[mesh.triangles[t]])
-            ids = other_vertices[nearest(image.reshape(-1, 2)).reshape(-1, 3)]
-            rows.append((t, np.full(len(t), k), ids,
-                         np.linalg.norm(mesh.vertices[ids] - image, axis=-1)))
-    tri, map_of, vertex, dist = (np.concatenate(c) for c in zip(*rows))
+            pos = nearest(image.reshape(-1, 2)).reshape(-1, 3)
+            ids = other_vertices[pos]
+            dist = np.linalg.norm(mesh.vertices[ids] - image, axis=-1)
+            rows.append((t, np.full(len(t), k), ids, dist,
+                         np.isin(key(pos), other_keys) & (dist <= tol).all(axis=1)))
+    tri, map_of, vertex, dist, matched = (np.concatenate(c) for c in zip(*rows))
     order = np.lexsort((map_of, tri))
     return FoldImages(tuple(maps), defined, other, other_vertices, tri[order],
-                      map_of[order], vertex[order], dist[order])
+                      map_of[order], vertex[order], dist[order], matched[order])
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +313,12 @@ def check_r_conformity(mesh: Mesh, domain: geo.DomainSpec) -> ConformityReport:
     """Check that every patch triangle maps exactly onto a patch triangle of
     the other region under the corner fold maps / edge mirrors.
 
-    Reads fold_images: an image passes when its three nearest vertices form
-    a triangle of the other side, each within 1e-10 * h_max.  Corners whose
-    pattern admits no fold maps (p_+ and p_- both even) are checked through
-    the edge mirrors only and listed in ``unchecked``; ``passed`` means no
-    violation among the maps that exist.
+    Reports the rows that fold_images leaves unmatched, so it passes exactly
+    the meshes on which reflection.build_reflection builds every operator.
+    Corners whose pattern admits no fold maps (p_+ and p_- both even) are
+    checked through the edge mirrors only and listed in ``unchecked``;
+    ``passed`` means no violation among the maps that exist.
     """
-    tol = 1e-10 * mesh.h_max
     violations: List[Tuple[int, str, str]] = []
     unchecked: List[Tuple[str, int]] = []
     worst = 0.0
@@ -323,15 +337,8 @@ def check_r_conformity(mesh: Mesh, domain: geo.DomainSpec) -> ConformityReport:
                 violations += [(int(t), label, "no target-side triangles in patch")
                                for t in img.defined]
                 continue
-            # a vertex triple as one integer: its sorted positions in
-            # other_vertices, raveled (raises rather than wraps if too large)
-            dims = (len(img.other_vertices),) * 3
-            key = lambda v: np.ravel_multi_index(
-                np.searchsorted(img.other_vertices, np.sort(v, axis=1)).T, dims)
-            ok = (np.isin(key(img.vertex), key(mesh.triangles[img.other]))
-                  & (img.dist <= tol).all(axis=1))
-            worst = max(worst, float(img.dist[ok].max(initial=0.0)))
-            for r in np.flatnonzero(~ok):
+            worst = max(worst, float(img.dist[img.matched].max(initial=0.0)))
+            for r in np.flatnonzero(~img.matched):
                 image = img.maps[img.map[r]](mesh.vertices[mesh.triangles[img.tri[r]]])
                 violations.append(
                     (int(img.tri[r]), f"{label}[{img.map[r]}]",

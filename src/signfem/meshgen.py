@@ -6,8 +6,9 @@ midpoint, so sector reflections carry patch triangles onto patch triangles
 exactly.  Edge patches are mirror-symmetric trapezoid strips anchored at the
 hexagon chord midpoints (legs coincide with hexagon chord halves, so no
 hanging nodes).  The leftover regions are ear-clipped, split to the target
-size by longest-edge bisection (patch-boundary edges frozen), and smoothed
-with Delaunay edge flips.
+size by longest-edge bisection, and smoothed with Delaunay edge flips.  Patch
+triangles are frozen by their patch label: splits and flips skip every edge
+beside one and the smoothing moves none of their vertices.
 
 The builder appends every vertex to a plain list and merges none, since it
 creates no point twice.  ``geometry.DomainSpec`` keeps the corners more than
@@ -179,8 +180,9 @@ def _slot(tri, u, v):
     return (k + 1) % 3
 
 
-def _split_to_size(pts, tris, region, pkind, pidx, frozen, h):
-    """Longest-edge bisection of every unfrozen edge above the target length.
+def _split_to_size(pts, tris, region, pkind, pidx, h):
+    """Longest-edge bisection of every edge above the target length that has
+    no patch triangle beside it (patch triangles are frozen by their label).
 
     Always splits the globally longest oversized edge, so it is the longest
     edge of each adjacent triangle and shape quality stays bounded; both
@@ -198,7 +200,7 @@ def _split_to_size(pts, tris, region, pkind, pidx, frozen, h):
     heap: List[Tuple[float, int, Tuple[int, int]]] = []
 
     def push(e, slot):
-        if e in frozen:
+        if any(pkind[t] != PATCH_NONE for t in adj[e]):
             return
         L = float(np.linalg.norm(pts[e[0]] - pts[e[1]]))
         if L > h:
@@ -388,9 +390,8 @@ def _smooth_schedule(P, tris, pkind, rect):
 
 def _lawson_flips(P, tris, region, pkind):
     """Delaunay edge flips restricted to interior edges between same-region,
-    patch-free triangles.  A frozen edge (_split_to_size) is an edge of a
-    patch triangle, which is never split or flipped, so the patch test
-    already keeps it.
+    patch-free triangles: patch triangles are frozen by their label, as in
+    _split_to_size, so no flip touches them.
 
     Each pass tests the edges in order of first occurrence and flips a pair
     only if neither triangle was flipped earlier in the pass.  An untouched
@@ -516,11 +517,6 @@ def build_r_conform_coarse(domain: geo.DomainSpec, h_target: float) -> Mesh:
             add(base[t + 1], base[t], ptop[t + 1], 1, PATCH_EDGE, n)
             add(base[t], ptop[t], ptop[t + 1], 1, PATCH_EDGE, n)
 
-    frozen = set()
-    for (a, b, c) in tris:
-        for u, v in ((a, b), (b, c), (c, a)):
-            frozen.add((u, v) if u < v else (v, u))
-
     # leftover inclusion interior: bounded by trapezoid tops and hexagon chords
     loop = []
     for n in range(N):
@@ -548,7 +544,7 @@ def build_r_conform_coarse(domain: geo.DomainSpec, h_target: float) -> Mesh:
     merged = _cut_hole(pts, rect, hole[::-1])
     _add_clipped(pts, merged, tris, region, pkind, pidx, 1)
 
-    _split_to_size(pts, tris, region, pkind, pidx, frozen, h_target)
+    _split_to_size(pts, tris, region, pkind, pidx, h_target)
     P = np.array(pts, dtype=float)
     _lawson_flips(P, tris, region, pkind)
     _smooth(P, tris, region, pkind, domain.outer_rect)

@@ -4,13 +4,14 @@ The operators are sparse transfer tables: on an R-conform mesh every patch
 triangle maps onto a mesh triangle under the fold isometries, so reflecting
 an FE coefficient vector is a matrix product with no interpolation anywhere.
 The tables read their vertex images from mesh.fold_images, the one place
-where fold images are matched to the mesh (check_r_conformity reads the same
-map).  Scalar tables move vertex values along the inverse compositions with
-the alternating fold signs; vector tables move tangential edge moments,
-picking up the extra orientation sign of the image edge, which is found by
-its key in the sorted mesh edges.  Outside the patch the reflected field is
-extended by zero — every consumer weights with the patch cut-off, so nothing
-beyond the patch is ever read.
+where fold images are matched to the mesh and each match is decided
+(check_r_conformity reports the same decision); a table is built only when
+every patch triangle's image is matched.  Scalar tables move vertex values
+along the inverse compositions with the alternating fold signs; vector
+tables move tangential edge moments, picking up the extra orientation sign
+of the image edge, which is found by its key in the sorted mesh edges.
+Outside the patch the reflected field is extended by zero — every consumer
+weights with the patch cut-off, so nothing beyond the patch is ever read.
 
 Operator norms are estimated from the generalized eigenproblem of the
 cut-off-weighted seminorm Grams (gradient seminorm for scalar, curl for
@@ -68,10 +69,12 @@ def build_reflection(mesh: Mesh, domain: geo.DomainSpec,
     """Assemble the transfer table for one patch pattern.
 
     direction "+" defines the field on the minus side from plus-side data,
-    "-" the reverse.  Raises ReflectionError when an image vertex or edge has
-    no mesh counterpart (non-conform mesh), and for a corner whose sector
-    counts are both even, which has no alternating fold.  A dof shared by two
-    sectors is defined by the maps of the lower one.
+    "-" the reverse.  Raises ReflectionError when fold_images leaves the
+    image of a patch triangle unmatched (non-conform mesh; the rows
+    check_r_conformity reports), and for a corner whose sector counts are
+    both even, which has no alternating fold.  Every vertex and edge of a
+    matched image is a mesh vertex and edge.  A dof shared by two sectors is
+    defined by the maps of the lower one.
     """
     if kind not in ("scalar", "vector"):
         raise ReflectionError(f"kind must be 'scalar' or 'vector', got {kind!r}")
@@ -82,7 +85,11 @@ def build_reflection(mesh: Mesh, domain: geo.DomainSpec,
         raise ReflectionError(str(exc)) from exc
     if not (len(img.defined) and len(img.other)):
         raise ReflectionError(f"pattern {pattern} has no triangles on both sides")
-    tol = 1e-9 * mesh.h_max  # one order looser than the conformity gate
+    if not img.matched.all():
+        r = int(np.argmin(img.matched))
+        raise ReflectionError(
+            f"non-conform mesh: the image of triangle {img.tri[r]} under fold map "
+            f"{img.map[r]} of pattern {pattern} is not a mesh triangle")
     sector = np.array([m.source_sector for m in img.maps])[img.map]
     sign = np.array([m.sign for m in img.maps], dtype=float)[img.map]
 
@@ -101,16 +108,6 @@ def build_reflection(mesh: Mesh, domain: geo.DomainSpec,
     r, j = r[first], j[first]
     local = (j[:, None] + ends) % 3  # triangle-local vertices of each dof
     image = img.vertex[r[:, None], local]
-    dist = img.dist[r[:, None], local]
-    if np.any(dist > tol):
-        a, b = np.unravel_index(np.argmax(dist), dist.shape)
-        vertex = mesh.triangles[img.tri[r[a]], local[a, b]]
-        point = img.maps[img.map[r[a]]](mesh.vertices[vertex])
-        what = "vertex" if kind == "scalar" else "edge endpoint"
-        raise ReflectionError(
-            f"non-conform mesh: image {what} near "
-            f"{np.round(point, 6).tolist()} has no counterpart")
-
     rows, vals = dof[r, j], sign[r]
     if kind == "scalar":
         cols = image[:, 0]
@@ -119,12 +116,7 @@ def build_reflection(mesh: Mesh, domain: geo.DomainSpec,
         nv = mesh.num_vertices
         lo, hi = np.sort(image, axis=1).astype(np.int64).T
         keys = mesh.edges[:, 0].astype(np.int64) * nv + mesh.edges[:, 1]
-        cols = np.minimum(np.searchsorted(keys, lo * nv + hi), len(keys) - 1)
-        missing = keys[cols] != lo * nv + hi
-        if missing.any():
-            raise ReflectionError(
-                f"non-conform mesh: image of edge {int(rows[np.argmax(missing)])} "
-                "under a fold map is not a mesh edge")
+        cols = np.searchsorted(keys, lo * nv + hi)
         # the image edge's orientation against the mesh edge's, seen along
         # the local edge direction j -> j+1
         vals = (vals * mesh.tri_edge_signs[img.tri[r], j]

@@ -364,6 +364,14 @@ def test_missing_config_file(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_levels_zero_without_config_is_config_error(tmp_path, capsys):
+    # without --config the flags go through the same parser as a file's keys
+    assert main(["mesh", "build", "--levels", "0",
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "levels must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_verb_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])

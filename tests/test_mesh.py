@@ -503,7 +503,10 @@ def _all_fold_images(mesh, domain):
 @pytest.mark.parametrize("case", FOLD_CASES)
 def test_fold_images_match_kdtree(case, fold_cases, monkeypatch):
     # the exact-key lookup against a KD-tree nearest-vertex query: every
-    # array the same, bit for bit; only the tampered meshes scan
+    # array the same, bit for bit; only the tampered meshes scan.  matched
+    # against a decision made here: KD-tree nearest vertices, their sorted
+    # triple among the other side's triangles, every distance within
+    # 1e-10 h_max
     mesh, domain, conforming = fold_cases[case]
     scanned = []
     scan = mesh_mod._nearest_by_scan
@@ -524,10 +527,26 @@ def test_fold_images_match_kdtree(case, fold_cases, monkeypatch):
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         assert len(a.maps) == len(b.maps)
-        for name in ("defined", "other", "other_vertices", "tri", "map", "vertex", "dist"):
+        for name in ("defined", "other", "other_vertices", "tri", "map", "vertex", "dist",
+                     "matched"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.shape == y.shape, name
             assert x.tobytes() == y.tobytes(), name
+    all_matched = []
+    for a in got:
+        assert a.matched.dtype == bool and a.matched.shape == a.tri.shape
+        want = np.zeros(len(a.tri), dtype=bool)
+        if len(a.other):
+            cand = np.unique(mesh.triangles[a.other])
+            tree = cKDTree(mesh.vertices[cand])
+            triangles = {tuple(t) for t in np.sort(mesh.triangles[a.other], axis=1).tolist()}
+            for r, (t, k) in enumerate(zip(a.tri, a.map)):
+                d, j = tree.query(a.maps[k](mesh.vertices[mesh.triangles[t]]))
+                want[r] = (tuple(sorted(cand[j].tolist())) in triangles
+                           and d.max() <= 1e-10 * mesh.h_max)
+        assert a.matched.tolist() == want.tolist()
+        all_matched.append(want.all())
+    assert all(all_matched) == conforming
 
 
 def test_nearest_rows_off_grid_and_merged():

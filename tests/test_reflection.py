@@ -267,23 +267,61 @@ def test_build_rejects_corner_with_both_counts_even():
                 refl.build_reflection(mesh, dom, ("corner", 0), kind, direction)
 
 
-def test_build_rejects_nonconform_mesh(coarse, dom):
+def _moved_corner0_plus_vertex(coarse, shift):
+    """COARSE with vertex 1 of its first corner-0 plus-side triangle moved by
+    SHIFT in both coordinates."""
     sel = (coarse.patch_kind == 1) & (coarse.patch_index == 0) & (coarse.region == 1)
     vid = int(coarse.triangles[np.flatnonzero(sel)[0], 1])
     verts = coarse.vertices.copy()
-    verts[vid] += 1e-6
-    bad = Mesh(vertices=verts, triangles=coarse.triangles, region=coarse.region,
-               patch_kind=coarse.patch_kind, patch_index=coarse.patch_index)
-    with pytest.raises(refl.ReflectionError, match="non-conform"):
-        refl.build_reflection(bad, dom, ("corner", 0), "scalar", "+")
-    with pytest.raises(refl.ReflectionError, match="non-conform.*edge endpoint"):
-        refl.build_reflection(bad, dom, ("corner", 0), "vector", "+")
+    verts[vid] += shift
+    return Mesh(vertices=verts, triangles=coarse.triangles, region=coarse.region,
+                patch_kind=coarse.patch_kind, patch_index=coarse.patch_index)
+
+
+def _assert_refusals_follow_report(mesh, dom):
+    """The check fails on MESH, and build_reflection refuses, for both kinds,
+    exactly the patterns the check names in a violation."""
+    rep = check_r_conformity(mesh, dom)
+    assert not rep.passed
+    flagged = {label.split(":")[0] for _, label, _ in rep.violations}
+    assert "corner0" in flagged
+    for kind in ("scalar", "vector"):
+        refused = set()
+        for (pk, n) in PATTERNS:
+            for direction in ("+", "-"):
+                try:
+                    refl.build_reflection(mesh, dom, (pk, n), kind, direction)
+                except refl.ReflectionError as exc:
+                    assert "is not a mesh triangle" in str(exc)
+                    refused.add(f"{pk}{n}")
+        assert refused == flagged, kind
+
+
+def test_build_rejects_nonconform_mesh(coarse, dom):
+    bad = _moved_corner0_plus_vertex(coarse, 1e-6)
+    for kind in ("scalar", "vector"):
+        with pytest.raises(refl.ReflectionError,
+                           match="non-conform mesh: the image of triangle .* "
+                                 "is not a mesh triangle"):
+            refl.build_reflection(bad, dom, ("corner", 0), kind, "+")
+    _assert_refusals_follow_report(bad, dom)
+
+
+def test_build_rejects_move_below_old_operator_tolerance(coarse, dom):
+    """A move of 5e-10 h_max is five times the conformity tolerance and half
+    the 1e-9 h_max the operators once allowed their dof vertices: the check
+    and both kinds of operator now refuse it alike."""
+    bad = _moved_corner0_plus_vertex(coarse, 5e-10 * coarse.h_max)
+    for kind in ("scalar", "vector"):
+        with pytest.raises(refl.ReflectionError, match="is not a mesh triangle"):
+            refl.build_reflection(bad, dom, ("corner", 0), kind, "+")
+    _assert_refusals_follow_report(bad, dom)
 
 
 def test_flipped_patch_edge_detected(coarse, dom):
     """Flipping the diagonal of two plus-side patch triangles keeps every
-    vertex in place: vertex images still land, but some image triangles and
-    edges are no longer in the mesh."""
+    vertex in place: vertex images still land, but some image triangles are
+    no longer in the mesh, so the check and both kinds of operator refuse."""
     sel = np.flatnonzero((coarse.patch_kind == PATCH_CORNER)
                          & (coarse.patch_index == 0) & (coarse.region == 1))
     for e in np.unique(coarse.tri_edges[sel]):
@@ -307,9 +345,10 @@ def test_flipped_patch_edge_detected(coarse, dom):
     assert not rep.passed
     assert {label.split("[")[0] for _, label, _ in rep.violations} == {
         "corner0:p2m", "corner0:m2p"}
-    refl.build_reflection(bad, dom, ("corner", 0), "scalar", "+")
-    with pytest.raises(refl.ReflectionError, match="not a mesh edge"):
-        refl.build_reflection(bad, dom, ("corner", 0), "vector", "+")
+    for kind in ("scalar", "vector"):
+        with pytest.raises(refl.ReflectionError, match="not a mesh triangle"):
+            refl.build_reflection(bad, dom, ("corner", 0), kind, "+")
+    _assert_refusals_follow_report(bad, dom)
 
 
 def test_transfer_table_shape(coarse, dom):
