@@ -386,6 +386,18 @@ def _gated_eigenpairs(meshes: Sequence[Mesh], mat: mats.DrudeMaterial,
     return dict(zip(jobs, _pool_map(task, jobs)))
 
 
+def _eigen_study(cfg: ExperimentConfig, kind: str, what: str):
+    """Both eigen studies' preamble: cfg must be a KIND config with a window
+    (errors name the study WHAT).  Returns window, shift, material, ladder."""
+    if cfg.kind != kind:
+        raise ConfigError(f"{what} asked to run a {cfg.kind!r} config")
+    if cfg.window is None:
+        raise ConfigError(f"{what} needs a window")
+    window = (float(cfg.window[0]), float(cfg.window[1]))
+    shift = float(cfg.shift) if cfg.shift is not None else 0.5 * sum(window)
+    return window, shift, cfg.material(), mesh_ladder(cfg)
+
+
 def run_spectrum(cfg: ExperimentConfig):
     """Eigenvalues of both formulations on the finest level, annotated: up to
     24 per formulation, those nearest the shift.
@@ -397,15 +409,8 @@ def run_spectrum(cfg: ExperimentConfig):
     nearest scalar-formulation partner (inside it, eigenvalues accumulate and
     pairing is meaningless, so the match columns stay empty).
     """
-    if cfg.kind != "spectrum":
-        raise ConfigError(f"spectrum scan asked to run a {cfg.kind!r} config")
-    if cfg.window is None:
-        raise ConfigError("spectrum scan needs a window")
-    window = (float(cfg.window[0]), float(cfg.window[1]))
-    shift = float(cfg.shift) if cfg.shift is not None else 0.5 * sum(window)
-    mat = cfg.material()
+    window, shift, mat, meshes = _eigen_study(cfg, "spectrum", "spectrum scan")
     windows = cfg.windows()
-    meshes = mesh_ladder(cfg)
     level = cfg.levels - 1
 
     # A(lam) is definite for lam < 0: no spectrum
@@ -474,16 +479,9 @@ def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
     158-166 MB, about 28%, still over the benchmark's 10% bound.
     Every pair of either formulation must pass the RESIDUAL_FILTER gate
     (_gated_eigenpairs)."""
-    if cfg.kind != "eigen-convergence":
-        raise ConfigError(
-            f"eigenvalue convergence asked to run a {cfg.kind!r} config")
-    if cfg.window is None:
-        raise ConfigError("eigenvalue convergence needs a window")
-    window = (float(cfg.window[0]), float(cfg.window[1]))
-    shift = float(cfg.shift) if cfg.shift is not None else 0.5 * sum(window)
+    window, shift, mat, meshes = _eigen_study(cfg, "eigen-convergence",
+                                              "eigenvalue convergence")
     threshold = float(cfg.threshold)
-    mat = cfg.material()
-    meshes = mesh_ladder(cfg)
     finest = cfg.levels - 1
 
     edge = _gated_eigenpairs(meshes, mat,

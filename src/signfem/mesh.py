@@ -322,12 +322,11 @@ def check_r_conformity(mesh: Mesh, domain: geo.DomainSpec) -> ConformityReport:
     violations: List[Tuple[int, str, str]] = []
     unchecked: List[Tuple[str, int]] = []
     worst = 0.0
-    labels = [(("corner", i), f"corner{i}:p2m", f"corner{i}:m2p")
-              for i in range(len(domain.patterns))]
-    labels += [(("edge", n), f"edge{n}:mirror", f"edge{n}:mirror")
-               for n in range(len(domain.edges))]
-    for pattern, *names in labels:
-        for direction, label in zip("+-", names):
+    patterns = ([("corner", i) for i in range(len(domain.patterns))]
+                + [("edge", n) for n in range(len(domain.edges))])
+    for kind, n in patterns:
+        pattern = (kind, n)
+        for direction, label in zip("+-", (f"{kind}{n}:p2m", f"{kind}{n}:m2p")):
             try:
                 img = fold_images(mesh, domain, pattern, direction)
             except geo.GeometryError:

@@ -25,11 +25,12 @@ EigenPair.u hold every dof of their row's space, boundary dofs zero.
 Every sparse factorization goes through _factorize, with one policy: a
 reverse Cuthill-McKee pre-order, then SuperLU in SymmetricMode with ordering
 MMD_AT_PLUS_A, diag_pivot_thresh=0 and one-column panels (panel_size=1).
-Each matrix factored here is A(lam) of one formulation or the Gram of
-residual_evaluator (the only Gram factored); each is symmetric, and with the
-pivots on the diagonal (perm_r == perm_c) diag(U) is the D of LDL^T, whose
-signs certify window counts.  On the
-section 5.2 edge pencil at L3 A(4/3) fills 2.42 M, S - (4/3)T filled 2.58 M,
+Each matrix factored here is A(lam) of one formulation, that of the inf-sup
+pencil (A(lam), G) included, or the Gram of residual_evaluator (the only
+Gram factored); each is symmetric, and with the pivots on the diagonal
+(perm_r == perm_c) diag(U) is the D of LDL^T, whose signs certify window
+counts.  Every Lanczos solve, windows and inf-sup alike, is _shift_invert's.
+On the section 5.2 edge pencil at L3 A(4/3) fills 2.42 M, S - (4/3)T filled 2.58 M,
 and the backward-error probe moves from 5.3e-11 to 3.2e-11.  Fill at L4: A(1)
 32.6 M with COLAMD, 11.8 M now; the P1 scalar operator 11.9 M and 8.8 M.  MMD
 breaks ties in input order, and on the mesh's own numbering it fills those two
@@ -80,7 +81,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh  # rebound by perfbench/tracing.py
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import fem, materials as mats
 from .fem import EDGE, Blocks, Formulation, Space
@@ -312,13 +312,16 @@ def schur_complement(pencil: MatrixPencil, lam: float) -> sp.csr_matrix:
     return (S[:nu, :nu] - lam * T[:nu, :nu] - S[:nu, nu:] @ Dinv @ S[nu:, :nu]).tocsr()
 
 
-def _shift_invert(pencil: MatrixPencil, sigma: float, k: int, vectors: bool):
+def _shift_invert(pencil: MatrixPencil, sigma: float, k: int, vectors: bool,
+                  tol: float = 0.0, what: Optional[str] = None):
     """The k eigenpairs nearest sigma, as (values, vectors or None).  OPinv
     solves (S - sigma*T) x = b by block elimination on one factor of A(sigma):
     g = b2/d, u = A^-1 (b1 - S12 g), v = g - S21 u / d.  A sigma on an
-    eigenvalue fails that factor and raises; it is never moved."""
+    eigenvalue fails that factor and raises; it is never moved.  tol is
+    ARPACK's (0: machine precision); what names A(sigma) in every error."""
     n, nu = pencil.S.shape[0], pencil.n_primary
-    lu = _factorize(schur_complement(pencil, sigma), f"A(sigma) at sigma={sigma}")
+    what = what or f"A(sigma) at sigma={sigma}"
+    lu = _factorize(schur_complement(pencil, sigma), what)
     S12, S21 = pencil.S[:nu, nu:], pencil.S[nu:, :nu]
     d = (pencil.pole - sigma) * pencil.T.diagonal()[nu:]
 
@@ -330,18 +333,12 @@ def _shift_invert(pencil: MatrixPencil, sigma: float, k: int, vectors: bool):
     try:
         out = spla.eigsh(pencil.S, k=min(k, n - 2), M=pencil.T, sigma=sigma,
                          OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float),
-                         v0=np.ones(n) / np.sqrt(n), return_eigenvectors=vectors)
-    except ArpackNoConvergence as exc:  # partial results are not trustworthy
-        raise SolverError(f"shift-invert at sigma={sigma} did not converge: "
+                         v0=np.ones(n) / np.sqrt(n), tol=tol,
+                         return_eigenvectors=vectors)
+    except spla.ArpackNoConvergence as exc:  # partial results are not trustworthy
+        raise SolverError(f"shift-invert with {what} did not converge: "
                           f"{exc}") from exc
     return out if vectors else (out, None)
-
-
-def _window(window: Tuple[float, float]) -> Tuple[float, float]:
-    a, b = float(window[0]), float(window[1])
-    if not a < b:
-        raise SolverError(f"empty window {window}")
-    return a, b
 
 
 def _eigen_window(pencil: MatrixPencil, window: Tuple[float, float],
@@ -359,7 +356,9 @@ def _eigen_window(pencil: MatrixPencil, window: Tuple[float, float],
     SolverError, as does an edge-pencil window strictly containing lam = 0,
     where the plus-region gradient kernel (315 eigenvalues at L0) stalls ARPACK.
     """
-    a, b = _window(window)
+    a, b = float(window[0]), float(window[1])
+    if not a < b:
+        raise SolverError(f"empty window {window}")
     if not (a <= shift <= b):
         raise SolverError(f"shift {shift} outside window [{a}, {b}]")
     if pencil.form is EDGE and a < 0.0 < b:
@@ -492,13 +491,14 @@ def discrete_infsup(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial,
     """beta_n: the smallest generalized singular value of A(lam) of the
     blocks' row in its Gram G (xnorm_gram), H(curl) for the edge row.
 
-    For symmetric A(lam), beta_n is the smallest |mu| of A x = mu G x, set by
-    the discrete eigenvalue nearest lam.  One shift-invert Lanczos solve at
-    sigma = 0 finds its vector x, each step one solve with the factor of
-    A(lam) and one product with G, which is never factored.  beta_n is the
-    Rayleigh quotient |x^T A x| / (x^T G x) with both products in longdouble,
-    not the Ritz value: its error is quadratic in that of x, and it uses the
-    exact A, not the unpivoted LDL^T of an indefinite A(lam).
+    For symmetric A(lam), beta_n is the smallest |mu| of the one-block
+    pencil A x = mu G x (_infsup_pencil), set by the discrete eigenvalue
+    nearest lam.  _shift_invert at sigma = 0 (tol=1e-10) finds its vector x,
+    each step one solve with the factor of A(lam) and one product with G,
+    which is never factored.  beta_n is the Rayleigh quotient
+    |x^T A x| / (x^T G x) with both products in longdouble, not the Ritz
+    value: its error is quadratic in that of x, and it uses the exact A, not
+    the unpivoted LDL^T of an indefinite A(lam).
 
     Every failure raises SolverError naming lam and the cause: a failed
     factorization (A(lam) singular to working precision), an unconverged
@@ -509,24 +509,26 @@ def discrete_infsup(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial,
     beta_n tends to zero with h, but not monotonically: one refinement can
     move the nearest eigenvalue away and raise beta_n.
     """
-    space = blocks.form.space(mesh)
-    A = fem.assemble_A(blocks, mat, lam, space)
-    G = xnorm_gram(blocks, space)
-    luA = _factorize(A, f"inf-sup A(lam) at lam={lam}")
-    n = A.shape[0]
-    try:
-        _, vecs = spla.eigsh(A, k=1, M=G, sigma=0.0, v0=np.ones(n) / np.sqrt(n),
-                             OPinv=spla.LinearOperator(A.shape, matvec=luA.solve,
-                                                       dtype=float), tol=1e-10)
-    except ArpackNoConvergence as exc:
-        raise SolverError(
-            f"inf-sup iteration did not converge at lam={lam}; "
-            f"{len(exc.eigenvalues)} partial Ritz values discarded") from exc
+    pencil = _infsup_pencil(mesh, blocks, mat, lam)
+    _, vecs = _shift_invert(pencil, 0.0, 1, vectors=True, tol=1e-10,
+                            what=f"inf-sup A(lam) at lam={lam}")
     x = vecs[:, 0].astype(np.longdouble)
     with np.errstate(invalid="ignore", divide="ignore"):
-        beta = float(abs(x @ (_longdouble(A) @ x)) / (x @ (_longdouble(G) @ x)))
+        beta = float(abs(x @ (_longdouble(pencil.S) @ x))
+                     / (x @ (_longdouble(pencil.T) @ x)))
     if not np.isfinite(beta) or beta <= 0:
         raise SolverError(
             f"inf-sup iteration at lam={lam} returned beta_n = {beta}, "
             f"which is not finite and positive")
     return beta
+
+
+def _infsup_pencil(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial,
+                   lam: float) -> MatrixPencil:
+    """(A(lam), G) of the blocks' row; G is SPD, so _negative_count(P, b) -
+    _negative_count(P, -b) counts its mu in (-b, b).  The pole, as in
+    build_pencil's one-block branch, is unused with n_aux = 0."""
+    space = blocks.form.space(mesh)
+    A = fem.assemble_A(blocks, mat, lam, space)
+    return MatrixPencil(A, xnorm_gram(blocks, space), blocks.form, A.shape[0], 0,
+                        float(blocks.form.roles(mat).omega_mu_sq))

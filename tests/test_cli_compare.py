@@ -87,6 +87,18 @@ def test_identical_trees_pass(trees, capsys):
     assert code == 0
     assert "0 violation(s)" in out
     assert "spectrum.csv     lam" in out
+    assert out.splitlines()[-1] == "12 of 12 files byte-identical"
+
+
+def test_byte_identical_count(trees, capsys):
+    # a residual moved within tolerance: no violation, one file less identical;
+    # a file only in one tree counts in M but is never identical
+    _edit(trees[1], "eigen-spectrum-eps/files/spectrum.csv",
+          "3.1859123816609974e-12", "7.5e-12")
+    (trees[1] / "cfg52-r0.3" / "extra.txt").write_text("")
+    code, out = _run(trees, capsys)
+    assert code == 1
+    assert out.splitlines()[-1] == "11 of 13 files byte-identical"
 
 
 def test_lam_off_by_1e_11_fails(trees, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from signfem import experiments as exp, fem, solvers as sol
-from signfem.config import ExperimentConfig
+from signfem.config import ConfigError, ExperimentConfig
 
 # section 5.1 material on the library-default reference domain, three levels
 MAT_51 = dict(domain="reference", patch_radius=0.3, h_coarse=0.2,
@@ -118,6 +118,18 @@ def test_spectrum_runs_both_formulations_as_jobs(tmp_path, monkeypatch):
     kinds = [row[1] for row in rows]
     assert "vector" in kinds and "scalar" in kinds
     assert "dropped_by_filter" not in path.read_text()
+
+
+@pytest.mark.parametrize("run, cfg, what", [
+    (exp.run_spectrum, SPECTRUM_52, "spectrum scan"),
+    (exp.run_eigen_convergence, CONVERGE_52, "eigenvalue convergence"),
+], ids=["spectrum", "convergence"])
+def test_eigen_studies_refuse_the_wrong_config(run, cfg, what):
+    # the shared preamble names each study in its errors
+    with pytest.raises(ConfigError, match=f"^{what} asked to run a 'source' config$"):
+        run(SOURCE_51)
+    with pytest.raises(ConfigError, match=f"^{what} needs a window$"):
+        run(dataclasses.replace(cfg, window=None, shift=None))
 
 
 def _counts(controls):

@@ -278,13 +278,23 @@ def _moved_corner0_plus_vertex(coarse, shift):
                 patch_kind=coarse.patch_kind, patch_index=coarse.patch_index)
 
 
-def _assert_refusals_follow_report(mesh, dom):
+_DIRECTION = {"p2m": "+", "m2p": "-"}
+
+
+def _flagged(rep):
+    """The (pattern, direction) pairs the report names in a violation."""
+    return {(pattern, _DIRECTION[d]) for pattern, d in
+            (label.split("[")[0].split(":") for _, label, _ in rep.violations)}
+
+
+def _assert_refusals_follow_report(mesh, dom, pattern="corner0"):
     """The check fails on MESH, and build_reflection refuses, for both kinds,
-    exactly the patterns the check names in a violation."""
+    exactly the (pattern, direction) pairs the check names in a violation;
+    return them."""
     rep = check_r_conformity(mesh, dom)
     assert not rep.passed
-    flagged = {label.split(":")[0] for _, label, _ in rep.violations}
-    assert "corner0" in flagged
+    flagged = _flagged(rep)
+    assert pattern in {p for p, _ in flagged}
     for kind in ("scalar", "vector"):
         refused = set()
         for (pk, n) in PATTERNS:
@@ -293,8 +303,9 @@ def _assert_refusals_follow_report(mesh, dom):
                     refl.build_reflection(mesh, dom, (pk, n), kind, direction)
                 except refl.ReflectionError as exc:
                     assert "is not a mesh triangle" in str(exc)
-                    refused.add(f"{pk}{n}")
+                    refused.add((f"{pk}{n}", direction))
         assert refused == flagged, kind
+    return flagged
 
 
 def test_build_rejects_nonconform_mesh(coarse, dom):
@@ -349,6 +360,39 @@ def test_flipped_patch_edge_detected(coarse, dom):
         with pytest.raises(refl.ReflectionError, match="not a mesh triangle"):
             refl.build_reflection(bad, dom, ("corner", 0), kind, "+")
     _assert_refusals_follow_report(bad, dom)
+
+
+def _edge1_strip(mesh, region):
+    return np.flatnonzero((mesh.patch_kind == PATCH_EDGE) & (mesh.patch_index == 1)
+                          & (mesh.region == region))
+
+
+@pytest.mark.parametrize("region", [1, -1])
+def test_edge_violations_name_their_direction(coarse, dom, region):
+    """Edge mirrors label their violations p2m ("+", which defines the minus
+    side) and m2p ("-"), as corners do.  A vertex of one side's edge strip
+    moved by 1e-6 breaks both directions, since the mirror is an involution;
+    each label names only triangles of the side it defines.  Dropping one
+    strip triangle of that side from the patch breaks only the direction
+    that reads it, and build_reflection refuses exactly the flagged
+    (pattern, direction) pairs."""
+    strip, other = _edge1_strip(coarse, region), _edge1_strip(coarse, -region)
+    vid = min(set(coarse.triangles[strip].ravel()) - set(coarse.triangles[other].ravel()))
+    verts = coarse.vertices.copy()
+    verts[vid] += 1e-6
+    moved = Mesh(verts, coarse.triangles, coarse.region, coarse.patch_kind,
+                 coarse.patch_index)
+    assert {("edge1", "+"), ("edge1", "-")} <= _assert_refusals_follow_report(
+        moved, dom, "edge1")
+    for t, label, _ in check_r_conformity(moved, dom).violations:
+        assert moved.region[t] == (-1 if ":p2m" in label else 1)
+
+    kind = coarse.patch_kind.copy()
+    kind[strip[len(strip) // 2]] = 0
+    dropped = Mesh(coarse.vertices, coarse.triangles, coarse.region, kind,
+                   coarse.patch_index)
+    direction = "+" if region == 1 else "-"
+    assert _assert_refusals_follow_report(dropped, dom, "edge1") == {("edge1", direction)}
 
 
 def test_transfer_table_shape(coarse, dom):

@@ -28,7 +28,9 @@ OUT_A is the reference.  The two trees must hold the same files, and:
 - every other file (meshes, configs) is byte-identical.
 
 Prints the largest difference per file and column over all runs, then every
-violation.  Exits 0 when there is none, 1 otherwise, 2 on bad arguments.
+violation, then how many files are byte-identical ("N of M files
+byte-identical"), so a change that should round the same can show it.
+Exits 0 when there is no violation, 1 otherwise, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ class Report:
     def __init__(self):
         self.largest = {}       # (file, column, measure) -> (value, where)
         self.violations = []
+        self.identical = self.files = 0
 
     def record(self, file, column, measure, value, where, limit=None):
         key = (file, column, measure)
@@ -89,6 +92,7 @@ class Report:
         for v in self.violations:
             print(f"VIOLATION {v}")
         print(f"{len(self.violations)} violation(s)")
+        print(f"{self.identical} of {self.files} files byte-identical")
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,17 +224,20 @@ def compare(tree_a: Path, tree_b: Path) -> Report:
     rep = Report()
     files_a = {p.relative_to(tree_a) for p in tree_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(tree_b) for p in tree_b.rglob("*") if p.is_file()}
+    rep.files = len(files_a | files_b)
     for rel in sorted(files_a ^ files_b):
         rep.violate(str(rel), f"only in {tree_a if rel in files_a else tree_b}")
     for rel in sorted(files_a & files_b):
         a, b, where = tree_a / rel, tree_b / rel, str(rel.parent)
+        same = a.read_bytes() == b.read_bytes()
+        rep.identical += same
         if rel.suffix == ".csv":
             _compare_csv(rep, a, b, f"{where}/{rel.name}")
         elif rel.suffix == ".vtk":
             _compare_vtk(rep, a, b, f"{where}/{rel.name}")
         elif rel.name in ("stdout.txt", "stderr.txt"):
             _compare_text(rep, rel.name, a.read_text(), b.read_text(), where)
-        elif a.read_bytes() != b.read_bytes():
+        elif not same:
             rep.violate(str(rel), "files differ" if rel.name != "exit.txt" else
                         f"exit code {a.read_text().strip()} != {b.read_text().strip()}")
     return rep
