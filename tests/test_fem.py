@@ -1,5 +1,6 @@
 """Edge/P1 assembly, discrete exactness, splittings, and transfer operators."""
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,6 +56,30 @@ def test_block_keys_and_exact_symmetry(blocks, scalar_blocks):
         assert len(bl.stiffness) == len(bl.mass) == 2
         for B in bl.stiffness + bl.mass:
             assert abs(B - B.T).max() <= 1e-14
+
+
+# The blocks of both rows on the reference domain (r = 0.3, h = 0.2), pinned:
+# sha256 over indptr, indices (little-endian int32) and data (little-endian
+# float64) of the six blocks in the order of _block_fields.
+BLOCKS_GOLDEN = {
+    (0, "edge"): "addc98ca09dd05dc3f560f2df79727d6550af58e2245641dd3b02eb76b7679bd",
+    (0, "scalar"): "0840e1c3298e330c644af20c892a2ef4608d2010bb800a506644ba43a14119b5",
+    (1, "edge"): "3b04577a925251909093d5952a16e98dc9b97e30a509a9b5ba6eea39546486f8",
+    (1, "scalar"): "6c4174980b4e0e7834b83fc231dacb675e9b2ce783f8cc0d7a17cb3663b9e771",
+}
+
+
+@pytest.mark.parametrize("level, kind", sorted(BLOCKS_GOLDEN))
+def test_blocks_golden(coarse, level, kind):
+    form = {"edge": fem.EDGE, "scalar": fem.SCALAR}[kind]
+    mesh = refine_red(coarse) if level else coarse
+    h = hashlib.sha256()
+    for what, B in _block_fields(fem.assemble_blocks(mesh, form)):
+        assert (B.indptr.dtype, B.indices.dtype, B.data.dtype) == \
+            (np.int32, np.int32, np.float64), what
+        for a, dtype in ((B.indptr, "<i4"), (B.indices, "<i4"), (B.data, "<f8")):
+            h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    assert h.hexdigest() == BLOCKS_GOLDEN[level, kind]
 
 
 @pytest.mark.parametrize("level", [0, 1])
