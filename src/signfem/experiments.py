@@ -12,19 +12,26 @@ Every pooled study lists its per-level jobs finest level first
 unknowns of the one below, so the finest level's solves set the wall time;
 listed first, they start at once while the coarse levels fill in behind them.
 Each job assembles only its own formulation row's blocks, inside its worker
-thread, and holds them no longer than it needs them: a source job lets its
-blocks go before it factors (solvers.solve_source), except the finest edge
-job, whose blocks the error norms read.  Temporaries freed in a thread stay in
-its glibc arena, where no factorization reuses them (SuperLU's factor arrays
-are fresh mmaps), so every factorization first hands that memory back
-(solvers._factorize).  Together with the blocks let go, this lowered the
-peak RSS of the source_deep benchmark from 539-548 to 475-489 MB (median
-543 to 481) and that of the spectral one from 175-188 to 160-176 MB (ten
-alternating pairs each, two vCPUs).  Most of what is left of the source
-study's peak is its two L4 factorizations, edge and scalar, which run at
-once.  With one-column SuperLU panels (solvers module docstring) they no
-longer hold panel workspace beside their factors, and the source_deep peak
-fell from 475-484 to 374-411 MB (median 478 to 387, ten alternating pairs).
+thread, and holds them no longer than it needs them: every source job lets
+its blocks go before it factors (solvers.solve_source).  The error norms
+read the Gram and the mass of the finest edge blocks, so the source study
+assembles those once more after its solves, when no factor is held, in a
+second pool call beside the prolongations and cross-checks.  Temporaries
+freed in a thread stay in its glibc arena, where no factorization reuses
+them (SuperLU's factor arrays are fresh mmaps), so every factorization first
+hands that memory back (solvers._factorize).  Together with the blocks let
+go, this lowered the peak RSS of the source_deep benchmark from 539-548 to
+475-489 MB (median 543 to 481) and that of the spectral one from 175-188 to
+160-176 MB (ten alternating pairs each, two vCPUs).  Most of what is left of
+the source study's peak is its two L4 factorizations, edge and scalar, which
+run at once.  With one-column SuperLU panels (solvers module docstring) they
+no longer hold panel workspace beside their factors, and the source_deep
+peak fell from 475-484 to 374-411 MB (median 478 to 387, ten alternating
+pairs).  Then every large array of the source study was made to live once:
+no finest edge blocks under the L4 factors, one copy of A(lam) under each
+factor (solvers module docstring) and block assembly region by region (fem
+module docstring).  That lowered the source_deep peak from 376-397 to
+314-360 MB (median 385 to 330, ten alternating pairs, lower in all ten).
 
 The pool overlaps SuperLU factorizations, but Python-level work in one job
 holds the other job back.  Measured on two vCPUs: one L3 edge factorization
@@ -310,28 +317,44 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
 
     def task(job):
         i, form = job
-        # only the norms' finest edge blocks are kept; every other job's
-        # blocks are freed before its factorization (solve_source)
-        kept = fem.assemble_blocks(meshes[i]) if job == (finest, fem.EDGE) else None
-        s = sol.solve_source(meshes[i], kept or fem.assemble_blocks(meshes[i], form),
+        # the blocks are freed before the factorization (solve_source)
+        s = sol.solve_source(meshes[i], fem.assemble_blocks(meshes[i], form),
                              mat, lam, cfg.source)
         if form is fem.EDGE:
             # drop the longdouble carry: prolongation and norms run in float64
-            return s.coeffs.astype(float), kept
+            return s.coeffs.astype(float)
         return fem.potential_flux(meshes[i], mat, lam, s.coeffs)
 
     jobs = [(i, form) for i in levels for form in (fem.EDGE, fem.SCALAR)]
     solved = dict(zip(jobs, _pool_map(task, jobs)))
-    uref, blocks_f = solved[finest, fem.EDGE]
-
+    uref = solved[finest, fem.EDGE]
     space_f = fem.EDGE.space(meshes[-1])
-    gram = sol.xnorm_gram(blocks_f, space_f)
-    mass = blocks_f.mass[0] + blocks_f.mass[1]
+
+    # after the solves, with no factor held: the norms' Gram and mass from
+    # finest edge blocks assembled anew, beside every coarser solution carried
+    # up to the finest level and the cross-checks (module docstring)
+    def norm_matrices():
+        blocks = fem.assemble_blocks(meshes[-1])
+        return sol.xnorm_gram(blocks, space_f), blocks.mass[0] + blocks.mass[1]
+
+    def carried_and_cross():
+        prolong = [fem.edge_prolongation(c, f) for c, f in zip(meshes, meshes[1:])]
+        carried = []
+        for i in range(cfg.levels):
+            w = solved[i, fem.EDGE]
+            for P in prolong[i:]:
+                w = P @ w
+            carried.append(w)
+        return carried, [fem.cross_error(meshes[i], solved[i, fem.EDGE],
+                                         solved[i, fem.SCALAR])
+                         for i in range(cfg.levels)]
+
+    (gram, mass), (carried, cross) = _pool_map(lambda work: work(),
+                                               [norm_matrices, carried_and_cross])
 
     def norm(G, d):
         return math.sqrt(max(float(d @ (G @ d)), 0.0))
 
-    prolong = [fem.edge_prolongation(c, f) for c, f in zip(meshes, meshes[1:])]
     rows = []
     # pinned like the pool's jobs: a threaded ddot splits its sum by the
     # thread count (module docstring)
@@ -339,15 +362,11 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
         ref_x = norm(gram, space_f.restrict_vec(uref))
         ref_l2 = norm(mass, uref)
         for i in range(cfg.levels):
-            u = w = solved[i, fem.EDGE][0]
-            for P in prolong[i:]:
-                w = P @ w
-            d = w - uref
+            d = carried[i] - uref
             x_err = norm(gram, space_f.restrict_vec(d)) / ref_x
             l2_err = norm(mass, d) / ref_l2
-            cross = fem.cross_error(meshes[i], u, solved[i, fem.SCALAR])
             rows.append((i, meshes[i].h_max, meshes[i].num_edges, x_err, l2_err,
-                         cross))
+                         cross[i]))
     return ResultTable(("level", "h_max", "dofs", "x_err", "l2_err", "cross_err"),
                        tuple(rows), tuple(meta))
 

@@ -27,6 +27,23 @@ factored pencil S - (4/3) T (section 5.2, L3) past 1e-10, is gone: inertia
 comes from A(4/3) (solvers._negative_count), whose probe reads 3.2e-11 with
 this rule and 1.2e-11 with the closed form in the order above.
 
+assemble_blocks works region by region.  Each row's element kernel computes
+the element matrices of one region's triangles only (Formulation.elements),
+from that region's own geometry, and the stiffness array is let go before
+the mass is scattered, so no element array of the whole mesh exists.  Every
+block still comes out of scipy's COO->CSR conversion on the same input, bit
+for bit (the tests pin their sha256).  The edge signs are applied in place,
+one local edge after the other, which keeps the bits of the product with
+the sign pairs: each factor is +-1.  Measured with tracemalloc at L4 of the
+source study (189,440 triangles), the edge row peaks at 71 MB for 46 MB of
+blocks, down from 121 MB, and the scalar row at 68 MB for 19 MB, down from
+115 MB.  What is left is the scatter itself: the (T, 9) index arrays, one
+element array and the CSR arrays it makes.  _edge_mass still builds the
+edge functions at its three points at once (27 MB at L4): built one point
+at a time they would lower the edge row's peak by 1 MB only, the kernel
+being off the peak once it runs per region, and _edge_mass took 42 ms
+instead of 36 ms.
+
 Fields are evaluated in float64: _edge_values, _edge_curls and
 potential_flux round their coefficients on entry.  solve_source returns the
 longdouble carry of its refinement, and the cross-check and the error norms
@@ -109,35 +126,40 @@ def _scalar_space(mesh: Mesh) -> Space:
     return Space(mesh.num_vertices, np.arange(mesh.num_vertices))
 
 
-def _vertex_coords(mesh: Mesh) -> np.ndarray:
-    """Vertex coordinates per triangle, component-major: (3, 2, T) view."""
+def _vertex_coords(mesh: Mesh, sel=None) -> np.ndarray:
+    """Vertex coordinates per triangle, component-major: (3, 2, T) view; of
+    the triangles sel only, if given."""
+    tri = mesh.triangles if sel is None else mesh.triangles[sel]
     # np.take along axis 0 gathers rows several times faster than fancy
     # indexing does here
-    return np.take(mesh.vertices, mesh.triangles, axis=0).transpose(1, 2, 0)
+    return np.take(mesh.vertices, tri, axis=0).transpose(1, 2, 0)
 
 
-def _geometry(mesh: Mesh):
+def _geometry(mesh: Mesh, sel=None):
     """Per-triangle barycentric gradients, component-major (3, 2, T): row
     [j, d] holds component d of grad(lam_j) on every triangle; and the curl
-    weights (T,) of the local edge functions (_curl_weights)."""
-    v = _vertex_coords(mesh)
-    two_area = 2 * mesh.areas
-    grads = np.empty((3, 2, mesh.num_triangles))
+    weights (T,) of the local edge functions (_curl_weights).  Of the
+    triangles sel only, if given, each with the bits it has in the whole."""
+    v = _vertex_coords(mesh, sel)
+    area = mesh.areas if sel is None else mesh.areas[sel]
+    two_area = 2 * area
+    grads = np.empty((3, 2, len(area)))
     for j in range(3):
         k, l = (j + 1) % 3, (j + 2) % 3
         grads[j, 0] = -(v[l, 1] - v[k, 1]) / two_area
         grads[j, 1] = (v[l, 0] - v[k, 0]) / two_area
-    return grads, _curl_weights(mesh)
+    return grads, _curl_weights(area)
 
 
-def _curl_weights(mesh: Mesh) -> np.ndarray:
-    """Curl (T,) of every local edge function, before orientation signs."""
+def _curl_weights(area: np.ndarray) -> np.ndarray:
+    """Curl of every local edge function, before orientation signs, on
+    triangles of the given areas."""
     # 2 grad(lam_j) x grad(lam_{j+1}) = 1/area for every local edge of a
     # positively oriented triangle.  Snap the weight to a multiple of 2^-30:
     # stiffness entries are then short sums of exactly representable +-q and
     # curl-of-gradient cancellation is exact in floating point, while the
     # perturbation (< 2^-31 absolute) sits far below discretization error.
-    return np.ldexp(np.round(np.ldexp(1.0 / mesh.areas, 30)), -30)
+    return np.ldexp(np.round(np.ldexp(1.0 / area, 30)), -30)
 
 
 def _whitney_at(grads, lam):
@@ -190,17 +212,19 @@ class Formulation:
     A row reads the Drude laws of roles(mat): mu(lam)^-1 weights the
     stiffness and eps(lam) the mass, and omega_mu is the resonance that the
     auxiliary block linearizes.  space(mesh) gives the row's Space
-    (_edge_space, _scalar_space); elements(mesh, grads, curls, tm) its dofs
-    per triangle, its stiffness and mass element matrices and its pairing
-    and aux-mass blocks (_edge_elements, _scalar_elements); and load(mesh,
-    mat, lam, f) its load vector of the source f on every dof of its space
-    (_edge_load, _scalar_load).  Assembled blocks carry their row
+    (_edge_space, _scalar_space); elements(mesh, sel) the dofs, stiffness
+    and mass element matrices (len(sel), 3, 3) of the triangles sel
+    (_edge_elements, _scalar_elements); aux(mesh, tm) its pairing and
+    aux-mass blocks on the minus triangles tm (_edge_aux, _scalar_aux); and
+    load(mesh, mat, lam, f) its load vector of the source f on every dof of
+    its space (_edge_load, _scalar_load).  Assembled blocks carry their row
     (Blocks.form); kind only names it in messages.
     """
 
     kind: str        # "edge" | "scalar", for messages
     space: Callable
     elements: Callable
+    aux: Callable
     load: Callable
     swap: bool
 
@@ -214,32 +238,44 @@ class Formulation:
             omega_eps_sq=mat.omega_mu_sq)
 
 
-def _edge_elements(mesh: Mesh, grads, curls, tm):
-    """The edge row's dofs per triangle, its element matrices (T,3,3),
-    stiffness and mass (_edge_mass), and its pairing and aux-mass blocks."""
-    signs = mesh.tri_edge_signs.astype(float)
-    sign_pairs = signs[:, :, None] * signs[:, None, :]
-    Mel = _edge_mass(grads, mesh.areas) * sign_pairs
+def _edge_elements(mesh: Mesh, sel):
+    """The edge row's dofs and element matrices (len(sel), 3, 3), stiffness
+    and mass (_edge_mass), on the triangles sel."""
+    grads, curls = _geometry(mesh, sel)
+    Mel = _edge_mass(grads, mesh.areas[sel])
+    del grads
+    # each product with an orientation sign (+-1) is exact, so signing Mel
+    # by one local edge after the other keeps the bits of one product with
+    # the sign pairs
+    signs = mesh.tri_edge_signs[sel].astype(float)
+    Mel *= signs[:, :, None]
+    Mel *= signs[:, None, :]
     # int_T (curl w_j)(curl w_k) = area * (1/area)^2; keep the snapped weight
     # as a single factor so element entries stay exactly +-q
-    Kel = sign_pairs * curls[:, None, None]
+    Kel = signs[:, :, None] * signs[:, None, :]
+    Kel *= curls[:, None, None]
+    return mesh.tri_edges[sel], Kel, Mel
 
+
+def _edge_aux(mesh: Mesh, tm):
+    """The edge row's pairing with the minus-region piecewise constants on
+    the minus triangles tm, and their mass."""
     rows_c = np.repeat(np.arange(len(tm)), 3)
     cols_c = mesh.tri_edges[tm].ravel()
     # int_T curl w_e = area * (1/area): exactly the orientation sign
-    vals_c = signs[tm].ravel()
+    vals_c = mesh.tri_edge_signs[tm].astype(float).ravel()
     C = sp.coo_matrix((vals_c, (rows_c, cols_c)),
                       shape=(len(tm), mesh.num_edges)).tocsr()
     MY = sp.diags(mesh.areas[tm]).tocsr()
-    return mesh.tri_edges, Kel, Mel, C, MY
+    return C, MY
 
 
-def _scalar_elements(mesh: Mesh, grads, curls, tm):
-    """The scalar row's dofs per triangle, its P1 element matrices (T,3,3),
-    stiffness and mass, and its pairing Cs and aux-mass block MYs; Cs^T
-    MYs^-1 Cs is the minus-region stiffness."""
-    area = mesh.areas
-    Ksel = np.empty((mesh.num_triangles, 3, 3))
+def _scalar_elements(mesh: Mesh, sel):
+    """The scalar row's dofs and P1 element matrices (len(sel), 3, 3),
+    stiffness and mass, on the triangles sel."""
+    grads, _ = _geometry(mesh, sel)
+    area = mesh.areas[sel]
+    Ksel = np.empty((len(sel), 3, 3))
     for j in range(3):
         for k in range(j, 3):
             # + 0.0 turns a -0.0 product into +0.0, as a sum started from
@@ -248,16 +284,23 @@ def _scalar_elements(mesh: Mesh, grads, curls, tm):
             Ksel[:, j, k] = Ksel[:, k, j] = g * area
     # int_T lam_j lam_k = area (1 + delta_jk) / 12
     Msel = area[:, None, None] * ((1 + np.eye(3)) / 12)
+    return mesh.triangles[sel], Ksel, Msel
 
+
+def _scalar_aux(mesh: Mesh, tm):
+    """The scalar row's pairing Cs on the minus triangles tm, the two
+    components of area * grad v per triangle, and their mass MYs; Cs^T
+    MYs^-1 Cs is the minus-region stiffness."""
+    area = mesh.areas[tm]
     rows_s = np.repeat(2 * np.arange(len(tm)), 3)
     rows_s = np.concatenate([rows_s, rows_s + 1])
     cols_s = np.tile(mesh.triangles[tm].ravel(), 2)
-    agrad = grads[:, :, tm] * area[tm]
+    agrad = _geometry(mesh, tm)[0] * area
     vals_s = np.concatenate([agrad[:, 0].T.ravel(), agrad[:, 1].T.ravel()])
     Cs = sp.coo_matrix((vals_s, (rows_s, cols_s)),
                        shape=(2 * len(tm), mesh.num_vertices)).tocsr()
-    MYs = sp.diags(np.repeat(area[tm], 2)).tocsr()
-    return mesh.triangles, Ksel, Msel, Cs, MYs
+    MYs = sp.diags(np.repeat(area, 2)).tocsr()
+    return Cs, MYs
 
 
 def _edge_load(mesh: Mesh, mat: mats.DrudeMaterial, lam, f) -> np.ndarray:
@@ -287,9 +330,10 @@ def _scalar_load(mesh: Mesh, mat: mats.DrudeMaterial, lam, f) -> np.ndarray:
 
 # In 2D the scalar-potential problem is the edge problem with mu and eps
 # exchanged, on P1 functions with natural boundary conditions.
-EDGE = Formulation("edge", _edge_space, _edge_elements, _edge_load, swap=False)
-SCALAR = Formulation("scalar", _scalar_space, _scalar_elements, _scalar_load,
-                     swap=True)
+EDGE = Formulation("edge", _edge_space, _edge_elements, _edge_aux, _edge_load,
+                   swap=False)
+SCALAR = Formulation("scalar", _scalar_space, _scalar_elements, _scalar_aux,
+                     _scalar_load, swap=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,18 +357,17 @@ def assemble_blocks(mesh: Mesh, form: Formulation = EDGE) -> Blocks:
     minus-region piecewise constants, whose mass is the diagonal of minus
     areas.  SCALAR: P1 stiffness and mass; the two components of area *
     grad v per minus triangle, and their mass."""
-    grads, curls = _geometry(mesh)
-    tm = np.flatnonzero(mesh.region == -1)
-    dofs, Sel, Mel, pairing, aux_mass = form.elements(mesh, grads, curls, tm)
     n = form.space(mesh).ndof
-    rows, cols = np.repeat(dofs, 3, axis=1), np.tile(dofs, (1, 3))
     regions = []
+    # region by region, so no element array of the whole mesh is built
     for sign in (1, -1):
-        sel = np.flatnonzero(mesh.region == sign)
-        r, c = np.take(rows, sel, axis=0), np.take(cols, sel, axis=0)
-        regions.append([_scatter(r, c, np.take(el, sel, axis=0), (n, n))
-                        for el in (Sel, Mel)])
+        dofs, Sel, Mel = form.elements(mesh, np.flatnonzero(mesh.region == sign))
+        rows, cols = np.repeat(dofs, 3, axis=1), np.tile(dofs, (1, 3))
+        stiffness = _scatter(rows, cols, Sel, (n, n))
+        del Sel
+        regions.append((stiffness, _scatter(rows, cols, Mel, (n, n))))
     stiffness, mass = zip(*regions)
+    pairing, aux_mass = form.aux(mesh, np.flatnonzero(mesh.region == -1))
     return Blocks(form, stiffness, mass, pairing, aux_mass)
 
 
@@ -379,7 +422,7 @@ def _edge_values(mesh: Mesh, u_full: np.ndarray, rule):
 
 def _edge_curls(mesh: Mesh, u_full: np.ndarray) -> np.ndarray:
     """Elementwise curls (T,) of an edge field."""
-    coef, q = _signed_coeffs(mesh, u_full), _curl_weights(mesh)
+    coef, q = _signed_coeffs(mesh, u_full), _curl_weights(mesh.areas)
     # summed as (0 + 2) + 1, the order np.einsum("tj,tj->t") takes, so the
     # curls of a float64 field keep their bits
     return (coef[0] * q + coef[2] * q) + coef[1] * q

@@ -62,11 +62,24 @@ before splu hands the free memory of every malloc arena back to the system
 factor arrays from fresh mmaps, which never reuse what assembly freed, so
 without the trim those temporaries stay resident under every factor.  In the
 source_deep benchmark about 330 MB were resident, of them about 160 MB live,
-when its two L4 factorizations started: assembling the L4 edge blocks makes
-115 MB of temporaries for 44 MB of blocks, and assemble_A 74 MB for 19.5 MB.
-The one policy covers source solves, inertia counts, shift-invert, the
-residual Gram and the inf-sup factor.  A fixed mallopt M_MMAP_THRESHOLD, tried
-in its place, cut 17 MB but made the eigen-convergence study about 20% slower.
+when its two L4 factorizations started: assembling the L4 edge blocks made
+115 MB of temporaries for 44 MB of blocks (now at most 72 MB, fem module
+docstring), and assemble_A 74 MB for 19.5 MB.  The one policy covers source
+solves, inertia counts, shift-invert, the residual Gram and the inf-sup
+factor.  A fixed mallopt M_MMAP_THRESHOLD, tried in its place, cut 17 MB but
+made the eigen-convergence study about 20% slower.
+
+Under a source factor lives one copy of A(lam).  solve_source rebinds A to
+its pre-ordered CSC copy (_preorder) before it factors, so the A it
+assembled is freed first; splu factors that copy as it is, and the
+refinement multiplies with it (_gated_solve), so the solution comes back
+through the inverse pre-order.  At L4 of the source study that is one copy
+fewer under each factor: 18.1 MB for the edge A(1) (1.42 M entries) and
+8.4 MB for the scalar one.  The other paths keep their lifetimes:
+_negative_count holds A(sigma) for its probe, residual_evaluator its Gram
+and discrete_infsup its pencil, each beside one pre-ordered copy under
+splu; a matrix that reaches _factorize as a temporary, such as the Schur
+complement of _shift_invert, is freed once its pre-ordered copy exists.
 """
 
 from __future__ import annotations
@@ -153,35 +166,44 @@ def _malloc_trim() -> Optional[Callable]:
     return trim
 
 
-def _factorize(A: sp.spmatrix, what: str) -> _Factor:
-    """The one sparse factorization (policy in the module docstring), started
-    on a trimmed heap."""
+def _preorder(A: sp.spmatrix) -> Tuple[sp.csc_matrix, np.ndarray]:
+    """(A[order][:, order], order): A under its reverse Cuthill-McKee
+    pre-order, in the CSC form that splu factors as it is."""
     A = A.tocsr()
     order = reverse_cuthill_mckee(A, symmetric_mode=True)
-    Ap = A[order][:, order].tocsc()
+    return A[order][:, order].tocsc(), order
+
+
+def _factorize(A: sp.spmatrix, what: str,
+               order: Optional[np.ndarray] = None) -> _Factor:
+    """The one sparse factorization (policy in the module docstring), started
+    on a trimmed heap.  Given its order, A is already pre-ordered (_preorder)
+    and factored as it is."""
+    if order is None:
+        A, order = _preorder(A)
     trim = _malloc_trim()
     if trim is not None:
         trim(0)
     try:
-        lu = spla.splu(Ap, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        panel_size=1, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"factorization failed for {what}: {exc}") from exc
     return _Factor(lu, order)
 
 
-def _longdouble(A: sp.csr_matrix) -> sp.csr_matrix:
-    """A with its values in longdouble, on A's own indices and indptr:
-    A.astype(np.longdouble) copies those too (6.8 MB at the L4 edge A(1)).
-    Its products are bit for bit those of the astype copy."""
-    return sp.csr_matrix((A.data.astype(np.longdouble), A.indices, A.indptr),
-                         shape=A.shape)
+def _longdouble(A: sp.spmatrix) -> sp.spmatrix:
+    """A (CSR or CSC) with its values in longdouble, on A's own indices and
+    indptr: A.astype(np.longdouble) copies those too (6.8 MB at the L4 edge
+    A(1)).  Its products are bit for bit those of the astype copy."""
+    return type(A)((A.data.astype(np.longdouble), A.indices, A.indptr),
+                   shape=A.shape)
 
 
 _REFINE_STEPS = 6
 
 
-def _refined_solve(lu, A: sp.csr_matrix, b: np.ndarray) -> Tuple[np.ndarray, float]:
+def _refined_solve(lu, A: sp.spmatrix, b: np.ndarray) -> Tuple[np.ndarray, float]:
     """LU solve plus iterative refinement with extended-precision carry.
 
     Refinement that stores u in float64 stalls at eps*|| |A||u| ||/||b||, and
@@ -189,7 +211,9 @@ def _refined_solve(lu, A: sp.csr_matrix, b: np.ndarray) -> Tuple[np.ndarray, flo
     push that stall above 1e-10 once the fans shrink past ~1e-2.  Keeping the
     accumulated u and the residual in longdouble removes the storage floor --
     one correction step typically lands near 1e-13 -- while every triangular
-    solve stays in the double-precision factors.
+    solve stays in the double-precision factors.  The residual that measures
+    a step is the one the next step corrects, so each step takes one
+    longdouble product with A.
     """
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
@@ -197,34 +221,39 @@ def _refined_solve(lu, A: sp.csr_matrix, b: np.ndarray) -> Tuple[np.ndarray, flo
     Ax = _longdouble(A)
     bx = b.astype(np.longdouble)
 
-    def rel(v):
-        return float(np.linalg.norm(np.asarray(bx - Ax @ v, dtype=np.float64))) / nb
+    def residual(v):
+        r = np.asarray(bx - Ax @ v, dtype=np.float64)
+        return r, float(np.linalg.norm(r)) / nb
 
     u = lu.solve(b).astype(np.longdouble)
-    res = rel(u)
+    r, res = residual(u)
     for _ in range(_REFINE_STEPS):
         if not np.isfinite(res) or res <= 1e-12:
             break
-        cand = u + lu.solve(np.asarray(bx - Ax @ u, dtype=np.float64))
-        new = rel(cand)
+        cand = u + lu.solve(r)
+        r_cand, new = residual(cand)
         if not np.isfinite(new) or new >= res:
             break
-        u, res = cand, new
+        u, r, res = cand, r_cand, new
     return u, res
 
 
-def _gated_solve(A: sp.csr_matrix, b: np.ndarray,
+def _gated_solve(A: sp.csc_matrix, order: np.ndarray, b: np.ndarray,
                  what: str) -> Tuple[np.ndarray, float]:
-    """Factor, refine, and hold the relative residual to the 1e-10 gate.
-    Returns (solution, residual)."""
-    lu = _factorize(A, what)
-    u, res = _refined_solve(lu, A, b)
+    """Factor A, already pre-ordered (_preorder), refine against that same
+    matrix, and hold the relative residual to the 1e-10 gate.  b and the
+    solution are in the numbering before the pre-order.  Returns (solution,
+    residual)."""
+    fac = _factorize(A, what, order)
+    u, res = _refined_solve(fac.lu, A, b[order])
     if not np.isfinite(res) or res > 1e-10:
-        d = np.abs(lu.lu.U.diagonal())
+        d = np.abs(fac.lu.U.diagonal())
         raise SolverError(
             f"{what} is numerically singular: relative residual {res:.3e} "
             f"after refinement (min|U_ii|/max|U_ii| = {d.min() / d.max():.3e})")
-    return u, res
+    x = np.empty_like(u)
+    x[order] = u
+    return x, res
 
 
 def solve_source(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial, lam,
@@ -237,7 +266,9 @@ def solve_source(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial, lam,
     1e-10 gate even on deep meshes; a residual still above it means lam sits
     at or near an eigenvalue and is reported with pivot diagnostics instead
     of returned.  The blocks are let go once A(lam) and b are built, so a
-    caller that holds no other reference frees them before the factorization.
+    caller that holds no other reference frees them before the factorization;
+    A(lam) itself goes once its pre-ordered copy, the one the factor and the
+    refinement read, is built (module docstring).
     """
     form = blocks.form
     if not callable(f):
@@ -250,7 +281,9 @@ def solve_source(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial, lam,
     A = fem.assemble_A(blocks, mat, lam, space)
     b = space.restrict_vec(form.load(mesh, mat, lam, f))
     del blocks
-    u, res = _gated_solve(A, b, f"{form.kind} A({lam})")
+    # rebinding A lets the unpermuted copy go before the factorization
+    A, order = _preorder(A)
+    u, res = _gated_solve(A, order, b, f"{form.kind} A({lam})")
     return SourceSolution(space.expand_vec(u), res)
 
 

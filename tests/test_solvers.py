@@ -3,6 +3,7 @@
 import dataclasses
 import platform
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -67,6 +68,67 @@ def test_source_solution_contract(mesh_seq, blocks_seq):
     assert s.coeffs.shape == (m.num_edges,)
     assert np.all(s.coeffs[bdry] == 0.0)
     assert sum(fem.block_norm_sq(pair, s.coeffs) for pair in (bl.stiffness, bl.mass)) > 0
+
+
+def test_source_solve_holds_one_copy_of_A_under_the_factor(mesh_seq, rows,
+                                                          monkeypatch):
+    # solve_source factors, and refines against, the pre-ordered copy of the
+    # A(lam) it assembles; that A itself is gone when splu runs.  The gate
+    # holds on the residual of the returned solution in its own numbering.
+    made, alive = [], []
+    real_assemble_A, real_splu = fem.assemble_A, spla.splu
+
+    def assemble_A(*args):
+        A = real_assemble_A(*args)
+        made.append(weakref.ref(A))
+        return A
+
+    def splu(*args, **kwargs):
+        alive.append([ref() is not None for ref in made])
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "assemble_A", assemble_A)
+    monkeypatch.setattr(sol.spla, "splu", splu)
+    m = mesh_seq[1]
+    for form, bl in rows.items():
+        s = sol.solve_source(m, bl[1], CONTRAST_TEN, 1.0, (1.0, 1.0))
+        assert s.residual <= 1e-10
+        space = form.space(m)
+        A = real_assemble_A(bl[1], CONTRAST_TEN, 1.0, space)
+        b = space.restrict_vec(form.load(m, CONTRAST_TEN, 1.0, np.array([1.0, 1.0])))
+        u = space.restrict_vec(s.coeffs).astype(float)
+        assert np.linalg.norm(b - A @ u) <= 1e-10 * np.linalg.norm(b)
+    assert alive == [[False], [False, False]]
+
+
+def test_refinement_takes_one_product_per_solve(mesh_seq, blocks_seq, monkeypatch):
+    # the residual that measures an iterate is the one the next step
+    # corrects, so the longdouble products with A match the factor's solves
+    # one for one, with no product taken twice for the same iterate
+    counts = {"solve": 0, "product": 0}
+
+    class Counted:
+        def __init__(self, inner, key):
+            self.inner, self.key = inner, key
+
+        def solve(self, b):
+            counts[self.key] += 1
+            return self.inner.solve(b)
+
+        def __matmul__(self, v):
+            counts[self.key] += 1
+            return self.inner @ v
+
+    real_longdouble = sol._longdouble
+    monkeypatch.setattr(sol, "_longdouble", lambda A: Counted(real_longdouble(A), "product"))
+    m, bl = mesh_seq[1], blocks_seq[1]
+    space = fem.EDGE.space(m)
+    A, order = sol._preorder(fem.assemble_A(bl, CONTRAST_TEN, 1.0, space))
+    b = space.restrict_vec(fem.EDGE.load(m, CONTRAST_TEN, 1.0, np.array([1.0, 1.0])))
+    lu = sol._factorize(A, "A(1)", order).lu
+    _, res = sol._refined_solve(Counted(lu, "solve"), A, b[order])
+    assert res <= 1e-10
+    assert counts["product"] == counts["solve"] >= 2
 
 
 def test_source_zero_load(mesh_seq, blocks_seq):
