@@ -452,3 +452,41 @@ def test_operators_golden(mesh_seq, dom):
     got = {key: tuple(_digest(refl.build_reflection(m, dom, *key)) for m in mesh_seq[:2])
            for key in GOLDEN}
     assert got == GOLDEN
+
+
+# level_sups of estimate_norm on L0-L2 (reference domain, r = 0.3, h = 0.2),
+# for both kinds and all 12 (pattern, direction) pairs
+GOLDEN_SUPS = {
+    (('corner', 0), "scalar", "+"): (2.236067977499791, 2.2360679774997916, 2.236067977499799),
+    (('corner', 0), "scalar", "-"): (2.2360679774997916, 2.2360679774997956, 2.236067977499803),
+    (('corner', 1), "scalar", "+"): (2.2360679774997876, 2.2360679774997907, 2.2360679774997907),
+    (('corner', 1), "scalar", "-"): (2.2360679774997947, 2.2360679774998027, 2.236067977499883),
+    (('corner', 2), "scalar", "+"): (2.236067977499786, 2.2360679774997907, 2.2360679774997894),
+    (('corner', 2), "scalar", "-"): (2.2360679774997956, 2.2360679774997974, 2.236067977499841),
+    (('edge', 0), "scalar", "+"): (1.0000000000000044, 1.0000000000000164, 1.0000000000000724),
+    (('edge', 0), "scalar", "-"): (1.000000000000001, 1.0000000000000022, 1.00000000000001),
+    (('edge', 1), "scalar", "+"): (1.0000000000000029, 1.000000000000014, 1.0000000000000122),
+    (('edge', 1), "scalar", "-"): (1.0000000000000029, 1.000000000000011, 1.0000000000001041),
+    (('edge', 2), "scalar", "+"): (1.0000000000000056, 1.0000000000000193, 1.0000000000000708),
+    (('edge', 2), "scalar", "-"): (1.0000000000000007, 1.00000000000001, 1.0000000000000873),
+    (('corner', 0), "vector", "+"): (2.2360679774997902, 2.236067977499796, 2.236067977499808),
+    (('corner', 0), "vector", "-"): (2.2360679774997894, 2.23606797749979, 2.2360679774998),
+    (('corner', 1), "vector", "+"): (2.236067977499788, 2.2360679774997907, 2.236067977499793),
+    (('corner', 1), "vector", "-"): (2.236067977499792, 2.2360679774997974, 2.236067977499882),
+    (('corner', 2), "vector", "+"): (2.236067977499789, 2.236067977499794, 2.2360679774997942),
+    (('corner', 2), "vector", "-"): (2.2360679774997907, 2.2360679774997956, 2.2360679774998835),
+    (('edge', 0), "vector", "+"): (1.0000000000000047, 1.0000000000000173, 1.0000000000000615),
+    (('edge', 0), "vector", "-"): (0.9999999999999997, 1.0000000000000018, 1.0000000000000304),
+    (('edge', 1), "vector", "+"): (1.000000000000004, 1.0000000000000064, 1.0000000000000038),
+    (('edge', 1), "vector", "-"): (1.0000000000000022, 1.000000000000012, 1.0000000000001825),
+    (('edge', 2), "vector", "+"): (1.0000000000000058, 1.0000000000000204, 1.0000000000000584),
+    (('edge', 2), "vector", "-"): (0.9999999999999998, 1.0000000000000007, 1.0000000000000087),
+}
+
+
+def test_level_sups_golden(mesh_seq, dom):
+    """Every level sup on L0-L2 to 1e-12 relative."""
+    for (pattern, kind, direction), want in GOLDEN_SUPS.items():
+        est = refl.estimate_norm(mesh_seq[:3], dom, pattern, kind, direction)
+        np.testing.assert_allclose(est.level_sups, want, rtol=1e-12, atol=0,
+                                   err_msg=f"{pattern} {kind} {direction}")
