@@ -371,19 +371,6 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
                        tuple(rows), tuple(meta))
 
 
-def _regime(windows: mats.CriticalWindows, lam: float) -> str:
-    tags = []
-    if windows.window_mu is not None:
-        a, b = windows.window_mu
-        if a <= lam <= b:
-            tags.append("uncovered-regime")
-    if windows.window_eps is not None:
-        a, b = windows.window_eps
-        if a <= lam <= b:
-            tags.append("eps-critical")
-    return "|".join(tags)
-
-
 def _gated_eigenpairs(meshes: Sequence[Mesh], mat: mats.DrudeMaterial,
                       jobs: Sequence[Tuple[int, fem.Formulation]],
                       window: Tuple[float, float], shift: float,
@@ -442,7 +429,7 @@ def run_spectrum(cfg: ExperimentConfig):
 
     rows = []
     for q in pairs:
-        reg = _regime(windows, q.lam)
+        reg = windows.regime(q.lam)
         match = match_rel = ""
         if "eps-critical" not in reg and len(svals):
             j = int(np.argmin(np.abs(svals - q.lam)))
@@ -452,7 +439,7 @@ def run_spectrum(cfg: ExperimentConfig):
                      q.curl_fraction, reg, match, match_rel))
     for q in scalar:
         rows.append((level, "scalar", q.lam, q.residual, "", "",
-                     _regime(windows, q.lam), "", ""))
+                     windows.regime(q.lam), "", ""))
 
     meta = _base_metadata(cfg) + [
         ("window", f"{window[0]},{window[1]}"), ("shift", repr(shift)),

@@ -60,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import materials as mats
-from .mesh import Mesh
+from .mesh import RED_CHILDREN, Mesh
 
 __all__ = [
     "Space", "FemError",
@@ -443,16 +443,17 @@ def assemble_rhs(mesh: Mesh, fun: Callable) -> np.ndarray:
                        minlength=mesh.num_edges)
 
 
-def block_norm_sq(pair: Tuple[sp.csr_matrix, sp.csr_matrix],
-                  u_full: np.ndarray) -> float:
-    """u^T (B_plus + B_minus) u for a (plus, minus) pair of region blocks
-    (Blocks.stiffness, Blocks.mass), each applied to u, a vector on every dof
-    of their space.  Summed in longdouble, as discrete_infsup takes its
-    Rayleigh quotient: the curl energy of a gradient-heavy field cancels in
-    K u, and float64 lost up to 2.5e-12 of it on section 5.2 eigenvectors
-    (r = 0.05, L1)."""
+def block_norm_sq(blocks: Tuple[sp.spmatrix, ...], u_full: np.ndarray) -> float:
+    """u^T (B_1 + ... + B_k) u for a tuple of blocks, each applied to u: a
+    (plus, minus) pair of region blocks (Blocks.stiffness, Blocks.mass) on
+    every dof of their space, or one matrix, as (B,), on the vector space it
+    acts on (discrete_infsup's Rayleigh quotient).  Summed in longdouble: the
+    curl energy of a gradient-heavy field cancels in K u, and float64 lost
+    up to 2.5e-12 of it on section 5.2 eigenvectors (r = 0.05, L1).  The
+    products B @ u of a float64 B with the longdouble u are bit for bit
+    those of a longdouble copy of B."""
     u = np.asarray(u_full, dtype=np.longdouble)
-    return float(sum(u @ (B @ u) for B in pair))
+    return float(sum(u @ (B @ u) for B in blocks))
 
 
 def potential_flux(mesh: Mesh, mat: mats.DrudeMaterial, lam,
@@ -532,24 +533,18 @@ def interpolate_edge(mesh: Mesh, fun: Callable) -> np.ndarray:
     return out
 
 
-# Barycentric coordinates, in the parent triangle (a, b, c), of the vertices
-# of the four children that refine_red writes: (a, mab, mca), (b, mbc, mab),
-# (c, mca, mbc), (mab, mbc, mca).
-_CHILD_BARY = np.array([
-    [[1, 0, 0], [.5, .5, 0], [.5, 0, .5]],
-    [[0, 1, 0], [0, .5, .5], [.5, .5, 0]],
-    [[0, 0, 1], [.5, 0, .5], [0, .5, .5]],
-    [[.5, .5, 0], [0, .5, .5], [.5, 0, .5]],
-])
-
-
 def _child_moments() -> np.ndarray:
     """(4, 3, 3) table: tangential moment of the parent's local edge function
-    i along local edge j (vertex j to j+1) of child c.  The function is
-    linear, so the moment is its midpoint value times the edge vector, and
-    grad(lam_i) . (q - p) is the barycentric difference:
+    i along local edge j (vertex j to j+1) of child c.  The children are
+    mesh.RED_CHILDREN, the table refine_red writes them from, over the
+    parent's vertices and local-edge midpoints, whose barycentric
+    coordinates are the unit vectors and the means of cyclic neighbours.
+    The function is linear, so the moment is its midpoint value times the
+    edge vector, and grad(lam_i) . (q - p) is the barycentric difference:
     lam_i(m) D_k - lam_k(m) D_i with k = i+1.  Entries are 0, +-1/4, +-1/2."""
-    p, q = _CHILD_BARY, np.roll(_CHILD_BARY, -1, axis=1)
+    unit = np.eye(3)
+    bary = np.vstack([unit, 0.5 * (unit + np.roll(unit, -1, axis=0))])[RED_CHILDREN]
+    p, q = bary, np.roll(bary, -1, axis=1)
     m, d = 0.5 * (p + q), q - p
     k = [1, 2, 0]
     return m * d[:, :, k] - m[:, :, k] * d

@@ -5,6 +5,9 @@ Coefficients follow mu(lam)|_- = mu_-*(1 - omega_mu^2/lam) with lam = omega^2
 decide coercivity.  All formulas stay exact when fed Fractions: the critical
 lambda-windows for the reference data come out as [8/3, 200/51] and
 [4/3, 100/51] on the nose, and the tests compare them exactly.
+CriticalWindows.regime decides whether lam lies in a window: the config's
+admissibility check (lambda_admissible) and the regime tags of spectrum.csv
+both read it.
 
 lam is real: the spectra come from a symmetric pencil and the source
 problems are posed at real admissible lam, so the Drude law rejects any
@@ -135,6 +138,16 @@ class CriticalWindows:
     def interval(self) -> Tuple[Fraction, Fraction]:
         return -self.i_alpha, -Fraction(1) / self.i_alpha
 
+    def regime(self, lam: Number) -> str:
+        """The windows that hold lam, both ends included, as the regime tags
+        of spectrum.csv joined by "|": "uncovered-regime" for the mu window,
+        where the paper's mu-contrast assumption fails, then "eps-critical";
+        "" outside both.  The one window-membership rule of the program,
+        exact for a Fraction or float lam."""
+        tagged = (("uncovered-regime", self.window_mu), ("eps-critical", self.window_eps))
+        return "|".join(tag for tag, window in tagged
+                        if window is not None and window[0] <= lam <= window[1])
+
 
 def critical_interval(domain: Union[DomainSpec, Iterable[CornerPattern]]) -> Fraction:
     """I_alpha = max over corners of max((2pi-alpha)/alpha, alpha/(2pi-alpha)),
@@ -170,10 +183,5 @@ def critical_lambda_windows(mat: DrudeMaterial, i_alpha) -> CriticalWindows:
 
 def lambda_admissible(mat: DrudeMaterial, windows: CriticalWindows, lam: Number) -> bool:
     """True iff the real lam avoids {0, omega_mu^2, omega_eps^2} and both
-    critical windows."""
-    if lam in (0, mat.omega_mu_sq, mat.omega_eps_sq):
-        return False
-    for window in (windows.window_mu, windows.window_eps):
-        if window is not None and window[0] <= lam <= window[1]:
-            return False
-    return True
+    critical windows (CriticalWindows.regime)."""
+    return lam not in (0, mat.omega_mu_sq, mat.omega_eps_sq) and not windows.regime(lam)

@@ -4,7 +4,9 @@ reflection-conformity check, and the plain-text mesh writer.
 Triangles carry a region label (+1/-1) and a patch membership (none, corner n,
 edge n); every triangle must lie entirely inside one region.  Edges are
 deduplicated with global low->high orientation, which the edge-element
-assembly relies on, and sorted by the key lo*V + hi.
+assembly relies on, and sorted by the key lo*V + hi, by which Mesh.edge_ids
+finds them.  Red refinement writes its children from one table,
+RED_CHILDREN, from which fem's edge prolongation also reads them.
 
 fold_images is the one place where the images of patch triangles under the
 corner fold maps and edge mirrors are matched to the mesh and each match is
@@ -77,11 +79,8 @@ class Mesh:
         # local edge j = (v_j, v_{j+1}); sign +1 when stored low->high
         pairs = np.stack([tri, np.roll(tri, -1, axis=1)], axis=2).reshape(-1, 2)
         signs = np.where(pairs[:, 0] < pairs[:, 1], 1, -1).astype(np.int8)
-        # key lo*V + hi sorts like the rows (lo, hi); int64 before the product,
-        # as V^2 > 2^31 at L4 (NumPy 1.x keeps int32 * int64 scalar in int32)
         nv = len(ver)
-        lo, hi = np.sort(pairs, axis=1).astype(np.int64).T
-        key, inverse = np.unique(lo * nv + hi, return_inverse=True)
+        key, inverse = np.unique(_edge_keys(pairs, nv), return_inverse=True)
         edges = np.stack([key // nv, key % nv], axis=1)
         put("edges", edges.astype(np.int32))
         put("tri_edges", inverse.reshape(-1, 3).astype(np.int32))
@@ -112,24 +111,42 @@ class Mesh:
     def barycenters(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 
+    def edge_ids(self, pairs: np.ndarray) -> np.ndarray:
+        """Ids of the edges joining the vertex pairs (..., 2), in either
+        order; every pair must be an edge of the mesh."""
+        nv = self.num_vertices
+        return np.searchsorted(_edge_keys(self.edges, nv), _edge_keys(pairs, nv))
+
+
+def _edge_keys(pairs: np.ndarray, nv: int) -> np.ndarray:
+    """Key lo*V + hi of the vertex pairs (..., 2), which sorts like the rows
+    (lo, hi): the order of Mesh.edges.  int64 before the product, as V^2 >
+    2^31 at L4 (NumPy 1.x keeps int32 * int64 scalar in int32)."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    return pairs.min(axis=-1) * nv + pairs.max(axis=-1)
+
+
+# Red refinement: the children of triangle (a, b, c), as triples of its
+# points (a, b, c, m_ab, m_bc, m_ca), m_ab being the midpoint of local edge 0
+# and so on.  refine_red writes its children from this table, and
+# fem.edge_prolongation reads its child moments from it.
+RED_CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
+
 
 def refine_red(mesh: Mesh) -> Mesh:
     """Split every triangle into 4 congruent children through edge midpoints.
 
-    Children inherit region and patch labels; parent_tri records provenance
-    for intergrid transfer.  h_max halves exactly and the minimum angle is
-    preserved (children are similar to their parents).
+    Child c of triangle t is triangle 4t + c, with the points RED_CHILDREN[c]
+    of t; the midpoint of edge e is vertex V + e.  Children inherit region
+    and patch labels; parent_tri records provenance for intergrid transfer.
+    h_max halves exactly and the minimum angle is preserved (children are
+    similar to their parents).
     """
     V = mesh.num_vertices
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     vertices = np.vstack([mesh.vertices, mids])
-    a, b, c = mesh.triangles.T
-    mab, mbc, mca = (V + mesh.tri_edges[:, j] for j in range(3))
-    children = np.empty((4 * mesh.num_triangles, 3), dtype=np.int32)
-    children[0::4] = np.column_stack([a, mab, mca])
-    children[1::4] = np.column_stack([b, mbc, mab])
-    children[2::4] = np.column_stack([c, mca, mbc])
-    children[3::4] = np.column_stack([mab, mbc, mca])
+    points = np.hstack([mesh.triangles, V + mesh.tri_edges])
+    children = points[:, RED_CHILDREN].reshape(-1, 3)
     rep = lambda arr: np.repeat(arr, 4)
     return Mesh(vertices, children, rep(mesh.region), rep(mesh.patch_kind),
                 rep(mesh.patch_index),

@@ -9,13 +9,17 @@ where fold images are matched to the mesh and each match is decided
 every patch triangle's image is matched.  Scalar tables move vertex values
 along the inverse compositions with the alternating fold signs; vector
 tables move tangential edge moments, picking up the extra orientation sign
-of the image edge, which is found by its key in the sorted mesh edges.
-Outside the patch the reflected field is extended by zero — every consumer
-weights with the patch cut-off, so nothing beyond the patch is ever read.
+of the image edge, which the mesh finds (Mesh.edge_ids).  Outside the patch
+the reflected field is extended by zero — every consumer weights with the
+patch cut-off, so nothing beyond the patch is ever read.
 
 Operator norms are estimated from the generalized eigenproblem of the
-cut-off-weighted seminorm Grams (gradient seminorm for scalar, curl for
-vector), restricted away from the seminorm's null directions.
+cut-off-weighted seminorm Grams, restricted away from the seminorm's null
+directions.  The Grams are the stiffness element matrices of the
+formulation rows, P1 (fem.SCALAR) for the gradient seminorm and edge
+(fem.EDGE) for the curl, on the triangles of each side of the operator;
+both integrands are constant per triangle, so the cut-off enters as its
+mean over each triangle.
 
 The source Gram is scaled by its diagonal first, a congruence that keeps
 every eigenvalue.  The cut-off's tail grades its spectrum: the smallest
@@ -34,10 +38,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from . import geometry as geo
-from .fem import STRANG_RULE, _geometry
+from . import fem, geometry as geo
 from .materials import critical_interval
-from .mesh import Mesh, MeshError, _patch_sides, fold_images
+from .mesh import Mesh, MeshError, fold_images
 
 __all__ = [
     "ReflectionError", "DiscreteReflection", "NormEstimate",
@@ -58,6 +61,8 @@ class DiscreteReflection:
     target_dofs: np.ndarray
     source_dofs: np.ndarray
     interface_dofs: np.ndarray
+    target_triangles: np.ndarray  # the patch side it defines (FoldImages.defined)
+    source_triangles: np.ndarray  # the side it reads (FoldImages.other)
 
 
 @dataclass(frozen=True)
@@ -120,11 +125,7 @@ def build_reflection(mesh: Mesh, domain: geo.DomainSpec,
     if kind == "scalar":
         cols = image[:, 0]
     else:
-        # image edges by the key lo*V + hi, by which mesh.edges is sorted
-        nv = mesh.num_vertices
-        lo, hi = np.sort(image, axis=1).astype(np.int64).T
-        keys = mesh.edges[:, 0].astype(np.int64) * nv + mesh.edges[:, 1]
-        cols = np.searchsorted(keys, lo * nv + hi)
+        cols = mesh.edge_ids(image)
         # the image edge's orientation against the mesh edge's, seen along
         # the local edge direction j -> j+1
         vals = (vals * mesh.tri_edge_signs[img.tri[r], j]
@@ -138,7 +139,7 @@ def build_reflection(mesh: Mesh, domain: geo.DomainSpec,
     else:
         src_dofs = np.unique(mesh.tri_edges[img.other])
     return DiscreteReflection(kind, direction, pattern, matrix,
-                              np.unique(rows), src_dofs, iface)
+                              np.unique(rows), src_dofs, iface, img.defined, img.other)
 
 
 def verify_trace_matching(mesh: Mesh, refl: DiscreteReflection,
@@ -157,30 +158,21 @@ def verify_trace_matching(mesh: Mesh, refl: DiscreteReflection,
     return float(np.abs(rows).max()) if rows.nnz else 0.0
 
 
-def _weighted_gram(mesh: Mesh, geometry, tri_ids: np.ndarray,
-                   chi: geo.CutoffProfile, kind: str, dofs: np.ndarray) -> np.ndarray:
-    """Dense chi-weighted seminorm Gram on the given dofs: grad.grad for
-    scalar, curl.curl for vector, integrated with the degree-5 rule (the
-    cut-off is smooth but not polynomial).  GEOMETRY is fem._geometry(mesh);
-    DOFS are sorted and hold every dof of the triangles TRI_IDS.
+def _weighted_gram(mesh: Mesh, tri_ids: np.ndarray, chi: geo.CutoffProfile,
+                   kind: str, dofs: np.ndarray) -> np.ndarray:
+    """Dense chi-weighted seminorm Gram on the given dofs: the stiffness
+    element matrices of the row of KIND (fem.SCALAR for scalar, fem.EDGE for
+    vector) on the triangles TRI_IDS, each times the mean of the cut-off
+    over its triangle by the degree-5 rule (the cut-off is smooth but not
+    polynomial).  DOFS are sorted and hold every dof of those triangles.
     """
-    grads, curls = geometry
-    pts, wts = STRANG_RULE
+    form = fem.SCALAR if kind == "scalar" else fem.EDGE
+    conn, elem, _ = form.elements(mesh, tri_ids)
     v = mesh.vertices[mesh.triangles[tri_ids]]
-    w_chi = np.zeros(len(tri_ids))
-    for lam, w in zip(pts, wts):
-        x = np.einsum("j,tjd->td", lam, v)
-        w_chi += w * geo.cutoff_eval(chi, x)
-    w_chi *= mesh.areas[tri_ids]
-
-    if kind == "scalar":
-        conn = mesh.triangles[tri_ids]
-        local = grads[:, :, tri_ids]
-        elem = np.einsum("jdt,kdt->tjk", local, local) * w_chi[:, None, None]
-    else:
-        conn = mesh.tri_edges[tri_ids]
-        sq = mesh.tri_edge_signs[tri_ids] * curls[tri_ids, None]
-        elem = np.einsum("tj,tk->tjk", sq, sq) * w_chi[:, None, None]
+    chi_mean = np.zeros(len(tri_ids))
+    for lam, w in zip(*fem.STRANG_RULE):
+        chi_mean += w * geo.cutoff_eval(chi, lam @ v)
+    elem *= chi_mean[:, None, None]
     idx = np.searchsorted(dofs, conn)
     B = np.zeros((len(dofs), len(dofs)))
     # unbuffered and triangle-major: every entry sums its terms in triangle order
@@ -213,12 +205,10 @@ def estimate_norm(meshes: Sequence[Mesh], domain: geo.DomainSpec,
     sups = []
     for mesh in meshes:
         refl = build_reflection(mesh, domain, pattern, kind, direction)
-        tgt_ids, src_ids = _patch_sides(mesh, pattern, direction)
         S = refl.source_dofs
         T = refl.target_dofs
-        geometry = _geometry(mesh)
-        Bs = _weighted_gram(mesh, geometry, src_ids, cutoff, kind, S)
-        Bt = _weighted_gram(mesh, geometry, tgt_ids, cutoff, kind, T)
+        Bs = _weighted_gram(mesh, refl.source_triangles, cutoff, kind, S)
+        Bt = _weighted_gram(mesh, refl.target_triangles, cutoff, kind, T)
         # the congruence with diag(Bs)^-1/2 (module docstring); a zero
         # diagonal is a null row, left unscaled
         d = np.sqrt(np.diag(Bs))

@@ -194,8 +194,9 @@ def _factorize(A: sp.spmatrix, what: str,
 
 def _longdouble(A: sp.spmatrix) -> sp.spmatrix:
     """A (CSR or CSC) with its values in longdouble, on A's own indices and
-    indptr: A.astype(np.longdouble) copies those too (6.8 MB at the L4 edge
-    A(1)).  Its products are bit for bit those of the astype copy."""
+    indptr, for the residuals of _refined_solve: A.astype(np.longdouble)
+    copies those too (6.8 MB at the L4 edge A(1)).  Its products are bit for
+    bit those of the astype copy."""
     return type(A)((A.data.astype(np.longdouble), A.indices, A.indptr),
                    shape=A.shape)
 
@@ -529,9 +530,10 @@ def discrete_infsup(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial,
     nearest lam.  _shift_invert at sigma = 0 (tol=1e-10) finds its vector x,
     each step one solve with the factor of A(lam) and one product with G,
     which is never factored.  beta_n is the Rayleigh quotient
-    |x^T A x| / (x^T G x) with both products in longdouble, not the Ritz
-    value: its error is quadratic in that of x, and it uses the exact A, not
-    the unpivoted LDL^T of an indefinite A(lam).
+    |x^T A x| / (x^T G x), both forms summed in longdouble by
+    fem.block_norm_sq, not the Ritz value: its error is quadratic in that of
+    x, and it uses the exact A, not the unpivoted LDL^T of an indefinite
+    A(lam).
 
     Every failure raises SolverError naming lam and the cause: a failed
     factorization (A(lam) singular to working precision), an unconverged
@@ -545,10 +547,11 @@ def discrete_infsup(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial,
     pencil = _infsup_pencil(mesh, blocks, mat, lam)
     _, vecs = _shift_invert(pencil, 0.0, 1, vectors=True, tol=1e-10,
                             what=f"inf-sup A(lam) at lam={lam}")
-    x = vecs[:, 0].astype(np.longdouble)
+    x = vecs[:, 0]
+    # a NumPy quotient, so 0/0 is nan here, not ZeroDivisionError
     with np.errstate(invalid="ignore", divide="ignore"):
-        beta = float(abs(x @ (_longdouble(pencil.S) @ x))
-                     / (x @ (_longdouble(pencil.T) @ x)))
+        beta = float(abs(np.float64(fem.block_norm_sq((pencil.S,), x)))
+                     / fem.block_norm_sq((pencil.T,), x))
     if not np.isfinite(beta) or beta <= 0:
         raise SolverError(
             f"inf-sup iteration at lam={lam} returned beta_n = {beta}, "

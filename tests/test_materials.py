@@ -153,3 +153,21 @@ def test_lambda_admissible_reference_data():
     assert not mat.lambda_admissible(m, windows, 0)
     assert not mat.lambda_admissible(m, windows, F(20, 11))  # inside eps-window
     assert mat.lambda_admissible(m, windows, 5)
+
+@pytest.mark.parametrize("m", [
+    reference_material(),
+    mat.DrudeMaterial(mu_minus=F(1, 10), eps_minus=10, omega_mu_sq=2, omega_eps_sq=2),
+])
+def test_regime_and_admissibility_agree_at_window_ends(m):
+    """At both closed ends of each window regime names the window and lam is
+    not admissible; a hair outside, neither."""
+    windows = mat.critical_lambda_windows(m, F(5))
+    hair = F(1, 10**12)
+    for tag, window in (("uncovered-regime", windows.window_mu),
+                        ("eps-critical", windows.window_eps)):
+        for end, out in ((window[0], window[0] - hair), (window[1], window[1] + hair)):
+            assert isinstance(end, F)
+            assert windows.regime(end) == tag
+            assert not mat.lambda_admissible(m, windows, end)
+            assert windows.regime(out) == ""
+            assert mat.lambda_admissible(m, windows, out)

@@ -585,6 +585,23 @@ def test_refine_red(coarse):
     assert min_angles(r).min() == pytest.approx(min_angles(m).min(), rel=1e-9)
 
 
+def test_refine_red_children_and_edge_ids(coarse):
+    """Child k of triangle t is triangle 4t + k, on the parent's points
+    (a, m_ab, m_ca), (b, m_bc, m_ab), (c, m_ca, m_bc), (m_ab, m_bc, m_ca);
+    edge_ids finds every edge from its ends, in either order."""
+    r = refine_red(coarse)
+    a, b, c = (coarse.vertices[coarse.triangles[:, j]] for j in range(3))
+    ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2
+    for k, pts in enumerate([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]):
+        np.testing.assert_array_equal(r.vertices[r.triangles[k::4]], np.stack(pts, axis=1))
+    for m in (coarse, r):
+        ids = np.arange(m.num_edges)
+        assert np.array_equal(m.edge_ids(m.edges), ids)
+        assert np.array_equal(m.edge_ids(m.edges[:, ::-1]), ids)
+        local = np.stack([m.triangles, np.roll(m.triangles, -1, axis=1)], axis=2)
+        assert np.array_equal(m.edge_ids(local), m.tri_edges)
+
+
 def _edge_reference(mesh):
     """Edge numbering by np.unique over the sorted (lo, hi) rows."""
     pairs = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)],
