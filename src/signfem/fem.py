@@ -445,13 +445,11 @@ def assemble_rhs(mesh: Mesh, fun: Callable) -> np.ndarray:
 
 def block_norm_sq(blocks: Tuple[sp.spmatrix, ...], u_full: np.ndarray) -> float:
     """u^T (B_1 + ... + B_k) u for a tuple of blocks, each applied to u: a
-    (plus, minus) pair of region blocks (Blocks.stiffness, Blocks.mass) on
-    every dof of their space, or one matrix, as (B,), on the vector space it
-    acts on (discrete_infsup's Rayleigh quotient).  Summed in longdouble: the
+    (plus, minus) pair of region blocks (Blocks.stiffness, Blocks.mass), or
+    one matrix (B,), as discrete_infsup's Rayleigh quotient takes it.
+    Summed in longdouble, bit for bit as with a longdouble copy of B: the
     curl energy of a gradient-heavy field cancels in K u, and float64 lost
-    up to 2.5e-12 of it on section 5.2 eigenvectors (r = 0.05, L1).  The
-    products B @ u of a float64 B with the longdouble u are bit for bit
-    those of a longdouble copy of B."""
+    up to 2.5e-12 of it on section 5.2 eigenvectors (r = 0.05, L1)."""
     u = np.asarray(u_full, dtype=np.longdouble)
     return float(sum(u @ (B @ u) for B in blocks))
 
@@ -535,11 +533,10 @@ def interpolate_edge(mesh: Mesh, fun: Callable) -> np.ndarray:
 
 def _child_moments() -> np.ndarray:
     """(4, 3, 3) table: tangential moment of the parent's local edge function
-    i along local edge j (vertex j to j+1) of child c.  The children are
-    mesh.RED_CHILDREN, the table refine_red writes them from, over the
-    parent's vertices and local-edge midpoints, whose barycentric
-    coordinates are the unit vectors and the means of cyclic neighbours.
-    The function is linear, so the moment is its midpoint value times the
+    i along local edge j (vertex j to j+1) of child c of mesh.RED_CHILDREN,
+    the table refine_red writes, whose points have the barycentric
+    coordinates of the unit vectors and their cyclic means.  The function is
+    linear, so the moment is its midpoint value times the
     edge vector, and grad(lam_i) . (q - p) is the barycentric difference:
     lam_i(m) D_k - lam_k(m) D_i with k = i+1.  Entries are 0, +-1/4, +-1/2."""
     unit = np.eye(3)

@@ -5,9 +5,8 @@ Coefficients follow mu(lam)|_- = mu_-*(1 - omega_mu^2/lam) with lam = omega^2
 decide coercivity.  All formulas stay exact when fed Fractions: the critical
 lambda-windows for the reference data come out as [8/3, 200/51] and
 [4/3, 100/51] on the nose, and the tests compare them exactly.
-CriticalWindows.regime decides whether lam lies in a window: the config's
-admissibility check (lambda_admissible) and the regime tags of spectrum.csv
-both read it.
+CriticalWindows.regime decides whether lam lies in a window, for
+lambda_admissible and for the regime tags of spectrum.csv alike.
 
 lam is real: the spectra come from a symmetric pencil and the source
 problems are posed at real admissible lam, so the Drude law rejects any
@@ -139,11 +138,9 @@ class CriticalWindows:
         return -self.i_alpha, -Fraction(1) / self.i_alpha
 
     def regime(self, lam: Number) -> str:
-        """The windows that hold lam, both ends included, as the regime tags
-        of spectrum.csv joined by "|": "uncovered-regime" for the mu window,
-        where the paper's mu-contrast assumption fails, then "eps-critical";
-        "" outside both.  The one window-membership rule of the program,
-        exact for a Fraction or float lam."""
+        """The closed windows that hold lam, as the spectrum.csv regime tags
+        joined by "|": "uncovered-regime" (the mu window, outside the paper's
+        mu-contrast assumption), then "eps-critical"; "" outside both."""
         tagged = (("uncovered-regime", self.window_mu), ("eps-critical", self.window_eps))
         return "|".join(tag for tag, window in tagged
                         if window is not None and window[0] <= lam <= window[1])

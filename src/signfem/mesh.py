@@ -126,10 +126,8 @@ def _edge_keys(pairs: np.ndarray, nv: int) -> np.ndarray:
     return pairs.min(axis=-1) * nv + pairs.max(axis=-1)
 
 
-# Red refinement: the children of triangle (a, b, c), as triples of its
-# points (a, b, c, m_ab, m_bc, m_ca), m_ab being the midpoint of local edge 0
-# and so on.  refine_red writes its children from this table, and
-# fem.edge_prolongation reads its child moments from it.
+# the children of triangle (a, b, c) in red refinement, over its points
+# (a, b, c, m_ab, m_bc, m_ca): the vertices, then the local-edge midpoints
 RED_CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
 
 
@@ -158,21 +156,6 @@ def refine_red(mesh: Mesh) -> Mesh:
 
 
 _PATCH_KINDS = {"corner": PATCH_CORNER, "edge": PATCH_EDGE}
-
-
-def _patch_sides(mesh: Mesh, pattern: Tuple[str, int],
-                 direction: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Triangle ids of one patch: (defined side, other side).  Direction "+"
-    defines the minus side from plus-side data, "-" the reverse."""
-    kind, n = pattern
-    if kind not in _PATCH_KINDS:
-        raise MeshError(f"unknown pattern kind {kind!r}")
-    if direction not in ("+", "-"):
-        raise MeshError(f"direction must be '+' or '-', got {direction!r}")
-    in_patch = (mesh.patch_kind == _PATCH_KINDS[kind]) & (mesh.patch_index == n)
-    side = -1 if direction == "+" else 1
-    return (np.flatnonzero(in_patch & (mesh.region == side)),
-            np.flatnonzero(in_patch & (mesh.region == -side)))
 
 
 # fold-image keys round coordinates to a grid of _KEY_STEP times the extent
@@ -273,10 +256,19 @@ def fold_images(mesh: Mesh, domain: geo.DomainSpec, pattern: Tuple[str, int],
     for t-s even, with the sign (-1)^(j+1) of the j-th map of s.  Edge
     patterns use the one mirror for every triangle.  An
     empty patch gives no maps; a patch with one side empty gives no rows.
-    Raises geo.GeometryError for a corner whose sector counts are both even.
+    Raises geo.GeometryError for a corner whose sector counts are both even,
+    MeshError for an unknown pattern kind or direction.
     """
-    defined, other = _patch_sides(mesh, pattern, direction)
     kind, n = pattern
+    if kind not in _PATCH_KINDS:
+        raise MeshError(f"unknown pattern kind {kind!r}")
+    if direction not in ("+", "-"):
+        raise MeshError(f"direction must be '+' or '-', got {direction!r}")
+    # direction "+" defines the minus side from plus-side data, "-" the reverse
+    in_patch = (mesh.patch_kind == _PATCH_KINDS[kind]) & (mesh.patch_index == n)
+    side = -1 if direction == "+" else 1
+    defined = np.flatnonzero(in_patch & (mesh.region == side))
+    other = np.flatnonzero(in_patch & (mesh.region == -side))
     if not (len(defined) or len(other)):
         maps = ()
     elif kind == "corner":

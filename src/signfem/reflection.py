@@ -15,19 +15,15 @@ patch cut-off, so nothing beyond the patch is ever read.
 
 Operator norms are estimated from the generalized eigenproblem of the
 cut-off-weighted seminorm Grams, restricted away from the seminorm's null
-directions.  The Grams are the stiffness element matrices of the
-formulation rows, P1 (fem.SCALAR) for the gradient seminorm and edge
-(fem.EDGE) for the curl, on the triangles of each side of the operator;
-both integrands are constant per triangle, so the cut-off enters as its
-mean over each triangle.
-
-The source Gram is scaled by its diagonal first, a congruence that keeps
-every eigenvalue.  The cut-off's tail grades its spectrum: the smallest
-eigenvalue kept fell to 4.4e-8 of the largest at L3 (r = 0.3, scalar) and
-to 6.5e-8 at L2 (r = 0.05, vector), and eigh resolves an eigenvalue only
-to its absolute error.  Unscaled, Grams that merely rounded differently
-moved the sups by up to 2.2e-9; scaled, by at most 2.1e-13 (section 5.1
-domain, h = 0.2, every pattern, direction and kind).
+directions.  The Grams are the stiffness element matrices of the rows
+fem.SCALAR (gradient) and fem.EDGE (curl) on the triangles of each side,
+each times the mean of the cut-off over its triangle: both integrands are
+constant per triangle.  The source Gram is first scaled by its diagonal, a
+congruence that keeps every eigenvalue.  The cut-off's tail grades its
+spectrum down to 4.4e-8 of its top (L3, r = 0.3), which eigh resolves only
+to its absolute error: unscaled, Grams that differed only in rounding moved
+the sups by up to 2.2e-9, scaled by at most 2.1e-13 (r = 0.3 to L3 and
+r = 0.05 to L2, every case).
 """
 
 from __future__ import annotations
@@ -160,12 +156,8 @@ def verify_trace_matching(mesh: Mesh, refl: DiscreteReflection,
 
 def _weighted_gram(mesh: Mesh, tri_ids: np.ndarray, chi: geo.CutoffProfile,
                    kind: str, dofs: np.ndarray) -> np.ndarray:
-    """Dense chi-weighted seminorm Gram on the given dofs: the stiffness
-    element matrices of the row of KIND (fem.SCALAR for scalar, fem.EDGE for
-    vector) on the triangles TRI_IDS, each times the mean of the cut-off
-    over its triangle by the degree-5 rule (the cut-off is smooth but not
-    polynomial).  DOFS are sorted and hold every dof of those triangles.
-    """
+    """Dense chi-weighted seminorm Gram on the sorted DOFS of the triangles
+    TRI_IDS (module docstring); the cut-off's means take the degree-5 rule."""
     form = fem.SCALAR if kind == "scalar" else fem.EDGE
     conn, elem, _ = form.elements(mesh, tri_ids)
     v = mesh.vertices[mesh.triangles[tri_ids]]
@@ -196,21 +188,20 @@ def estimate_norm(meshes: Sequence[Mesh], domain: geo.DomainSpec,
 
     Solves (R^T B_tgt R) x = sigma B_src x on the source patch dofs, with both
     Grams weighted by the patch cut-off, B_src scaled by its diagonal and the
-    quotient restricted to the complement of B_src's null directions.  measured_sup is sqrt(sigma) on the
-    finest mesh; the squared value is reported alongside because the operator
-    norm convention (sup vs sup squared) differs between sources, and the
-    closed-form angle-ratio value matches the squared quantity.
+    quotient restricted to the complement of B_src's null directions.
+    measured_sup is sqrt(sigma) on the finest mesh; the squared value is
+    reported alongside because the operator norm convention (sup vs sup
+    squared) differs between sources, and the closed-form angle-ratio value
+    matches the squared quantity.
     """
     cutoff = _patch_cutoff(domain, pattern)
     sups = []
     for mesh in meshes:
         refl = build_reflection(mesh, domain, pattern, kind, direction)
-        S = refl.source_dofs
-        T = refl.target_dofs
+        S, T = refl.source_dofs, refl.target_dofs
         Bs = _weighted_gram(mesh, refl.source_triangles, cutoff, kind, S)
         Bt = _weighted_gram(mesh, refl.target_triangles, cutoff, kind, T)
-        # the congruence with diag(Bs)^-1/2 (module docstring); a zero
-        # diagonal is a null row, left unscaled
+        # diag(Bs)^-1/2 on both sides (module docstring); zero rows stay
         d = np.sqrt(np.diag(Bs))
         d[d == 0] = 1.0
         Bs = Bs / np.outer(d, d)
@@ -219,10 +210,8 @@ def estimate_norm(meshes: Sequence[Mesh], domain: geo.DomainSpec,
 
         w, U = np.linalg.eigh(Bs)
         keep = w > 1e-10 * w.max()
-        V = U[:, keep]
-        scale = 1.0 / np.sqrt(w[keep])
-        core = (V * scale).T @ N @ (V * scale)
-        sigma = float(np.linalg.eigvalsh(core).max())
+        V = U[:, keep] * (1.0 / np.sqrt(w[keep]))
+        sigma = float(np.linalg.eigvalsh(V.T @ N @ V).max())
         sups.append(np.sqrt(sigma))
 
     kindn, n = pattern

@@ -194,9 +194,8 @@ def _factorize(A: sp.spmatrix, what: str,
 
 def _longdouble(A: sp.spmatrix) -> sp.spmatrix:
     """A (CSR or CSC) with its values in longdouble, on A's own indices and
-    indptr, for the residuals of _refined_solve: A.astype(np.longdouble)
-    copies those too (6.8 MB at the L4 edge A(1)).  Its products are bit for
-    bit those of the astype copy."""
+    indptr, for _refined_solve: A.astype(np.longdouble) copies those too
+    (6.8 MB at the L4 edge A(1)).  Its products are bit for bit the same."""
     return type(A)((A.data.astype(np.longdouble), A.indices, A.indptr),
                    shape=A.shape)
 
