@@ -498,9 +498,9 @@ def test_level_sups_golden(mesh_seq, dom):
 ])
 def test_level_sups_survive_rounding_of_the_weights(mesh_seq, dom, monkeypatch,
                                                      pattern, kind, direction):
-    """Cut-off values off by up to two units in the last place move no sup on
-    L0-L3 by more than 1e-12 relative.  Without the diagonal scaling of
-    B_src they moved by up to 6.7e-10 at L3."""
+    """Cut-off values off by up to 2^-51 relative move no sup on L0-L3 by
+    more than 1e-12 relative.  Without the diagonal scaling of B_src they
+    moved by up to 6.7e-10 at L3."""
     want = refl.estimate_norm(mesh_seq, dom, pattern, kind, direction).level_sups
     rng = np.random.default_rng(3)
     exact = geo.cutoff_eval
