@@ -18,12 +18,7 @@ cut-off-weighted seminorm Grams, restricted away from the seminorm's null
 directions.  The Grams are the stiffness element matrices of the rows
 fem.SCALAR (gradient) and fem.EDGE (curl) on the triangles of each side,
 each times the mean of the cut-off over its triangle: both integrands are
-constant per triangle.  The source Gram is first scaled by its diagonal, a
-congruence that keeps every eigenvalue.  The cut-off's tail grades its
-spectrum down to 4.4e-8 of its top (L3, r = 0.3), which eigh resolves only
-to its absolute error: unscaled, Grams that differed only in rounding moved
-the sups by up to 2.2e-9, scaled by at most 2.1e-13 (r = 0.3 to L3 and
-r = 0.05 to L2, every case).
+constant per triangle.
 """
 
 from __future__ import annotations
@@ -187,12 +182,11 @@ def estimate_norm(meshes: Sequence[Mesh], domain: geo.DomainSpec,
     """Discrete sup of the weighted Rayleigh quotient, per refinement level.
 
     Solves (R^T B_tgt R) x = sigma B_src x on the source patch dofs, with both
-    Grams weighted by the patch cut-off, B_src scaled by its diagonal and the
-    quotient restricted to the complement of B_src's null directions.
-    measured_sup is sqrt(sigma) on the finest mesh; the squared value is
-    reported alongside because the operator norm convention (sup vs sup
-    squared) differs between sources, and the closed-form angle-ratio value
-    matches the squared quantity.
+    Grams weighted by the patch cut-off and the quotient restricted to the
+    complement of B_src's null directions.  measured_sup is sqrt(sigma) on the
+    finest mesh; the squared value is reported alongside because the operator
+    norm convention (sup vs sup squared) differs between sources, and the
+    closed-form angle-ratio value matches the squared quantity.
     """
     cutoff = _patch_cutoff(domain, pattern)
     sups = []
@@ -201,11 +195,7 @@ def estimate_norm(meshes: Sequence[Mesh], domain: geo.DomainSpec,
         S, T = refl.source_dofs, refl.target_dofs
         Bs = _weighted_gram(mesh, refl.source_triangles, cutoff, kind, S)
         Bt = _weighted_gram(mesh, refl.target_triangles, cutoff, kind, T)
-        # diag(Bs)^-1/2 on both sides (module docstring); zero rows stay
-        d = np.sqrt(np.diag(Bs))
-        d[d == 0] = 1.0
-        Bs = Bs / np.outer(d, d)
-        Rt = refl.matrix.tocsr()[T][:, S].toarray() / d
+        Rt = refl.matrix.tocsr()[T][:, S].toarray()
         N = Rt.T @ Bt @ Rt
 
         w, U = np.linalg.eigh(Bs)

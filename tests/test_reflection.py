@@ -491,20 +491,3 @@ def test_level_sups_golden(mesh_seq, dom):
         np.testing.assert_allclose(est.level_sups, want, rtol=1e-12, atol=0,
                                    err_msg=f"{pattern} {kind} {direction}")
 
-
-@pytest.mark.parametrize("pattern, kind, direction", [
-    (("corner", 0), "scalar", "-"), (("corner", 0), "vector", "-"),
-    (("corner", 2), "vector", "+"), (("edge", 0), "scalar", "+"),
-])
-def test_level_sups_survive_rounding_of_the_weights(mesh_seq, dom, monkeypatch,
-                                                     pattern, kind, direction):
-    """Cut-off values off by up to 2^-51 relative move no sup on L0-L3 by
-    more than 1e-12 relative.  Without the diagonal scaling of B_src they
-    moved by up to 6.7e-10 at L3."""
-    want = refl.estimate_norm(mesh_seq, dom, pattern, kind, direction).level_sups
-    rng = np.random.default_rng(3)
-    exact = geo.cutoff_eval
-    monkeypatch.setattr(geo, "cutoff_eval", lambda chi, x: exact(chi, x) * (
-        1 + 2.0**-52 * rng.integers(-2, 3, len(x))))
-    got = refl.estimate_norm(mesh_seq, dom, pattern, kind, direction).level_sups
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -58,7 +58,7 @@ runs=(
     "eigen-spectrum-admissible|eigen spectrum --levels 2 --window 1.2,4/3 --shift 1.27"
     "eigen-spectrum-eps|eigen spectrum --levels 2 --window 4/3,100/51 --shift 1.6"
     "diagnose-infsup|diagnose infsup --levels 2"
-    "diagnose-reflection|diagnose reflection --levels 3"
+    "diagnose-reflection|diagnose reflection --levels 2"
     "export-field-csv|export field --levels 2 --format csv"
     "export-field-vtk|export field --levels 2 --format vtk"
 )
