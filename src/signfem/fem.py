@@ -446,7 +446,8 @@ def assemble_rhs(mesh: Mesh, fun: Callable) -> np.ndarray:
 def block_norm_sq(blocks: Tuple[sp.spmatrix, ...], u_full: np.ndarray) -> float:
     """u^T (B_1 + ... + B_k) u for a tuple of blocks, each applied to u: a
     (plus, minus) pair of region blocks (Blocks.stiffness, Blocks.mass), or
-    one matrix (B,), as discrete_infsup's Rayleigh quotient takes it.
+    one matrix (B,), as discrete_infsup's Rayleigh quotient takes it; there
+    B may be the indefinite A(lam), so the form may be negative.
     Summed in longdouble, bit for bit as with a longdouble copy of B: the
     curl energy of a gradient-heavy field cancels in K u, and float64 lost
     up to 2.5e-12 of it on section 5.2 eigenvectors (r = 0.05, L1)."""

@@ -547,10 +547,9 @@ def discrete_infsup(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial,
     _, vecs = _shift_invert(pencil, 0.0, 1, vectors=True, tol=1e-10,
                             what=f"inf-sup A(lam) at lam={lam}")
     x = vecs[:, 0]
-    # a NumPy quotient, so 0/0 is nan here, not ZeroDivisionError
-    with np.errstate(invalid="ignore", divide="ignore"):
-        beta = float(abs(np.float64(fem.block_norm_sq((pencil.S,), x)))
-                     / fem.block_norm_sq((pencil.T,), x))
+    num = abs(fem.block_norm_sq((pencil.S,), x))
+    den = fem.block_norm_sq((pencil.T,), x)
+    beta = num / den if den > 0 else float("nan")
     if not np.isfinite(beta) or beta <= 0:
         raise SolverError(
             f"inf-sup iteration at lam={lam} returned beta_n = {beta}, "
