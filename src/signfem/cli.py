@@ -4,11 +4,14 @@ Verbs mirror the pipeline: ``mesh build|refine|check`` for the conforming
 mesh ladder, ``solve source|scalar`` for the direct problems, ``eigen
 spectrum|converge`` for the spectral studies, ``diagnose reflection|infsup``
 for stability diagnostics, and ``export field`` for per-triangle field dumps.
+One table (_VERBS) maps (verb, noun) to a handler; the parser is built
+from it and main dispatches through it.
 
 Every command reads an optional config file (--config, flat key/value
 sections); flags override single keys, and the verb fixes the experiment
-kind regardless of what the file declares.  Exit codes: 0 success, 2 config
-error, 3 solver failure, 4 conformity failure.
+kind regardless of what the file declares; --levels, --out, --window and
+--shift read as the config keys they stand for (config.read_key).  Exit
+codes: 0 success, 2 config error, 3 solver failure, 4 conformity failure.
 """
 from __future__ import annotations
 
@@ -20,8 +23,7 @@ from pathlib import Path
 from . import experiments as exp
 from . import fem
 from . import solvers as sol
-from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
-                     _coerce_pair)
+from .config import ConfigError, ExperimentConfig, load_config, parse_config, read_key
 from .fem import FemError
 from .geometry import GeometryError
 from .materials import MaterialError
@@ -36,19 +38,17 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CONFORMITY = 4
 
+# flag -> the config key it stands for
+_FLAG_KEYS = {"levels": ("experiment", "levels"), "out": ("output", "dir"),
+              "window": ("experiment", "window"), "shift": ("experiment", "shift")}
+
 
 def _load(args, kind=None) -> ExperimentConfig:
-    overrides = {}
+    overrides = dict(read_key(section, key, getattr(args, flag))
+                     for flag, (section, key) in _FLAG_KEYS.items()
+                     if getattr(args, flag) is not None)
     if kind is not None:
         overrides["kind"] = kind
-    if args.levels is not None:
-        overrides["levels"] = args.levels
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.window is not None:
-        overrides["window"] = _coerce_pair(args.window)
-    if args.shift is not None:
-        overrides["shift"] = args.shift
     if args.allow_critical:
         overrides["allow_critical"] = True
     if args.config is not None:
@@ -71,24 +71,33 @@ def _mesh_summary(level: int, mesh) -> str:
             f"  triangles {mesh.num_triangles}  edges {mesh.num_edges}")
 
 
-def _cmd_mesh(args) -> int:
+def _mesh_build(args) -> int:
+    cfg = _load(args)
+    mesh = exp.mesh_ladder(cfg)[0]
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    mesh_write(mesh, out / "mesh_level0.txt")
+    print(_mesh_summary(0, mesh))
+    print(f"wrote {out / 'mesh_level0.txt'}")
+    return EXIT_OK
+
+
+def _mesh_refine(args) -> int:
     cfg = _load(args)
     meshes = exp.mesh_ladder(cfg)
     out = Path(cfg.out_dir)
-    if args.noun == "build":
-        out.mkdir(parents=True, exist_ok=True)
-        mesh_write(meshes[0], out / "mesh_level0.txt")
-        print(_mesh_summary(0, meshes[0]))
-        print(f"wrote {out / 'mesh_level0.txt'}")
-        return EXIT_OK
-    if args.noun == "refine":
-        out.mkdir(parents=True, exist_ok=True)
-        for i, m in enumerate(meshes):
-            mesh_write(m, out / f"mesh_level{i}.txt")
-            print(_mesh_summary(i, m))
-        print(f"wrote {len(meshes)} meshes under {out}")
-        return EXIT_OK
-    # check: patch conformity level by level (reference domain only).
+    out.mkdir(parents=True, exist_ok=True)
+    for i, m in enumerate(meshes):
+        mesh_write(m, out / f"mesh_level{i}.txt")
+        print(_mesh_summary(i, m))
+    print(f"wrote {len(meshes)} meshes under {out}")
+    return EXIT_OK
+
+
+def _mesh_check(args) -> int:
+    """Patch conformity level by level (reference domain only)."""
+    cfg = _load(args)
+    meshes = exp.mesh_ladder(cfg)
     dom = cfg.domain_spec()
     if dom is None:
         print("square domain has no patch structure; nothing to check")
@@ -111,6 +120,18 @@ def _cmd_mesh(args) -> int:
     return EXIT_OK
 
 
+def _table_verb(kind: str, runner: str, filename: str):
+    """Handler that runs exp.<RUNNER> (looked up at call time) on a KIND
+    config, prints its table and writes it to FILENAME."""
+    def handler(args) -> int:
+        cfg = _load(args, kind=kind)
+        table = getattr(exp, runner)(cfg)
+        _print_table(table)
+        print(f"wrote {table.write_csv(Path(cfg.out_dir) / filename)}")
+        return EXIT_OK
+    return handler
+
+
 def _finest_source(args, what: str):
     """Config and finest mesh of a verb that solves the constant source."""
     cfg = _load(args, kind="source")
@@ -122,31 +143,21 @@ def _finest_source(args, what: str):
     return cfg, exp.mesh_ladder(cfg)[-1]
 
 
-def _cmd_solve(args) -> int:
-    if args.noun == "source":
-        cfg = _load(args, kind="source")
-        table = exp.run_source_convergence(cfg)
-        _print_table(table)
-        path = table.write_csv(Path(cfg.out_dir) / "source.csv")
-        print(f"wrote {path}")
-        return EXIT_OK
-    # scalar: potential solve on the finest ladder level, flux dumped per triangle.
+def _solve_scalar(args) -> int:
+    """Potential solve on the finest ladder level, flux dumped per triangle."""
     cfg, m = _finest_source(args, "scalar solve")
     blocks = fem.assemble_blocks(m, fem.SCALAR)
     lam = float(cfg.lam)
     mat = cfg.material()
     v = sol.solve_source(m, blocks, mat, lam, cfg.source).coeffs
-    flux = fem.potential_flux(m, mat, lam, v)
-    rows = exp._lines("{},{},{},{},{}\n", range(m.num_triangles),
-                      *m.barycenters().T, *flux.T)
-    out = Path(cfg.out_dir)
-    path = exp._write_csv(out / "scalar.csv",
-                          ("triangle", "x1", "x2", "f1", "f2"), rows,
-                          [("description", "scalar-potential flux at barycenters"),
-                           ("lam", repr(lam)),
-                           ("level", str(cfg.levels - 1)),
-                           ("h_max", repr(float(m.h_max))),
-                           ("dofs", str(m.num_vertices))])
+    table = exp.ResultTable.per_triangle(
+        m, ("f1", "f2"), fem.potential_flux(m, mat, lam, v).T,
+        [("description", "scalar-potential flux at barycenters"),
+         ("lam", repr(lam)),
+         ("level", str(cfg.levels - 1)),
+         ("h_max", repr(float(m.h_max))),
+         ("dofs", str(m.num_vertices))])
+    path = table.write_csv(Path(cfg.out_dir) / "scalar.csv")
     l2sq = fem.block_norm_sq(blocks.mass, v)
     h1sq = l2sq + fem.block_norm_sq(blocks.stiffness, v)
     print(f"level {cfg.levels - 1}: dofs {m.num_vertices}"
@@ -155,42 +166,28 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eigen(args) -> int:
-    if args.noun == "spectrum":
-        cfg = _load(args, kind="spectrum")
-        rows, path = exp.run_spectrum(cfg)
-        nvec = sum(1 for r in rows if r[1] == "vector")
-        nsca = len(rows) - nvec
-        print(f"{nvec} vector / {nsca} scalar eigenvalues in window"
-              f" {exp._win_str(cfg.window)}")
-        print(f"wrote {path}")
-        return EXIT_OK
-    cfg = _load(args, kind="eigen-convergence")
-    table = exp.run_eigen_convergence(cfg)
-    _print_table(table)
-    path = table.write_csv(Path(cfg.out_dir) / "eigen.csv")
+def _eigen_spectrum(args) -> int:
+    cfg = _load(args, kind="spectrum")
+    rows, path = exp.run_spectrum(cfg)
+    nvec = sum(1 for r in rows if r[1] == "vector")
+    nsca = len(rows) - nvec
+    print(f"{nvec} vector / {nsca} scalar eigenvalues in window"
+          f" {exp.window_str(cfg.window)}")
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _cmd_diagnose(args) -> int:
-    if args.noun == "reflection":
-        cfg = _load(args, kind="diagnostics")
-        rows, path = exp.run_reflection_diagnostic(cfg)
-        for pat, idx, direction, sup, _, formula, drift in rows:
-            print(f"{pat} {idx} ({direction}): sup {sup:.6f}  formula {formula:.6f}"
-                  f"  drift {drift:.2e}")
-        print(f"wrote {path}")
-        return EXIT_OK
+def _diagnose_reflection(args) -> int:
     cfg = _load(args, kind="diagnostics")
-    table = exp.run_infsup_diagnostic(cfg)
-    _print_table(table)
-    path = table.write_csv(Path(cfg.out_dir) / "infsup.csv")
+    rows, path = exp.run_reflection_diagnostic(cfg)
+    for pat, idx, direction, sup, _, formula, drift in rows:
+        print(f"{pat} {idx} ({direction}): sup {sup:.6f}  formula {formula:.6f}"
+              f"  drift {drift:.2e}")
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def _cmd_export(args) -> int:
+def _export_field(args) -> int:
     cfg, m = _finest_source(args, "field export")
     lam = float(cfg.lam)
     s = sol.solve_source(m, fem.assemble_blocks(m), cfg.material(), lam, cfg.source)
@@ -203,21 +200,29 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "mesh": _cmd_mesh,
-    "solve": _cmd_solve,
-    "eigen": _cmd_eigen,
-    "diagnose": _cmd_diagnose,
-    "export": _cmd_export,
+# (verb, noun) -> handler, in the order the parser lists them
+_VERBS = {
+    ("mesh", "build"): _mesh_build,
+    ("mesh", "refine"): _mesh_refine,
+    ("mesh", "check"): _mesh_check,
+    ("solve", "source"): _table_verb("source", "run_source_convergence", "source.csv"),
+    ("solve", "scalar"): _solve_scalar,
+    ("eigen", "spectrum"): _eigen_spectrum,
+    ("eigen", "converge"): _table_verb("eigen-convergence", "run_eigen_convergence",
+                                       "eigen.csv"),
+    ("diagnose", "reflection"): _diagnose_reflection,
+    ("diagnose", "infsup"): _table_verb("diagnostics", "run_infsup_diagnostic",
+                                        "infsup.csv"),
+    ("export", "field"): _export_field,
 }
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="experiment config file")
-    p.add_argument("--levels", metavar="N", type=int, help="refinement levels")
+    p.add_argument("--levels", metavar="N", help="refinement levels")
     p.add_argument("--out", metavar="DIR", help="output directory")
     p.add_argument("--window", metavar="A,B", help="lambda window (fractions ok)")
-    p.add_argument("--shift", metavar="S", type=float, help="spectral shift")
+    p.add_argument("--shift", metavar="S", help="spectral shift (fractions ok)")
     p.add_argument("--allow-critical", action="store_true",
                    help="permit lam inside a critical window (negative controls)")
 
@@ -227,25 +232,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="signfem",
         description="experiments for the sign-changing transmission problem")
     verbs = parser.add_subparsers(dest="verb", required=True)
-    for verb, nouns in (("mesh", ("build", "refine", "check")),
-                        ("solve", ("source", "scalar")),
-                        ("eigen", ("spectrum", "converge")),
-                        ("diagnose", ("reflection", "infsup")),
-                        ("export", ("field",))):
-        vp = verbs.add_parser(verb)
-        nsub = vp.add_subparsers(dest="noun", required=True)
-        for noun in nouns:
-            np_ = nsub.add_parser(noun)
-            _add_common(np_)
-            if verb == "export":
-                np_.add_argument("--format", choices=("csv", "vtk"), default="csv")
+    nouns = {}
+    for verb, noun in _VERBS:
+        if verb not in nouns:
+            nouns[verb] = verbs.add_parser(verb).add_subparsers(dest="noun",
+                                                               required=True)
+        p = nouns[verb].add_parser(noun)
+        _add_common(p)
+        if verb == "export":
+            p.add_argument("--format", choices=("csv", "vtk"), default="csv")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.verb](args)
+        return _VERBS[args.verb, args.noun](args)
     except (ConfigError, MaterialError, GeometryError) as err:
         print(f"signfem: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -21,7 +21,8 @@ from .geometry import DomainSpec, make_reference_domain
 
 Number = Union[int, float, Fraction]
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config",
+           "read_key"]
 
 KINDS = ("source", "spectrum", "eigen-convergence", "diagnostics")
 DOMAINS = ("reference", "square")
@@ -194,6 +195,19 @@ _SCHEMA = {
 }
 
 
+def read_key(section: str, key: str, raw: str):
+    """(field, value) that key KEY of [SECTION] reads from the text RAW, for
+    config files and the CLI flags that stand for keys."""
+    try:
+        field, coerce = _SCHEMA[(section, key)]
+    except KeyError:
+        raise ConfigError(f"unknown key {key!r} in [{section}]") from None
+    try:
+        return field, coerce(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+
+
 def parse_config(text: str, **overrides) -> ExperimentConfig:
     """Parse config text into an ExperimentConfig (validating on the way).
 
@@ -205,17 +219,8 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"unparseable config: {exc}") from exc
-    fields: dict = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            try:
-                field, coerce = _SCHEMA[(section, key)]
-            except KeyError:
-                raise ConfigError(f"unknown key {key!r} in [{section}]") from None
-            try:
-                fields[field] = coerce(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    fields = dict(read_key(section, key, raw) for section in parser.sections()
+                  for key, raw in parser.items(section))
     fields.update(overrides)
     try:
         return ExperimentConfig(**fields)

@@ -1,14 +1,16 @@
 """Config-driven numerical studies: source convergence, spectrum scans,
 eigenvalue convergence, and the stability/reflection diagnostics.
 
-Every runner takes an ExperimentConfig, fans the per-level (or per-
-formulation) solves out to a thread pool, and assembles the output table
-serially afterwards, so CSV bytes depend only on the config, not on the
-number of cores or of BLAS threads.  Tables all carry (level, h_max, dofs,
-...) rows; h_max halves exactly per level because refinement is red.
+Every runner takes an ExperimentConfig, opens with one preamble (_study:
+kind and needed fields checked, ladder built), fans its (level,
+formulation) jobs out to a thread pool through one job map (_level_jobs),
+and builds its table serially afterwards, so CSV bytes depend only on the
+config, not on the number of cores or of BLAS threads.  Every CSV is a
+ResultTable, written by its write_csv; a per-level table leads with (level,
+h_max, dofs) from the ladder, and h_max halves per level (red refinement).
 
-Every pooled study lists its per-level jobs finest level first
-(longest-job-first list scheduling, Graham 1969).  A level has four times the
+_level_jobs lists the jobs finest level first (longest-job-first list
+scheduling, Graham 1969).  A level has four times the
 unknowns of the one below, so the finest level's solves set the wall time;
 listed first, they start at once while the coarse levels fill in behind them.
 Each job assembles only its own formulation row's blocks, inside its worker
@@ -96,7 +98,7 @@ __all__ = [
     "ResultTable", "mesh_ladder", "run_source_convergence", "run_spectrum",
     "run_eigen_convergence", "run_infsup_diagnostic",
     "run_reflection_diagnostic", "export_field", "manufactured_solution",
-    "RESIDUAL_FILTER",
+    "window_str", "RESIDUAL_FILTER",
 ]
 
 # the gate on every emitted eigenpair's rational residual: a pair above it
@@ -105,64 +107,60 @@ __all__ = [
 RESIDUAL_FILTER = 1e-8
 
 
-def _fmt(x) -> str:
-    # NumPy 2 reprs its scalars as "np.float64(x)"; float() keeps the value
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _lines(fmt: str, *columns) -> str:
     """FMT filled from one row of COLUMNS (equal-length arrays) per line, all
-    lines joined.  The cells are the Python ints and floats of .tolist(), so
-    "{}" prints a float as its repr, as _fmt does."""
+    lines joined, for the arrays of field.vtk.  The cells are the Python ints
+    and floats of .tolist(), so "{}" prints a float as its repr."""
     return "".join(map(fmt.format, *(np.asarray(c).tolist() for c in columns)))
-
-
-def _row_lines(rows: Sequence[Sequence]) -> str:
-    """One line per row of cells, each cell written by _fmt, all joined."""
-    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
-
-
-def _write_csv(path, columns: Sequence[str], lines: str,
-               metadata: Sequence[Tuple[str, str]] = ()) -> Path:
-    """Write metadata lines "# key = value", the header and the data LINES,
-    already joined (_lines, _row_lines).  No cell, header or data, holds a
-    comma, a quote or a line break, so none needs CSV quoting."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        f.writelines(f"# {key} = {val}\n" for key, val in metadata)
-        f.write(",".join(columns) + "\n")
-        f.write(lines)
-    return path
 
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Ordered per-level rows; schema varies by experiment but always leads
-    with (level, h_max, dofs)."""
+    """Every CSV the program writes: columns, rows and "# key = value"
+    metadata, written by write_csv.  A cell is a label, an int or a Python
+    or NumPy float64, which str prints as its repr (a longdouble would print
+    more digits).  per_level and per_triangle take the leading columns from
+    the mesh."""
 
     columns: Tuple[str, ...]
     rows: Tuple[Tuple, ...]
-    metadata: Tuple[Tuple[str, str], ...] = ()
+    metadata: Tuple[Tuple[str, str], ...]
 
-    def __post_init__(self):
-        for name in ("level", "h_max", "dofs"):
-            if name not in self.columns:
-                raise ValueError(f"result table is missing a {name!r} column")
-        lev = [row[self.columns.index("level")] for row in self.rows]
-        dof = [row[self.columns.index("dofs")] for row in self.rows]
-        if any(b <= a for a, b in zip(lev, lev[1:])):
-            raise ValueError(f"levels not strictly increasing: {lev}")
-        if any(b <= a for a, b in zip(dof, dof[1:])):
-            raise ValueError(f"dof counts not strictly increasing: {dof}")
+    @classmethod
+    def per_level(cls, meshes: Sequence[Mesh], columns: Sequence[str],
+                  values: Sequence[Sequence], metadata) -> "ResultTable":
+        """One row per mesh of the ladder MESHES: (level, h_max, dofs), then
+        that level's VALUES under COLUMNS.  dofs (edges) must increase."""
+        dofs = [m.num_edges for m in meshes]
+        if any(b <= a for a, b in zip(dofs, dofs[1:])):
+            raise ValueError(f"dof counts not strictly increasing: {dofs}")
+        rows = tuple((i, m.h_max, n, *v) for i, (m, n, v)
+                     in enumerate(zip(meshes, dofs, values, strict=True)))
+        return cls(("level", "h_max", "dofs", *columns), rows, tuple(metadata))
+
+    @classmethod
+    def per_triangle(cls, mesh: Mesh, columns: Sequence[str],
+                     values: Sequence[np.ndarray], metadata) -> "ResultTable":
+        """One row per triangle of MESH: its index and barycenter (triangle,
+        x1, x2), then the arrays VALUES under COLUMNS, rounded to float64."""
+        cells = [np.asarray(c, dtype=float).tolist()
+                 for c in (*mesh.barycenters().T, *values)]
+        return cls(("triangle", "x1", "x2", *columns),
+                   tuple(zip(range(mesh.num_triangles), *cells)), tuple(metadata))
 
     def column(self, name: str) -> list:
         return [row[self.columns.index(name)] for row in self.rows]
 
     def write_csv(self, path) -> Path:
-        return _write_csv(path, self.columns, _row_lines(self.rows), self.metadata)
+        """Metadata lines, header, one line per row.  No cell holds a comma,
+        a quote or a line break, so none needs CSV quoting."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as f:
+            f.writelines(f"# {key} = {val}\n" for key, val in self.metadata)
+            f.write(",".join(self.columns) + "\n")
+            f.writelines(",".join(map(str, row)) + "\n" for row in self.rows)
+        return path
 
 
 def mesh_ladder(cfg: ExperimentConfig) -> List[Mesh]:
@@ -247,6 +245,28 @@ def _pool_map(task: Callable, items: Sequence) -> list:
             return list(ex.map(task, items))
 
 
+def _study(cfg: ExperimentConfig, kind: str, what: str, **needs: str):
+    """Every study's preamble: cfg must be a KIND config with each field of
+    NEEDS set; errors name the study WHAT and the field by its NEEDS phrase
+    ("needs a window").  Returns the material and the mesh ladder."""
+    if cfg.kind != kind:
+        raise ConfigError(f"{what} asked to run a {cfg.kind!r} config")
+    for field, phrase in needs.items():
+        if getattr(cfg, field) is None:
+            raise ConfigError(f"{what} needs {phrase}")
+    return cfg.material(), mesh_ladder(cfg)
+
+
+def _level_jobs(meshes: Sequence[Mesh], levels: Sequence[int],
+                forms: Sequence[fem.Formulation], task: Callable) -> dict:
+    """task(level, mesh, form) on every (level, form) job of LEVELS x FORMS
+    through the pool, finest level first (module docstring); the results by
+    job."""
+    jobs = [(i, form) for i in sorted(levels, reverse=True) for form in forms]
+    results = _pool_map(lambda job: task(job[0], meshes[job[0]], job[1]), jobs)
+    return dict(zip(jobs, results))
+
+
 def _base_metadata(cfg: ExperimentConfig) -> List[Tuple[str, str]]:
     return [("kind", cfg.kind), ("domain", cfg.domain),
             ("levels", str(cfg.levels))]
@@ -283,50 +303,37 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
     fixture reports true errors instead.  Both errors are quadratic forms in
     the finest blocks: the Gram, and M_+ + M_- (the midpoint rule of the
     mass blocks is exact for products of two edge functions)."""
-    if cfg.kind != "source":
-        raise ConfigError(f"source study asked to run a {cfg.kind!r} config")
     if cfg.levels < 3:
         raise ConfigError("source convergence needs >= 3 levels")
-    if cfg.lam is None:
-        raise ConfigError("source convergence needs lam")
+    mat, meshes = _study(cfg, "source", "source convergence", lam="lam")
     lam = float(cfg.lam)
-    mat = cfg.material()
-    meshes = mesh_ladder(cfg)
     meta = _base_metadata(cfg) + [("lam", repr(lam)),
                                   ("reference", "finest level" if cfg.fixture == "none"
                                    else "manufactured solution")]
-    # finest level first: its jobs are the longest (module docstring)
     finest = cfg.levels - 1
-    levels = range(finest, -1, -1)
 
     if cfg.fixture == "manufactured":
         exact, exact_curl, load = manufactured_solution(lam)
 
-        def task(job):
-            m = meshes[job[0]]
-            s = sol.solve_source(m, fem.assemble_blocks(m), mat, lam, load)
+        def task(i, m, form):
+            s = sol.solve_source(m, fem.assemble_blocks(m, form), mat, lam, load)
             l2, x = fem.error_vs_exact(m, s.coeffs, exact, exact_curl)
             return (x, l2)
 
-        jobs = [(i, fem.EDGE) for i in levels]
-        errs = dict(zip(jobs, _pool_map(task, jobs)))
-        rows = tuple((i, meshes[i].h_max, meshes[i].num_edges) + errs[i, fem.EDGE]
-                     for i in range(cfg.levels))
-        return ResultTable(("level", "h_max", "dofs", "x_err", "l2_err"),
-                           rows, tuple(meta))
+        errs = _level_jobs(meshes, range(cfg.levels), (fem.EDGE,), task)
+        return ResultTable.per_level(meshes, ("x_err", "l2_err"),
+                                     [errs[i, fem.EDGE] for i in range(cfg.levels)],
+                                     meta)
 
-    def task(job):
-        i, form = job
+    def task(i, m, form):
         # the blocks are freed before the factorization (solve_source)
-        s = sol.solve_source(meshes[i], fem.assemble_blocks(meshes[i], form),
-                             mat, lam, cfg.source)
+        s = sol.solve_source(m, fem.assemble_blocks(m, form), mat, lam, cfg.source)
         if form is fem.EDGE:
             # drop the longdouble carry: prolongation and norms run in float64
             return s.coeffs.astype(float)
-        return fem.potential_flux(meshes[i], mat, lam, s.coeffs)
+        return fem.potential_flux(m, mat, lam, s.coeffs)
 
-    jobs = [(i, form) for i in levels for form in (fem.EDGE, fem.SCALAR)]
-    solved = dict(zip(jobs, _pool_map(task, jobs)))
+    solved = _level_jobs(meshes, range(cfg.levels), (fem.EDGE, fem.SCALAR), task)
     uref = solved[finest, fem.EDGE]
     space_f = fem.EDGE.space(meshes[-1])
 
@@ -355,7 +362,7 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
     def norm(G, d):
         return math.sqrt(max(float(d @ (G @ d)), 0.0))
 
-    rows = []
+    errs = []
     # pinned like the pool's jobs: a threaded ddot splits its sum by the
     # thread count (module docstring)
     with _one_blas_thread():
@@ -363,25 +370,21 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
         ref_l2 = norm(mass, uref)
         for i in range(cfg.levels):
             d = carried[i] - uref
-            x_err = norm(gram, space_f.restrict_vec(d)) / ref_x
-            l2_err = norm(mass, d) / ref_l2
-            rows.append((i, meshes[i].h_max, meshes[i].num_edges, x_err, l2_err,
-                         cross[i]))
-    return ResultTable(("level", "h_max", "dofs", "x_err", "l2_err", "cross_err"),
-                       tuple(rows), tuple(meta))
+            errs.append((norm(gram, space_f.restrict_vec(d)) / ref_x,
+                         norm(mass, d) / ref_l2, cross[i]))
+    return ResultTable.per_level(meshes, ("x_err", "l2_err", "cross_err"), errs, meta)
 
 
 def _gated_eigenpairs(meshes: Sequence[Mesh], mat: mats.DrudeMaterial,
-                      jobs: Sequence[Tuple[int, fem.Formulation]],
+                      levels: Sequence[int], forms: Sequence[fem.Formulation],
                       window: Tuple[float, float], shift: float,
                       count: int) -> Dict[Tuple[int, fem.Formulation], list]:
-    """solve_eigen on each (level, formulation) job through the pool, by job;
+    """solve_eigen on each (level, formulation) job of _level_jobs, by job;
     each job assembles its own row's blocks in its worker.  A pair whose
     rational residual misses RESIDUAL_FILTER raises."""
-    def task(job):
-        i, form = job
-        pairs = sol.solve_eigen(meshes[i], fem.assemble_blocks(meshes[i], form),
-                                mat, window=window, shift=shift, count=count)
+    def task(i, m, form):
+        pairs = sol.solve_eigen(m, fem.assemble_blocks(m, form), mat,
+                                window=window, shift=shift, count=count)
         for q in pairs:
             if not q.residual <= RESIDUAL_FILTER:
                 raise sol.SolverError(
@@ -389,19 +392,13 @@ def _gated_eigenpairs(meshes: Sequence[Mesh], mat: mats.DrudeMaterial,
                     f"residual {q.residual:.3e} > {RESIDUAL_FILTER!r}")
         return pairs
 
-    return dict(zip(jobs, _pool_map(task, jobs)))
+    return _level_jobs(meshes, levels, forms, task)
 
 
-def _eigen_study(cfg: ExperimentConfig, kind: str, what: str):
-    """Both eigen studies' preamble: cfg must be a KIND config with a window
-    (errors name the study WHAT).  Returns window, shift, material, ladder."""
-    if cfg.kind != kind:
-        raise ConfigError(f"{what} asked to run a {cfg.kind!r} config")
-    if cfg.window is None:
-        raise ConfigError(f"{what} needs a window")
+def _window_shift(cfg: ExperimentConfig) -> Tuple[Tuple[float, float], float]:
+    """An eigen study's window in floats, and cfg.shift or its midpoint."""
     window = (float(cfg.window[0]), float(cfg.window[1]))
-    shift = float(cfg.shift) if cfg.shift is not None else 0.5 * sum(window)
-    return window, shift, cfg.material(), mesh_ladder(cfg)
+    return window, float(cfg.shift) if cfg.shift is not None else 0.5 * sum(window)
 
 
 def run_spectrum(cfg: ExperimentConfig):
@@ -415,14 +412,14 @@ def run_spectrum(cfg: ExperimentConfig):
     nearest scalar-formulation partner (inside it, eigenvalues accumulate and
     pairing is meaningless, so the match columns stay empty).
     """
-    window, shift, mat, meshes = _eigen_study(cfg, "spectrum", "spectrum scan")
+    mat, meshes = _study(cfg, "spectrum", "spectrum scan", window="a window")
+    window, shift = _window_shift(cfg)
     windows = cfg.windows()
     level = cfg.levels - 1
 
     # A(lam) is definite for lam < 0: no spectrum
     forms = (fem.EDGE, fem.SCALAR) if window[1] > 0 else ()
-    got = _gated_eigenpairs(meshes, mat, [(level, f) for f in forms],
-                            window, shift, count=24)
+    got = _gated_eigenpairs(meshes, mat, [level], forms, window, shift, count=24)
     pairs = got.get((level, fem.EDGE), [])
     scalar = got.get((level, fem.SCALAR), [])
     svals = np.array([q.lam for q in scalar])
@@ -442,19 +439,19 @@ def run_spectrum(cfg: ExperimentConfig):
                      windows.regime(q.lam), "", ""))
 
     meta = _base_metadata(cfg) + [
-        ("window", f"{window[0]},{window[1]}"), ("shift", repr(shift)),
+        ("window", window_str(window)), ("shift", repr(shift)),
         ("residual_filter", repr(RESIDUAL_FILTER)),
-        ("eps_window", _win_str(windows.window_eps)),
-        ("mu_window", _win_str(windows.window_mu)),
+        ("eps_window", window_str(windows.window_eps)),
+        ("mu_window", window_str(windows.window_mu)),
     ]
     columns = ("level", "formulation", "lam", "residual", "classification",
                "curl_fraction", "regime", "scalar_match", "scalar_match_rel")
-    path = _write_csv(Path(cfg.out_dir) / "spectrum.csv", columns, _row_lines(rows),
-                      meta)
-    return rows, path
+    table = ResultTable(columns, tuple(rows), tuple(meta))
+    return rows, table.write_csv(Path(cfg.out_dir) / "spectrum.csv")
 
 
-def _win_str(window) -> str:
+def window_str(window) -> str:
+    """A lambda window as "a,b" of float reprs, or "none"."""
     if window is None:
         return "none"
     return f"{float(window[0])!r},{float(window[1])!r}"
@@ -485,60 +482,49 @@ def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
     158-166 MB, about 28%, still over the benchmark's 10% bound.
     Every pair of either formulation must pass the RESIDUAL_FILTER gate
     (_gated_eigenpairs)."""
-    window, shift, mat, meshes = _eigen_study(cfg, "eigen-convergence",
-                                              "eigenvalue convergence")
+    mat, meshes = _study(cfg, "eigen-convergence", "eigenvalue convergence",
+                         window="a window")
+    window, shift = _window_shift(cfg)
     threshold = float(cfg.threshold)
     finest = cfg.levels - 1
 
-    edge = _gated_eigenpairs(meshes, mat,
-                             [(i, fem.EDGE) for i in range(finest, -1, -1)],
+    edge = _gated_eigenpairs(meshes, mat, range(cfg.levels), (fem.EDGE,),
                              window, shift, count=8)
     got = [_largest_below(edge[i, fem.EDGE], threshold, f"level-{i} vector")
            for i in range(cfg.levels)]
-    scalar = _gated_eigenpairs(meshes, mat, [(finest, fem.SCALAR)],
+    scalar = _gated_eigenpairs(meshes, mat, [finest], (fem.SCALAR,),
                                window, shift, count=8)
     scalar_ref = _largest_below(scalar[finest, fem.SCALAR], threshold,
                                 "scalar").lam
     ref = got[-1].lam
 
-    rows = tuple(
-        (i, meshes[i].h_max, meshes[i].num_edges, q.lam, q.residual,
-         abs(q.lam - ref) / abs(ref), abs(q.lam - scalar_ref) / abs(scalar_ref))
-        for i, q in enumerate(got))
+    values = [(q.lam, q.residual, abs(q.lam - ref) / abs(ref),
+               abs(q.lam - scalar_ref) / abs(scalar_ref)) for q in got]
     meta = _base_metadata(cfg) + [
-        ("window", f"{window[0]},{window[1]}"), ("shift", repr(shift)),
+        ("window", window_str(window)), ("shift", repr(shift)),
         ("target", f"largest eigenvalue below {threshold!r}, lambda-sorted"),
         ("residual_filter", repr(RESIDUAL_FILTER)),
         ("scalar_reference", repr(float(scalar_ref))),
     ]
-    return ResultTable(
-        ("level", "h_max", "dofs", "lam", "residual",
-         "err_vs_finest", "err_vs_scalar_finest"), rows, tuple(meta))
+    return ResultTable.per_level(
+        meshes, ("lam", "residual", "err_vs_finest", "err_vs_scalar_finest"),
+        values, meta)
 
 
 def run_infsup_diagnostic(cfg: ExperimentConfig) -> ResultTable:
     """beta_n(lam) across the ladder (smallest generalized singular value)."""
-    if cfg.kind != "diagnostics":
-        raise ConfigError(f"inf-sup diagnostic asked to run a {cfg.kind!r} config")
-    if cfg.lam is None:
-        raise ConfigError("inf-sup diagnostic needs lam")
+    mat, meshes = _study(cfg, "diagnostics", "inf-sup diagnostic", lam="lam")
     lam = float(cfg.lam)
-    mat = cfg.material()
-    meshes = mesh_ladder(cfg)
 
-    def task(i):
-        return sol.discrete_infsup(meshes[i], fem.assemble_blocks(meshes[i]),
-                                   mat, lam)
+    def task(i, m, form):
+        return sol.discrete_infsup(m, fem.assemble_blocks(m, form), mat, lam)
 
-    # finest level first, each job assembling its own blocks (module docstring)
-    levels = range(cfg.levels - 1, -1, -1)
-    betas = dict(zip(levels, _pool_map(task, levels)))
-    rows = tuple((i, meshes[i].h_max, meshes[i].num_edges, lam, betas[i])
-                 for i in range(cfg.levels))
+    betas = _level_jobs(meshes, range(cfg.levels), (fem.EDGE,), task)
     meta = _base_metadata(cfg) + [("lam", repr(lam)),
                                   ("negative_control", str(cfg.allow_critical).lower())]
-    return ResultTable(("level", "h_max", "dofs", "lam", "beta_n"),
-                       rows, tuple(meta))
+    return ResultTable.per_level(meshes, ("lam", "beta_n"),
+                                 [(lam, betas[i, fem.EDGE]) for i in range(cfg.levels)],
+                                 meta)
 
 
 def run_reflection_diagnostic(cfg: ExperimentConfig):
@@ -548,13 +534,10 @@ def run_reflection_diagnostic(cfg: ExperimentConfig):
     finest-level sup, the closed-form angle-ratio value, and the relative
     drift over the last two levels (the stabilization check).
     """
-    if cfg.kind != "diagnostics":
-        raise ConfigError(
-            f"reflection diagnostic asked to run a {cfg.kind!r} config")
     if cfg.domain != "reference":
         raise ConfigError("reflection diagnostic runs on the reference domain")
+    _, meshes = _study(cfg, "diagnostics", "reflection diagnostic")
     dom = cfg.domain_spec()
-    meshes = mesh_ladder(cfg)
     patterns = ([("corner", n) for n in range(len(dom.patterns))]
                 + [("edge", n) for n in range(len(dom.edges))])
     jobs = [(pat, d) for pat in patterns for d in ("+", "-")]
@@ -571,9 +554,8 @@ def run_reflection_diagnostic(cfg: ExperimentConfig):
     meta = _base_metadata(cfg) + [("norm_kind", "vector")]
     columns = ("pattern", "index", "direction", "measured_sup",
                "measured_sup_squared", "formula_value", "drift_last_two")
-    path = _write_csv(Path(cfg.out_dir) / "reflection.csv", columns,
-                      _row_lines(rows), meta)
-    return rows, path
+    table = ResultTable(columns, tuple(rows), tuple(meta))
+    return rows, table.write_csv(Path(cfg.out_dir) / "reflection.csv")
 
 
 def export_field(mesh: Mesh, coeffs: np.ndarray, lam: float, path,
@@ -588,17 +570,15 @@ def export_field(mesh: Mesh, coeffs: np.ndarray, lam: float, path,
     if format not in ("csv", "vtk"):
         raise ValueError(f"unknown export format {format!r}")
     vals, curls = fem.eval_cellwise(mesh, coeffs)
-    bary = mesh.barycenters()
+    if format == "csv":
+        return ResultTable.per_triangle(
+            mesh, ("u1", "u2", "curl"), (*vals.T, curls),
+            [("description", "source solve"), ("lam", repr(float(lam)))]
+        ).write_csv(path)
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-
     T = mesh.num_triangles
-    if format == "csv":
-        rows = _lines("{},{},{},{},{},{}\n", np.arange(T), *bary.T, *vals.T, curls)
-        return _write_csv(path, ("triangle", "x1", "x2", "u1", "u2", "curl"),
-                          rows, [("description", "source solve"),
-                                 ("lam", repr(float(lam)))])
-
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
         f.write("source solve\n")

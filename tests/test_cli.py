@@ -1,8 +1,10 @@
 """Verb wiring, exit codes, and output files of the command-line runner."""
 
+import argparse
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import signfem
-from signfem import config, experiments as exp, fem, geometry as geo, solvers as sol
+from signfem import cli, config, experiments as exp, fem, geometry as geo, solvers as sol
 from signfem.cli import EXIT_CONFIG, main
 from signfem.config import load_config
 
@@ -183,19 +185,44 @@ def test_eigen_converge(cfg52, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "bad" / "eigen.csv").exists()
 
 
-def test_eigen_csv_cells_are_plain_floats(cfg52, tmp_path):
-    # NumPy scalars must not leak their repr ("np.float64(...)") into a cell
-    assert main(["eigen", "converge", "--config", cfg52, "--levels", "2",
-                 "--window", "1.2,4/3", "--shift", "1.27",
-                 "--out", str(tmp_path)]) == 0
-    lines = [line for line in (tmp_path / "eigen.csv").read_text().splitlines()
-             if not line.startswith("#")]
-    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
-    assert "err_vs_scalar_finest" in header and len(rows) == 2
-    for row in rows:
-        assert len(row) == len(header)
-        for cell in row:
-            float(cell)
+def test_eigen_csv_cells_are_plain_floats(cfg51, cfg52, tmp_path):
+    # NumPy scalars must not leak their repr ("np.float64(...)") into a cell,
+    # and every float cell is its shortest repr, which a longdouble's str is
+    # not; the reflection sups are NumPy float64
+    window = ["--window", "1.2,4/3", "--shift", "1.27"]
+    for argv, name, floats in [
+        (["eigen", "converge", "--config", cfg52, *window], "eigen.csv",
+         ("h_max", "lam", "residual", "err_vs_finest", "err_vs_scalar_finest")),
+        (["eigen", "spectrum", "--config", cfg52, *window], "spectrum.csv",
+         ("lam", "residual", "curl_fraction", "scalar_match", "scalar_match_rel")),
+        (["diagnose", "reflection", "--config", cfg51], "reflection.csv",
+         ("measured_sup", "measured_sup_squared", "formula_value", "drift_last_two")),
+    ]:
+        out = tmp_path / name
+        assert main(argv + ["--levels", "2", "--out", str(out)]) == 0
+        lines = [line for line in (out / name).read_text().splitlines()
+                 if not line.startswith("#")]
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        assert rows and set(floats) <= set(header)
+        for row in rows:
+            assert len(row) == len(header)
+            assert not any("(" in cell for cell in row)
+        for col in floats:
+            cells = [row[header.index(col)] for row in rows]
+            # a vector row has all of them; a scalar row leaves its match empty
+            assert any(cells), (name, col)
+            assert all(repr(float(c)) == c for c in cells if c), (name, col)
+
+
+def test_shift_flag_takes_a_fraction(cfg52, tmp_path):
+    # --shift reads as the config key does: 127/100 is the shift 1.27
+    files = []
+    for n, shift in enumerate(("1.27", "127/100")):
+        out = tmp_path / f"o{n}"
+        assert main(["eigen", "converge", "--config", cfg52, "--levels", "2",
+                     "--window", "1.2,4/3", "--shift", shift, "--out", str(out)]) == 0
+        files.append((out / "eigen.csv").read_bytes())
+    assert files[0] == files[1]
 
 
 def test_eigen_converge_without_window(cfg52, tmp_path):
@@ -240,7 +267,8 @@ def test_shift_outside_window_is_config_error(cfg52, tmp_path, capsys, monkeypat
     _no_mesh_ladder(monkeypatch)
     assert main(["eigen", noun, "--config", cfg52, "--window", "1.2,4/3",
                  "--shift", shift, "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert f"shift {float(shift)} outside window" in capsys.readouterr().err
+    # the flag reads as the config key does: "2" is the int 2
+    assert f"shift {shift} outside window" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb, flags, field", [
@@ -376,3 +404,29 @@ def test_unknown_verb_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])
     assert exc.value.code == 2
+
+
+def _choices(parser):
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_parser_has_the_verbs_of_the_docstring():
+    # exactly the ten (verb, noun) pairs the module docstring names, each with
+    # --help, and --format on export field alone
+    named = {(verb, noun)
+             for verb, nouns in re.findall(r"``(\w+)\s+([\w|]+)``", cli.__doc__)
+             for noun in nouns.split("|")}
+    parser = cli.build_parser()
+    pairs = {(verb, noun) for verb, sub in _choices(parser).items()
+             for noun in _choices(sub)}
+    assert len(named) == 10 and pairs == named
+    for verb, noun in sorted(pairs):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, noun, "--help"])
+        assert exc.value.code == 0
+        if (verb, noun) != ("export", "field"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([verb, noun, "--format", "csv"])
+            assert exc.value.code == 2
+    assert parser.parse_args(["export", "field", "--format", "vtk"]).format == "vtk"

@@ -64,6 +64,19 @@ def test_source_jobs_finest_level_first(cfg, forms, monkeypatch):
     assert set(jobs) == {(i, f) for i in range(cfg.levels) for f in forms}
 
 
+def test_per_level_table_refuses_dofs_that_do_not_increase():
+    # the leading columns come from the ladder, whose levels refine
+    meshes = exp.mesh_ladder(dataclasses.replace(MANUFACTURED, levels=2))
+    values = [(0.5,), (0.25,)]
+    table = exp.ResultTable.per_level(meshes, ("x_err",), values, ())
+    assert table.columns == ("level", "h_max", "dofs", "x_err")
+    assert table.column("level") == [0, 1]
+    assert table.column("dofs") == [m.num_edges for m in meshes]
+    for ladder in (meshes[::-1], [meshes[0]] * 2):
+        with pytest.raises(ValueError, match="dof counts not strictly increasing"):
+            exp.ResultTable.per_level(ladder, ("x_err",), values, ())
+
+
 def _recording(calls):
     def pool_map(task, items):
         calls.append(list(items))
@@ -108,7 +121,7 @@ def test_infsup_jobs_finest_level_first(monkeypatch):
     calls = []
     monkeypatch.setattr(exp, "_pool_map", _recording(calls))
     assert exp.run_infsup_diagnostic(cfg) == pooled
-    assert calls == [[2, 1, 0]]
+    assert calls == [[(2, fem.EDGE), (1, fem.EDGE), (0, fem.EDGE)]]
 
 
 def test_spectrum_runs_both_formulations_as_jobs(tmp_path, monkeypatch):
@@ -236,15 +249,18 @@ def _export_field_rows(mesh, coeffs, lam, path, format):
     """export_field as loops that format one vertex or triangle at a time."""
     vals, curls = fem.eval_cellwise(mesh, coeffs)
     bary = mesh.barycenters()
-    fmt = exp._fmt
+
+    def fmt(x):
+        return repr(float(x))
+
     if format == "csv":
         with open(path, "w") as f:
             f.write("# description = source solve\n")
             f.write(f"# lam = {float(lam)!r}\n")
             f.write("triangle,x1,x2,u1,u2,curl\n")
             for t in range(mesh.num_triangles):
-                cells = (t, bary[t, 0], bary[t, 1], vals[t, 0], vals[t, 1], curls[t])
-                f.write(",".join(fmt(x) for x in cells) + "\n")
+                cells = (bary[t, 0], bary[t, 1], vals[t, 0], vals[t, 1], curls[t])
+                f.write(",".join([str(t), *map(fmt, cells)]) + "\n")
         return
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")

@@ -11,7 +11,7 @@
 #   tools/cli_outputs.sh SRC OUT
 #
 # SRC is a checkout (the package is imported from SRC/src); OUT must not
-# exist yet.  The 48 runs take a few minutes on two cores.
+# exist yet.  The 48 runs take about half a minute on two cores (30-36 s).
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
