@@ -73,7 +73,7 @@ def _mesh_summary(level: int, mesh) -> str:
 
 def _mesh_build(args) -> int:
     cfg = _load(args)
-    mesh = exp.mesh_ladder(cfg)[0]
+    mesh = exp.coarse_mesh(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mesh_write(mesh, out / "mesh_level0.txt")
@@ -97,11 +97,11 @@ def _mesh_refine(args) -> int:
 def _mesh_check(args) -> int:
     """Patch conformity level by level (reference domain only)."""
     cfg = _load(args)
-    meshes = exp.mesh_ladder(cfg)
     dom = cfg.domain_spec()
     if dom is None:
         print("square domain has no patch structure; nothing to check")
         return EXIT_OK
+    meshes = exp.mesh_ladder(cfg)
     worst = 0.0
     for i, m in enumerate(meshes):
         report = check_r_conformity(m, dom)
@@ -120,13 +120,19 @@ def _mesh_check(args) -> int:
     return EXIT_OK
 
 
-def _table_verb(kind: str, runner: str, filename: str):
+def _print_reflection(table: exp.ResultTable) -> None:
+    for pat, idx, direction, sup, _, formula, drift in table.rows:
+        print(f"{pat} {idx} ({direction}): sup {sup:.6f}  formula {formula:.6f}"
+              f"  drift {drift:.2e}")
+
+
+def _table_verb(kind: str, runner: str, filename: str, show):
     """Handler that runs exp.<RUNNER> (looked up at call time) on a KIND
-    config, prints its table and writes it to FILENAME."""
+    config, prints its table with SHOW and writes it to FILENAME."""
     def handler(args) -> int:
         cfg = _load(args, kind=kind)
         table = getattr(exp, runner)(cfg)
-        _print_table(table)
+        show(table)
         print(f"wrote {table.write_csv(Path(cfg.out_dir) / filename)}")
         return EXIT_OK
     return handler
@@ -177,16 +183,6 @@ def _eigen_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _diagnose_reflection(args) -> int:
-    cfg = _load(args, kind="diagnostics")
-    rows, path = exp.run_reflection_diagnostic(cfg)
-    for pat, idx, direction, sup, _, formula, drift in rows:
-        print(f"{pat} {idx} ({direction}): sup {sup:.6f}  formula {formula:.6f}"
-              f"  drift {drift:.2e}")
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 def _export_field(args) -> int:
     cfg, m = _finest_source(args, "field export")
     lam = float(cfg.lam)
@@ -205,14 +201,16 @@ _VERBS = {
     ("mesh", "build"): _mesh_build,
     ("mesh", "refine"): _mesh_refine,
     ("mesh", "check"): _mesh_check,
-    ("solve", "source"): _table_verb("source", "run_source_convergence", "source.csv"),
+    ("solve", "source"): _table_verb("source", "run_source_convergence",
+                                     "source.csv", _print_table),
     ("solve", "scalar"): _solve_scalar,
     ("eigen", "spectrum"): _eigen_spectrum,
     ("eigen", "converge"): _table_verb("eigen-convergence", "run_eigen_convergence",
-                                       "eigen.csv"),
-    ("diagnose", "reflection"): _diagnose_reflection,
+                                       "eigen.csv", _print_table),
+    ("diagnose", "reflection"): _table_verb("diagnostics", "run_reflection_diagnostic",
+                                            "reflection.csv", _print_reflection),
     ("diagnose", "infsup"): _table_verb("diagnostics", "run_infsup_diagnostic",
-                                        "infsup.csv"),
+                                        "infsup.csv", _print_table),
     ("export", "field"): _export_field,
 }
 

@@ -59,11 +59,12 @@ last digits of the inf-sup, eigen-convergence, source and reflection tables
 moved with it.  The error norms the source study takes after its pool run
 under the same pin.
 
-Both eigen studies go through _gated_eigenpairs: one solvers.solve_eigen
-call per (level, formulation) job, the edge and the scalar pencil alike.
-Every pair a study emits must meet the RESIDUAL_FILTER gate on its rational
-residual; one that misses it raises SolverError naming the job, lam and the
-residual, so no pair is ever dropped.
+Both eigen studies go through _eigenpairs: one solvers.solve_eigen call
+per (level, formulation) job, the edge and the scalar pencil alike.  The
+gate on every pair's rational residual, solvers.RESIDUAL_FILTER, is
+solve_eigen's own: a pair that misses it raises SolverError naming the row,
+lam, the residual and the free-dof count, so no pair is ever dropped.  The
+eigen CSVs record the gate in their metadata.
 
 Error protocol for the source study: the finest level is the reference, and
 coarser solutions are carried up to it by the exact nested prolongation
@@ -95,16 +96,15 @@ from .config import ConfigError, ExperimentConfig
 from .mesh import Mesh, refine_red
 
 __all__ = [
-    "ResultTable", "mesh_ladder", "run_source_convergence", "run_spectrum",
-    "run_eigen_convergence", "run_infsup_diagnostic",
+    "ResultTable", "coarse_mesh", "mesh_ladder", "run_source_convergence",
+    "run_spectrum", "run_eigen_convergence", "run_infsup_diagnostic",
     "run_reflection_diagnostic", "export_field", "manufactured_solution",
     "window_str", "RESIDUAL_FILTER",
 ]
 
-# the gate on every emitted eigenpair's rational residual: a pair above it
-# raises; recorded in every eigen CSV's metadata (the benchmark tracer
-# imports the name)
-RESIDUAL_FILTER = 1e-8
+# solve_eigen's gate, recorded in every eigen CSV's metadata (the benchmark
+# tracer imports the name from here)
+RESIDUAL_FILTER = sol.RESIDUAL_FILTER
 
 
 def _lines(fmt: str, *columns) -> str:
@@ -163,13 +163,16 @@ class ResultTable:
         return path
 
 
+def coarse_mesh(cfg: ExperimentConfig) -> Mesh:
+    """Level 0 of the config's ladder."""
+    if cfg.domain == "square":
+        return meshgen.square_mesh(max(1, round(1 / cfg.h_coarse)))
+    return meshgen.build_r_conform_coarse(cfg.domain_spec(), cfg.h_coarse)
+
+
 def mesh_ladder(cfg: ExperimentConfig) -> List[Mesh]:
     """Coarse mesh plus cfg.levels - 1 red refinements."""
-    if cfg.domain == "square":
-        coarse = meshgen.square_mesh(max(1, round(1 / cfg.h_coarse)))
-    else:
-        coarse = meshgen.build_r_conform_coarse(cfg.domain_spec(), cfg.h_coarse)
-    meshes = [coarse]
+    meshes = [coarse_mesh(cfg)]
     for _ in range(cfg.levels - 1):
         meshes.append(refine_red(meshes[-1]))
     return meshes
@@ -329,8 +332,7 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
         # the blocks are freed before the factorization (solve_source)
         s = sol.solve_source(m, fem.assemble_blocks(m, form), mat, lam, cfg.source)
         if form is fem.EDGE:
-            # drop the longdouble carry: prolongation and norms run in float64
-            return s.coeffs.astype(float)
+            return s.coeffs
         return fem.potential_flux(m, mat, lam, s.coeffs)
 
     solved = _level_jobs(meshes, range(cfg.levels), (fem.EDGE, fem.SCALAR), task)
@@ -375,22 +377,15 @@ def run_source_convergence(cfg: ExperimentConfig) -> ResultTable:
     return ResultTable.per_level(meshes, ("x_err", "l2_err", "cross_err"), errs, meta)
 
 
-def _gated_eigenpairs(meshes: Sequence[Mesh], mat: mats.DrudeMaterial,
-                      levels: Sequence[int], forms: Sequence[fem.Formulation],
-                      window: Tuple[float, float], shift: float,
-                      count: int) -> Dict[Tuple[int, fem.Formulation], list]:
+def _eigenpairs(meshes: Sequence[Mesh], mat: mats.DrudeMaterial,
+                levels: Sequence[int], forms: Sequence[fem.Formulation],
+                window: Tuple[float, float], shift: float,
+                count: int) -> Dict[Tuple[int, fem.Formulation], list]:
     """solve_eigen on each (level, formulation) job of _level_jobs, by job;
-    each job assembles its own row's blocks in its worker.  A pair whose
-    rational residual misses RESIDUAL_FILTER raises."""
+    each job assembles its own row's blocks in its worker."""
     def task(i, m, form):
-        pairs = sol.solve_eigen(m, fem.assemble_blocks(m, form), mat,
-                                window=window, shift=shift, count=count)
-        for q in pairs:
-            if not q.residual <= RESIDUAL_FILTER:
-                raise sol.SolverError(
-                    f"level {i} {form.kind} eigenpair at lam={q.lam} has rational "
-                    f"residual {q.residual:.3e} > {RESIDUAL_FILTER!r}")
-        return pairs
+        return sol.solve_eigen(m, fem.assemble_blocks(m, form), mat,
+                               window=window, shift=shift, count=count)
 
     return _level_jobs(meshes, levels, forms, task)
 
@@ -406,7 +401,7 @@ def run_spectrum(cfg: ExperimentConfig):
     24 per formulation, those nearest the shift.
 
     Returns (rows, csv_path).  The two formulations are two jobs of
-    _gated_eigenpairs, so every row has passed the RESIDUAL_FILTER gate.
+    _eigenpairs, so every row has passed solve_eigen's RESIDUAL_FILTER gate.
     Vector rows carry residual, classification and curl-energy fraction; each
     one outside the permittivity accumulation window is matched to its
     nearest scalar-formulation partner (inside it, eigenvalues accumulate and
@@ -419,7 +414,7 @@ def run_spectrum(cfg: ExperimentConfig):
 
     # A(lam) is definite for lam < 0: no spectrum
     forms = (fem.EDGE, fem.SCALAR) if window[1] > 0 else ()
-    got = _gated_eigenpairs(meshes, mat, [level], forms, window, shift, count=24)
+    got = _eigenpairs(meshes, mat, [level], forms, window, shift, count=24)
     pairs = got.get((level, fem.EDGE), [])
     scalar = got.get((level, fem.SCALAR), [])
     svals = np.array([q.lam for q in scalar])
@@ -480,20 +475,20 @@ def run_eigen_convergence(cfg: ExperimentConfig) -> ResultTable:
     the spectral workload against the unpooled study): wall_s 2.32-2.75 s
     against 2.48-2.71 s, no clear gain, and peak RSS 202-205 MB against
     158-166 MB, about 28%, still over the benchmark's 10% bound.
-    Every pair of either formulation must pass the RESIDUAL_FILTER gate
-    (_gated_eigenpairs)."""
+    Every pair of either formulation has passed solve_eigen's
+    RESIDUAL_FILTER gate."""
     mat, meshes = _study(cfg, "eigen-convergence", "eigenvalue convergence",
                          window="a window")
     window, shift = _window_shift(cfg)
     threshold = float(cfg.threshold)
     finest = cfg.levels - 1
 
-    edge = _gated_eigenpairs(meshes, mat, range(cfg.levels), (fem.EDGE,),
-                             window, shift, count=8)
+    edge = _eigenpairs(meshes, mat, range(cfg.levels), (fem.EDGE,),
+                       window, shift, count=8)
     got = [_largest_below(edge[i, fem.EDGE], threshold, f"level-{i} vector")
            for i in range(cfg.levels)]
-    scalar = _gated_eigenpairs(meshes, mat, [finest], (fem.SCALAR,),
-                               window, shift, count=8)
+    scalar = _eigenpairs(meshes, mat, [finest], (fem.SCALAR,),
+                         window, shift, count=8)
     scalar_ref = _largest_below(scalar[finest, fem.SCALAR], threshold,
                                 "scalar").lam
     ref = got[-1].lam
@@ -527,15 +522,17 @@ def run_infsup_diagnostic(cfg: ExperimentConfig) -> ResultTable:
                                  meta)
 
 
-def run_reflection_diagnostic(cfg: ExperimentConfig):
+def run_reflection_diagnostic(cfg: ExperimentConfig) -> ResultTable:
     """Measured reflection-operator norms per interface pattern.
 
-    Returns (rows, csv_path): one row per (pattern, direction) with the
-    finest-level sup, the closed-form angle-ratio value, and the relative
-    drift over the last two levels (the stabilization check).
+    One row per (pattern, direction) with the finest-level sup, the
+    closed-form angle-ratio value, and the relative drift over the last two
+    levels (the stabilization check), which takes at least two levels.
     """
     if cfg.domain != "reference":
         raise ConfigError("reflection diagnostic runs on the reference domain")
+    if cfg.levels < 2:
+        raise ConfigError("reflection diagnostic needs >= 2 levels")
     _, meshes = _study(cfg, "diagnostics", "reflection diagnostic")
     dom = cfg.domain_spec()
     patterns = ([("corner", n) for n in range(len(dom.patterns))]
@@ -546,16 +543,14 @@ def run_reflection_diagnostic(cfg: ExperimentConfig):
         pat, direction = job
         est = refl.estimate_norm(meshes, dom, pat, "vector", direction)
         sups = est.level_sups
-        drift = (abs(sups[-1] - sups[-2]) / sups[-1]) if len(sups) > 1 else 0.0
         return (pat[0], pat[1], direction, est.measured_sup,
-                est.measured_sup_squared, est.formula_value, drift)
+                est.measured_sup_squared, est.formula_value,
+                abs(sups[-1] - sups[-2]) / sups[-1])
 
-    rows = _pool_map(task, jobs)
     meta = _base_metadata(cfg) + [("norm_kind", "vector")]
     columns = ("pattern", "index", "direction", "measured_sup",
                "measured_sup_squared", "formula_value", "drift_last_two")
-    table = ResultTable(columns, tuple(rows), tuple(meta))
-    return rows, table.write_csv(Path(cfg.out_dir) / "reflection.csv")
+    return ResultTable(columns, tuple(_pool_map(task, jobs)), tuple(meta))
 
 
 def export_field(mesh: Mesh, coeffs: np.ndarray, lam: float, path,

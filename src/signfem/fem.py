@@ -45,10 +45,9 @@ being off the peak once it runs per region, and _edge_mass took 42 ms
 instead of 36 ms.
 
 Fields are evaluated in float64: _edge_values, _edge_curls and
-potential_flux round their coefficients on entry.  solve_source returns the
-longdouble carry of its refinement, and the cross-check and the error norms
-would otherwise run in non-SIMD extended precision.  Geometry is recomputed
-per call (7 ms at L4), never cached on the mesh.
+potential_flux take their coefficients as float64 arrays, as every solve
+returns them.  Geometry is recomputed per call (7 ms at L4), never cached on
+the mesh.
 """
 
 from __future__ import annotations
@@ -407,7 +406,7 @@ def _quadrature(grads, rule):
 
 def _signed_coeffs(mesh: Mesh, u_full: np.ndarray) -> np.ndarray:
     """An edge field's coefficients per triangle, times the local orientation
-    signs, in float64 (module docstring): (3, T)."""
+    signs, in float64: (3, T)."""
     u = np.asarray(u_full, dtype=float)
     return u.take(mesh.tri_edges.T) * mesh.tri_edge_signs.T
 

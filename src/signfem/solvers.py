@@ -19,8 +19,18 @@ blocks of fem.assemble_blocks carry their row of the formulation table
 material roles from blocks.form; every pencil carries the row it linearizes
 (MatrixPencil.form).  solve_eigen builds its own pencil from the blocks, so
 one eigen path serves both formulations; so does solve_source, whose load is
-the row's load kernel.  Solves return plain arrays: SourceSolution.coeffs and
-EigenPair.u hold every dof of their row's space, boundary dofs zero.
+the row's load kernel.  Solves return plain float64 arrays:
+SourceSolution.coeffs and EigenPair.u hold every dof of their row's space,
+boundary dofs zero.
+
+Every gate on a solver result lives here, and a result that misses one
+raises SolverError instead of being returned: the 1e-10 relative residual
+of a source solve (solve_source), RESIDUAL_FILTER on the rational residual
+of every eigenpair (solve_eigen), the inertia count of an eigen window
+(_eigen_window) with its backward-error probe (_negative_count), and a
+finite positive beta_n (discrete_infsup).  The longdouble carry of the
+iterative refinement stays inside solve_source, which rounds it to float64
+once the gate has judged it.
 
 Every sparse factorization goes through _factorize, with one policy: a
 reverse Cuthill-McKee pre-order, then SuperLU in SymmetricMode with ordering
@@ -72,8 +82,8 @@ made the eigen-convergence study about 20% slower.
 Under a source factor lives one copy of A(lam).  solve_source rebinds A to
 its pre-ordered CSC copy (_preorder) before it factors, so the A it
 assembled is freed first; splu factors that copy as it is, and the
-refinement multiplies with it (_gated_solve), so the solution comes back
-through the inverse pre-order.  At L4 of the source study that is one copy
+refinement multiplies with it, so the solution comes back through the
+inverse pre-order.  At L4 of the source study that is one copy
 fewer under each factor: 18.1 MB for the edge A(1) (1.42 M entries) and
 8.4 MB for the scalar one.  The other paths keep their lifetimes:
 _negative_count holds A(sigma) for its probe, residual_evaluator its Gram
@@ -103,7 +113,11 @@ __all__ = [
     "SolverError", "SourceSolution", "MatrixPencil", "EigenPair", "xnorm_gram",
     "solve_source", "build_pencil", "schur_complement",
     "solve_eigen", "count_eigen_window", "residual_evaluator", "discrete_infsup",
+    "RESIDUAL_FILTER",
 ]
+
+# the gate on the rational residual of every eigenpair solve_eigen returns
+RESIDUAL_FILTER = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -112,7 +126,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SourceSolution:
-    coeffs: np.ndarray        # every dof (boundary dofs zero), longdouble
+    coeffs: np.ndarray        # every dof (boundary dofs zero), float64
     residual: float           # relative algebraic residual, <= 1e-10
 
 
@@ -192,14 +206,6 @@ def _factorize(A: sp.spmatrix, what: str,
     return _Factor(lu, order)
 
 
-def _longdouble(A: sp.spmatrix) -> sp.spmatrix:
-    """A (CSR or CSC) with its values in longdouble, on A's own indices and
-    indptr, for _refined_solve: A.astype(np.longdouble) copies those too
-    (6.8 MB at the L4 edge A(1)).  Its products are bit for bit the same."""
-    return type(A)((A.data.astype(np.longdouble), A.indices, A.indptr),
-                   shape=A.shape)
-
-
 _REFINE_STEPS = 6
 
 
@@ -212,17 +218,19 @@ def _refined_solve(lu, A: sp.spmatrix, b: np.ndarray) -> Tuple[np.ndarray, float
     accumulated u and the residual in longdouble removes the storage floor --
     one correction step typically lands near 1e-13 -- while every triangular
     solve stays in the double-precision factors.  The residual that measures
-    a step is the one the next step corrects, so each step takes one
-    longdouble product with A.
+    a step is the one the next step corrects, so each step takes one product
+    of the float64 A with the longdouble iterate, summed in longdouble as
+    fem.block_norm_sq sums its forms.  scipy casts A's values to longdouble
+    for that product only, so it is bit for bit the product of a longdouble
+    copy of A, and no such copy outlives it.
     """
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         return np.zeros(b.shape[0], dtype=np.longdouble), 0.0
-    Ax = _longdouble(A)
     bx = b.astype(np.longdouble)
 
     def residual(v):
-        r = np.asarray(bx - Ax @ v, dtype=np.float64)
+        r = np.asarray(bx - A @ v, dtype=np.float64)
         return r, float(np.linalg.norm(r)) / nb
 
     u = lu.solve(b).astype(np.longdouble)
@@ -238,24 +246,6 @@ def _refined_solve(lu, A: sp.spmatrix, b: np.ndarray) -> Tuple[np.ndarray, float
     return u, res
 
 
-def _gated_solve(A: sp.csc_matrix, order: np.ndarray, b: np.ndarray,
-                 what: str) -> Tuple[np.ndarray, float]:
-    """Factor A, already pre-ordered (_preorder), refine against that same
-    matrix, and hold the relative residual to the 1e-10 gate.  b and the
-    solution are in the numbering before the pre-order.  Returns (solution,
-    residual)."""
-    fac = _factorize(A, what, order)
-    u, res = _refined_solve(fac.lu, A, b[order])
-    if not np.isfinite(res) or res > 1e-10:
-        d = np.abs(fac.lu.U.diagonal())
-        raise SolverError(
-            f"{what} is numerically singular: relative residual {res:.3e} "
-            f"after refinement (min|U_ii|/max|U_ii| = {d.min() / d.max():.3e})")
-    x = np.empty_like(u)
-    x[order] = u
-    return x, res
-
-
 def solve_source(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial, lam,
                  f) -> SourceSolution:
     """Direct solve of A(lam) u = b on the space of the blocks' row, with b
@@ -265,10 +255,12 @@ def solve_source(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial, lam,
     x -> (..., 2).  Iterative refinement keeps the relative residual at the
     1e-10 gate even on deep meshes; a residual still above it means lam sits
     at or near an eigenvalue and is reported with pivot diagnostics instead
-    of returned.  The blocks are let go once A(lam) and b are built, so a
-    caller that holds no other reference frees them before the factorization;
-    A(lam) itself goes once its pre-ordered copy, the one the factor and the
-    refinement read, is built (module docstring).
+    of returned.  The gate and the reported residual judge the longdouble
+    carry of the refinement; coeffs is that carry rounded to float64, once,
+    as it leaves the pre-order.  The blocks are let go once A(lam) and b are
+    built, so a caller that holds no other reference frees them before the
+    factorization; A(lam) itself goes once its pre-ordered copy, the one the
+    factor and the refinement read, is built (module docstring).
     """
     form = blocks.form
     if not callable(f):
@@ -283,8 +275,18 @@ def solve_source(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial, lam,
     del blocks
     # rebinding A lets the unpermuted copy go before the factorization
     A, order = _preorder(A)
-    u, res = _gated_solve(A, order, b, f"{form.kind} A({lam})")
-    return SourceSolution(space.expand_vec(u), res)
+    what = f"{form.kind} A({lam})"
+    fac = _factorize(A, what, order)
+    u, res = _refined_solve(fac.lu, A, b[order])
+    if not np.isfinite(res) or res > 1e-10:
+        d = np.abs(fac.lu.U.diagonal())
+        raise SolverError(
+            f"{what} is numerically singular: relative residual {res:.3e} "
+            f"after refinement (min|U_ii|/max|U_ii| = {d.min() / d.max():.3e})")
+    # the gated carry, rounded to float64 as it leaves the pre-order
+    x = np.empty(u.shape)
+    x[order] = u
+    return SourceSolution(space.expand_vec(x), res)
 
 
 def build_pencil(mesh: Mesh, blocks: Blocks,
@@ -463,7 +465,8 @@ def solve_eigen(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial,
     classification of their edge part (curl energy fraction <= 1e-8 means
     gradient-dominated; those populate the accumulation window of the
     permittivity contrast).  A shift within 0.05 of the pencil's resonance
-    pole, or a residual that cannot be evaluated, raises SolverError.
+    pole, a residual that cannot be evaluated, or one above RESIDUAL_FILTER
+    raises SolverError, so no pair is ever dropped.
     """
     pencil = build_pencil(mesh, blocks, mat)
     if pencil.n_aux and abs(shift - pencil.pole) < 0.05:
@@ -488,6 +491,10 @@ def solve_eigen(mesh: Mesh, blocks: Blocks, mat: mats.DrudeMaterial,
         except SolverError as exc:
             raise SolverError(f"rational residual of the eigenpair at lam={lam} "
                               f"failed: {exc}") from exc
+        if not res <= RESIDUAL_FILTER:
+            raise SolverError(
+                f"{blocks.form.kind} eigenpair at lam={lam} has rational residual "
+                f"{res:.3e} > {RESIDUAL_FILTER!r} ({len(space.free)} free dofs)")
         pairs.append(EigenPair(lam, u, res, cls, frac))
     return pairs
 

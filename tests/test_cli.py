@@ -1,7 +1,6 @@
 """Verb wiring, exit codes, and output files of the command-line runner."""
 
 import argparse
-import dataclasses
 import math
 import os
 import re
@@ -58,6 +57,24 @@ def test_mesh_build_writes_mesh(cfg51, tmp_path):
     assert (out / "mesh_level0.txt").is_file()
 
 
+def test_mesh_build_refines_nothing(cfg51, tmp_path, monkeypatch):
+    # mesh build writes level 0 only, so it builds only the coarse mesh:
+    # no red refinement, and the level-0 file mesh refine writes
+    real_refine_red, calls = exp.refine_red, []
+
+    def refine_red(mesh):
+        calls.append(mesh)
+        return real_refine_red(mesh)
+
+    assert main(["mesh", "refine", "--config", cfg51, "--levels", "2",
+                 "--out", str(tmp_path / "ladder")]) == 0
+    monkeypatch.setattr(exp, "refine_red", refine_red)
+    assert main(["mesh", "build", "--config", cfg51, "--out", str(tmp_path / "o")]) == 0
+    assert calls == []
+    assert ((tmp_path / "o" / "mesh_level0.txt").read_bytes()
+            == (tmp_path / "ladder" / "mesh_level0.txt").read_bytes())
+
+
 def test_mesh_refine_writes_ladder(cfg51, tmp_path):
     out = tmp_path / "o"
     assert main(["mesh", "refine", "--config", cfg51, "--levels", "2",
@@ -91,7 +108,9 @@ def test_mesh_check_names_unchecked_corners(cfg51, tmp_path, capsys, monkeypatch
     assert lines[-1].startswith("all 1 levels conforming")
 
 
-def test_mesh_check_square_is_noop(tmp_path, capsys):
+def test_mesh_check_square_is_noop(tmp_path, capsys, monkeypatch):
+    # the square domain has nothing to check, so no mesh is built
+    _no_mesh_ladder(monkeypatch)
     p = tmp_path / "sq.cfg"
     p.write_text("[domain]\nkind = square\n")
     assert main(["mesh", "check", "--config", str(p), "--levels", "1",
@@ -148,17 +167,23 @@ def test_solve_scalar_writes_flux(cfg51, tmp_path):
 
 
 def _with_bad_pair(monkeypatch, target):
-    # every eigen solve of the target formulation also returns one pair above
-    # the residual gate, which the study must refuse rather than drop
-    solve_eigen = sol.solve_eigen
+    # in every eigen solve of the target formulation the first pair's
+    # rational residual reads 1.0, above the gate, which solve_eigen must
+    # refuse rather than drop; returns the lam of every pair so refused
+    residual_evaluator = sol.residual_evaluator
+    refused = []
 
-    def with_bad_pair(mesh, blocks, mat, **kwargs):
-        pairs = solve_eigen(mesh, blocks, mat, **kwargs)
+    def evaluator(mesh, blocks, mat):
         if blocks.form is not target:
-            return pairs
-        return pairs + [dataclasses.replace(pairs[0], lam=1.25, residual=1.0)]
+            return residual_evaluator(mesh, blocks, mat)
 
-    monkeypatch.setattr(sol, "solve_eigen", with_bad_pair)
+        def evaluate(lam, u):
+            refused.append(lam)
+            return 1.0
+        return evaluate
+
+    monkeypatch.setattr(sol, "residual_evaluator", evaluator)
+    return refused
 
 
 def _no_mesh_ladder(monkeypatch):
@@ -178,10 +203,11 @@ def test_eigen_converge(cfg52, tmp_path, capsys, monkeypatch):
     assert "err_vs_finest" in capsys.readouterr().out
     assert "dropped_by_filter" not in (out / "eigen.csv").read_text()
 
-    _with_bad_pair(monkeypatch, fem.EDGE)
+    refused = _with_bad_pair(monkeypatch, fem.EDGE)
     assert main(args + ["--out", str(tmp_path / "bad")]) == 3
     err = capsys.readouterr().err
-    assert "edge eigenpair at lam=1.25" in err and "1.000e+00" in err
+    assert any(f"edge eigenpair at lam={lam} " in err for lam in refused)
+    assert "1.000e+00 > 1e-08" in err
     assert not (tmp_path / "bad" / "eigen.csv").exists()
 
 
@@ -251,12 +277,14 @@ def test_eigen_spectrum_eps_window_at_small_patch_radius(cfg52, tmp_path):
 
 def test_eigen_spectrum_bad_scalar_pair_fails(cfg52, tmp_path, capsys,
                                               monkeypatch):
-    _with_bad_pair(monkeypatch, fem.SCALAR)
+    refused = _with_bad_pair(monkeypatch, fem.SCALAR)
     assert main(["eigen", "spectrum", "--config", cfg52, "--levels", "2",
                  "--window", "1.2,4/3", "--shift", "1.27",
                  "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "level 1 scalar eigenpair at lam=1.25" in err and "1.000e+00" in err
+    assert len(refused) == 1
+    assert f"scalar eigenpair at lam={refused[0]} " in err
+    assert "1.000e+00 > 1e-08" in err
     assert not (tmp_path / "spectrum.csv").exists()
 
 
@@ -327,6 +355,16 @@ def test_diagnose_reflection(cfg51, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "corner 0" in text and "edge 2" in text
     assert (out / "reflection.csv").is_file()
+
+
+def test_diagnose_reflection_needs_two_levels(cfg51, tmp_path, capsys, monkeypatch):
+    # with one level there is no drift to measure; it used to be written
+    # as 0.0, a perfect stabilization nothing had shown
+    _no_mesh_ladder(monkeypatch)
+    assert main(["diagnose", "reflection", "--config", cfg51, "--levels", "1",
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "reflection diagnostic needs >= 2 levels" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_scalar_csv_matches_row_writer(cfg51, tmp_path):

@@ -132,7 +132,21 @@ def test_spectrum_runs_both_formulations_as_jobs(tmp_path, monkeypatch):
     assert calls == [[(1, fem.EDGE), (1, fem.SCALAR)]]
     kinds = [row[1] for row in rows]
     assert "vector" in kinds and "scalar" in kinds
-    assert "dropped_by_filter" not in path.read_text()
+    text = path.read_text()
+    assert "dropped_by_filter" not in text
+    # the gate solve_eigen holds every pair to, one object under both names
+    assert exp.RESIDUAL_FILTER is sol.RESIDUAL_FILTER
+    assert f"# residual_filter = {sol.RESIDUAL_FILTER!r}\n" in text
+
+
+def test_reflection_diagnostic_returns_its_table(tmp_path):
+    # the verb table names and writes reflection.csv; the runner writes nothing
+    cfg = ExperimentConfig(kind="diagnostics", levels=2, out_dir=str(tmp_path), **MAT_51)
+    table = exp.run_reflection_diagnostic(cfg)
+    assert isinstance(table, exp.ResultTable) and len(table.rows) == 12
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ConfigError, match="needs >= 2 levels"):
+        exp.run_reflection_diagnostic(dataclasses.replace(cfg, levels=1))
 
 
 @pytest.mark.parametrize("run, cfg, what", [

@@ -96,15 +96,17 @@ def test_source_solve_holds_one_copy_of_A_under_the_factor(mesh_seq, rows,
         space = form.space(m)
         A = real_assemble_A(bl[1], CONTRAST_TEN, 1.0, space)
         b = space.restrict_vec(form.load(m, CONTRAST_TEN, 1.0, np.array([1.0, 1.0])))
-        u = space.restrict_vec(s.coeffs).astype(float)
+        assert s.coeffs.dtype == np.float64
+        u = space.restrict_vec(s.coeffs)
         assert np.linalg.norm(b - A @ u) <= 1e-10 * np.linalg.norm(b)
     assert alive == [[False], [False, False]]
 
 
 def test_refinement_takes_one_product_per_solve(mesh_seq, blocks_seq, monkeypatch):
     # the residual that measures an iterate is the one the next step
-    # corrects, so the longdouble products with A match the factor's solves
-    # one for one, with no product taken twice for the same iterate
+    # corrects, so the products of A with the longdouble iterate match the
+    # factor's solves one for one, with no product taken twice for the same
+    # iterate
     counts = {"solve": 0, "product": 0}
 
     class Counted:
@@ -119,14 +121,12 @@ def test_refinement_takes_one_product_per_solve(mesh_seq, blocks_seq, monkeypatc
             counts[self.key] += 1
             return self.inner @ v
 
-    real_longdouble = sol._longdouble
-    monkeypatch.setattr(sol, "_longdouble", lambda A: Counted(real_longdouble(A), "product"))
     m, bl = mesh_seq[1], blocks_seq[1]
     space = fem.EDGE.space(m)
     A, order = sol._preorder(fem.assemble_A(bl, CONTRAST_TEN, 1.0, space))
     b = space.restrict_vec(fem.EDGE.load(m, CONTRAST_TEN, 1.0, np.array([1.0, 1.0])))
     lu = sol._factorize(A, "A(1)", order).lu
-    _, res = sol._refined_solve(Counted(lu, "solve"), A, b[order])
+    _, res = sol._refined_solve(Counted(lu, "solve"), Counted(A, "product"), b[order])
     assert res <= 1e-10
     assert counts["product"] == counts["solve"] >= 2
 
@@ -609,6 +609,32 @@ def test_eigen_residual_failure_raises(mesh_seq, blocks_seq, monkeypatch):
         sol.solve_eigen(m, bl, REFERENCE, window=(1.2, 4 / 3), shift=1.27)
 
 
+@pytest.mark.parametrize("form", [fem.EDGE, fem.SCALAR], ids=["edge", "scalar"])
+def test_solve_eigen_gates_every_pair(mesh_seq, rows, monkeypatch, form):
+    # solve_eigen owns the RESIDUAL_FILTER gate: a pair at the gate is
+    # returned, and one pair above it makes the whole solve raise, naming
+    # the row, lam, the residual, the gate and the free-dof count
+    m, bl = mesh_seq[1], rows[form][1]
+    bad = []
+
+    def evaluator(*args):
+        def evaluate(lam, u):
+            return 2e-8 if lam in bad else sol.RESIDUAL_FILTER
+        return evaluate
+
+    monkeypatch.setattr(sol, "residual_evaluator", evaluator)
+    kwargs = dict(window=(1.2, 4 / 3), shift=1.27, count=4)
+    pairs = sol.solve_eigen(m, bl, REFERENCE, **kwargs)
+    assert pairs and all(q.residual == sol.RESIDUAL_FILTER for q in pairs)
+    bad.append(pairs[-1].lam)
+    dofs = len(form.space(m).free)
+    with pytest.raises(sol.SolverError) as exc:
+        sol.solve_eigen(m, bl, REFERENCE, **kwargs)
+    assert str(exc.value) == (
+        f"{form.kind} eigenpair at lam={pairs[-1].lam} has rational residual "
+        f"2.000e-08 > 1e-08 ({dofs} free dofs)")
+
+
 def test_rational_residual_contract(mesh_seq, blocks_seq):
     m, bl = mesh_seq[1], blocks_seq[1]
     pairs = sol.solve_eigen(m, bl, REFERENCE, window=(1.2, 4 / 3),
@@ -905,16 +931,19 @@ def test_malloc_trim_found_under_glibc():
     assert sol._malloc_trim()(0) in (0, 1)
 
 
-def test_longdouble_copy_shares_the_indices(mesh_seq, blocks_seq):
-    # the refinement's and the inf-sup readout's longdouble A and G: data-only
-    # casts on the float64 index arrays, with the products of astype bit for bit
+def test_float64_matrix_times_longdouble_vector_sums_in_longdouble(mesh_seq, blocks_seq):
+    # the refinement multiplies the float64 A, pre-ordered CSC included, by
+    # its longdouble iterate, and the inf-sup readout the Gram by a vector
+    # in longdouble (fem.block_norm_sq): each product is the one of a
+    # longdouble copy of the matrix, bit for bit
     m, bl = mesh_seq[1], blocks_seq[1]
     space = bl.form.space(m)
     x = np.random.default_rng(3).standard_normal(len(space.free)).astype(np.longdouble)
-    for A in (fem.assemble_A(bl, CONTRAST_TEN, 2.2, space), sol.xnorm_gram(bl, space)):
-        Ax = sol._longdouble(A)
-        assert Ax.dtype == np.longdouble
-        assert np.shares_memory(Ax.indices, A.indices)
-        assert np.shares_memory(Ax.indptr, A.indptr)
-        assert not np.shares_memory(Ax.data, A.data)
-        assert np.array_equal(Ax @ x, A.astype(np.longdouble) @ x)
+    x *= 1 + np.longdouble(2.0) ** -60
+    A = fem.assemble_A(bl, CONTRAST_TEN, 2.2, space)
+    Ap, order = sol._preorder(A)
+    for B, v in ((A, x), (Ap, x[order]), (sol.xnorm_gram(bl, space), x)):
+        assert B.dtype == np.float64
+        Bv = B @ v
+        assert Bv.dtype == np.longdouble
+        assert np.array_equal(Bv, B.astype(np.longdouble) @ v)
